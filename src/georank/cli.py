@@ -46,7 +46,6 @@ def _int_list(text: str) -> tuple[int, ...]:
 CONFIG_SCHEMA = {
     "store": str,
     "k": int,
-    "accum32": _bool,
     "seed": int,
     "locations": int,
     "group_size": int,
@@ -182,7 +181,7 @@ def cmd_retrieve(args) -> int:
     cfg = _Resolver(args)
     store = Store.load(cfg.require("store"))
     k = cfg.get("k", 10)
-    rankings = retriever.rank_store_queries(store, k, accum32=bool(cfg.get("accum32", False)))
+    rankings = retriever.rank_store_queries(store, k)
     retriever.save_rankings(rankings, args.out)
     print(f"ranked {len(rankings)} queries at k={k} -> {args.out}")
     return 0
@@ -458,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store")
     p.add_argument("--k", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--accum32", action="store_const", const=True, default=None,
-                   help="accumulate cosine in float32 instead of float64")
 
     p = add("caption", cmd_caption, "validate answer sheets and render descriptions")
     p.add_argument("--sheets", required=True)

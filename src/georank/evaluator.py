@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import kernels
 from .geostore import GeoCoord
 from .retriever import Ranking
@@ -96,26 +98,33 @@ def threshold_recall(
     radius_km: float = 6371.0,
 ) -> float:
     """Fraction of queries where a top-k reference lies within threshold_km
-    (inclusive) of a true location."""
+    (inclusive) of a true location.
+
+    Every (top-k reference, true location) pair of every query is measured in
+    one vectorised haversine call.
+    """
     if not rankings:
         raise ValueError("no rankings to evaluate")
     _check_known(rankings, ground_truth)
-    hits = 0
-    for r in rankings:
-        truth_coords = []
-        for g in ground_truth[r.query_id]:
-            if g not in coords:
-                raise ValueError(f"missing coordinate for id '{g}'")
-            truth_coords.append(coords[g])
-        found = False
+
+    def coord(rid: str) -> GeoCoord:
+        if rid not in coords:
+            raise ValueError(f"missing coordinate for id '{rid}'")
+        return coords[rid]
+
+    owner, near, truth = [], [], []
+    for i, r in enumerate(rankings):
+        truth_coords = [coord(g) for g in ground_truth[r.query_id]]
         for rid, _ in r.entries[:k]:
-            if rid not in coords:
-                raise ValueError(f"missing coordinate for id '{rid}'")
-            c = coords[rid]
-            if any(haversine(c, t, radius_km) <= threshold_km for t in truth_coords):
-                found = True
-                break
-        hits += found
+            c = coord(rid)
+            owner.extend([i] * len(truth_coords))
+            near.extend([c] * len(truth_coords))
+            truth.extend(truth_coords)
+    dist = kernels.haversine_km(
+        np.array([c.lat for c in near]), np.array([c.lon for c in near]),
+        np.array([t.lat for t in truth]), np.array([t.lon for t in truth]), radius_km,
+    )
+    hits = np.unique(np.asarray(owner)[dist <= threshold_km]).size
     return hits / len(rankings)
 
 

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
+
 EMB_MAGIC = b"GVLM"
 EMB_VERSION = 1
 
@@ -261,6 +263,7 @@ class Store:
         self._query_coord = {q.id: q.coord for q in queries if q.coord is not None}
         self.ground_truth = {q.id: tuple(q.ground_truth) for q in queries}
         self._tie_rank = None
+        self._cosine_index = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -274,6 +277,13 @@ class Store:
                 rank[i] = r
             self._tie_rank = rank
         return self._tie_rank
+
+    @property
+    def cosine_index(self) -> kernels.CosineIndex:
+        """Float64 reference row norms for phase-1 retrieval, built on first use."""
+        if self._cosine_index is None:
+            self._cosine_index = kernels.build_cosine_index(self.ref_image)
+        return self._cosine_index
 
     def has_reference(self, ref_id: str) -> bool:
         return ref_id in self._ref_pos

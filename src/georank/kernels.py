@@ -1,198 +1,112 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Numeric kernels of phase-1 retrieval and of the positional metrics.
 
-The jitted path is used by default when numba imports cleanly. Setting the
-environment variable ``GEOVLM_DISABLE_NUMBA=1`` (before import) forces the
-numpy fallback; so does a missing/broken numba install. Both paths implement
-the same ordering semantics exactly, so ranked output is identical either
-way. ``benchmarks/bench_kernels.py`` times the two paths side by side.
+Retrieval scores a query in two steps. ``cosine_scores`` sweeps the float32
+reference matrix with one BLAS product and gives approximate cosines whose
+error is at most ``cosine_error_bound(dim)``; ``exact_cosines`` re-scores the
+few rows that can still be in the top k with the float64 formula
+``(r·q)/(‖q‖·‖r‖)``. The float64 dot products and norms are per-row einsum
+reductions, so a row's score depends on that row and the query alone, not on
+which other rows are scored with it: exact duplicates and power-of-two
+scalings of a row score bit-equal, and a query scores a row identically
+whether it is re-scored alone, among a few survivors or over the whole
+matrix. ``top_indices`` orders scores by (score desc, tie rank asc).
 """
 
 from __future__ import annotations
 
-import math
-import os
+from dataclasses import dataclass
 
 import numpy as np
 
-_TRUTHY = {"1", "true", "yes", "on"}
+_U32 = 2.0 ** -24  # unit roundoff of float32
+
+# Rows whose norm lies outside this range can overflow or lose their products
+# to underflow in the float32 sweep; they are always re-scored exactly.
+_SWEPT_NORMS = (2.0 ** -64, 2.0 ** 64)
+# Queries whose float64 norm lies outside this range are scored exactly against
+# every row: their squared norm may have over- or underflowed, so the exact
+# formula's scores are not accurate cosines and the sweep's margin does not hold.
+_REGULAR_QUERY_NORMS = (2.0 ** -500, 2.0 ** 500)
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get("GEOVLM_DISABLE_NUMBA", "").strip().lower() in _TRUTHY
+@dataclass(frozen=True)
+class CosineIndex:
+    """What retrieval precomputes about a reference matrix: the float64 norm of
+    every row (8 bytes per reference) and the rows the float32 sweep cannot
+    bound, which every query re-scores exactly (zero, non-finite, tiny or huge
+    rows; normally none)."""
+
+    norms: np.ndarray
+    unswept: np.ndarray
 
 
-NUMBA_ENABLED = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        NUMBA_ENABLED = False
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Float64 Euclidean norm of each row of ``m`` (any float dtype), without a
+    float64 copy of ``m``; each row's value depends on that row alone."""
+    return np.sqrt(np.einsum("ij,ij->i", m, m, dtype=np.float64))
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+def build_cosine_index(refs: np.ndarray) -> CosineIndex:
+    norms = row_norms(refs)
+    lo, hi = _SWEPT_NORMS
+    return CosineIndex(norms=norms, unswept=np.flatnonzero(~((norms >= lo) & (norms <= hi))))
 
-def _cosine_scores_np(query: np.ndarray, refs: np.ndarray, accum32: bool = False) -> np.ndarray:
-    """Cosine similarity of ``query`` (d,) against every row of ``refs`` (n, d).
 
-    Accumulates in float64 unless ``accum32`` is set. Returns float64 scores.
-    Callers are responsible for rejecting zero-norm vectors.
+def regular_queries(query_norms: np.ndarray) -> np.ndarray:
+    """Which queries the float32 sweep can bound, from their float64 norms."""
+    lo, hi = _REGULAR_QUERY_NORMS
+    return (query_norms >= lo) & (query_norms <= hi)
+
+
+def cosine_error_bound(dim: int) -> float:
+    """Bound on |approximate - exact cosine| for ``cosine_scores`` at ``dim``.
+
+    A float32 dot product of d terms is off by at most γ_d·Σ|r_j·q_j| ≤
+    γ_d·‖r‖·‖q‖, γ_d = d·u/(1 - d·u) with u = 2⁻²⁴, in any summation order.
+    Rounding the unit query to float32 adds u; the float64 re-score, norms and
+    division add well under u more, and 2u of slack is kept on top. Valid for
+    swept rows and regular queries only.
     """
-    dt = np.float32 if accum32 else np.float64
-    q = query.astype(dt, copy=False)
-    r = refs.astype(dt, copy=False)
-    dots = r @ q
-    qn = np.sqrt(np.dot(q, q))
-    rn = np.sqrt(np.einsum("ij,ij->i", r, r))
-    return (dots / (qn * rn)).astype(np.float64)
+    du = dim * _U32
+    if du >= 0.5:
+        return np.inf
+    return du / (1.0 - du) + 4.0 * _U32
 
 
-def _top_indices_np(scores: np.ndarray, tie_rank: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best entries by (score desc, tie_rank asc)."""
+def cosine_scores(queries: np.ndarray, refs: np.ndarray, ref_norms: np.ndarray) -> np.ndarray:
+    """Approximate cosines (b, n) of unit ``queries`` (b, d) against every row of
+    ``refs`` (n, d): one float32 BLAS product divided by the float64 row norms.
+    Accurate to ``cosine_error_bound(d)`` on swept rows and regular queries."""
+    # non-finite results (irregular queries, unswept rows) are the caller's to handle
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q32 = queries.astype(np.float32)
+        # one query runs as a GEMV, which OpenBLAS does faster than a one-row GEMM
+        dots = (q32[0] @ refs.T)[None, :] if q32.shape[0] == 1 else q32 @ refs.T
+        return dots / ref_norms
+
+
+def exact_cosines(refs: np.ndarray, query: np.ndarray, query_norm: float, ref_norms: np.ndarray) -> np.ndarray:
+    """``(r·q)/(‖q‖·‖r‖)`` in float64 for each row of ``refs``, clipped to [-1, 1].
+    ``query`` is float64; the norms come from ``row_norms``."""
+    dots = np.einsum("ij,j->i", refs, query, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.clip(dots / (query_norm * ref_norms), -1.0, 1.0)
+
+
+def top_indices(scores: np.ndarray, tie_rank: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k best entries by (score desc, tie_rank asc); NaN ranks last."""
     order = np.lexsort((tie_rank, -scores))
     return order[: min(k, scores.shape[0])].astype(np.int64)
 
 
-def _haversine_km_np(lat1, lon1, lat2, lon2, radius_km: float) -> np.ndarray:
-    """Great-circle distances for paired coordinate arrays, in km."""
-    p1 = np.radians(np.asarray(lat1, dtype=np.float64))
-    l1 = np.radians(np.asarray(lon1, dtype=np.float64))
-    p2 = np.radians(np.asarray(lat2, dtype=np.float64))
-    l2 = np.radians(np.asarray(lon2, dtype=np.float64))
+def haversine_km(lat1, lon1, lat2, lon2, radius_km):
+    """Great-circle distance in km; scalar in, scalar out; arrays elementwise."""
+    p1 = np.radians(np.atleast_1d(np.asarray(lat1, dtype=np.float64)))
+    l1 = np.radians(np.atleast_1d(np.asarray(lon1, dtype=np.float64)))
+    p2 = np.radians(np.atleast_1d(np.asarray(lat2, dtype=np.float64)))
+    l2 = np.radians(np.atleast_1d(np.asarray(lon2, dtype=np.float64)))
     sdlat = np.sin((p2 - p1) / 2.0)
     sdlon = np.sin((l2 - l1) / 2.0)
     a = sdlat * sdlat + np.cos(p1) * np.cos(p2) * sdlon * sdlon
-    return 2.0 * radius_km * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _cosine_scores_nb64(query, refs):
-        n, d = refs.shape
-        out = np.empty(n, np.float64)
-        qn = 0.0
-        for j in range(d):
-            qn += query[j] * query[j]
-        qn = math.sqrt(qn)
-        for i in range(n):
-            dot = 0.0
-            rn = 0.0
-            for j in range(d):
-                v = refs[i, j]
-                dot += v * query[j]
-                rn += v * v
-            out[i] = dot / (qn * math.sqrt(rn))
-        return out
-
-    @njit(cache=True)
-    def _cosine_scores_nb32(query, refs):
-        n, d = refs.shape
-        out = np.empty(n, np.float64)
-        qn = np.float32(0.0)
-        for j in range(d):
-            qn += query[j] * query[j]
-        qn = np.float32(math.sqrt(qn))
-        for i in range(n):
-            dot = np.float32(0.0)
-            rn = np.float32(0.0)
-            for j in range(d):
-                v = refs[i, j]
-                dot += v * query[j]
-                rn += v * v
-            out[i] = np.float64(dot / (qn * np.float32(math.sqrt(rn))))
-        return out
-
-    def _cosine_scores_nb(query: np.ndarray, refs: np.ndarray, accum32: bool = False) -> np.ndarray:
-        if accum32:
-            return _cosine_scores_nb32(
-                np.ascontiguousarray(query, dtype=np.float32),
-                np.ascontiguousarray(refs, dtype=np.float32),
-            )
-        return _cosine_scores_nb64(
-            np.ascontiguousarray(query, dtype=np.float64),
-            np.ascontiguousarray(refs, dtype=np.float64),
-        )
-
-    @njit(cache=True)
-    def _top_indices_nb_inner(scores, tie_rank, k):
-        n = scores.shape[0]
-        kk = min(k, n)
-        idx = np.empty(kk, np.int64)
-        m = 0
-        for i in range(n):
-            s = scores[i]
-            t = tie_rank[i]
-            if m < kk:
-                pos = m
-                m += 1
-            else:
-                w = idx[kk - 1]
-                if scores[w] > s or (scores[w] == s and tie_rank[w] < t):
-                    continue
-                pos = kk - 1
-            while pos > 0:
-                j = idx[pos - 1]
-                if s > scores[j] or (s == scores[j] and t < tie_rank[j]):
-                    idx[pos] = j
-                    pos -= 1
-                else:
-                    break
-            idx[pos] = i
-        return idx
-
-    def _top_indices_nb(scores: np.ndarray, tie_rank: np.ndarray, k: int) -> np.ndarray:
-        return _top_indices_nb_inner(
-            np.ascontiguousarray(scores, dtype=np.float64),
-            np.ascontiguousarray(tie_rank, dtype=np.int64),
-            k,
-        )
-
-    @njit(cache=True)
-    def _haversine_km_nb_inner(lat1, lon1, lat2, lon2, radius_km):
-        n = lat1.shape[0]
-        out = np.empty(n, np.float64)
-        deg = math.pi / 180.0
-        for i in range(n):
-            p1 = lat1[i] * deg
-            p2 = lat2[i] * deg
-            sdlat = math.sin((p2 - p1) / 2.0)
-            sdlon = math.sin((lon2[i] - lon1[i]) * deg / 2.0)
-            a = sdlat * sdlat + math.cos(p1) * math.cos(p2) * sdlon * sdlon
-            out[i] = 2.0 * radius_km * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
-        return out
-
-    def _haversine_km_nb(lat1, lon1, lat2, lon2, radius_km: float) -> np.ndarray:
-        arrs = [np.ascontiguousarray(np.atleast_1d(a), dtype=np.float64) for a in (lat1, lon1, lat2, lon2)]
-        return _haversine_km_nb_inner(arrs[0], arrs[1], arrs[2], arrs[3], float(radius_km))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    cosine_scores = _cosine_scores_nb
-    top_indices = _top_indices_nb
-    _haversine_impl = _haversine_km_nb
-else:
-    cosine_scores = _cosine_scores_np
-    top_indices = _top_indices_np
-
-    def _haversine_impl(lat1, lon1, lat2, lon2, radius_km):
-        return _haversine_km_np(
-            np.atleast_1d(lat1), np.atleast_1d(lon1), np.atleast_1d(lat2), np.atleast_1d(lon2), radius_km
-        )
-
-
-def haversine_km(lat1, lon1, lat2, lon2, radius_km):
-    """Great-circle distance in km; scalar in, scalar out; arrays elementwise."""
-    out = _haversine_impl(lat1, lon1, lat2, lon2, radius_km)
+    out = 2.0 * radius_km * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
     return float(out[0]) if np.ndim(lat1) == 0 else out

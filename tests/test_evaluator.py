@@ -168,6 +168,30 @@ def test_threshold_recall_monotone():
         assert threshold_recall(rankings, coords, truth, thr, 3) >= threshold_recall(rankings, coords, truth, thr, 1)
 
 
+def test_threshold_recall_matches_per_pair_loop():
+    # the vectorised sweep against the per-pair scalar loop it replaced
+    rng = np.random.default_rng(31)
+    coords = {f"r{i}": GeoCoord(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))) for i in range(40)}
+    coords["r40"] = coords["r0"]  # a distinct id at the same place
+    ids = sorted(coords)
+    truth = {f"q{j}": set(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False)) for j in range(25)}
+    rankings = [Ranking(q, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(rng.choice(ids, 8, replace=False))], k=8)
+                for q in truth]
+    rankings.append(Ranking("q_empty", [], k=0))
+    truth["q_empty"] = {"r1"}
+
+    def loop(threshold, k):
+        hits = 0
+        for r in rankings:
+            hits += any(haversine(coords[rid], coords[g]) <= threshold
+                        for rid, _ in r.entries[:k] for g in truth[r.query_id])
+        return hits / len(rankings)
+
+    for threshold in (0.0, 5.0, 30.0, 80.0, haversine(coords["r3"], coords["r7"])):
+        for k in (1, 3, 8):
+            assert threshold_recall(rankings, coords, truth, threshold, k) == loop(threshold, k)
+
+
 def test_threshold_recall_missing_coordinate():
     rankings, coords, truth = _spaced_fixture()
     del coords["r4"]

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from georank import retriever
 from georank.retriever import (
     Ranking,
     brute_force_rank,
@@ -134,13 +137,115 @@ def test_rank_store_queries_in_order(simple_store):
     assert rankings[0].ids() == ["e1", "e3"]
 
 
-def test_accum32_option_close_to_default(simple_store):
-    q = np.array([1.0, 0.0], np.float32)
-    r64 = top_k(q, simple_store, 3)
-    r32 = top_k(q, simple_store, 3, accum32=True)
-    assert r64.ids() == r32.ids()
-    for (_, a), (_, b) in zip(r64.entries, r32.entries):
-        assert a == pytest.approx(b, abs=1e-6)
+def test_top_k_unswept_rows_rank_like_oracle():
+    # zero, tiny and huge rows are outside the float32 sweep's range and are always re-scored exactly
+    rng = np.random.default_rng(12)
+    rows = list(rng.standard_normal((30, 5)))
+    rows += [np.zeros(5), 2.0**-100 * rows[0], 2.0**100 * rows[1], 2.0**100 * rows[1]]
+    store = build_store([make_ref(f"r{i:02d}", v) for i, v in enumerate(rows)], [], image_dim=5)
+    assert store.cosine_index.unswept.tolist() == [30, 31, 32, 33]
+    for q in (rows[0], rows[1], rng.standard_normal(5)):
+        oracle = brute_force_rank(q, store).ids()
+        for k in (1, 2, 3, 10, 34, 40):
+            assert top_k(q, store, k).ids() == oracle[:k]
+    assert brute_force_rank(rows[1], store).ids()[:3] == ["r01", "r32", "r33"]  # power-of-two scalings tie
+    assert brute_force_rank(rows[1], store).ids()[-1] == "r30"  # zero row: NaN score, ranked last
+
+
+def test_top_k_extreme_queries_rank_like_oracle():
+    # float64 queries whose squared norm over- or underflows are scored exactly against every row
+    rng = np.random.default_rng(15)
+    v = np.random.default_rng(2572).standard_normal(4)
+    rows = [v + 1.5e-3 * rng.standard_normal(4) for _ in range(60)] + list(rng.standard_normal((10, 4)))
+    store = build_store([make_ref(f"r{i:02d}", r) for i, r in enumerate(rows)], [], image_dim=4)
+    # at 1e-159 the squared norm is subnormal and comes out ~2e-5 low, so the
+    # rows nearest v score 1.0 after clipping and tie, far beyond the sweep's margin
+    assert [s for _, s in brute_force_rank(1e-159 * v, store).entries[:8]] == [1.0] * 8
+    for q in (1e-159 * v, 1e200 * v, 2.0**-600 * v, np.array([1e300, 1.0, 0.0, 0.0])):
+        oracle = brute_force_rank(q, store).ids()
+        for k in (1, 5, 10, 70):
+            assert top_k(q, store, k).ids() == oracle[:k]
+
+
+def test_top_k_scores_equal_oracle_scores():
+    rng = np.random.default_rng(13)
+    store = random_store(rng, 500, 0, image_dim=24)
+    for _ in range(10):
+        q = rng.standard_normal(24)
+        assert top_k(q, store, 7).entries == brute_force_rank(q, store).entries[:7]
+
+
+# ---------------------------------------------------------------------------
+# properties of the float32 sweep + exact re-score
+# ---------------------------------------------------------------------------
+
+def _nudged(row: np.ndarray, component: int, ulps: int) -> np.ndarray:
+    """``row`` (float32) with one component moved by ``ulps`` float32 steps."""
+    out = row.copy()
+    direction = np.float32(np.inf if ulps > 0 else -np.inf)
+    for _ in range(abs(ulps)):
+        out[component] = np.nextafter(out[component], direction)
+    return out
+
+
+@st.composite
+def sweep_cases(draw):
+    """A store with exact duplicates, 2x-scaled rows and a cluster of rows a few
+    float32 ulps away from an anchor row, and a query at or near the anchor (so
+    the k-th place falls among near-ties) or anywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 40))
+    rows = list(rng.standard_normal((draw(st.integers(1, 40)), dim)).astype(np.float32))
+    anchor = rows[0]
+    for _ in range(draw(st.integers(0, 12))):
+        rows.append(_nudged(anchor, int(rng.integers(dim)), int(rng.integers(-3, 4))))
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append(rows[int(rng.integers(len(rows)))].copy())
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append(np.float32(2.0) * rows[int(rng.integers(len(rows)))])
+    order = rng.permutation(len(rows))
+    ids = [f"r{i:03d}" for i in rng.permutation(len(rows))]
+    refs = [make_ref(ids[i], rows[j]) for i, j in enumerate(order)]
+    kind = draw(st.sampled_from(["anchor", "near-anchor", "random"]))
+    if kind == "anchor":
+        q = anchor.astype(np.float64)
+    elif kind == "near-anchor":
+        q = anchor + 1e-7 * rng.standard_normal(dim)
+    else:
+        q = rng.standard_normal(dim)
+    if draw(st.booleans()):
+        q = q.astype(np.float32)
+    k = draw(st.integers(1, len(rows) + 3))
+    return build_store(refs, [], image_dim=dim), q, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_top_k_equals_brute_force_prefix_property(case):
+    store, q, k = case
+    oracle = brute_force_rank(q, store)
+    ranking = top_k(q, store, k)
+    assert ranking.ids() == oracle.ids()[:k]
+    assert ranking.entries == oracle.entries[:k]
+    ranking.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 30), st.integers(1, 12), st.integers(1, 5))
+def test_rank_store_queries_equals_top_k_property(seed, n_refs, n_queries, k, block):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_refs, n_queries, image_dim=6)
+    # a query duplicating a reference puts exact ties at the top
+    store.query_image[0] = store.ref_image[0]
+    with pytest.MonkeyPatch.context() as mp:
+        # several query blocks: ``block`` queries per tile
+        mp.setattr(retriever, "SCORE_TILE_BYTES", block * retriever._TILE_BYTES_PER_SCORE * n_refs)
+        rankings = rank_store_queries(store, k)
+    assert [r.query_id for r in rankings] == store.query_ids
+    for qid, q, ranking in zip(store.query_ids, store.query_image, rankings):
+        single = top_k(q, store, k, query_id=qid)
+        assert ranking.ids() == single.ids()
+        assert ranking.entries == single.entries
 
 
 # ---------------------------------------------------------------------------
