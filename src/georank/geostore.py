@@ -177,9 +177,15 @@ def read_embedding_matrix(path: str | Path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
 
 
+def valid_id(record_id: str) -> bool:
+    """Ids are non-empty and hold no line boundary, so an ``.ids`` file (one id
+    per line, split with ``str.splitlines``) reads back exactly what was written."""
+    return bool(record_id) and record_id.splitlines() == [record_id]
+
+
 def _write_ids(ids: list[str], path: Path) -> None:
     for i in ids:
-        if not i or "\n" in i:
+        if not valid_id(i):
             raise ValueError(f"invalid id {i!r}")
     path.write_text("".join(i + "\n" for i in ids), encoding="utf-8")
 
@@ -361,7 +367,7 @@ class Store:
     def load(cls, store_dir: str | Path) -> "Store":
         root = Path(store_dir)
         manifest = StoreManifest.read(root / MANIFEST_FILE)
-        refs = cls._load_side(root, "refs", manifest.image_dim)
+        refs = cls._load_side(root, "refs", manifest)
         ref_records = [ReferenceRecord(**r) for r in refs]
         query_records: list[QueryRecord] = []
         if (root / "queries.img.emb").exists():
@@ -370,18 +376,29 @@ class Store:
             if tpath.exists():
                 for ln, rec in _read_jsonl(tpath):
                     truth[rec["id"]] = tuple(rec["refs"])
-            for r in cls._load_side(root, "queries", manifest.image_dim):
+            for r in cls._load_side(root, "queries", manifest):
                 query_records.append(QueryRecord(ground_truth=truth.get(r["id"], ()), **r))
-        return cls(manifest, ref_records, query_records)
+        store = cls(manifest, ref_records, query_records)
+        # a zero or non-finite image row scores NaN. The reference norms are the
+        # retrieval index the first query would build anyway, so refs cost no extra pass.
+        for prefix, ids, norms in (
+            ("refs", store.ref_ids, store.cosine_index.norms),
+            ("queries", store.query_ids, kernels.row_norms(store.query_image)),
+        ):
+            bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
+            if bad.size:
+                path = root / f"{prefix}.img.emb"
+                raise FormatError(f"{path}: id '{ids[bad[0]]}' has a zero or non-finite embedding")
+        return store
 
     @staticmethod
-    def _load_side(root: Path, prefix: str, image_dim: int) -> list[dict]:
+    def _load_side(root: Path, prefix: str, manifest: StoreManifest) -> list[dict]:
         mat = read_embedding_matrix(root / f"{prefix}.img.emb")
         ids = _read_ids(root / f"{prefix}.img.ids")
         if mat.shape[0] != len(ids):
             raise FormatError(f"{prefix}: {mat.shape[0]} embedding rows but {len(ids)} ids")
-        if mat.shape[0] and mat.shape[1] != image_dim:
-            raise FormatError(f"{prefix}: embedding dim {mat.shape[1]} does not match manifest {image_dim}")
+        if mat.shape[0] and mat.shape[1] != manifest.image_dim:
+            raise FormatError(f"{prefix}: embedding dim {mat.shape[1]} does not match manifest {manifest.image_dim}")
         records = [{"id": i, "image_emb": mat[row]} for row, i in enumerate(ids)]
         by_id = {r["id"]: r for r in records}
 
@@ -397,6 +414,10 @@ class Store:
             tids = _read_ids(root / f"{prefix}.txt.ids")
             if tmat.shape[0] != len(tids):
                 raise FormatError(f"{prefix}: {tmat.shape[0]} text rows but {len(tids)} ids")
+            if tmat.shape[0] and tmat.shape[1] != manifest.text_dim:
+                raise FormatError(
+                    f"{prefix}: text embedding dim {tmat.shape[1]} does not match manifest {manifest.text_dim}"
+                )
             for row, i in enumerate(tids):
                 resolve(i, "text embedding")["text_emb"] = tmat[row]
         cpath = root / f"{prefix}.captions.jsonl"
@@ -421,6 +442,8 @@ def _parse_embedding_rows(path: str | Path, dim: int, label: str) -> list[tuple[
         rid = rec.get("id")
         if not isinstance(rid, str) or not rid:
             raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
+        if not valid_id(rid):
+            raise IngestError("id contains a line break", file=str(path), line=ln, record_id=rid)
         if rid in seen:
             raise IngestError(f"duplicate {label} id", file=str(path), line=ln, record_id=rid)
         seen.add(rid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,33 +146,27 @@ def init_params(config: RerankerConfig) -> RerankerParams:
 # forward pieces
 # ---------------------------------------------------------------------------
 
-def _proj(params: RerankerParams, kind: str, side: str) -> tuple[np.ndarray, np.ndarray]:
-    suffix = "" if params.config.shared_projections else ("_q" if side == "query" else "_r")
-    return params.tensors[f"proj_{kind}{suffix}.w"], params.tensors[f"proj_{kind}{suffix}.b"]
+def proj_names(config: RerankerConfig, side: str) -> tuple[str, str, str, str]:
+    """Names of the image weight, image bias, text weight and text bias that
+    project one side ('query' or 'reference') into the latent space."""
+    if side not in ("query", "reference"):
+        raise ValueError(f"side must be 'query' or 'reference', got '{side}'")
+    suffix = "" if config.shared_projections else ("_q" if side == "query" else "_r")
+    return f"proj_img{suffix}.w", f"proj_img{suffix}.b", f"proj_txt{suffix}.w", f"proj_txt{suffix}.b"
 
 
 def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerParams, side: str = "query") -> np.ndarray:
     """Element-wise sum of the projected image and text embeddings."""
-    if side not in ("query", "reference"):
-        raise ValueError(f"side must be 'query' or 'reference', got '{side}'")
+    wi, bi, wt, bt = (params.tensors[n] for n in proj_names(params.config, side))
     dt = params.dtype
     img = np.atleast_2d(np.asarray(image_emb, dtype=dt))
     txt = np.atleast_2d(np.asarray(text_emb, dtype=dt))
-    wi, bi = _proj(params, "img", side)
-    wt, bt = _proj(params, "txt", side)
     if img.shape[1] != wi.shape[1]:
         raise ValueError(f"image dim {img.shape[1]} does not match projection {wi.shape[1]}")
     if txt.shape[1] != wt.shape[1]:
         raise ValueError(f"text dim {txt.shape[1]} does not match projection {wt.shape[1]}")
-    fused = img @ wi.T + bi + txt @ wt.T + bt
+    fused = (img @ wi.T + bi) + (txt @ wt.T + bt)
     return fused if np.ndim(image_emb) == 2 else fused[0]
-
-
-def layer_norm(z: np.ndarray, scale: np.ndarray, shift: np.ndarray, eps: float) -> np.ndarray:
-    mu = z.mean(axis=-1, keepdims=True)
-    zc = z - mu
-    var = (zc * zc).mean(axis=-1, keepdims=True)
-    return scale * (zc / np.sqrt(var + eps)) + shift
 
 
 def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -187,15 +182,28 @@ def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray,
     ]
 
 
-def align(fused: np.ndarray, params: RerankerParams) -> np.ndarray:
-    """Linear -> LayerNorm -> ReLU blocks applied to fused vectors."""
+def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) -> np.ndarray:
+    """Linear -> LayerNorm -> ReLU blocks applied to fused vectors.
+
+    Given a ``cache`` list, each block appends its (input, normalised,
+    1/std, pre-ReLU output) rows, which the trainer's backward pass reads.
+    """
     dt = params.dtype
     x = np.atleast_2d(np.asarray(fused, dtype=dt))
     if x.shape[1] != params.config.latent_dim:
         raise ValueError(f"fused dim {x.shape[1]} does not match latent_dim {params.config.latent_dim}")
     eps = params.config.ln_epsilon
     for w, b, scale, shift in aligner_blocks(params):
-        x = np.maximum(layer_norm(x @ w.T + b, scale, shift, eps), 0)
+        z = x @ w.T + b
+        mu = z.mean(axis=-1, keepdims=True)
+        zc = z - mu
+        var = (zc * zc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = zc * inv
+        y = scale * xhat + shift
+        if cache is not None:
+            cache.append((x, xhat, inv, y))
+        x = np.maximum(y, 0)
     return x if np.ndim(fused) == 2 else x[0]
 
 
@@ -215,12 +223,24 @@ def score_logits(
     cand_img: np.ndarray,
     cand_txt: np.ndarray,
     params: RerankerParams,
+    cache: dict | None = None,
 ) -> np.ndarray:
-    """Pre-sigmoid pair logits for one query against (m, dim) candidate stacks."""
-    aligned_q = align(project_fuse(query_img, query_txt, params, "query"), params)
-    aligned_r = align(project_fuse(cand_img, cand_txt, params, "reference"), params)
-    u = params.tensors["score.w"] @ aligned_q
-    return np.asarray(aligned_r @ u + params.tensors["score.b"], np.float64)
+    """Pre-sigmoid pair logits for one query (1-D) against (m, dim) candidate stacks.
+
+    Given a ``cache`` dict, the activations the trainer's backward pass reads
+    are stored in it: ``aligned_q``, ``aligned_c``, the per-block caches
+    ``cache_q`` and ``cache_c`` (see ``align``) and ``u = aligned_q @ score.w.T``.
+    """
+    cache_q = cache_c = None
+    if cache is not None:
+        cache_q = cache["cache_q"] = []
+        cache_c = cache["cache_c"] = []
+    aligned_q = align(project_fuse(query_img, query_txt, params, "query"), params, cache_q)
+    aligned_c = align(project_fuse(cand_img, cand_txt, params, "reference"), params, cache_c)
+    u = aligned_q @ params.tensors["score.w"].T
+    if cache is not None:
+        cache.update(aligned_q=aligned_q, aligned_c=aligned_c, u=u)
+    return np.asarray(aligned_c @ u + params.tensors["score.b"], np.float64)
 
 
 def score_candidates(query_img, query_txt, cand_img, cand_txt, params: RerankerParams) -> np.ndarray:
@@ -236,37 +256,8 @@ def score_pair(query: tuple[np.ndarray, np.ndarray], ref: tuple[np.ndarray, np.n
     return float(score_candidates(q_img, q_txt, np.atleast_2d(r_img), np.atleast_2d(r_txt), params)[0])
 
 
-@dataclass
-class PairScoreTrace:
-    """Intermediate vectors of one pair scoring, for inspection and tests."""
-
-    fused_query: np.ndarray
-    fused_ref: np.ndarray
-    aligned_query: np.ndarray
-    aligned_ref: np.ndarray
-    logit: float
-    score: float
-
-
-def score_pair_trace(query, ref, params: RerankerParams) -> PairScoreTrace:
-    q_img, q_txt = query
-    r_img, r_txt = ref
-    fused_q = project_fuse(q_img, q_txt, params, "query")
-    fused_r = project_fuse(r_img, r_txt, params, "reference")
-    aligned_q = align(fused_q, params)
-    aligned_r = align(fused_r, params)
-    logit = float(aligned_r @ (params.tensors["score.w"] @ aligned_q) + params.tensors["score.b"])
-    score = float(_sigmoid(np.array([logit]))[0])
-    return PairScoreTrace(fused_q, fused_r, aligned_q, aligned_r, logit, score)
-
-
-def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
-    """Reorder the candidate list by pair score; the id set never changes."""
-    if query.text_emb is None:
-        raise ValueError(f"query '{query.id}' has no text embedding")
-    ids = ranking.ids()
-    if not ids:
-        return Ranking(query_id=query.id, entries=[], k=ranking.k, reranked=True)
+def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
     imgs, txts = [], []
     for rid in ids:
         rec = store.reference(rid)
@@ -274,7 +265,17 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
             raise ValueError(f"candidate '{rid}' has no text embedding")
         imgs.append(rec.image_emb)
         txts.append(rec.text_emb)
-    scores = score_candidates(query.image_emb, query.text_emb, np.stack(imgs), np.stack(txts), params)
+    return np.stack(imgs), np.stack(txts)
+
+
+def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
+    """Reorder the candidate list by pair score, ties by id; the id set never changes."""
+    if query.text_emb is None:
+        raise ValueError(f"query '{query.id}' has no text embedding")
+    ids = ranking.ids()
+    if not ids:
+        return Ranking(query_id=query.id, entries=[], k=ranking.k, reranked=True)
+    scores = score_candidates(query.image_emb, query.text_emb, *gather_candidates(store, ids), params)
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     entries = [(ids[i], float(scores[i])) for i in order]
     return Ranking(query_id=query.id, entries=entries, k=ranking.k, reranked=True)
@@ -334,10 +335,12 @@ def load_checkpoint(path: str | Path) -> tuple[RerankerConfig, dict[str, np.ndar
     while not rd.done():
         (name_len,) = struct.unpack("<I", rd.take(4))
         name = rd.take(name_len).decode("utf-8")
+        if name in tensors:
+            raise FormatError(f"{path}: tensor '{name}' appears twice")
         (rank,) = struct.unpack("<I", rd.take(4))
         dims = struct.unpack(f"<{rank}Q", rd.take(8 * rank)) if rank else ()
-        count = int(np.prod(dims)) if dims else 1
-        payload = rd.take(count * 4)
+        # math.prod on Python ints cannot wrap, so huge dims fail as truncation
+        payload = rd.take(math.prod(dims) * 4)
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     return config, tensors
 

@@ -173,13 +173,15 @@ def restrict_ranking(ranking: Ranking, pool, k: int | None = None) -> Ranking:
 
 
 def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
-    """Line-delimited JSON, one ranking per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rankings:
-            rec = {"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
-            if r.reranked:
-                rec["reranked"] = True
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    """Line-delimited JSON, one ranking per line. A NaN or infinite score raises
+    ValueError before the file is opened: JSON has no token for it."""
+    lines = []
+    for r in rankings:
+        rec = {"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
+        if r.reranked:
+            rec["reranked"] = True
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:

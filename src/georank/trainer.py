@@ -25,8 +25,12 @@ from .reranker import (
     _sigmoid,
     aligner_blocks,
     expected_shapes,
+    gather_candidates,
     init_params,
+    proj_names,
+    rerank,
     save_params,
+    score_logits,
 )
 
 
@@ -89,50 +93,6 @@ def margin_loss(pos_score: float, neg_scores, margin: float) -> float:
     return total / len(neg_scores)
 
 
-def _gather_sample(sample: TrainingSample, store: Store, dtype):
-    q = store.query(sample.query_id)
-    if q.text_emb is None:
-        raise ValueError(f"query '{q.id}' has no text embedding")
-    imgs, txts = [], []
-    for rid in sample.candidate_ids:
-        rec = store.reference(rid)
-        if rec.text_emb is None:
-            raise ValueError(f"candidate '{rid}' has no text embedding")
-        imgs.append(rec.image_emb)
-        txts.append(rec.text_emb)
-    return (
-        np.asarray(q.image_emb, dtype),
-        np.asarray(q.text_emb, dtype),
-        np.stack(imgs).astype(dtype),
-        np.stack(txts).astype(dtype),
-    )
-
-
-def _proj_names(config: RerankerConfig, side: str) -> tuple[str, str, str, str]:
-    suffix = "" if config.shared_projections else ("_q" if side == "query" else "_r")
-    return (
-        f"proj_img{suffix}.w",
-        f"proj_img{suffix}.b",
-        f"proj_txt{suffix}.w",
-        f"proj_txt{suffix}.b",
-    )
-
-
-def _aligner_forward_cached(x: np.ndarray, blocks, eps: float):
-    caches = []
-    for w, b, scale, shift in blocks:
-        z = x @ w.T + b
-        mu = z.mean(axis=-1, keepdims=True)
-        zc = z - mu
-        var = (zc * zc).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = zc * inv
-        y = scale * xhat + shift
-        caches.append((x, xhat, inv, y))
-        x = np.maximum(y, 0)
-    return x, caches
-
-
 def _aligner_backward(dout: np.ndarray, blocks, caches, grads: dict) -> np.ndarray:
     for i in reversed(range(len(blocks))):
         w, b, scale, shift = blocks[i]
@@ -151,39 +111,26 @@ def _aligner_backward(dout: np.ndarray, blocks, caches, grads: dict) -> np.ndarr
 
 
 def _forward(sample: TrainingSample, params: RerankerParams, store: Store, margin: float, loss_on: str):
-    cfg = params.config
     dtype = params.dtype
-    q_img, q_txt, c_img, c_txt = _gather_sample(sample, store, dtype)
-    blocks = aligner_blocks(params)
-    eps = cfg.ln_epsilon
-
-    wiq, biq, wtq, btq = (params.tensors[n] for n in _proj_names(cfg, "query"))
-    wir, bir, wtr, btr = (params.tensors[n] for n in _proj_names(cfg, "reference"))
-    fused_q = (q_img[None, :] @ wiq.T + biq) + (q_txt[None, :] @ wtq.T + btq)
-    fused_c = (c_img @ wir.T + bir) + (c_txt @ wtr.T + btr)
-    aligned_q, cache_q = _aligner_forward_cached(fused_q, blocks, eps)
-    aligned_c, cache_c = _aligner_forward_cached(fused_c, blocks, eps)
-
-    w_score = params.tensors["score.w"]
-    u = aligned_q[0] @ w_score.T
-    logits = aligned_c @ u + params.tensors["score.b"]
+    q = store.query(sample.query_id)
+    if q.text_emb is None:
+        raise ValueError(f"query '{q.id}' has no text embedding")
+    c_img, c_txt = gather_candidates(store, sample.candidate_ids)
+    ctx = {
+        "q_img": np.asarray(q.image_emb, dtype), "q_txt": np.asarray(q.text_emb, dtype),
+        "c_img": np.asarray(c_img, dtype), "c_txt": np.asarray(c_txt, dtype),
+    }
+    logits = score_logits(ctx["q_img"], ctx["q_txt"], ctx["c_img"], ctx["c_txt"], params, cache=ctx)
     scores = _sigmoid(logits)
 
-    basis = logits.astype(np.float64) if loss_on == "logits" else scores
+    basis = logits if loss_on == "logits" else scores
     pos = sample.positive_index
     neg_idx = np.array([i for i in range(len(sample.candidate_ids)) if i != pos])
     hinge = margin - (basis[pos] - basis[neg_idx])
     active = hinge > 0
     # np.maximum propagates NaN so a poisoned loss is caught by the train loop
     loss = float(np.sum(np.maximum(hinge, 0.0)) / len(neg_idx))
-
-    ctx = {
-        "q_img": q_img, "q_txt": q_txt, "c_img": c_img, "c_txt": c_txt,
-        "aligned_q": aligned_q, "aligned_c": aligned_c,
-        "cache_q": cache_q, "cache_c": cache_c,
-        "u": u, "scores": scores, "pos": pos, "neg_idx": neg_idx, "active": active,
-        "blocks": blocks,
-    }
+    ctx.update(logits=logits, scores=scores, pos=pos, neg_idx=neg_idx, active=active)
     return loss, ctx
 
 
@@ -210,15 +157,16 @@ def _backward(ctx, params: RerankerParams, loss_on: str) -> dict[str, np.ndarray
 
     grads["score.b"] += np.asarray(g_logit.sum(), dtype)
     s_vec = aligned_c.T @ g_logit
-    grads["score.w"] += np.outer(s_vec, aligned_q[0])
+    grads["score.w"] += np.outer(s_vec, aligned_q)
     d_aligned_q = (w_score.T @ s_vec)[None, :]
     d_aligned_c = np.outer(g_logit, ctx["u"])
 
-    d_fused_q = _aligner_backward(d_aligned_q, ctx["blocks"], ctx["cache_q"], grads)
-    d_fused_c = _aligner_backward(d_aligned_c, ctx["blocks"], ctx["cache_c"], grads)
+    blocks = aligner_blocks(params)
+    d_fused_q = _aligner_backward(d_aligned_q, blocks, ctx["cache_q"], grads)
+    d_fused_c = _aligner_backward(d_aligned_c, blocks, ctx["cache_c"], grads)
 
-    niq, biq, ntq, btq = _proj_names(cfg, "query")
-    nir, bir, ntr, btr = _proj_names(cfg, "reference")
+    niq, biq, ntq, btq = proj_names(cfg, "query")
+    nir, bir, ntr, btr = proj_names(cfg, "reference")
     grads[niq] += d_fused_q.T @ ctx["q_img"][None, :]
     grads[biq] += d_fused_q.sum(axis=0)
     grads[ntq] += d_fused_q.T @ ctx["q_txt"][None, :]
@@ -446,17 +394,12 @@ class TrainReport:
 
 
 def _candidate_recall(samples: list[TrainingSample], params: RerankerParams, store: Store) -> tuple[float, float]:
-    """R@1 / R@5 of the positive within each sample's candidate list after scoring."""
-    from .reranker import score_candidates
-
+    """R@1 / R@5 of the positive within each sample's candidate list after reranking."""
     hits1 = hits5 = 0
     for s in samples:
-        q = store.query(s.query_id)
-        imgs = np.stack([store.reference(r).image_emb for r in s.candidate_ids])
-        txts = np.stack([store.reference(r).text_emb for r in s.candidate_ids])
-        scores = score_candidates(q.image_emb, q.text_emb, imgs, txts, params)
-        order = sorted(range(len(s.candidate_ids)), key=lambda i: (-scores[i], s.candidate_ids[i]))
-        rank = order.index(s.positive_index)
+        candidates = Ranking(s.query_id, [(rid, 0.0) for rid in s.candidate_ids], k=len(s.candidate_ids))
+        ranked = rerank(store.query(s.query_id), candidates, params, store).ids()
+        rank = ranked.index(s.candidate_ids[s.positive_index])
         hits1 += rank == 0
         hits5 += rank < 5
     n = len(samples)

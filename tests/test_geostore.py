@@ -1,7 +1,10 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georank import geostore
 from georank.evaluator import haversine
@@ -221,6 +224,56 @@ def test_store_roundtrip_preserves_all_fields(tmp_path):
     # save again: byte-identical
     back.save(tmp_path / "s2")
     assert store_digest(tmp_path / "s") == store_digest(tmp_path / "s2")
+
+
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.one_of(st.characters(), st.sampled_from(LINE_BREAKS)), max_size=6))
+def test_any_id_round_trips_or_is_rejected_at_write(rid):
+    store = build_store([make_ref(rid, [1.0, 0.5], text=[0.0, 1.0, 0.0])],
+                        [make_query(rid, [0.5, 1.0], [rid], text=[1.0, 0.0, 0.0])], image_dim=2, text_dim=3)
+    with tempfile.TemporaryDirectory() as d:
+        try:
+            store.save(d)
+        except ValueError:
+            assert not geostore.valid_id(rid)
+            return
+        back = Store.load(d)
+    assert back.ref_ids == [rid] and back.query_ids == [rid]
+    assert back.ground_truth == {rid: (rid,)}
+    assert np.array_equal(back.reference(rid).text_emb, [0.0, 1.0, 0.0])
+    assert np.array_equal(back.query(rid).text_emb, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("brk", ["\r", "\x85", "\u2028"])
+def test_ids_with_line_breaks_rejected_on_write_and_ingest(tmp_path, brk):
+    rid = f"a{brk}b"
+    store = build_store([make_ref(rid, [1.0, 0.0])], [], image_dim=2)
+    with pytest.raises(ValueError, match="invalid id"):
+        store.save(tmp_path / "s")
+    emb = _ref_file(tmp_path, [{"id": "ok", "embedding": [1.0, 0.0]}, {"id": rid, "embedding": [0.0, 1.0]}])
+    with pytest.raises(IngestError, match="line 2") as exc:
+        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
+    assert str(emb) in str(exc.value) and exc.value.record_id == rid
+
+
+@pytest.mark.parametrize("side", ["refs", "queries"])
+@pytest.mark.parametrize("bad", [[0.0, 0.0], [1.0, np.nan], [np.inf, 0.0]])
+def test_load_rejects_zero_and_nonfinite_image_rows(tmp_path, side, bad):
+    refs = [make_ref("a", [1.0, 0.0]), make_ref("z", bad if side == "refs" else [0.0, 1.0])]
+    queries = [make_query("q", bad if side == "queries" else [1.0, 1.0], ["a"])]
+    build_store(refs, queries, image_dim=2).save(tmp_path / "s")
+    with pytest.raises(FormatError, match=f"{side}.img.emb: id '{'z' if side == 'refs' else 'q'}'"):
+        Store.load(tmp_path / "s")
+
+
+def test_load_rejects_text_dim_other_than_manifest(tmp_path):
+    refs = [make_ref("a", [1.0, 0.0], text=[1.0, 2.0, 3.0, 4.0])]
+    build_store(refs, [], image_dim=2, text_dim=3).save(tmp_path / "s")
+    with pytest.raises(FormatError, match="text embedding dim 4 does not match manifest 3"):
+        Store.load(tmp_path / "s")
 
 
 # ---------------------------------------------------------------------------

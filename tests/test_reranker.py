@@ -1,12 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
 
 from georank.geostore import FormatError
+from georank import trainer
 from georank.reranker import (
     RerankerConfig,
     RerankerParams,
+    _sigmoid,
     align,
     expected_shapes,
+    gather_candidates,
     init_params,
     load_checkpoint,
     load_params,
@@ -15,10 +20,10 @@ from georank.reranker import (
     save_checkpoint,
     save_params,
     score_candidates,
+    score_logits,
     score_pair,
-    score_pair_trace,
 )
-from georank.retriever import top_k
+from georank.retriever import Ranking, top_k
 
 from conftest import build_store, make_query, make_ref
 
@@ -191,11 +196,40 @@ def test_score_matches_independent_reimplementation():
 def test_score_trace_consistency():
     params = init_params(tiny_config(init_seed=5))
     rng = np.random.default_rng(3)
-    trace = score_pair_trace((rng.standard_normal(2), rng.standard_normal(3)),
-                             (rng.standard_normal(2), rng.standard_normal(3)), params)
-    assert trace.score == pytest.approx(1.0 / (1.0 + np.exp(-trace.logit)), abs=1e-12)
-    assert 0.0 < trace.score < 1.0
-    assert np.all(trace.aligned_query >= 0) and np.all(trace.aligned_ref >= 0)
+    q_img, q_txt, r_img, r_txt = (rng.standard_normal(d) for d in (2, 3, 2, 3))
+    logit = float(score_logits(q_img, q_txt, r_img[None, :], r_txt[None, :], params)[0])
+    score = score_pair((q_img, q_txt), (r_img, r_txt), params)
+    assert score == pytest.approx(1.0 / (1.0 + np.exp(-logit)), abs=1e-12)
+    assert 0.0 < score < 1.0
+    assert np.all(align(project_fuse(q_img, q_txt, params, "query"), params) >= 0)
+    assert np.all(align(project_fuse(r_img, r_txt, params, "reference"), params) >= 0)
+
+
+def test_align_cache_does_not_change_output():
+    params = init_params(tiny_config(latent_dim=4, aligner_hidden=5, aligner_layers=3, init_seed=2))
+    x = np.random.default_rng(5).standard_normal((6, 4))
+    cache = []
+    assert np.array_equal(align(x, params, cache=cache), align(x, params))
+    assert len(cache) == 3
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_rerank_scores_the_network_training_optimises(shared):
+    """One forward: the logits rerank scores equal, bit for bit, those the
+    trainer's loss and gradients are taken from."""
+    sample, _, store = trainer.make_gradcheck_fixture(3)
+    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2,
+                         aligner_hidden=6, shared_projections=shared, init_seed=4)
+    params = init_params(cfg)
+    q = store.query(sample.query_id)
+    logits = score_logits(q.image_emb, q.text_emb, *gather_candidates(store, sample.candidate_ids), params)
+    _, ctx = trainer._forward(sample, params, store, 1.0, "scores")
+    assert np.array_equal(ctx["logits"], logits)
+    assert np.array_equal(ctx["scores"], _sigmoid(logits))
+    candidates = Ranking(q.id, [(rid, 0.0) for rid in sample.candidate_ids], k=len(sample.candidate_ids))
+    ranked = rerank(q, candidates, params, store)
+    by_id = dict(zip(sample.candidate_ids, _sigmoid(logits)))
+    assert all(score == by_id[rid] for rid, score in ranked.entries)
 
 
 def test_score_deterministic_bitwise():
@@ -341,6 +375,29 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     vpath.write_bytes(bytes(wrong_version))
     with pytest.raises(FormatError, match="version"):
         load_checkpoint(vpath)
+
+
+def _tensor_frame(name: str, dims: tuple[int, ...], payload: bytes) -> bytes:
+    nb = name.encode("utf-8")
+    return (struct.pack("<I", len(nb)) + nb + struct.pack("<I", len(dims))
+            + b"".join(struct.pack("<Q", d) for d in dims) + payload)
+
+
+def test_checkpoint_repeated_tensor_name_rejected(tmp_path):
+    path = tmp_path / "model.gvck"
+    save_params(path, init_params(tiny_config()))
+    path.write_bytes(path.read_bytes() + _tensor_frame("score.b", (), struct.pack("<f", 5.0)))
+    with pytest.raises(FormatError, match="score.b") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_overflowing_dims_are_truncation(tmp_path):
+    path = tmp_path / "model.gvck"
+    save_params(path, init_params(tiny_config()))
+    path.write_bytes(path.read_bytes() + _tensor_frame("big", (2**40, 2**40), b"\0" * 16))
+    with pytest.raises(FormatError, match="truncated checkpoint"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_random_tensor_roundtrip(tmp_path):

@@ -266,6 +266,13 @@ def test_rankings_roundtrip(tmp_path):
     assert back[1].reranked is True
 
 
+def test_save_rankings_rejects_nan_and_writes_nothing(tmp_path):
+    path = tmp_path / "rankings.jsonl"
+    with pytest.raises(ValueError, match="JSON"):
+        save_rankings([Ranking("q1", [("a", 1.0)], k=1), Ranking("q2", [("z", float("nan"))], k=1)], path)
+    assert not path.exists()
+
+
 def test_rankings_malformed_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"query_id": "q", "entries": [["a", 0.5]]}\n{"nope": 1}\n')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from georank.reranker import RerankerConfig, init_params, load_params, score_candidates
+from georank.reranker import RerankerConfig, gather_candidates, init_params, load_params, score_candidates
 from georank.retriever import Ranking
 from georank.trainer import (
     TrainConfig,
@@ -95,9 +95,7 @@ def test_margin_loss_monotone_in_margin():
 def test_all_margins_satisfied_gives_exact_zero_gradients():
     sample, params, store = make_gradcheck_fixture(0)
     q = store.query("q0")
-    imgs = np.stack([store.reference(r).image_emb for r in sample.candidate_ids])
-    txts = np.stack([store.reference(r).text_emb for r in sample.candidate_ids])
-    scores = score_candidates(q.image_emb, q.text_emb, imgs, txts, params)
+    scores = score_candidates(q.image_emb, q.text_emb, *gather_candidates(store, sample.candidate_ids), params)
     best = int(np.argmax(scores))
     gap = float(np.sort(scores)[-1] - np.sort(scores)[-2])
     winning = TrainingSample("q0", sample.candidate_ids, best)
