@@ -178,9 +178,16 @@ def read_embedding_matrix(path: str | Path) -> np.ndarray:
 
 
 def valid_id(record_id: str) -> bool:
-    """Ids are non-empty and hold no line boundary, so an ``.ids`` file (one id
-    per line, split with ``str.splitlines``) reads back exactly what was written."""
-    return bool(record_id) and record_id.splitlines() == [record_id]
+    """Ids are non-empty, encodable as UTF-8 (no lone surrogates) and hold no
+    line boundary, so an ``.ids`` file (one id per line, split with
+    ``str.splitlines``) reads back exactly what was written."""
+    if not record_id or record_id.splitlines() != [record_id]:
+        return False
+    try:
+        record_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _write_ids(ids: list[str], path: Path) -> None:
@@ -230,6 +237,13 @@ def store_digest(store_dir: str | Path) -> str:
 # ---------------------------------------------------------------------------
 # store
 # ---------------------------------------------------------------------------
+
+def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
+    try:
+        return np.array([positions[i] for i in ids], np.intp)
+    except KeyError as exc:
+        raise KeyError(f"unknown {kind} id '{exc.args[0]}'") from None
+
 
 class Store:
     """Immutable in-memory view of a reference/query store.
@@ -305,6 +319,14 @@ class Store:
             caption=self._ref_caption.get(ref_id),
             coord=self._ref_coord.get(ref_id),
         )
+
+    def ref_rows(self, ref_ids) -> np.ndarray:
+        """Row positions of ``ref_ids`` in ``ref_image``."""
+        return _rows(self._ref_pos, ref_ids, "reference")
+
+    def query_rows(self, query_ids) -> np.ndarray:
+        """Row positions of ``query_ids`` in ``query_image``."""
+        return _rows(self._query_pos, query_ids, "query")
 
     def query(self, query_id: str) -> QueryRecord:
         pos = self._query_pos.get(query_id)
@@ -418,6 +440,9 @@ class Store:
                 raise FormatError(
                     f"{prefix}: text embedding dim {tmat.shape[1]} does not match manifest {manifest.text_dim}"
                 )
+            bad = np.flatnonzero(~np.isfinite(tmat).all(axis=1))
+            if bad.size:
+                raise FormatError(f"{tpath}: id '{tids[bad[0]]}' has a non-finite text embedding")
             for row, i in enumerate(tids):
                 resolve(i, "text embedding")["text_emb"] = tmat[row]
         cpath = root / f"{prefix}.captions.jsonl"
@@ -443,7 +468,7 @@ def _parse_embedding_rows(path: str | Path, dim: int, label: str) -> list[tuple[
         if not isinstance(rid, str) or not rid:
             raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
         if not valid_id(rid):
-            raise IngestError("id contains a line break", file=str(path), line=ln, record_id=rid)
+            raise IngestError("id contains a line break or a lone surrogate", file=str(path), line=ln, record_id=rid)
         if rid in seen:
             raise IngestError(f"duplicate {label} id", file=str(path), line=ln, record_id=rid)
         seen.add(rid)

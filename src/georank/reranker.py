@@ -223,24 +223,37 @@ def score_logits(
     cand_img: np.ndarray,
     cand_txt: np.ndarray,
     params: RerankerParams,
+    counts=None,
     cache: dict | None = None,
 ) -> np.ndarray:
-    """Pre-sigmoid pair logits for one query (1-D) against (m, dim) candidate stacks.
+    """Pre-sigmoid pair logits of B queries against one stack of their candidates.
 
-    Given a ``cache`` dict, the activations the trainer's backward pass reads
-    are stored in it: ``aligned_q``, ``aligned_c``, the per-block caches
-    ``cache_q`` and ``cache_c`` (see ``align``) and ``u = aligned_q @ score.w.T``.
+    Queries are (B, dim) rows, or a single 1-D query. Candidates are one
+    (sum(counts), dim) stack: the first ``counts[0]`` rows belong to query 0,
+    the next ``counts[1]`` to query 1, and so on. ``counts`` defaults to every
+    row belonging to a single query. Each candidate's logit is its aligned row
+    dotted with its own query's row of ``u = aligned_q @ score.w.T``, plus
+    ``score.b``.
+
+    Both sides share the aligner, so the query rows and then the candidate
+    rows go through it in one pass. Given a ``cache`` dict, the activations
+    the trainer's backward pass reads are stored in it: ``aligned_q``,
+    ``aligned_c``, ``cache_align`` (that pass's per-block caches, see
+    ``align``), ``segment`` (each candidate row's query index) and ``u_c``
+    (each candidate row's query ``u``).
     """
-    cache_q = cache_c = None
+    cache_align = None if cache is None else cache.setdefault("cache_align", [])
+    fused_q = project_fuse(np.atleast_2d(query_img), np.atleast_2d(query_txt), params, "query")
+    fused_c = project_fuse(cand_img, cand_txt, params, "reference")
+    aligned = align(np.concatenate([fused_q, fused_c]), params, cache_align)
+    aligned_q, aligned_c = aligned[: len(fused_q)], aligned[len(fused_q) :]
+    segment = np.repeat(np.arange(len(aligned_q)), [len(aligned_c)] if counts is None else counts)
+    if len(segment) != len(aligned_c):
+        raise ValueError(f"candidate counts cover {len(segment)} rows, but {len(aligned_c)} candidates were given")
+    u_c = (aligned_q @ params.tensors["score.w"].T)[segment]
     if cache is not None:
-        cache_q = cache["cache_q"] = []
-        cache_c = cache["cache_c"] = []
-    aligned_q = align(project_fuse(query_img, query_txt, params, "query"), params, cache_q)
-    aligned_c = align(project_fuse(cand_img, cand_txt, params, "reference"), params, cache_c)
-    u = aligned_q @ params.tensors["score.w"].T
-    if cache is not None:
-        cache.update(aligned_q=aligned_q, aligned_c=aligned_c, u=u)
-    return np.asarray(aligned_c @ u + params.tensors["score.b"], np.float64)
+        cache.update(aligned_q=aligned_q, aligned_c=aligned_c, segment=segment, u_c=u_c)
+    return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64)
 
 
 def score_candidates(query_img, query_txt, cand_img, cand_txt, params: RerankerParams) -> np.ndarray:
@@ -258,14 +271,18 @@ def score_pair(query: tuple[np.ndarray, np.ndarray], ref: tuple[np.ndarray, np.n
 
 def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
-    imgs, txts = [], []
-    for rid in ids:
-        rec = store.reference(rid)
-        if rec.text_emb is None:
+    rows = store.ref_rows(ids)
+    txts = [store.ref_text_emb(rid) for rid in ids]
+    for rid, txt in zip(ids, txts):
+        if txt is None:
             raise ValueError(f"candidate '{rid}' has no text embedding")
-        imgs.append(rec.image_emb)
-        txts.append(rec.text_emb)
-    return np.stack(imgs), np.stack(txts)
+    return store.ref_image[rows], np.stack(txts)
+
+
+def order_by_score(ids, scores) -> list[tuple[str, float]]:
+    """(id, score) pairs by score descending, ties by ascending id."""
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    return [(ids[i], float(scores[i])) for i in order]
 
 
 def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
@@ -276,9 +293,7 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
     if not ids:
         return Ranking(query_id=query.id, entries=[], k=ranking.k, reranked=True)
     scores = score_candidates(query.image_emb, query.text_emb, *gather_candidates(store, ids), params)
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    entries = [(ids[i], float(scores[i])) for i in order]
-    return Ranking(query_id=query.id, entries=entries, k=ranking.k, reranked=True)
+    return Ranking(query_id=query.id, entries=order_by_score(ids, scores), k=ranking.k, reranked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +349,10 @@ def load_checkpoint(path: str | Path) -> tuple[RerankerConfig, dict[str, np.ndar
     tensors: dict[str, np.ndarray] = {}
     while not rd.done():
         (name_len,) = struct.unpack("<I", rd.take(4))
-        name = rd.take(name_len).decode("utf-8")
+        try:
+            name = rd.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
         if name in tensors:
             raise FormatError(f"{path}: tensor '{name}' appears twice")
         (rank,) = struct.unpack("<I", rd.take(4))

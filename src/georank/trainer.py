@@ -2,9 +2,9 @@
 
 Margin ranking loss over each query's top-k candidate list, hand-derived
 gradients (verified against central finite differences), SGD/Adam, and
-deterministic epoch shuffling. Per-batch gradients are accumulated in a
-canonical sample order, so the batch gradient is independent of the order
-samples arrive in.
+deterministic epoch shuffling. A batch is stacked in a canonical sample
+order and run through one forward and one backward pass, so the batch
+gradient is independent of the order samples arrive in.
 """
 
 from __future__ import annotations
@@ -27,11 +27,14 @@ from .reranker import (
     expected_shapes,
     gather_candidates,
     init_params,
+    order_by_score,
     proj_names,
-    rerank,
     save_params,
     score_logits,
 )
+
+# validation samples scored per forward pass, which bounds its gathered copies
+VALIDATION_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -110,41 +113,59 @@ def _aligner_backward(dout: np.ndarray, blocks, caches, grads: dict) -> np.ndarr
     return dout
 
 
-def _forward(sample: TrainingSample, params: RerankerParams, store: Store, margin: float, loss_on: str):
-    dtype = params.dtype
-    q = store.query(sample.query_id)
-    if q.text_emb is None:
-        raise ValueError(f"query '{q.id}' has no text embedding")
-    c_img, c_txt = gather_candidates(store, sample.candidate_ids)
-    ctx = {
-        "q_img": np.asarray(q.image_emb, dtype), "q_txt": np.asarray(q.text_emb, dtype),
-        "c_img": np.asarray(c_img, dtype), "c_txt": np.asarray(c_txt, dtype),
-    }
-    logits = score_logits(ctx["q_img"], ctx["q_txt"], ctx["c_img"], ctx["c_txt"], params, cache=ctx)
+def _stacked_logits(samples: list[TrainingSample], params: RerankerParams, store: Store, cache: dict | None = None):
+    """Logits of every sample's candidates, stacked in sample order, from one
+    forward pass; returns them with the per-sample candidate counts. Given a
+    ``cache``, the gathered inputs are stored in it beside ``score_logits``'s."""
+    q_rows = store.query_rows([s.query_id for s in samples])
+    q_txt = []
+    for s in samples:
+        txt = store.query_text_emb(s.query_id)
+        if txt is None:
+            raise ValueError(f"query '{s.query_id}' has no text embedding")
+        q_txt.append(txt)
+    q_img, q_txt = store.query_image[q_rows], np.stack(q_txt)
+    c_img, c_txt = gather_candidates(store, [rid for s in samples for rid in s.candidate_ids])
+    counts = np.array([len(s.candidate_ids) for s in samples])
+    if cache is not None:
+        cache.update(q_img=q_img, q_txt=q_txt, c_img=c_img, c_txt=c_txt)
+    return score_logits(q_img, q_txt, c_img, c_txt, params, counts, cache), counts
+
+
+def _forward(batch: list[TrainingSample], params: RerankerParams, store: Store, margin: float, loss_on: str):
+    """Mean loss over ``batch`` from one stacked forward pass, and what ``_backward`` reads."""
+    ctx: dict = {}
+    logits, counts = _stacked_logits(batch, params, store, ctx)
     scores = _sigmoid(logits)
 
     basis = logits if loss_on == "logits" else scores
-    pos = sample.positive_index
-    neg_idx = np.array([i for i in range(len(sample.candidate_ids)) if i != pos])
-    hinge = margin - (basis[pos] - basis[neg_idx])
-    active = hinge > 0
+    starts = np.cumsum(counts) - counts
+    pos = starts + np.array([s.positive_index for s in batch])
+    is_neg = np.ones(len(logits), bool)
+    is_neg[pos] = False
+    hinge = margin - (basis[pos][ctx["segment"]] - basis)
+    active = is_neg & (hinge > 0)
+    n_neg = counts - 1
     # np.maximum propagates NaN so a poisoned loss is caught by the train loop
-    loss = float(np.sum(np.maximum(hinge, 0.0)) / len(neg_idx))
-    ctx.update(logits=logits, scores=scores, pos=pos, neg_idx=neg_idx, active=active)
+    sample_losses = np.add.reduceat(np.where(is_neg, np.maximum(hinge, 0.0), 0.0), starts) / n_neg
+    loss = float(sample_losses.sum() / len(batch))
+    ctx.update(logits=logits, scores=scores, starts=starts, pos=pos, n_neg=n_neg, active=active)
     return loss, ctx
 
 
 def _backward(ctx, params: RerankerParams, loss_on: str) -> dict[str, np.ndarray]:
+    """Gradients of ``_forward``'s mean batch loss. Per-sample sums are segment
+    reductions over the stacked candidate rows, so each weight gradient is one
+    product over every row of the batch."""
     cfg = params.config
     dtype = params.dtype
     grads = {name: np.zeros(shape, dtype) for name, shape in expected_shapes(cfg).items()}
 
-    n_neg = len(ctx["neg_idx"])
-    m = len(ctx["scores"])
-    g_basis = np.zeros(m, np.float64)
-    active_neg = ctx["neg_idx"][ctx["active"]]
-    g_basis[active_neg] = 1.0 / n_neg
-    g_basis[ctx["pos"]] = -len(active_neg) / n_neg
+    starts, segment, n_neg = ctx["starts"], ctx["segment"], ctx["n_neg"]
+    # an active negative's hinge adds +1/n_neg to its own basis gradient and -1/n_neg to its positive's
+    g_basis = np.where(ctx["active"], 1.0 / n_neg[segment], 0.0)
+    g_basis[ctx["pos"]] = -np.add.reduceat(ctx["active"].astype(np.int64), starts) / n_neg
+    g_basis /= len(starts)
     if loss_on == "scores":
         s = ctx["scores"]
         g_logit = (g_basis * s * (1.0 - s)).astype(dtype)
@@ -156,20 +177,20 @@ def _backward(ctx, params: RerankerParams, loss_on: str) -> dict[str, np.ndarray
     w_score = params.tensors["score.w"]
 
     grads["score.b"] += np.asarray(g_logit.sum(), dtype)
-    s_vec = aligned_c.T @ g_logit
-    grads["score.w"] += np.outer(s_vec, aligned_q)
-    d_aligned_q = (w_score.T @ s_vec)[None, :]
-    d_aligned_c = np.outer(g_logit, ctx["u"])
+    s_q = np.add.reduceat(g_logit[:, None] * aligned_c, starts, axis=0)
+    grads["score.w"] += s_q.T @ aligned_q
+    d_aligned_q = s_q @ w_score
+    d_aligned_c = g_logit[:, None] * ctx["u_c"]
 
-    blocks = aligner_blocks(params)
-    d_fused_q = _aligner_backward(d_aligned_q, blocks, ctx["cache_q"], grads)
-    d_fused_c = _aligner_backward(d_aligned_c, blocks, ctx["cache_c"], grads)
+    d_fused = _aligner_backward(np.concatenate([d_aligned_q, d_aligned_c]), aligner_blocks(params),
+                                ctx["cache_align"], grads)
+    d_fused_q, d_fused_c = d_fused[: len(d_aligned_q)], d_fused[len(d_aligned_q) :]
 
     niq, biq, ntq, btq = proj_names(cfg, "query")
     nir, bir, ntr, btr = proj_names(cfg, "reference")
-    grads[niq] += d_fused_q.T @ ctx["q_img"][None, :]
+    grads[niq] += d_fused_q.T @ ctx["q_img"]
     grads[biq] += d_fused_q.sum(axis=0)
-    grads[ntq] += d_fused_q.T @ ctx["q_txt"][None, :]
+    grads[ntq] += d_fused_q.T @ ctx["q_txt"]
     grads[btq] += d_fused_q.sum(axis=0)
     grads[nir] += d_fused_c.T @ ctx["c_img"]
     grads[bir] += d_fused_c.sum(axis=0)
@@ -190,13 +211,11 @@ def loss_and_gradients(
     Negatives already separated by more than the margin contribute exactly
     zero gradient.
     """
-    sample.validate()
-    loss, ctx = _forward(sample, params, store, margin, loss_on)
-    return loss, _backward(ctx, params, loss_on)
+    return batch_gradients([sample], params, store, TrainConfig(margin=margin, loss_on=loss_on))
 
 
 def sample_loss(sample: TrainingSample, params: RerankerParams, store: Store, margin: float, loss_on: str = "scores") -> float:
-    loss, _ = _forward(sample, params, store, margin, loss_on)
+    loss, _ = _forward([sample], params, store, margin, loss_on)
     return loss
 
 
@@ -206,19 +225,15 @@ def batch_gradients(
     store: Store,
     config: TrainConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean loss and mean gradient over a batch, accumulated in canonical order."""
+    """Mean loss and mean gradient over a batch: one forward and one backward
+    pass over its samples stacked in canonical order."""
     if not batch:
         raise ValueError("empty batch")
     ordered = sorted(batch, key=lambda s: (s.query_id, s.positive_index, s.candidate_ids))
-    total = {name: np.zeros(shape, params.dtype) for name, shape in expected_shapes(params.config).items()}
-    loss_sum = 0.0
     for sample in ordered:
-        loss, grads = loss_and_gradients(sample, params, store, config.margin, config.loss_on)
-        loss_sum += loss
-        for name in total:
-            total[name] += grads[name]
-    n = len(ordered)
-    return loss_sum / n, {name: g / n for name, g in total.items()}
+        sample.validate()
+    loss, ctx = _forward(ordered, params, store, config.margin, config.loss_on)
+    return loss, _backward(ctx, params, config.loss_on)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +409,17 @@ class TrainReport:
 
 
 def _candidate_recall(samples: list[TrainingSample], params: RerankerParams, store: Store) -> tuple[float, float]:
-    """R@1 / R@5 of the positive within each sample's candidate list after reranking."""
+    """R@1 / R@5 of the positive within each sample's candidate list after
+    reranking; every VALIDATION_PASS samples are scored in one stacked forward."""
     hits1 = hits5 = 0
-    for s in samples:
-        candidates = Ranking(s.query_id, [(rid, 0.0) for rid in s.candidate_ids], k=len(s.candidate_ids))
-        ranked = rerank(store.query(s.query_id), candidates, params, store).ids()
-        rank = ranked.index(s.candidate_ids[s.positive_index])
-        hits1 += rank == 0
-        hits5 += rank < 5
+    for b0 in range(0, len(samples), VALIDATION_PASS):
+        block = samples[b0 : b0 + VALIDATION_PASS]
+        logits, counts = _stacked_logits(block, params, store)
+        for s, scores in zip(block, np.split(_sigmoid(logits), np.cumsum(counts)[:-1])):
+            ranked = [rid for rid, _ in order_by_score(s.candidate_ids, scores)]
+            rank = ranked.index(s.candidate_ids[s.positive_index])
+            hits1 += rank == 0
+            hits5 += rank < 5
     n = len(samples)
     return hits1 / n, hits5 / n
 

@@ -247,6 +247,20 @@ def test_any_id_round_trips_or_is_rejected_at_write(rid):
     assert np.array_equal(back.query(rid).text_emb, [1.0, 0.0, 0.0])
 
 
+def test_ids_with_lone_surrogates_rejected_on_write_and_ingest(tmp_path):
+    rid = "a\ud800b"
+    assert not geostore.valid_id(rid)
+    store = build_store([make_ref(rid, [1.0, 0.0])], [], image_dim=2)
+    with pytest.raises(ValueError, match="invalid id"):
+        store.save(tmp_path / "s")
+    emb = tmp_path / "refs.jsonl"
+    emb.write_text('{"id": "ok", "embedding": [1.0, 0.0]}\n{"id": "a\\ud800b", "embedding": [0.0, 1.0]}\n',
+                   encoding="utf-8")
+    with pytest.raises(IngestError, match="line 2") as exc:
+        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
+    assert exc.value.record_id == rid
+
+
 @pytest.mark.parametrize("brk", ["\r", "\x85", "\u2028"])
 def test_ids_with_line_breaks_rejected_on_write_and_ingest(tmp_path, brk):
     rid = f"a{brk}b"
@@ -266,6 +280,15 @@ def test_load_rejects_zero_and_nonfinite_image_rows(tmp_path, side, bad):
     queries = [make_query("q", bad if side == "queries" else [1.0, 1.0], ["a"])]
     build_store(refs, queries, image_dim=2).save(tmp_path / "s")
     with pytest.raises(FormatError, match=f"{side}.img.emb: id '{'z' if side == 'refs' else 'q'}'"):
+        Store.load(tmp_path / "s")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_rejects_nonfinite_text_rows(tmp_path, bad):
+    refs = [make_ref("a", [1.0, 0.0], text=[1.0, 0.0, 0.0]), make_ref("b", [0.0, 1.0], text=[bad, 0.0, 0.0])]
+    queries = [make_query("q", [1.0, 1.0], ["a"], text=[0.0, 1.0, 0.0])]
+    build_store(refs, queries, image_dim=2, text_dim=3).save(tmp_path / "s")
+    with pytest.raises(FormatError, match="refs.txt.emb: id 'b' has a non-finite text embedding"):
         Store.load(tmp_path / "s")
 
 

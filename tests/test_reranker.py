@@ -223,13 +223,27 @@ def test_rerank_scores_the_network_training_optimises(shared):
     params = init_params(cfg)
     q = store.query(sample.query_id)
     logits = score_logits(q.image_emb, q.text_emb, *gather_candidates(store, sample.candidate_ids), params)
-    _, ctx = trainer._forward(sample, params, store, 1.0, "scores")
+    _, ctx = trainer._forward([sample], params, store, 1.0, "scores")
     assert np.array_equal(ctx["logits"], logits)
     assert np.array_equal(ctx["scores"], _sigmoid(logits))
     candidates = Ranking(q.id, [(rid, 0.0) for rid in sample.candidate_ids], k=len(sample.candidate_ids))
     ranked = rerank(q, candidates, params, store)
     by_id = dict(zip(sample.candidate_ids, _sigmoid(logits)))
     assert all(score == by_id[rid] for rid, score in ranked.entries)
+
+
+def test_stacked_score_logits_match_per_query_calls():
+    params = init_params(tiny_config(latent_dim=4, aligner_hidden=5, aligner_layers=2, init_seed=3))
+    rng = np.random.default_rng(9)
+    q_img, q_txt = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
+    c_img, c_txt = rng.standard_normal((8, 2)), rng.standard_normal((8, 3))
+    stacked = score_logits(q_img, q_txt, c_img, c_txt, params, counts=[4, 1, 3])
+    for b, (lo, hi) in enumerate([(0, 4), (4, 5), (5, 8)]):
+        one = score_logits(q_img[b], q_txt[b], c_img[lo:hi], c_txt[lo:hi], params)
+        np.testing.assert_allclose(stacked[lo:hi], one, rtol=1e-5, atol=1e-6)
+    for counts in ([4, 1, 2], None):
+        with pytest.raises(ValueError, match="counts cover"):
+            score_logits(q_img, q_txt, c_img, c_txt, params, counts=counts)
 
 
 def test_score_deterministic_bitwise():
@@ -398,6 +412,18 @@ def test_checkpoint_overflowing_dims_are_truncation(tmp_path):
     path.write_bytes(path.read_bytes() + _tensor_frame("big", (2**40, 2**40), b"\0" * 16))
     with pytest.raises(FormatError, match="truncated checkpoint"):
         load_checkpoint(path)
+
+
+def test_checkpoint_non_utf8_tensor_name_rejected(tmp_path):
+    path = tmp_path / "model.gvck"
+    save_params(path, init_params(tiny_config()))
+    data = bytearray(path.read_bytes())
+    (cfg_len,) = struct.unpack_from("<I", data, 8)
+    data[12 + cfg_len + 4] = 0xFF  # first byte of the first tensor name
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="tensor name is not UTF-8") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
 
 
 def test_checkpoint_random_tensor_roundtrip(tmp_path):

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from georank.reranker import RerankerConfig, gather_candidates, init_params, load_params, score_candidates
+from georank import trainer
+from georank.reranker import RerankerConfig, gather_candidates, init_params, load_params, rerank, score_candidates
 from georank.retriever import Ranking
 from georank.trainer import (
     TrainConfig,
@@ -20,7 +25,7 @@ from georank.trainer import (
     train,
 )
 
-from conftest import make_query
+from conftest import build_store, make_query, make_ref
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +135,97 @@ def test_gradient_shapes_match_parameters():
         assert grads[name].shape == params.tensors[name].shape
 
 
+def _mixed_fixture(seed, shared=True, n_refs=8, n_queries=4):
+    """Queries q0.. and references c0.. with random embeddings and a small scorer."""
+    rng = np.random.default_rng(seed)
+    refs = [make_ref(f"c{i}", rng.standard_normal(7), text=rng.standard_normal(5)) for i in range(n_refs)]
+    queries = [make_query(f"q{j}", rng.standard_normal(7), ["c0"], text=rng.standard_normal(5))
+               for j in range(n_queries)]
+    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2, aligner_hidden=6,
+                         shared_projections=shared, init_seed=seed + 1)
+    return build_store(refs, queries, image_dim=7, text_dim=5), init_params(cfg)
+
+
+# three queries with 5, 3 and 2 candidates
+MIXED_BATCH = [
+    TrainingSample("q0", ("c0", "c1", "c2", "c3", "c4"), 1),
+    TrainingSample("q1", ("c5", "c2", "c7"), 2),
+    TrainingSample("q2", ("c6", "c3"), 0),
+]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("loss_on", ["scores", "logits"])
+def test_batch_gradients_match_finite_differences(shared, loss_on):
+    store, params = _mixed_fixture(21, shared)
+    p = params.astype(np.float64)
+    config = TrainConfig(margin=1.0, loss_on=loss_on)
+    _, analytic = batch_gradients(MIXED_BATCH, p, store, config)
+    eps = 1e-4
+    for name, tensor in p.tensors.items():
+        numeric = np.zeros_like(tensor)
+        for idx in np.ndindex(tensor.shape):
+            orig = float(tensor[idx])
+            tensor[idx] = orig + eps
+            up = batch_gradients(MIXED_BATCH, p, store, config)[0]
+            tensor[idx] = orig - eps
+            down = batch_gradients(MIXED_BATCH, p, store, config)[0]
+            tensor[idx] = orig
+            numeric[idx] = (up - down) / (2.0 * eps)
+        a, n = np.atleast_1d(analytic[name]), np.atleast_1d(numeric)
+        err = np.max(np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6))
+        assert err <= 1e-4, f"{name}: max relative error {err:.2e}"
+
+
 def test_batch_gradient_order_invariant():
-    sample, params, store = make_gradcheck_fixture(8)
-    others = [TrainingSample("q0", sample.candidate_ids, i) for i in range(4)]
+    store, params = _mixed_fixture(8)
+    batch = MIXED_BATCH + [TrainingSample("q0", ("c0", "c1", "c2", "c3", "c4"), 3)]
     config = TrainConfig()
-    loss_a, grads_a = batch_gradients(others, params, store, config)
-    loss_b, grads_b = batch_gradients(list(reversed(others)), params, store, config)
-    assert loss_a == loss_b
-    for name in grads_a:
-        assert np.array_equal(grads_a[name], grads_b[name]), name
+    loss_a, grads_a = batch_gradients(batch, params, store, config)
+    for perm in itertools.permutations(batch):
+        loss_b, grads_b = batch_gradients(list(perm), params, store, config)
+        assert loss_a == loss_b
+        for name in grads_a:
+            assert np.array_equal(grads_a[name], grads_b[name]), name
+
+
+@st.composite
+def mixed_batches(draw):
+    """1-6 samples over queries q0-q3, each with 2-8 distinct candidates of c0-c7."""
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(st.integers(0, 7), min_size=2, max_size=8, unique=True))
+        batch.append(TrainingSample(f"q{draw(st.integers(0, 3))}", tuple(f"c{i}" for i in ids),
+                                    draw(st.integers(0, len(ids) - 1))))
+    return batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_batches(), st.integers(0, 2**16), st.sampled_from(["scores", "logits"]))
+def test_batch_gradients_equal_mean_of_sample_gradients_property(batch, seed, loss_on):
+    store, params = _mixed_fixture(seed)
+    loss, grads = batch_gradients(batch, params, store, TrainConfig(loss_on=loss_on))
+    per_sample = [loss_and_gradients(s, params, store, 1.0, loss_on) for s in batch]
+    assert loss == pytest.approx(np.mean([l for l, _ in per_sample]), rel=1e-6, abs=1e-9)
+    for name, g in grads.items():
+        mean = np.mean([gs[name] for _, gs in per_sample], axis=0)
+        np.testing.assert_allclose(g, mean, rtol=1e-4, atol=1e-6, err_msg=name)
+
+
+@pytest.mark.parametrize("per_pass", [7, trainer.VALIDATION_PASS])
+def test_candidate_recall_equals_rerank_per_sample(monkeypatch, per_pass):
+    samples, store, rr = _train_fixture()
+    params, _ = train(samples, store, rr, TrainConfig(epochs=2, lr=3e-3, batch_size=8), val_split=0.0)
+    ranks = []
+    for s in samples:
+        candidates = Ranking(s.query_id, [(rid, 0.0) for rid in s.candidate_ids], k=len(s.candidate_ids))
+        ranks.append(rerank(store.query(s.query_id), candidates, params, store).ids()
+                     .index(s.candidate_ids[s.positive_index]))
+    monkeypatch.setattr(trainer, "VALIDATION_PASS", per_pass)
+    r1, r5 = trainer._candidate_recall(samples, params, store)
+    assert r1 == sum(r == 0 for r in ranks) / len(samples)
+    assert r5 == sum(r < 5 for r in ranks) / len(samples)
+    assert 0 < r1 < 1
 
 
 # ---------------------------------------------------------------------------
