@@ -8,9 +8,11 @@ are the only writers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,36 +147,56 @@ class EvalInstance:
 # binary embedding matrix format
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path):
+    """Binary handle on a temporary sibling of ``path`` that replaces ``path``
+    only when the block completes. If the block raises, ``path`` keeps its old
+    contents and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_embedding_matrix(rows: np.ndarray, path: str | Path) -> None:
     """Write an (n, dim) float32 matrix: GVLM magic, u32 version, u32 dim, u64 count, payload."""
     rows = np.asarray(rows, dtype="<f4")
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D (count, dim) array, got shape {rows.shape}")
     count, dim = rows.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(EMB_MAGIC)
         fh.write(struct.pack("<IIQ", EMB_VERSION, dim, count))
-        fh.write(np.ascontiguousarray(rows).tobytes())
+        fh.write(np.ascontiguousarray(rows))
 
 
 def read_embedding_matrix(path: str | Path) -> np.ndarray:
     """Read a GVLM matrix back bit-exactly; raises FormatError on corruption."""
-    data = Path(path).read_bytes()
     header = struct.calcsize("<IIQ") + 4
-    if len(data) < header:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    if data[:4] != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {EMB_MAGIC!r}")
-    version, dim, count = struct.unpack("<IIQ", data[4:header])
-    if version != EMB_VERSION:
-        raise FormatError(f"{path}: format version {version}, expected {EMB_VERSION}")
-    expected = count * dim * 4
-    payload = data[header:]
-    if len(payload) < expected:
-        raise FormatError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(count, dim).copy()
+    with open(path, "rb") as fh:
+        data = fh.read(header)
+        if len(data) < header:
+            raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
+        if data[:4] != EMB_MAGIC:
+            raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {EMB_MAGIC!r}")
+        version, dim, count = struct.unpack("<IIQ", data[4:])
+        if version != EMB_VERSION:
+            raise FormatError(f"{path}: format version {version}, expected {EMB_VERSION}")
+        expected = count * dim * 4
+        payload = os.fstat(fh.fileno()).st_size - header
+        if payload < expected:
+            raise FormatError(f"{path}: truncated payload ({payload} of {expected} bytes)")
+        if payload > expected:
+            raise FormatError(f"{path}: {payload - expected} trailing bytes after payload")
+        # read straight into the matrix: no intermediate copy of the payload
+        rows = np.empty((count, dim), "<f4")
+        if fh.readinto(rows) != expected:
+            raise FormatError(f"{path}: truncated payload (file shrank while reading)")
+    return rows
 
 
 def valid_id(record_id: str) -> bool:
@@ -238,6 +260,23 @@ def store_digest(store_dir: str | Path) -> str:
 # store
 # ---------------------------------------------------------------------------
 
+def _image_matrix(records, dim: int) -> np.ndarray:
+    return np.stack([r.image_emb for r in records], dtype=np.float32) if records else np.empty((0, dim), np.float32)
+
+
+def _text_matrix(records, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-aligned text embeddings, zero where a record has none, and the mask
+    of rows that have one. The width is that of the records' rows (``dim``
+    when none has text), so a store whose text disagrees with its manifest
+    can still be written, and ``Store.load`` names the mismatch."""
+    has_text = np.array([r.text_emb is not None for r in records], bool)
+    rows = np.flatnonzero(has_text)
+    text = np.zeros((len(records), np.size(records[rows[0]].text_emb) if rows.size else dim), np.float32)
+    for i in rows:
+        text[i] = records[i].text_emb
+    return text, has_text
+
+
 def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
     try:
         return np.array([positions[i] for i in ids], np.intp)
@@ -248,9 +287,10 @@ def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
 class Store:
     """Immutable in-memory view of a reference/query store.
 
-    References live in row-aligned matrices for the retrieval hot path; text
-    embeddings, captions, and coordinates are per-id lookups because they are
-    optional per record.
+    Image and text embeddings live in row-aligned matrices (``ref_image``,
+    ``ref_text``, ``query_image``, ``query_text``). Text is optional per
+    record, so ``ref_has_text``/``query_has_text`` mark the rows that have
+    it; the others are zero. Captions and coordinates are per-id lookups.
     """
 
     def __init__(self, manifest: StoreManifest, refs: list[ReferenceRecord], queries: list[QueryRecord]):
@@ -263,20 +303,14 @@ class Store:
         self._ref_pos = {r.id: i for i, r in enumerate(refs)}
         if len(self._ref_pos) != len(refs):
             raise IngestError("duplicate reference id")
-        self.ref_image = (
-            np.stack([r.image_emb for r in refs]).astype(np.float32)
-            if refs else np.empty((0, manifest.image_dim), np.float32)
-        )
+        self.ref_image = _image_matrix(refs, manifest.image_dim)
+        self.ref_text, self.ref_has_text = _text_matrix(refs, manifest.text_dim)
         self.query_ids = [q.id for q in queries]
         self._query_pos = {q.id: i for i, q in enumerate(queries)}
         if len(self._query_pos) != len(queries):
             raise IngestError("duplicate query id")
-        self.query_image = (
-            np.stack([q.image_emb for q in queries]).astype(np.float32)
-            if queries else np.empty((0, manifest.image_dim), np.float32)
-        )
-        self._ref_text = {r.id: np.asarray(r.text_emb, np.float32) for r in refs if r.text_emb is not None}
-        self._query_text = {q.id: np.asarray(q.text_emb, np.float32) for q in queries if q.text_emb is not None}
+        self.query_image = _image_matrix(queries, manifest.image_dim)
+        self.query_text, self.query_has_text = _text_matrix(queries, manifest.text_dim)
         self._ref_caption = {r.id: r.caption for r in refs if r.caption is not None}
         self._query_caption = {q.id: q.caption for q in queries if q.caption is not None}
         self._ref_coord = {r.id: r.coord for r in refs if r.coord is not None}
@@ -315,7 +349,7 @@ class Store:
         return ReferenceRecord(
             id=ref_id,
             image_emb=self.ref_image[pos],
-            text_emb=self._ref_text.get(ref_id),
+            text_emb=self.ref_text[pos] if self.ref_has_text[pos] else None,
             caption=self._ref_caption.get(ref_id),
             coord=self._ref_coord.get(ref_id),
         )
@@ -336,16 +370,18 @@ class Store:
             id=query_id,
             image_emb=self.query_image[pos],
             ground_truth=self.ground_truth[query_id],
-            text_emb=self._query_text.get(query_id),
+            text_emb=self.query_text[pos] if self.query_has_text[pos] else None,
             caption=self._query_caption.get(query_id),
             coord=self._query_coord.get(query_id),
         )
 
     def ref_text_emb(self, ref_id: str) -> np.ndarray | None:
-        return self._ref_text.get(ref_id)
+        pos = self._ref_pos.get(ref_id)
+        return self.ref_text[pos] if pos is not None and self.ref_has_text[pos] else None
 
     def query_text_emb(self, query_id: str) -> np.ndarray | None:
-        return self._query_text.get(query_id)
+        pos = self._query_pos.get(query_id)
+        return self.query_text[pos] if pos is not None and self.query_has_text[pos] else None
 
     def coord_of(self, any_id: str) -> GeoCoord | None:
         c = self._ref_coord.get(any_id)
@@ -359,21 +395,21 @@ class Store:
         self.manifest.write(out / MANIFEST_FILE)
         write_embedding_matrix(self.ref_image, out / "refs.img.emb")
         _write_ids(self.ref_ids, out / "refs.img.ids")
-        self._save_side(out, "refs", self.ref_ids, self._ref_text, self._ref_caption, self._ref_coord)
+        self._save_side(out, "refs", self.ref_ids, self.ref_text, self.ref_has_text, self._ref_caption, self._ref_coord)
         if self.query_ids:
             write_embedding_matrix(self.query_image, out / "queries.img.emb")
             _write_ids(self.query_ids, out / "queries.img.ids")
-            self._save_side(out, "queries", self.query_ids, self._query_text, self._query_caption, self._query_coord)
+            self._save_side(out, "queries", self.query_ids, self.query_text, self.query_has_text,
+                            self._query_caption, self._query_coord)
             _write_jsonl(
                 ({"id": q, "refs": sorted(self.ground_truth[q])} for q in self.query_ids),
                 out / "queries.truth.jsonl",
             )
 
-    def _save_side(self, out: Path, prefix: str, ids, text, captions, coords) -> None:
-        with_text = [i for i in ids if i in text]
-        if with_text:
-            write_embedding_matrix(np.stack([text[i] for i in with_text]), out / f"{prefix}.txt.emb")
-            _write_ids(with_text, out / f"{prefix}.txt.ids")
+    def _save_side(self, out: Path, prefix: str, ids, text, has_text, captions, coords) -> None:
+        if has_text.any():
+            write_embedding_matrix(text if has_text.all() else text[has_text], out / f"{prefix}.txt.emb")
+            _write_ids([i for i, h in zip(ids, has_text) if h], out / f"{prefix}.txt.ids")
         if captions:
             _write_jsonl(
                 ({"caption": captions[i], "id": i} for i in ids if i in captions),
@@ -389,18 +425,23 @@ class Store:
     def load(cls, store_dir: str | Path) -> "Store":
         root = Path(store_dir)
         manifest = StoreManifest.read(root / MANIFEST_FILE)
-        refs = cls._load_side(root, "refs", manifest)
+        refs, ref_text = cls._load_side(root, "refs", manifest)
         ref_records = [ReferenceRecord(**r) for r in refs]
         query_records: list[QueryRecord] = []
+        query_text = None
         if (root / "queries.img.emb").exists():
             truth: dict[str, tuple[str, ...]] = {}
             tpath = root / "queries.truth.jsonl"
             if tpath.exists():
                 for ln, rec in _read_jsonl(tpath):
                     truth[rec["id"]] = tuple(rec["refs"])
-            for r in cls._load_side(root, "queries", manifest):
-                query_records.append(QueryRecord(ground_truth=truth.get(r["id"], ()), **r))
+            queries, query_text = cls._load_side(root, "queries", manifest)
+            query_records = [QueryRecord(ground_truth=truth.get(r["id"], ()), **r) for r in queries]
+        # the records carry no text; each side's text matrix was placed whole
         store = cls(manifest, ref_records, query_records)
+        store.ref_text, store.ref_has_text = ref_text
+        if query_text is not None:
+            store.query_text, store.query_has_text = query_text
         # a zero or non-finite image row scores NaN. The reference norms are the
         # retrieval index the first query would build anyway, so refs cost no extra pass.
         for prefix, ids, norms in (
@@ -414,7 +455,8 @@ class Store:
         return store
 
     @staticmethod
-    def _load_side(root: Path, prefix: str, manifest: StoreManifest) -> list[dict]:
+    def _load_side(root: Path, prefix: str, manifest: StoreManifest) -> tuple[list[dict], tuple[np.ndarray, np.ndarray]]:
+        """Per-row records of one side without text, and its (text, has_text) matrix and mask."""
         mat = read_embedding_matrix(root / f"{prefix}.img.emb")
         ids = _read_ids(root / f"{prefix}.img.ids")
         if mat.shape[0] != len(ids):
@@ -422,13 +464,16 @@ class Store:
         if mat.shape[0] and mat.shape[1] != manifest.image_dim:
             raise FormatError(f"{prefix}: embedding dim {mat.shape[1]} does not match manifest {manifest.image_dim}")
         records = [{"id": i, "image_emb": mat[row]} for row, i in enumerate(ids)]
-        by_id = {r["id"]: r for r in records}
+        by_id = {i: row for row, i in enumerate(ids)}
 
-        def resolve(i: str, source: str) -> dict:
-            rec = by_id.get(i)
-            if rec is None:
+        def resolve(i: str, source: str) -> int:
+            row = by_id.get(i)
+            if row is None:
                 raise FormatError(f"{prefix}: {source} references unknown id '{i}'")
-            return rec
+            return row
+
+        text = np.zeros((len(ids), manifest.text_dim), np.float32)
+        has_text = np.zeros(len(ids), bool)
 
         tpath = root / f"{prefix}.txt.emb"
         if tpath.exists():
@@ -443,17 +488,19 @@ class Store:
             bad = np.flatnonzero(~np.isfinite(tmat).all(axis=1))
             if bad.size:
                 raise FormatError(f"{tpath}: id '{tids[bad[0]]}' has a non-finite text embedding")
-            for row, i in enumerate(tids):
-                resolve(i, "text embedding")["text_emb"] = tmat[row]
+            rows = np.array([resolve(i, "text embedding") for i in tids], np.intp)
+            if rows.size:
+                text[rows] = tmat
+                has_text[rows] = True
         cpath = root / f"{prefix}.captions.jsonl"
         if cpath.exists():
             for ln, rec in _read_jsonl(cpath):
-                resolve(rec["id"], "caption")["caption"] = rec["caption"]
+                records[resolve(rec["id"], "caption")]["caption"] = rec["caption"]
         gpath = root / f"{prefix}.coords.jsonl"
         if gpath.exists():
             for ln, rec in _read_jsonl(gpath):
-                resolve(rec["id"], "coordinate")["coord"] = GeoCoord(rec["lat"], rec["lon"])
-        return records
+                records[resolve(rec["id"], "coordinate")]["coord"] = GeoCoord(rec["lat"], rec["lon"])
+        return records, (text, has_text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 element-wise sum, align each side with FC+LayerNorm+ReLU blocks, then score
 query/reference pairs through a bilinear map and a sigmoid.
 
-Parameters are a flat name -> array mapping so the optimizer, gradient
-checker, and checkpoint format all see the same named tensors.
+Parameters are a name -> array mapping so the optimizer, gradient checker,
+and checkpoint format all see the same named tensors; the arrays are views of
+one contiguous vector, so the optimizer updates them all at once.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geostore import FormatError, Store, QueryRecord
+from .geostore import FormatError, Store, QueryRecord, atomic_write
 from .retriever import Ranking
 
 CKPT_MAGIC = b"GVCK"
@@ -86,36 +88,90 @@ def expected_shapes(config: RerankerConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+class TensorViews(Mapping):
+    """Read-only name -> array mapping whose arrays are views of one flat
+    vector, ``flat``, laid out in the order of ``shapes``.
+
+    Writing into a view writes into ``flat``, and ``views[name] += x`` works
+    because the in-place result is the view itself; binding a name to any
+    other array raises ``TypeError``, since that array would not be in
+    ``flat``.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.flat = flat
+        self._views: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self._views[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"layout covers {offset} elements, flat vector has {flat.size}")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        if value is not self._views.get(name):
+            raise TypeError(f"cannot rebind tensor '{name}': it is a view of one flat vector; assign into it in place")
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 class RerankerParams:
-    """Named parameter tensors plus the config they were built for."""
+    """Named parameter tensors plus the config they were built for.
 
-    def __init__(self, config: RerankerConfig, tensors: dict[str, np.ndarray]):
-        self.config = config
-        # numpy turns 0-d array arithmetic into scalars; keep ndarrays throughout
-        self.tensors = {k: np.asarray(v) for k, v in tensors.items()}
+    ``tensors`` is a ``TensorViews`` over one contiguous vector, ``flat``,
+    in ``expected_shapes`` order. Construction copies the given arrays into
+    it and rejects missing, extra or misshapen tensors.
+    """
 
-    def validate(self) -> None:
-        shapes = expected_shapes(self.config)
-        if set(self.tensors) != set(shapes):
-            missing = set(shapes) - set(self.tensors)
-            extra = set(self.tensors) - set(shapes)
+    def __init__(self, config: RerankerConfig, tensors: Mapping[str, np.ndarray]):
+        shapes = expected_shapes(config)
+        if set(tensors) != set(shapes):
+            missing = set(shapes) - set(tensors)
+            extra = set(tensors) - set(shapes)
             raise ValueError(f"parameter names mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
         for name, shape in shapes.items():
-            t = self.tensors[name]
-            if tuple(t.shape) != shape:
-                raise ValueError(f"tensor '{name}' has shape {t.shape}, expected {shape}")
+            if np.shape(tensors[name]) != shape:
+                raise ValueError(f"tensor '{name}' has shape {np.shape(tensors[name])}, expected {shape}")
+        flat = np.empty(sum(math.prod(s) for s in shapes.values()), np.result_type(*tensors.values()))
+        self.config = config
+        self.tensors = TensorViews(flat, shapes)
+        for name, view in self.tensors.items():
+            view[...] = tensors[name]
+
+    @classmethod
+    def from_flat(cls, config: RerankerConfig, flat: np.ndarray) -> "RerankerParams":
+        """Params whose tensors are views of ``flat`` itself, not a copy."""
+        params = cls.__new__(cls)
+        params.config = config
+        params.tensors = TensorViews(flat, expected_shapes(config))
+        return params
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.tensors.flat
+
+    def validate(self) -> None:
+        for name, t in self.tensors.items():
             if not np.all(np.isfinite(t)):
                 raise ValueError(f"tensor '{name}' contains NaN/Inf")
 
     @property
     def dtype(self):
-        return self.tensors["score.w"].dtype
+        return self.flat.dtype
 
     def astype(self, dtype) -> "RerankerParams":
-        return RerankerParams(self.config, {k: np.asarray(v).astype(dtype) for k, v in self.tensors.items()})
+        return RerankerParams.from_flat(self.config, self.flat.astype(dtype))
 
     def copy(self) -> "RerankerParams":
-        return RerankerParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
+        return RerankerParams.from_flat(self.config, self.flat.copy())
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -272,11 +328,10 @@ def score_pair(query: tuple[np.ndarray, np.ndarray], ref: tuple[np.ndarray, np.n
 def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
     rows = store.ref_rows(ids)
-    txts = [store.ref_text_emb(rid) for rid in ids]
-    for rid, txt in zip(ids, txts):
-        if txt is None:
-            raise ValueError(f"candidate '{rid}' has no text embedding")
-    return store.ref_image[rows], np.stack(txts)
+    missing = np.flatnonzero(~store.ref_has_text[rows])
+    if missing.size:
+        raise ValueError(f"candidate '{store.ref_ids[rows[missing[0]]]}' has no text embedding")
+    return store.ref_image[rows], store.ref_text[rows]
 
 
 def order_by_score(ids, scores) -> list[tuple[str, float]]:
@@ -303,7 +358,7 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
 def save_checkpoint(path: str | Path, config: RerankerConfig, tensors: dict[str, np.ndarray]) -> None:
     """GVCK file: magic, version, config JSON, then framed named f32 tensors."""
     cfg = config.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(cfg)))
         fh.write(cfg)
@@ -359,7 +414,10 @@ def load_checkpoint(path: str | Path) -> tuple[RerankerConfig, dict[str, np.ndar
         dims = struct.unpack(f"<{rank}Q", rd.take(8 * rank)) if rank else ()
         # math.prod on Python ints cannot wrap, so huge dims fail as truncation
         payload = rd.take(math.prod(dims) * 4)
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:  # zero-size, but more or larger dims than numpy allows
+            raise FormatError(f"{path}: tensor '{name}' has an impossible shape ({exc})") from None
     return config, tensors
 
 
@@ -371,8 +429,12 @@ def save_params(path: str | Path, params: RerankerParams, extra: dict[str, np.nd
 
 
 def load_params(path: str | Path) -> RerankerParams:
-    """Load model tensors; optimizer-state tensors ('opt.*') are ignored."""
+    """Load model tensors; optimizer-state tensors ('opt.*') are ignored.
+    A missing, extra, misshapen or non-finite tensor is a ``FormatError``."""
     config, tensors = load_checkpoint(path)
-    params = RerankerParams(config, {k: v for k, v in tensors.items() if not k.startswith("opt.")})
-    params.validate()
+    try:
+        params = RerankerParams(config, {k: v for k, v in tensors.items() if not k.startswith("opt.")})
+        params.validate()
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return params

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,7 @@ from .retriever import Ranking
 from .reranker import (
     RerankerConfig,
     RerankerParams,
+    TensorViews,
     _sigmoid,
     aligner_blocks,
     expected_shapes,
@@ -118,13 +120,10 @@ def _stacked_logits(samples: list[TrainingSample], params: RerankerParams, store
     forward pass; returns them with the per-sample candidate counts. Given a
     ``cache``, the gathered inputs are stored in it beside ``score_logits``'s."""
     q_rows = store.query_rows([s.query_id for s in samples])
-    q_txt = []
-    for s in samples:
-        txt = store.query_text_emb(s.query_id)
-        if txt is None:
-            raise ValueError(f"query '{s.query_id}' has no text embedding")
-        q_txt.append(txt)
-    q_img, q_txt = store.query_image[q_rows], np.stack(q_txt)
+    missing = np.flatnonzero(~store.query_has_text[q_rows])
+    if missing.size:
+        raise ValueError(f"query '{samples[missing[0]].query_id}' has no text embedding")
+    q_img, q_txt = store.query_image[q_rows], store.query_text[q_rows]
     c_img, c_txt = gather_candidates(store, [rid for s in samples for rid in s.candidate_ids])
     counts = np.array([len(s.candidate_ids) for s in samples])
     if cache is not None:
@@ -153,13 +152,18 @@ def _forward(batch: list[TrainingSample], params: RerankerParams, store: Store, 
     return loss, ctx
 
 
-def _backward(ctx, params: RerankerParams, loss_on: str) -> dict[str, np.ndarray]:
-    """Gradients of ``_forward``'s mean batch loss. Per-sample sums are segment
+def _backward(ctx, params: RerankerParams, loss_on: str) -> TensorViews:
+    """Gradients of ``_forward``'s mean batch loss, as views of one zeroed
+    vector laid out like ``params.flat``. Per-sample sums are segment
     reductions over the stacked candidate rows, so each weight gradient is one
-    product over every row of the batch."""
+    product over every row of the batch.
+
+    Under ``loss_on="logits"`` the hinge depends on logit differences only,
+    so ``score.b`` gets an exact zero, not the float32 rounding noise of a
+    sum that is zero in exact arithmetic."""
     cfg = params.config
     dtype = params.dtype
-    grads = {name: np.zeros(shape, dtype) for name, shape in expected_shapes(cfg).items()}
+    grads = TensorViews(np.zeros_like(params.flat), expected_shapes(cfg))
 
     starts, segment, n_neg = ctx["starts"], ctx["segment"], ctx["n_neg"]
     # an active negative's hinge adds +1/n_neg to its own basis gradient and -1/n_neg to its positive's
@@ -176,7 +180,8 @@ def _backward(ctx, params: RerankerParams, loss_on: str) -> dict[str, np.ndarray
     aligned_c = ctx["aligned_c"]
     w_score = params.tensors["score.w"]
 
-    grads["score.b"] += np.asarray(g_logit.sum(), dtype)
+    if loss_on == "scores":
+        grads["score.b"] += np.asarray(g_logit.sum(), dtype)
     s_q = np.add.reduceat(g_logit[:, None] * aligned_c, starts, axis=0)
     grads["score.w"] += s_q.T @ aligned_q
     d_aligned_q = s_q @ w_score
@@ -205,7 +210,7 @@ def loss_and_gradients(
     store: Store,
     margin: float,
     loss_on: str = "scores",
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, TensorViews]:
     """Loss of one sample plus analytic gradients for every parameter tensor.
 
     Negatives already separated by more than the margin contribute exactly
@@ -224,7 +229,7 @@ def batch_gradients(
     params: RerankerParams,
     store: Store,
     config: TrainConfig,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, TensorViews]:
     """Mean loss and mean gradient over a batch: one forward and one backward
     pass over its samples stacked in canonical order."""
     if not batch:
@@ -241,61 +246,61 @@ def batch_gradients(
 # ---------------------------------------------------------------------------
 
 def init_optimizer_state(params: RerankerParams, config: TrainConfig) -> dict:
+    """Adam's step count and its first and second moments, each moment one
+    vector laid out like ``params.flat``; SGD keeps no state."""
     if config.optimizer == "sgd":
         return {}
-    zeros = lambda: {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    return {"t": 0, "m": zeros(), "v": zeros()}
+    return {"t": 0, "m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
 
 
 def optimizer_step(
     params: RerankerParams,
-    grads: dict[str, np.ndarray],
+    grads,
     state: dict,
     config: TrainConfig,
 ) -> tuple[RerankerParams, dict]:
-    """One SGD or Adam update; returns new params and new state."""
-    for name, t in params.tensors.items():
-        if name not in grads or grads[name].shape != t.shape:
-            raise ValueError(f"gradient shape mismatch for '{name}'")
-    if config.grad_clip is not None:
-        norm = float(np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())))
-        if norm > config.grad_clip:
-            scale = config.grad_clip / norm
-            grads = {name: g * scale for name, g in grads.items()}
+    """One SGD or Adam update of ``params`` and ``state``, in place; returns both.
 
-    new_tensors: dict[str, np.ndarray] = {}
+    The update is a few whole-vector operations on ``params.flat``. Each
+    element sees the operations of the per-tensor update in the same order,
+    so the result is the same bit for bit. ``grads`` maps every tensor name
+    to its gradient; a ``TensorViews`` (what ``batch_gradients`` returns) is
+    used without a copy.
+    """
+    for name, t in params.tensors.items():
+        if name not in grads or np.shape(grads[name]) != t.shape:
+            raise ValueError(f"gradient shape mismatch for '{name}'")
+    if isinstance(grads, TensorViews):
+        g = grads.flat
+    else:
+        g = np.concatenate([np.ravel(grads[name]) for name in params.tensors])
+    if config.grad_clip is not None:
+        g64 = g.astype(np.float64)
+        norm = math.sqrt(g64 @ g64)
+        if norm > config.grad_clip:
+            g = g * (config.grad_clip / norm)
+
+    theta = params.flat
     if config.optimizer == "sgd":
-        for name, t in params.tensors.items():
-            new_tensors[name] = t - config.lr * grads[name]
-        return RerankerParams(params.config, new_tensors), state
+        theta -= config.lr * g
+        return params, state
 
     t_step = state["t"] + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    bc1 = 1.0 - b1 ** t_step
-    bc2 = 1.0 - b2 ** t_step
-    new_m, new_v = {}, {}
-    for name, theta in params.tensors.items():
-        g = grads[name]
-        m = b1 * state["m"][name] + (1.0 - b1) * g
-        v = b2 * state["v"][name] + (1.0 - b2) * g * g
-        new_m[name] = m
-        new_v[name] = v
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_tensors[name] = theta - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return RerankerParams(params.config, new_tensors), {"t": t_step, "m": new_m, "v": new_v}
-
-
-def _optimizer_tensors(state: dict) -> dict[str, np.ndarray]:
-    """Optimizer state under the checkpoint's tensor framing ('opt.*' names)."""
-    if not state:
-        return {}
-    out = {"opt.t": np.array(float(state["t"]), np.float32)}
-    for name, t in state["m"].items():
-        out[f"opt.m.{name}"] = t
-    for name, t in state["v"].items():
-        out[f"opt.v.{name}"] = t
-    return out
+    m, v = state["m"], state["v"]
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    step = m / (1.0 - b1 ** t_step)
+    step *= config.lr
+    denom = v / (1.0 - b2 ** t_step)
+    np.sqrt(denom, out=denom)
+    denom += config.adam_eps
+    step /= denom
+    theta -= step
+    state["t"] = t_step
+    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +477,9 @@ def train(
         val_r1, val_r5 = _candidate_recall(val_set, params, store) if val_set else (None, None)
         report.epochs.append(EpochStats(epoch, mean_loss, val_r1, val_r5, time.perf_counter() - started))
         if ckpt is not None:
-            save_params(ckpt / f"epoch_{epoch:03d}.gvck", params, extra=_optimizer_tensors(state))
+            save_params(ckpt / f"epoch_{epoch:03d}.gvck", params)
     if ckpt is not None:
-        save_params(ckpt / "final.gvck", params, extra=_optimizer_tensors(state))
+        save_params(ckpt / "final.gvck", params)
     return params, report
 
 

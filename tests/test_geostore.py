@@ -1,3 +1,4 @@
+import errno
 import json
 import tempfile
 
@@ -450,6 +451,46 @@ def test_ingest_full_dual_side_store(tmp_path):
     for i in range(2):
         assert back.query_text_emb(f"q{i}") is not None
     assert store_digest(tmp_path / "store") == store_digest(tmp_path / "store")
+
+
+@pytest.mark.parametrize("kind", ["emb", "gvck"])
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, kind):
+    from georank.reranker import RerankerConfig, init_params, save_params
+
+    if kind == "emb":
+        path = tmp_path / "m.emb"
+        write = lambda seed: write_embedding_matrix(np.full((3, 2), seed + 1, np.float32), path)
+    else:
+        path = tmp_path / "m.gvck"
+        cfg = lambda seed: RerankerConfig(image_dim=2, text_dim=2, latent_dim=2, aligner_hidden=2, init_seed=seed)
+        write = lambda seed: save_params(path, init_params(cfg(seed)))
+    write(0)
+    before = path.read_bytes()
+
+    real_open = open
+
+    def disk_fills_after_first_write(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        first = fh.write
+
+        def write_once(data):
+            fh.write = full
+            return first(data)
+
+        def full(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = write_once
+        return fh
+
+    monkeypatch.setattr(geostore, "open", disk_fills_after_first_write, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write(1)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    write(1)
+    assert path.read_bytes() != before
 
 
 def test_write_matrix_rejects_non_2d(tmp_path):

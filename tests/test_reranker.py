@@ -1,9 +1,13 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from georank.geostore import FormatError
+from georank.geostore import FormatError, read_embedding_matrix, write_embedding_matrix
 from georank import trainer
 from georank.reranker import (
     RerankerConfig,
@@ -365,6 +369,64 @@ def test_checkpoint_preserves_extra_optimizer_tensors(tmp_path):
     assert tensors["opt.t"] == 3.0
     back = load_params(path)  # opt.* filtered out
     assert not any(k.startswith("opt.") for k in back.tensors)
+
+
+def test_params_tensors_are_views_of_one_flat_vector():
+    params = init_params(tiny_config(aligner_layers=2))
+    assert params.flat.size == sum(t.size for t in params.tensors.values())
+    for name, t in params.tensors.items():
+        assert t.base is params.flat, name
+    with pytest.raises(TypeError, match="score.w"):
+        params.tensors["score.w"] = np.zeros((2, 2), np.float32)
+    params.tensors["score.b"] += 1.5  # in place: the view stays bound
+    assert params.flat[-1] == 1.5
+    assert params.copy().flat is not params.flat
+
+
+@pytest.mark.parametrize("edit, match", [
+    ("nan", "tensor 'score.b' contains NaN/Inf"),
+    ("name", "parameter names mismatch"),
+    ("shape", "tensor 'score.w' has shape"),
+])
+def test_load_params_bad_tensor_is_format_error_naming_file(tmp_path, edit, match):
+    params = init_params(tiny_config())
+    tensors = dict(params.tensors)
+    if edit == "nan":
+        tensors["score.b"] = np.array(np.nan, np.float32)
+    elif edit == "name":
+        tensors["score.x"] = tensors.pop("score.b")
+    else:
+        tensors["score.w"] = np.zeros((2, 3), np.float32)
+    path = tmp_path / "model.gvck"
+    save_checkpoint(path, params.config, tensors)
+    with pytest.raises(FormatError, match=match) as exc:
+        load_params(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", ["gvck", "emb"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_file_raises_only_format_error(kind, data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"file.{kind}"
+        if kind == "gvck":
+            save_params(path, init_params(tiny_config(aligner_layers=2, aligner_hidden=3)))
+            load = load_params
+        else:
+            write_embedding_matrix(np.arange(12, dtype=np.float32).reshape(4, 3), path)
+            load = read_embedding_matrix
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="keep"):]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(blob))
+        try:
+            load(path)  # a flip inside a payload value can leave a valid file
+        except FormatError as exc:
+            assert str(path) in str(exc)
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):

@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georank import trainer
-from georank.reranker import RerankerConfig, gather_candidates, init_params, load_params, rerank, score_candidates
+from georank.reranker import (
+    RerankerConfig,
+    TensorViews,
+    expected_shapes,
+    gather_candidates,
+    init_params,
+    load_checkpoint,
+    load_params,
+    rerank,
+    score_candidates,
+)
 from georank.retriever import Ranking
 from georank.trainer import (
     TrainConfig,
@@ -235,8 +245,8 @@ def test_candidate_recall_equals_rerank_per_sample(monkeypatch, per_pass):
 def _scalar_params(theta: float):
     cfg = RerankerConfig(image_dim=1, text_dim=1, latent_dim=1, aligner_layers=1, aligner_hidden=1)
     params = init_params(cfg).astype(np.float64)
-    for name in params.tensors:
-        params.tensors[name] = np.full_like(params.tensors[name], theta)
+    for t in params.tensors.values():
+        t[...] = theta
     return params
 
 
@@ -251,10 +261,11 @@ def test_sgd_closed_form():
 
 def test_sgd_zero_gradient_fixed_point():
     params = _scalar_params(0.7)
+    before = params.copy()
     grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
     new, _ = optimizer_step(params, grads, {}, TrainConfig(optimizer="sgd", lr=0.1))
     for name, t in new.tensors.items():
-        assert np.array_equal(t, params.tensors[name])
+        assert np.array_equal(t, before.tensors[name])
 
 
 def test_adam_first_step_closed_form():
@@ -275,6 +286,51 @@ def test_optimizer_shape_mismatch():
     grads = {name: np.zeros((3, 3)) for name in params.tensors}
     with pytest.raises(ValueError, match="shape"):
         optimizer_step(params, grads, {}, TrainConfig(optimizer="sgd"))
+
+
+def _per_tensor_step(tensors, grads, state, config):
+    """Reference SGD/Adam: one loop over the tensors, each updated on its own."""
+    if config.optimizer == "sgd":
+        return {name: t - config.lr * grads[name] for name, t in tensors.items()}, state
+    t_step = state["t"] + 1
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    bc1, bc2 = 1.0 - b1 ** t_step, 1.0 - b2 ** t_step
+    new, new_m, new_v = {}, {}, {}
+    for name, theta in tensors.items():
+        g = grads[name]
+        m = b1 * state["m"][name] + (1.0 - b1) * g
+        v = b2 * state["v"][name] + (1.0 - b2) * g * g
+        new_m[name], new_v[name] = m, v
+        new[name] = theta - config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+    return new, {"t": t_step, "m": new_m, "v": new_v}
+
+
+@pytest.mark.parametrize("as_views", [False, True])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_flat_optimizer_bit_exact_against_per_tensor_loop(optimizer, as_views):
+    cfg = RerankerConfig(image_dim=5, text_dim=4, latent_dim=6, aligner_layers=2, aligner_hidden=3, init_seed=2)
+    params = init_params(cfg)
+    config = TrainConfig(optimizer=optimizer, lr=3e-3)
+    state = init_optimizer_state(params, config)
+    ref = {name: t.copy() for name, t in params.tensors.items()}
+    ref_state = {"t": 0, "m": {n: np.zeros_like(t) for n, t in ref.items()},
+                 "v": {n: np.zeros_like(t) for n, t in ref.items()}}
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        # magnitudes from 1e-9 to 10, so eps matters for some elements and not for others
+        grads = {name: np.asarray(rng.standard_normal(t.shape) * 10.0 ** rng.uniform(-9, 1, t.shape), np.float32)
+                 for name, t in ref.items()}
+        given = grads
+        if as_views:
+            given = TensorViews(np.zeros_like(params.flat), expected_shapes(cfg))
+            for name, g in grads.items():
+                given[name][...] = g
+        params, state = optimizer_step(params, given, state, config)
+        ref, ref_state = _per_tensor_step(ref, grads, ref_state, config)
+        for name, t in ref.items():
+            assert params.tensors[name].dtype == np.float32
+            assert np.array_equal(params.tensors[name], t), name
+    assert ref["score.b"] != 0
 
 
 def test_grad_clip_rescales_global_norm():
@@ -394,6 +450,28 @@ def test_train_deterministic_given_seeds(tmp_path):
     assert (tmp_path / "a" / "epoch_003.gvck").exists()
     assert (tmp_path / "a" / "final.gvck").exists()
     assert load_params(tmp_path / "a" / "final.gvck").digest() == p1.digest()
+    # weights only: nothing reads optimizer moments back
+    for epoch in (1, 2, 3):
+        path = tmp_path / "a" / f"epoch_{epoch:03d}.gvck"
+        _, tensors = load_checkpoint(path)
+        assert set(tensors) == set(expected_shapes(rr))
+        load_params(path)
+
+
+def test_logits_loss_leaves_score_bias_at_zero():
+    # the README recipe, 3 epochs: the hinge on logits is shift-invariant, so
+    # score.b gets an exact zero gradient and Adam never moves it
+    from georank.geostore import SynthConfig, generate_synthetic
+    from georank.retriever import rank_store_queries
+
+    store, _ = generate_synthetic(SynthConfig(n_locations=1000, group_size=4), seed=7)
+    queries = [store.query(qid) for qid in store.query_ids]
+    samples, _ = build_training_samples(queries, rank_store_queries(store, 10))
+    rr = RerankerConfig(image_dim=64, text_dim=64, latent_dim=64, aligner_hidden=64)
+    config = TrainConfig(lr=3e-3, epochs=3, batch_size=8, loss_on="logits")
+    params, _ = train(samples, store, rr, config)
+    assert params.tensors["score.b"] == 0
+    assert not np.array_equal(params.tensors["score.w"], init_params(rr).tensors["score.w"])
 
 
 def test_train_zero_lr_leaves_params_unchanged():
@@ -468,7 +546,7 @@ def test_gradients_match_finite_differences_with_randomized_layernorm():
     rng = np.random.default_rng(99)
     for name, t in params.tensors.items():
         if name.endswith((".ln_scale", ".ln_shift", ".b")):
-            params.tensors[name] = (t + rng.uniform(-0.5, 0.5, t.shape)).astype(np.float32)
+            t[...] = t + rng.uniform(-0.5, 0.5, t.shape)
     errors = gradient_check(sample, params, store, margin=1.0)
     assert max(errors.values()) <= 1e-4
 
