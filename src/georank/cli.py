@@ -125,13 +125,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _store_coords(store: Store) -> dict | None:
-    coords = {}
-    for rid in store.ref_ids:
-        c = store.coord_of(rid)
-        if c is None:
-            return None
-        coords[rid] = c
-    return coords
+    """Every reference's coordinate, or None when some reference has none."""
+    return {rid: store.coord_of(rid) for rid in store.ref_ids} if store.refs.has_coord.all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +230,8 @@ def cmd_embed(args) -> int:
         print(f"embedded {len(pairs)} texts (dim {endpoint.text_dim}) -> {args.out}")
     if args.attach:
         side = args.side or "refs"
-        if side not in ("refs", "queries"):
-            raise ValueError(f"--side must be refs or queries, got '{side}'")
-        store = Store.load(args.attach)
-        if endpoint.text_dim != store.manifest.text_dim:
-            raise ValueError(
-                f"embedding dim {endpoint.text_dim} does not match store text_dim {store.manifest.text_dim}"
-            )
-        known = store.ref_ids if side == "refs" else store.query_ids
-        known_set = set(known)
-        by_id = {}
-        for (rid, _), vec in zip(pairs, vectors):
-            if rid not in known_set:
-                raise ValueError(f"text id '{rid}' not found among store {side}")
-            by_id[rid] = vec
-        ordered = [rid for rid in known if rid in by_id]
-        geostore.write_embedding_matrix(np.stack([by_id[r] for r in ordered]), Path(args.attach) / f"{side}.txt.emb")
-        geostore._write_ids(ordered, Path(args.attach) / f"{side}.txt.ids")
-        print(f"attached {len(ordered)} text embeddings to {args.attach} ({side})")
+        count = geostore.attach_text(args.attach, side, [rid for rid, _ in pairs], vectors)
+        print(f"attached {count} text embeddings to {args.attach} ({side})")
     return 0
 
 

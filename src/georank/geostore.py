@@ -2,8 +2,9 @@
 
 A store is a directory holding binary embedding matrices (magic ``GVLM``),
 line-delimited JSON caption/coordinate/ground-truth tables, and a plain-text
-``key=value`` manifest. Loaded stores are immutable; ingestion and synthesis
-are the only writers.
+``key=value`` manifest. In memory it is a ``Store`` of row-aligned columns,
+checked by ``Store.validate`` however it was built. Loaded stores are
+immutable; ingestion, synthesis and ``attach_text`` are the only writers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +56,17 @@ class IngestError(GeostoreError):
         self.record_id = record_id
 
 
+class InvalidStore(ValueError):
+    """A store invariant that does not hold, found by ``Store.validate``: the
+    side ("refs" or "queries"), column and row it was found in, and the id of
+    that row, so a reader can name the file and line the row came from."""
+
+    def __init__(self, side: str, column: str, row: int | None, record_id: str | None, problem: str):
+        self.side, self.column, self.row, self.record_id, self.problem = side, column, row, record_id, problem
+        self.detail = problem if record_id is None else f"id '{record_id}' {problem}"
+        super().__init__(f"{side}: {self.detail}")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -74,6 +87,8 @@ class GeoCoord:
 
 @dataclass
 class ReferenceRecord:
+    """One reference as ``Store.reference`` returns it."""
+
     id: str
     image_emb: np.ndarray
     text_emb: np.ndarray | None = None
@@ -83,12 +98,55 @@ class ReferenceRecord:
 
 @dataclass
 class QueryRecord:
+    """One query as ``Store.query`` returns it."""
+
     id: str
     image_emb: np.ndarray
     ground_truth: tuple[str, ...]
     text_emb: np.ndarray | None = None
     caption: str | None = None
     coord: GeoCoord | None = None
+
+
+@dataclass(eq=False)
+class Columns:
+    """One side of a store (its references or its queries), row-aligned: row i
+    of every column belongs to ``ids[i]``, and ``pos`` maps each id to its row.
+    ``Store`` describes the columns, and fills those left as None with their
+    empty values: no text, no coordinates, no captions."""
+
+    ids: list[str]
+    image: np.ndarray
+    text: np.ndarray | None = None
+    has_text: np.ndarray | None = None
+    coords: np.ndarray | None = None
+    has_coord: np.ndarray | None = None
+    captions: list[str | None] | None = None
+    pos: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.pos = {i: row for row, i in enumerate(self.ids)}
+
+    def _fill(self, text_dim: int) -> Columns:
+        n = len(self.ids)
+        if self.has_text is None:
+            self.has_text = np.full(n, self.text is not None)
+        if self.has_coord is None:
+            self.has_coord = np.full(n, self.coords is not None)
+        self.image = np.asarray(self.image, np.float32)
+        self.text = np.zeros((n, text_dim), np.float32) if self.text is None else np.asarray(self.text, np.float32)
+        self.coords = np.zeros((n, 2)) if self.coords is None else np.asarray(self.coords, np.float64)
+        self.has_text, self.has_coord = np.asarray(self.has_text, bool), np.asarray(self.has_coord, bool)
+        self.captions = [None] * n if self.captions is None else self.captions
+        return self
+
+    def text_of(self, rid: str) -> np.ndarray | None:
+        row = self.pos.get(rid)
+        return None if row is None or not self.has_text[row] else self.text[row]
+
+    def coord_of(self, rid: str) -> GeoCoord | None:
+        row = self.pos.get(rid)
+        return None if row is None or not self.has_coord[row] else GeoCoord(*self.coords[row].tolist())
 
 
 @dataclass
@@ -100,14 +158,8 @@ class StoreManifest:
     format_version: int = 1
 
     def write(self, path: Path) -> None:
-        lines = [
-            f"format_version={self.format_version}",
-            f"image_dim={self.image_dim}",
-            f"text_dim={self.text_dim}",
-            f"reference_count={self.reference_count}",
-            f"query_count={self.query_count}",
-        ]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        keys = ("format_version", "image_dim", "text_dim", "reference_count", "query_count")
+        _write_lines((f"{k}={getattr(self, k)}" for k in keys), path)
 
     @classmethod
     def read(cls, path: Path) -> "StoreManifest":
@@ -162,16 +214,20 @@ def atomic_write(path: str | Path):
         tmp.unlink(missing_ok=True)
 
 
-def write_embedding_matrix(rows: np.ndarray, path: str | Path) -> None:
-    """Write an (n, dim) float32 matrix: GVLM magic, u32 version, u32 dim, u64 count, payload."""
+def _write_matrix(fh, rows: np.ndarray) -> None:
     rows = np.asarray(rows, dtype="<f4")
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D (count, dim) array, got shape {rows.shape}")
     count, dim = rows.shape
+    fh.write(EMB_MAGIC)
+    fh.write(struct.pack("<IIQ", EMB_VERSION, dim, count))
+    fh.write(np.ascontiguousarray(rows))
+
+
+def write_embedding_matrix(rows: np.ndarray, path: str | Path) -> None:
+    """Write an (n, dim) float32 matrix: GVLM magic, u32 version, u32 dim, u64 count, payload."""
     with atomic_write(path) as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<IIQ", EMB_VERSION, dim, count))
-        fh.write(np.ascontiguousarray(rows))
+        _write_matrix(fh, rows)
 
 
 def read_embedding_matrix(path: str | Path) -> np.ndarray:
@@ -200,10 +256,10 @@ def read_embedding_matrix(path: str | Path) -> np.ndarray:
 
 
 def valid_id(record_id: str) -> bool:
-    """Ids are non-empty, encodable as UTF-8 (no lone surrogates) and hold no
-    line boundary, so an ``.ids`` file (one id per line, split with
+    """Ids are non-empty strings, encodable as UTF-8 (no lone surrogates) and
+    hold no line boundary, so an ``.ids`` file (one id per line, split with
     ``str.splitlines``) reads back exactly what was written."""
-    if not record_id or record_id.splitlines() != [record_id]:
+    if not isinstance(record_id, str) or not record_id or record_id.splitlines() != [record_id]:
         return False
     try:
         record_id.encode("utf-8")
@@ -212,21 +268,23 @@ def valid_id(record_id: str) -> bool:
     return True
 
 
-def _write_ids(ids: list[str], path: Path) -> None:
-    for i in ids:
-        if not valid_id(i):
-            raise ValueError(f"invalid id {i!r}")
-    path.write_text("".join(i + "\n" for i in ids), encoding="utf-8")
+def _write_lines(lines, path: Path) -> None:
+    """Each string of ``lines`` and a newline, UTF-8, through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        for line in lines:
+            fh.write((line + "\n").encode("utf-8"))
 
 
-def _read_ids(path: Path) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+def _write_rows(rows: np.ndarray, ids: list[str], stem: Path) -> None:
+    """``stem``.emb and its ``stem``.ids sidecar. The sidecar is replaced just
+    before the matrix, and neither is replaced when writing either fails."""
+    with atomic_write(f"{stem}.emb") as fh:
+        _write_matrix(fh, rows)
+        _write_lines(ids, Path(f"{stem}.ids"))
 
 
 def _write_jsonl(records, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n")
+    _write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False) for rec in records), path)
 
 
 def _read_jsonl(path: str | Path):
@@ -260,23 +318,6 @@ def store_digest(store_dir: str | Path) -> str:
 # store
 # ---------------------------------------------------------------------------
 
-def _image_matrix(records, dim: int) -> np.ndarray:
-    return np.stack([r.image_emb for r in records], dtype=np.float32) if records else np.empty((0, dim), np.float32)
-
-
-def _text_matrix(records, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-aligned text embeddings, zero where a record has none, and the mask
-    of rows that have one. The width is that of the records' rows (``dim``
-    when none has text), so a store whose text disagrees with its manifest
-    can still be written, and ``Store.load`` names the mismatch."""
-    has_text = np.array([r.text_emb is not None for r in records], bool)
-    rows = np.flatnonzero(has_text)
-    text = np.zeros((len(records), np.size(records[rows[0]].text_emb) if rows.size else dim), np.float32)
-    for i in rows:
-        text[i] = records[i].text_emb
-    return text, has_text
-
-
 def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
     try:
         return np.array([positions[i] for i in ids], np.intp)
@@ -285,39 +326,91 @@ def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
 
 
 class Store:
-    """Immutable in-memory view of a reference/query store.
+    """Immutable in-memory view of a reference/query store, held as columns.
 
-    Image and text embeddings live in row-aligned matrices (``ref_image``,
-    ``ref_text``, ``query_image``, ``query_text``). Text is optional per
-    record, so ``ref_has_text``/``query_has_text`` mark the rows that have
-    it; the others are zero. Captions and coordinates are per-id lookups.
+    ``refs`` and ``queries`` are each a ``Columns``: ids with a row index, the
+    (n, image_dim) float32 image matrix, the (n, text_dim) float32 text matrix
+    with its ``has_text`` mask, (n, 2) float64 coordinates with their
+    ``has_coord`` mask, and a row-aligned list of captions. ``ground_truth``
+    maps each query id to its reference ids. ``ref_ids``, ``ref_image``,
+    ``query_ids`` and ``query_image`` name the most used columns.
+    ``reference`` and ``query`` return one row as a record.
+
+    Construction takes ownership of the columns, fills those left as None and
+    runs ``validate``, so every store, however it was built, holds its
+    invariants.
     """
 
-    def __init__(self, manifest: StoreManifest, refs: list[ReferenceRecord], queries: list[QueryRecord]):
-        if len(refs) != manifest.reference_count:
-            raise IngestError(f"manifest reference_count={manifest.reference_count} but {len(refs)} references")
-        if len(queries) != manifest.query_count:
-            raise IngestError(f"manifest query_count={manifest.query_count} but {len(queries)} queries")
+    def __init__(self, manifest: StoreManifest, refs: Columns, queries: Columns | None = None,
+                 ground_truth: dict[str, tuple[str, ...]] | None = None):
         self.manifest = manifest
-        self.ref_ids = [r.id for r in refs]
-        self._ref_pos = {r.id: i for i, r in enumerate(refs)}
-        if len(self._ref_pos) != len(refs):
-            raise IngestError("duplicate reference id")
-        self.ref_image = _image_matrix(refs, manifest.image_dim)
-        self.ref_text, self.ref_has_text = _text_matrix(refs, manifest.text_dim)
-        self.query_ids = [q.id for q in queries]
-        self._query_pos = {q.id: i for i, q in enumerate(queries)}
-        if len(self._query_pos) != len(queries):
-            raise IngestError("duplicate query id")
-        self.query_image = _image_matrix(queries, manifest.image_dim)
-        self.query_text, self.query_has_text = _text_matrix(queries, manifest.text_dim)
-        self._ref_caption = {r.id: r.caption for r in refs if r.caption is not None}
-        self._query_caption = {q.id: q.caption for q in queries if q.caption is not None}
-        self._ref_coord = {r.id: r.coord for r in refs if r.coord is not None}
-        self._query_coord = {q.id: q.coord for q in queries if q.coord is not None}
-        self.ground_truth = {q.id: tuple(q.ground_truth) for q in queries}
+        if queries is None:
+            queries = Columns([], np.empty((0, manifest.image_dim), np.float32))
+        self.refs = refs._fill(manifest.text_dim)
+        self.queries = queries._fill(manifest.text_dim)
+        self.ground_truth = {q: tuple(g) for q, g in (ground_truth or {}).items()}
         self._tie_rank = None
-        self._cosine_index = None
+        self.validate()
+
+    ref_ids = property(lambda self: self.refs.ids)
+    ref_image = property(lambda self: self.refs.image)
+    query_ids = property(lambda self: self.queries.ids)
+    query_image = property(lambda self: self.queries.image)
+
+    def validate(self) -> None:
+        """Check every store invariant, and build the retrieval index on the way.
+
+        Ids are valid and unique, matrices have the manifest's widths, image
+        rows are finite and non-zero, text rows are finite, coordinates lie in
+        range, and every query's ground truth is non-empty and names
+        references. The first failure raises ``InvalidStore``.
+        """
+        m = self.manifest
+        for side, cols, key in (("refs", self.refs, "reference_count"), ("queries", self.queries, "query_count")):
+            n = len(cols.ids)
+            if n != getattr(m, key):
+                raise InvalidStore(side, "ids", None, None, f"{n} rows, but the manifest's {key} is {getattr(m, key)}")
+            for row, rid in enumerate(cols.ids):
+                if not valid_id(rid):
+                    raise InvalidStore(side, "ids", row, rid, "is an invalid id: empty, or holding a line break "
+                                                              "or a lone surrogate")
+            if len(cols.pos) != n:
+                # pos keeps an id's last row: report the repeat of the first id that has one
+                first = next(r for r, i in enumerate(cols.ids) if cols.pos[i] != r)
+                row = cols.pos[cols.ids[first]]
+                raise InvalidStore(side, "ids", row, cols.ids[row], "is a duplicate id")
+            for name, want in (("image", (n, m.image_dim)), ("text", (n, m.text_dim)), ("has_text", (n,)),
+                               ("coords", (n, 2)), ("has_coord", (n,)), ("captions", (n,))):
+                got = (len(cols.captions),) if name == "captions" else getattr(cols, name).shape
+                if got != want and len(got) == 2 and got[0] == n and name in ("image", "text"):
+                    raise InvalidStore(side, name, None, None,
+                                       f"{name} embedding dim {got[1]} does not match manifest {want[1]} ({name}_dim)")
+                if got != want:
+                    raise InvalidStore(side, name, None, None, f"{name} has shape {got}, not {want}")
+            # a zero or non-finite image row could only score NaN
+            if side == "refs":
+                self.cosine_index = kernels.build_cosine_index(cols.image)
+                norms = self.cosine_index.norms
+            else:
+                norms = kernels.row_norms(cols.image)
+            lat, lon = cols.coords.T
+            for column, ok, problem in (
+                ("image", np.isfinite(norms), "has a NaN/Inf embedding"),
+                ("image", norms > 0, "has a zero-norm embedding"),
+                ("text", np.isfinite(kernels.row_norms(cols.text)), "has a non-finite text embedding"),
+                ("coords", ~cols.has_coord | ((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)),
+                 "has a coordinate outside [-90, 90] x [-180, 180]"),
+            ):
+                bad = np.flatnonzero(~ok)
+                if bad.size:
+                    raise InvalidStore(side, column, int(bad[0]), cols.ids[bad[0]], problem)
+        for row, qid in enumerate(self.queries.ids):
+            truth = self.ground_truth.get(qid)
+            if not truth:
+                raise InvalidStore("queries", "truth", row, qid, "has an empty ground-truth set")
+            for rid in truth:
+                if rid not in self.refs.pos:
+                    raise InvalidStore("queries", "truth", row, qid, f"has unresolvable ground-truth id '{rid}'")
 
     # -- lookups ------------------------------------------------------------
 
@@ -325,67 +418,36 @@ class Store:
     def ref_tie_rank(self) -> np.ndarray:
         """Lexicographic rank of each reference row's id, for deterministic tie-breaks."""
         if self._tie_rank is None:
-            order = sorted(range(len(self.ref_ids)), key=lambda i: self.ref_ids[i])
-            rank = np.empty(len(order), np.int64)
-            for r, i in enumerate(order):
-                rank[i] = r
-            self._tie_rank = rank
+            n = len(self.ref_ids)
+            self._tie_rank = np.empty(n, np.int64)
+            self._tie_rank[sorted(range(n), key=self.ref_ids.__getitem__)] = np.arange(n)
         return self._tie_rank
 
-    @property
-    def cosine_index(self) -> kernels.CosineIndex:
-        """Float64 reference row norms for phase-1 retrieval, built on first use."""
-        if self._cosine_index is None:
-            self._cosine_index = kernels.build_cosine_index(self.ref_image)
-        return self._cosine_index
-
-    def has_reference(self, ref_id: str) -> bool:
-        return ref_id in self._ref_pos
-
     def reference(self, ref_id: str) -> ReferenceRecord:
-        pos = self._ref_pos.get(ref_id)
-        if pos is None:
-            raise KeyError(f"unknown reference id '{ref_id}'")
-        return ReferenceRecord(
-            id=ref_id,
-            image_emb=self.ref_image[pos],
-            text_emb=self.ref_text[pos] if self.ref_has_text[pos] else None,
-            caption=self._ref_caption.get(ref_id),
-            coord=self._ref_coord.get(ref_id),
-        )
+        row, c = self.ref_rows([ref_id])[0], self.refs
+        return ReferenceRecord(ref_id, c.image[row], c.text_of(ref_id), c.captions[row], c.coord_of(ref_id))
+
+    def query(self, query_id: str) -> QueryRecord:
+        row, c = self.query_rows([query_id])[0], self.queries
+        return QueryRecord(query_id, c.image[row], self.ground_truth[query_id], c.text_of(query_id),
+                           c.captions[row], c.coord_of(query_id))
 
     def ref_rows(self, ref_ids) -> np.ndarray:
         """Row positions of ``ref_ids`` in ``ref_image``."""
-        return _rows(self._ref_pos, ref_ids, "reference")
+        return _rows(self.refs.pos, ref_ids, "reference")
 
     def query_rows(self, query_ids) -> np.ndarray:
         """Row positions of ``query_ids`` in ``query_image``."""
-        return _rows(self._query_pos, query_ids, "query")
-
-    def query(self, query_id: str) -> QueryRecord:
-        pos = self._query_pos.get(query_id)
-        if pos is None:
-            raise KeyError(f"unknown query id '{query_id}'")
-        return QueryRecord(
-            id=query_id,
-            image_emb=self.query_image[pos],
-            ground_truth=self.ground_truth[query_id],
-            text_emb=self.query_text[pos] if self.query_has_text[pos] else None,
-            caption=self._query_caption.get(query_id),
-            coord=self._query_coord.get(query_id),
-        )
+        return _rows(self.queries.pos, query_ids, "query")
 
     def ref_text_emb(self, ref_id: str) -> np.ndarray | None:
-        pos = self._ref_pos.get(ref_id)
-        return self.ref_text[pos] if pos is not None and self.ref_has_text[pos] else None
+        return self.refs.text_of(ref_id)
 
     def query_text_emb(self, query_id: str) -> np.ndarray | None:
-        pos = self._query_pos.get(query_id)
-        return self.query_text[pos] if pos is not None and self.query_has_text[pos] else None
+        return self.queries.text_of(query_id)
 
     def coord_of(self, any_id: str) -> GeoCoord | None:
-        c = self._ref_coord.get(any_id)
-        return c if c is not None else self._query_coord.get(any_id)
+        return self.refs.coord_of(any_id) or self.queries.coord_of(any_id)
 
     # -- persistence ----------------------------------------------------------
 
@@ -393,154 +455,159 @@ class Store:
         out = Path(store_dir)
         out.mkdir(parents=True, exist_ok=True)
         self.manifest.write(out / MANIFEST_FILE)
-        write_embedding_matrix(self.ref_image, out / "refs.img.emb")
-        _write_ids(self.ref_ids, out / "refs.img.ids")
-        self._save_side(out, "refs", self.ref_ids, self.ref_text, self.ref_has_text, self._ref_caption, self._ref_coord)
+        sides = [("refs", self.refs)] + ([("queries", self.queries)] if self.query_ids else [])
+        for prefix, cols in sides:
+            _write_rows(cols.image, cols.ids, out / f"{prefix}.img")
+            _write_text(out, prefix, cols)
+            if any(c is not None for c in cols.captions):
+                captions = ({"caption": c, "id": i} for i, c in zip(cols.ids, cols.captions) if c is not None)
+                _write_jsonl(captions, out / f"{prefix}.captions.jsonl")
+            if cols.has_coord.any():
+                coords = ({"id": i, "lat": lat, "lon": lon}
+                          for i, (lat, lon) in compress(zip(cols.ids, cols.coords.tolist()), cols.has_coord))
+                _write_jsonl(coords, out / f"{prefix}.coords.jsonl")
         if self.query_ids:
-            write_embedding_matrix(self.query_image, out / "queries.img.emb")
-            _write_ids(self.query_ids, out / "queries.img.ids")
-            self._save_side(out, "queries", self.query_ids, self.query_text, self.query_has_text,
-                            self._query_caption, self._query_coord)
-            _write_jsonl(
-                ({"id": q, "refs": sorted(self.ground_truth[q])} for q in self.query_ids),
-                out / "queries.truth.jsonl",
-            )
-
-    def _save_side(self, out: Path, prefix: str, ids, text, has_text, captions, coords) -> None:
-        if has_text.any():
-            write_embedding_matrix(text if has_text.all() else text[has_text], out / f"{prefix}.txt.emb")
-            _write_ids([i for i, h in zip(ids, has_text) if h], out / f"{prefix}.txt.ids")
-        if captions:
-            _write_jsonl(
-                ({"caption": captions[i], "id": i} for i in ids if i in captions),
-                out / f"{prefix}.captions.jsonl",
-            )
-        if coords:
-            _write_jsonl(
-                ({"id": i, "lat": coords[i].lat, "lon": coords[i].lon} for i in ids if i in coords),
-                out / f"{prefix}.coords.jsonl",
-            )
+            truth = ({"id": q, "refs": sorted(self.ground_truth[q])} for q in self.query_ids)
+            _write_jsonl(truth, out / "queries.truth.jsonl")
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "Store":
+        """Read a store directory. A table that does not parse, or a store that
+        fails ``validate``, raises FormatError naming the file, and the line and
+        id where they are known."""
         root = Path(store_dir)
         manifest = StoreManifest.read(root / MANIFEST_FILE)
-        refs, ref_text = cls._load_side(root, "refs", manifest)
-        ref_records = [ReferenceRecord(**r) for r in refs]
-        query_records: list[QueryRecord] = []
-        query_text = None
-        if (root / "queries.img.emb").exists():
-            truth: dict[str, tuple[str, ...]] = {}
-            tpath = root / "queries.truth.jsonl"
-            if tpath.exists():
-                for ln, rec in _read_jsonl(tpath):
-                    truth[rec["id"]] = tuple(rec["refs"])
-            queries, query_text = cls._load_side(root, "queries", manifest)
-            query_records = [QueryRecord(ground_truth=truth.get(r["id"], ()), **r) for r in queries]
-        # the records carry no text; each side's text matrix was placed whole
-        store = cls(manifest, ref_records, query_records)
-        store.ref_text, store.ref_has_text = ref_text
-        if query_text is not None:
-            store.query_text, store.query_has_text = query_text
-        # a zero or non-finite image row scores NaN. The reference norms are the
-        # retrieval index the first query would build anyway, so refs cost no extra pass.
-        for prefix, ids, norms in (
-            ("refs", store.ref_ids, store.cosine_index.norms),
-            ("queries", store.query_ids, kernels.row_norms(store.query_image)),
-        ):
-            bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0)))
-            if bad.size:
-                path = root / f"{prefix}.img.emb"
-                raise FormatError(f"{path}: id '{ids[bad[0]]}' has a zero or non-finite embedding")
-        return store
+        sources: dict = {}
+        queries, truth = None, {}
+        try:
+            refs = _load_side(root, "refs", sources)
+            if (root / "queries.img.emb").exists():
+                queries = _load_side(root, "queries", sources)
+                tpath = root / "queries.truth.jsonl"
+                if tpath.exists():
+                    truth = _read_truth(tpath, queries, sources)
+        except IngestError as exc:
+            raise FormatError(str(exc)) from None
+        try:
+            return cls(manifest, refs, queries, truth)
+        except InvalidStore as exc:
+            path, line = _where(sources, exc)
+            raise FormatError(f"{path or root}{'' if line is None else f', line {line}'}: {exc.detail}") from None
 
-    @staticmethod
-    def _load_side(root: Path, prefix: str, manifest: StoreManifest) -> tuple[list[dict], tuple[np.ndarray, np.ndarray]]:
-        """Per-row records of one side without text, and its (text, has_text) matrix and mask."""
-        mat = read_embedding_matrix(root / f"{prefix}.img.emb")
-        ids = _read_ids(root / f"{prefix}.img.ids")
-        if mat.shape[0] != len(ids):
-            raise FormatError(f"{prefix}: {mat.shape[0]} embedding rows but {len(ids)} ids")
-        if mat.shape[0] and mat.shape[1] != manifest.image_dim:
-            raise FormatError(f"{prefix}: embedding dim {mat.shape[1]} does not match manifest {manifest.image_dim}")
-        records = [{"id": i, "image_emb": mat[row]} for row, i in enumerate(ids)]
-        by_id = {i: row for row, i in enumerate(ids)}
 
-        def resolve(i: str, source: str) -> int:
-            row = by_id.get(i)
-            if row is None:
-                raise FormatError(f"{prefix}: {source} references unknown id '{i}'")
-            return row
+def _where(sources: dict, exc: InvalidStore) -> tuple[str | None, int | None]:
+    """The file, and the line when known, that a failed store check points at.
+    ``sources`` maps (side, column) to the column's file and the line of each
+    of its rows (0 for none), or None where rows have no lines."""
+    path, lines = sources.get((exc.side, exc.column), (None, None))
+    line = int(lines[exc.row]) if lines is not None and exc.row is not None else 0
+    return (None if path is None else str(path)), (line or None)
 
-        text = np.zeros((len(ids), manifest.text_dim), np.float32)
-        has_text = np.zeros(len(ids), bool)
 
-        tpath = root / f"{prefix}.txt.emb"
-        if tpath.exists():
-            tmat = read_embedding_matrix(tpath)
-            tids = _read_ids(root / f"{prefix}.txt.ids")
-            if tmat.shape[0] != len(tids):
-                raise FormatError(f"{prefix}: {tmat.shape[0]} text rows but {len(tids)} ids")
-            if tmat.shape[0] and tmat.shape[1] != manifest.text_dim:
-                raise FormatError(
-                    f"{prefix}: text embedding dim {tmat.shape[1]} does not match manifest {manifest.text_dim}"
-                )
-            bad = np.flatnonzero(~np.isfinite(tmat).all(axis=1))
-            if bad.size:
-                raise FormatError(f"{tpath}: id '{tids[bad[0]]}' has a non-finite text embedding")
-            rows = np.array([resolve(i, "text embedding") for i in tids], np.intp)
-            if rows.size:
-                text[rows] = tmat
-                has_text[rows] = True
-        cpath = root / f"{prefix}.captions.jsonl"
-        if cpath.exists():
-            for ln, rec in _read_jsonl(cpath):
-                records[resolve(rec["id"], "caption")]["caption"] = rec["caption"]
-        gpath = root / f"{prefix}.coords.jsonl"
-        if gpath.exists():
-            for ln, rec in _read_jsonl(gpath):
-                records[resolve(rec["id"], "coordinate")]["coord"] = GeoCoord(rec["lat"], rec["lon"])
-        return records, (text, has_text)
+def _write_text(out: Path, prefix: str, cols: Columns) -> None:
+    """A side's text rows and their ids, when any row has text."""
+    if cols.has_text.any():
+        rows = cols.text if cols.has_text.all() else cols.text[cols.has_text]
+        _write_rows(rows, list(compress(cols.ids, cols.has_text)), out / f"{prefix}.txt")
+
+
+def _set_text(cols: Columns, ids: list[str], rows: np.ndarray) -> None:
+    """Make ``rows`` (row i the text embedding of ``ids[i]``) the text column of
+    ``cols``; rows of other ids get none. An id ``cols`` lacks is a KeyError."""
+    n = len(cols.ids)
+    if ids == cols.ids:
+        cols.text, cols.has_text = rows, np.ones(n, bool)
+        return
+    at = _rows(cols.pos, ids, "text embedding")
+    cols.text = np.zeros((n, rows.shape[1]), np.float32)
+    cols.text[at] = rows
+    cols.has_text = np.zeros(n, bool)
+    cols.has_text[at] = True
+
+
+def _load_side(root: Path, prefix: str, sources: dict) -> Columns:
+    """One side of a saved store; ``sources`` learns the file of each column."""
+    emb, ids = root / f"{prefix}.img.emb", root / f"{prefix}.img.ids"
+    cols = Columns(ids.read_text(encoding="utf-8").splitlines(), read_embedding_matrix(emb))
+    sources[prefix, "ids"] = (ids, np.arange(1, len(cols.ids) + 1))
+    sources[prefix, "image"] = (emb, None)
+    tpath = root / f"{prefix}.txt.emb"
+    if tpath.exists():
+        text, tids = read_embedding_matrix(tpath), (root / f"{prefix}.txt.ids").read_text(encoding="utf-8").splitlines()
+        if text.shape[0] != len(tids):
+            raise FormatError(f"{tpath}: {text.shape[0]} text rows but {len(tids)} ids")
+        try:
+            _set_text(cols, tids, text)
+        except KeyError as exc:
+            raise FormatError(f"{tpath}: {exc.args[0]}") from None
+        sources[prefix, "text"] = (tpath, None)
+    captions, coords = root / f"{prefix}.captions.jsonl", root / f"{prefix}.coords.jsonl"
+    _read_side_tables(cols, prefix, sources, captions if captions.exists() else None,
+                      coords if coords.exists() else None)
+    return cols
+
+
+def attach_text(store_dir: str | Path, side: str, ids: list[str], vectors) -> int:
+    """Replace the text embeddings of one side ("refs" or "queries") of the store
+    in ``store_dir`` with ``vectors``, one per id of ``ids``; that side's other
+    rows then have no text. The store is validated before anything is written,
+    and the side's ``.txt.emb``/``.txt.ids`` are written through
+    ``atomic_write``. Returns the number of rows with text."""
+    if side not in ("refs", "queries"):
+        raise ValueError(f"side must be refs or queries, got '{side}'")
+    if not ids:
+        raise ValueError("no text embeddings to attach")
+    store = Store.load(store_dir)
+    cols = store.refs if side == "refs" else store.queries
+    try:
+        _set_text(cols, list(ids), np.asarray(vectors, np.float32))
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} among store {side}") from None
+    store.validate()
+    _write_text(Path(store_dir), side, cols)
+    return int(cols.has_text.sum())
 
 
 # ---------------------------------------------------------------------------
-# ingestion
+# JSONL tables (ingest inputs, and the store's own caption/coordinate/truth files)
 # ---------------------------------------------------------------------------
 
-def _parse_embedding_rows(path: str | Path, dim: int, label: str) -> list[tuple[str, np.ndarray]]:
-    rows: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
-    for ln, rec in _read_jsonl(path):
-        rid = rec.get("id")
-        if not isinstance(rid, str) or not rid:
+def _parse_embedding_rows(path: str | Path, out: np.ndarray, label: str,
+                          pos: dict[str, int] | None = None) -> tuple[list[str], np.ndarray]:
+    """Parse a JSONL file of ``{"id", "embedding"}`` lines into rows of ``out``,
+    whose width is the manifest's: line i into row i or, given ``pos`` (id ->
+    row), each line into its id's row. Returns the ids in file order and the
+    line that filled each row of ``out`` (0 for none)."""
+    if pos is None:
+        records = ((ln, row, rec.get("id"), rec) for row, (ln, rec) in enumerate(_read_jsonl(path)))
+    else:
+        records = _read_keyed(path, pos, label)
+    ids, lines = [], np.zeros(len(out), np.int64)
+    for ln, row, rid, rec in records:
+        if not isinstance(rid, str):
             raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
-        if not valid_id(rid):
-            raise IngestError("id contains a line break or a lone surrogate", file=str(path), line=ln, record_id=rid)
-        if rid in seen:
-            raise IngestError(f"duplicate {label} id", file=str(path), line=ln, record_id=rid)
-        seen.add(rid)
+        if row == len(out):
+            raise IngestError(f"more {label} rows than the manifest's {len(out)}",
+                              file=str(path), line=ln, record_id=rid)
         values = rec.get("embedding")
         if not isinstance(values, list):
             raise IngestError("missing 'embedding' array", file=str(path), line=ln, record_id=rid)
-        if len(values) != dim:
-            raise IngestError(
-                f"embedding has {len(values)} values, expected dim {dim}",
-                file=str(path), line=ln, record_id=rid,
-            )
+        if len(values) != out.shape[1]:
+            raise IngestError(f"embedding has {len(values)} values, expected dim {out.shape[1]}",
+                              file=str(path), line=ln, record_id=rid)
         try:
-            vec = np.asarray(values, dtype=np.float32)
+            out[row] = np.asarray(values, dtype=np.float32)
         except (TypeError, ValueError):
             raise IngestError("non-numeric embedding value", file=str(path), line=ln, record_id=rid) from None
-        if not np.all(np.isfinite(vec)):
-            raise IngestError("embedding contains NaN/Inf", file=str(path), line=ln, record_id=rid)
-        if not np.any(vec):
-            raise IngestError("zero-norm embedding rejected", file=str(path), line=ln, record_id=rid)
-        rows.append((rid, vec))
-    return rows
+        ids.append(rid)
+        lines[row] = ln
+    return ids, lines
 
 
-def _parse_keyed(path, known_ids: set[str], label: str):
-    """Yield (line, id, record) for a JSONL table keyed by id; ids must resolve."""
+def _read_keyed(path, pos: dict[str, int], label: str):
+    """Yield (line, row, id, record) for a JSONL table keyed by the ids of
+    ``pos`` (id -> row); an id that is missing, repeated or not in ``pos``
+    raises IngestError."""
     seen: set[str] = set()
     for ln, rec in _read_jsonl(path):
         rid = rec.get("id")
@@ -549,37 +616,66 @@ def _parse_keyed(path, known_ids: set[str], label: str):
         if rid in seen:
             raise IngestError(f"duplicate {label} row", file=str(path), line=ln, record_id=rid)
         seen.add(rid)
-        if rid not in known_ids:
+        row = pos.get(rid)
+        if row is None:
             raise IngestError(f"{label} for unknown id", file=str(path), line=ln, record_id=rid)
-        yield ln, rid, rec
+        yield ln, row, rid, rec
 
 
-def _attach_side_tables(
-    records: dict[str, dict],
-    dim_text: int,
-    captions: str | Path | None,
-    coords: str | Path | None,
-    text_embeddings: str | Path | None,
-) -> None:
-    known = set(records)
+def _read_side_tables(cols: Columns, side: str, sources: dict, captions: str | Path | None,
+                      coords: str | Path | None) -> None:
+    """Fill the captions and coordinates of ``cols`` from their JSONL tables (either may be None)."""
+    n = len(cols.ids)
     if captions is not None:
-        for ln, rid, rec in _parse_keyed(captions, known, "caption"):
+        cols.captions = [None] * n
+        for ln, row, rid, rec in _read_keyed(captions, cols.pos, "caption"):
             if not isinstance(rec.get("caption"), str):
                 raise IngestError("missing 'caption' string", file=str(captions), line=ln, record_id=rid)
-            records[rid]["caption"] = rec["caption"]
+            cols.captions[row] = rec["caption"]
     if coords is not None:
-        for ln, rid, rec in _parse_keyed(coords, known, "coordinate"):
+        cols.coords, lines = np.zeros((n, 2)), np.zeros(n, np.int64)
+        for ln, row, rid, rec in _read_keyed(coords, cols.pos, "coordinate"):
             try:
-                records[rid]["coord"] = GeoCoord(float(rec["lat"]), float(rec["lon"]))
-            except (KeyError, TypeError) as exc:
+                cols.coords[row] = float(rec["lat"]), float(rec["lon"])
+            except KeyError as exc:
                 raise IngestError(f"missing coordinate field {exc}", file=str(coords), line=ln, record_id=rid) from None
-            except ValueError as exc:
-                raise IngestError(str(exc), file=str(coords), line=ln, record_id=rid) from None
+            except (TypeError, ValueError):
+                raise IngestError("coordinate is not a number", file=str(coords), line=ln, record_id=rid) from None
+            lines[row] = ln
+        cols.has_coord = lines > 0
+        sources[side, "coords"] = (coords, lines)
+
+
+def _read_truth(path: str | Path, queries: Columns, sources: dict) -> dict[str, tuple[str, ...]]:
+    """The ground-truth table: query id -> sorted distinct reference ids."""
+    truth, lines = {}, np.zeros(len(queries.ids), np.int64)
+    for ln, row, qid, rec in _read_keyed(path, queries.pos, "ground truth"):
+        refs = rec.get("refs")
+        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+            raise IngestError("ground truth needs a 'refs' list of ids", file=str(path), line=ln, record_id=qid)
+        truth[qid] = tuple(sorted(set(refs)))
+        lines[row] = ln
+    sources["queries", "truth"] = (path, lines)
+    return truth
+
+
+# ---------------------------------------------------------------------------
+# ingestion
+# ---------------------------------------------------------------------------
+
+def _ingest_side(side: str, count: int, manifest: StoreManifest, sources: dict, embeddings, text_embeddings,
+                 captions, coords) -> Columns:
+    image = np.empty((count, manifest.image_dim), np.float32)
+    ids, lines = _parse_embedding_rows(embeddings, image, side)
+    cols = Columns(ids, image[:len(ids)])
+    sources[side, "ids"] = sources[side, "image"] = (embeddings, lines)
     if text_embeddings is not None:
-        for rid, vec in _parse_embedding_rows(text_embeddings, dim_text, "text embedding"):
-            if rid not in known:
-                raise IngestError("text embedding for unknown id", file=str(text_embeddings), record_id=rid)
-            records[rid]["text_emb"] = vec
+        cols.text = np.zeros((len(ids), manifest.text_dim), np.float32)
+        _, lines = _parse_embedding_rows(text_embeddings, cols.text, "text embedding", cols.pos)
+        cols.has_text = lines > 0
+        sources[side, "text"] = (text_embeddings, lines)
+    _read_side_tables(cols, side, sources, captions, coords)
+    return cols
 
 
 def ingest(
@@ -598,51 +694,24 @@ def ingest(
 ) -> Store:
     """Validate raw JSONL inputs against the manifest and persist a store directory.
 
+    Rows are parsed straight into columns sized from the manifest's counts.
     Re-ingesting identical inputs reproduces the store byte for byte. Every
-    rejection names the offending file, line, and id.
+    rejection names the offending file, and the line and id where they are known.
     """
-    ref_rows = _parse_embedding_rows(ref_embeddings, manifest.image_dim, "reference")
-    if len(ref_rows) != manifest.reference_count:
-        raise IngestError(
-            f"{len(ref_rows)} reference rows but manifest says {manifest.reference_count}",
-            file=str(ref_embeddings),
-        )
-    refs = {rid: {"id": rid, "image_emb": vec} for rid, vec in ref_rows}
-    _attach_side_tables(refs, manifest.text_dim, ref_captions, ref_coords, ref_text_embeddings)
-
-    queries: dict[str, dict] = {}
+    sources: dict = {}
+    refs = _ingest_side("refs", manifest.reference_count, manifest, sources, ref_embeddings, ref_text_embeddings,
+                        ref_captions, ref_coords)
+    queries, truth = None, {}
     if query_embeddings is not None:
-        q_rows = _parse_embedding_rows(query_embeddings, manifest.image_dim, "query")
-        if len(q_rows) != manifest.query_count:
-            raise IngestError(
-                f"{len(q_rows)} query rows but manifest says {manifest.query_count}",
-                file=str(query_embeddings),
-            )
-        queries = {rid: {"id": rid, "image_emb": vec} for rid, vec in q_rows}
-        _attach_side_tables(queries, manifest.text_dim, query_captions, query_coords, query_text_embeddings)
-        if query_truth is None:
-            raise IngestError("queries require a ground-truth file", file=str(query_embeddings))
-        for ln, rid, rec in _parse_keyed(query_truth, set(queries), "ground truth"):
-            gt = rec.get("refs")
-            if not isinstance(gt, list) or not gt:
-                raise IngestError("ground truth needs a nonempty 'refs' list", file=str(query_truth), line=ln, record_id=rid)
-            for g in gt:
-                if g not in refs:
-                    raise IngestError(
-                        f"unresolvable ground-truth id '{g}'", file=str(query_truth), line=ln, record_id=rid
-                    )
-            queries[rid]["ground_truth"] = tuple(sorted(set(gt)))
-        for rid, rec in queries.items():
-            if "ground_truth" not in rec:
-                raise IngestError("query has no ground-truth entry", file=str(query_truth), record_id=rid)
-    elif manifest.query_count != 0:
-        raise IngestError(f"manifest says query_count={manifest.query_count} but no query file given")
-
-    store = Store(
-        manifest,
-        [ReferenceRecord(**r) for r in refs.values()],
-        [QueryRecord(**q) for q in queries.values()],
-    )
+        queries = _ingest_side("queries", manifest.query_count, manifest, sources, query_embeddings,
+                               query_text_embeddings, query_captions, query_coords)
+        if query_truth is not None:
+            truth = _read_truth(query_truth, queries, sources)
+    try:
+        store = Store(manifest, refs, queries, truth)
+    except InvalidStore as exc:
+        path, line = _where(sources, exc)
+        raise IngestError(exc.problem, file=path, line=line, record_id=exc.record_id) from None
     store.save(out_dir)
     return store
 
@@ -725,6 +794,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
     rng = np.random.default_rng(seed)
     n = config.n_locations
     g = config.group_size
+    per = config.queries_per_location
     n_groups = (n + g - 1) // g
     grid_cols = max(1, math.ceil(math.sqrt(n_groups)))
 
@@ -745,45 +815,29 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
     def txt_view(row: int) -> np.ndarray:
         return loc_txt[row] + text_sigma * rng.standard_normal(config.text_dim) / math.sqrt(config.text_dim)
 
-    refs: list[ReferenceRecord] = []
-    queries: list[QueryRecord] = []
-    groups: dict[str, int] = {}
+    def side(count: int, ids: list[str]) -> Columns:
+        return Columns(ids, np.empty((count, config.image_dim), np.float32),
+                       np.empty((count, config.text_dim), np.float32), coords=np.empty((count, 2)))
+
     width = len(str(max(n - 1, 1)))
-    for i in range(n):
+    refs = side(n, [f"r{i:0{width}d}" for i in range(n)])
+    qids = [f"q{i:0{width}d}" if per == 1 else f"q{i:0{width}d}.{j}" for i in range(n) for j in range(per)]
+    queries = side(n * per, qids)
+    truth: dict[str, tuple[str, ...]] = {}
+    groups: dict[str, int] = {}
+    for i, rid in enumerate(refs.ids):
         gi = int(loc_group[i])
         lat = 0.1 * (gi // grid_cols) + float(rng.uniform(-0.001, 0.001))
         lon = 0.1 * (gi % grid_cols) + float(rng.uniform(-0.001, 0.001))
-        coord = GeoCoord(lat, lon)
-        rid = f"r{i:0{width}d}"
-        refs.append(
-            ReferenceRecord(
-                id=rid,
-                image_emb=img_view(i).astype(np.float32),
-                text_emb=txt_view(i).astype(np.float32),
-                coord=coord,
-            )
-        )
+        refs.image[i], refs.text[i], refs.coords[i] = img_view(i), txt_view(i), (lat, lon)
         groups[rid] = gi
-        for j in range(config.queries_per_location):
-            qid = f"q{i:0{width}d}" if config.queries_per_location == 1 else f"q{i:0{width}d}.{j}"
-            queries.append(
-                QueryRecord(
-                    id=qid,
-                    image_emb=img_view(i).astype(np.float32),
-                    text_emb=txt_view(i).astype(np.float32),
-                    ground_truth=(rid,),
-                    coord=coord,
-                )
-            )
-            groups[qid] = gi
+        for row in range(i * per, (i + 1) * per):
+            queries.image[row], queries.text[row], queries.coords[row] = img_view(i), txt_view(i), (lat, lon)
+            truth[qids[row]] = (rid,)
+            groups[qids[row]] = gi
 
-    manifest = StoreManifest(
-        image_dim=config.image_dim,
-        text_dim=config.text_dim,
-        reference_count=len(refs),
-        query_count=len(queries),
-    )
-    return Store(manifest, refs, queries), groups
+    manifest = StoreManifest(config.image_dim, config.text_dim, n, n * per)
+    return Store(manifest, refs, queries, truth), groups
 
 
 def save_groups(groups: dict[str, int], path: str | Path) -> None:

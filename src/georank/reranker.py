@@ -328,10 +328,10 @@ def score_pair(query: tuple[np.ndarray, np.ndarray], ref: tuple[np.ndarray, np.n
 def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
     rows = store.ref_rows(ids)
-    missing = np.flatnonzero(~store.ref_has_text[rows])
+    missing = np.flatnonzero(~store.refs.has_text[rows])
     if missing.size:
         raise ValueError(f"candidate '{store.ref_ids[rows[missing[0]]]}' has no text embedding")
-    return store.ref_image[rows], store.ref_text[rows]
+    return store.refs.image[rows], store.refs.text[rows]
 
 
 def order_by_score(ids, scores) -> list[tuple[str, float]]:

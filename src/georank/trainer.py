@@ -120,10 +120,10 @@ def _stacked_logits(samples: list[TrainingSample], params: RerankerParams, store
     forward pass; returns them with the per-sample candidate counts. Given a
     ``cache``, the gathered inputs are stored in it beside ``score_logits``'s."""
     q_rows = store.query_rows([s.query_id for s in samples])
-    missing = np.flatnonzero(~store.query_has_text[q_rows])
+    missing = np.flatnonzero(~store.queries.has_text[q_rows])
     if missing.size:
         raise ValueError(f"query '{samples[missing[0]].query_id}' has no text embedding")
-    q_img, q_txt = store.query_image[q_rows], store.query_text[q_rows]
+    q_img, q_txt = store.queries.image[q_rows], store.queries.text[q_rows]
     c_img, c_txt = gather_candidates(store, [rid for s in samples for rid in s.candidate_ids])
     counts = np.array([len(s.candidate_ids) for s in samples])
     if cache is not None:
@@ -540,29 +540,19 @@ def gradient_check(
 
 def make_gradcheck_fixture(seed: int, n_candidates: int = 5) -> tuple[TrainingSample, RerankerParams, Store]:
     """Small random store/sample/params for gradient verification."""
-    from .geostore import QueryRecord, ReferenceRecord, StoreManifest
+    from .geostore import Columns, StoreManifest
 
     rng = np.random.default_rng(seed)
     cfg = RerankerConfig(
         image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2, aligner_hidden=6, init_seed=seed + 1
     )
-    refs = [
-        ReferenceRecord(
-            id=f"c{i}",
-            image_emb=rng.standard_normal(cfg.image_dim).astype(np.float32),
-            text_emb=rng.standard_normal(cfg.text_dim).astype(np.float32),
-        )
-        for i in range(n_candidates)
-    ]
-    query = QueryRecord(
-        id="q0",
-        image_emb=rng.standard_normal(cfg.image_dim).astype(np.float32),
-        text_emb=rng.standard_normal(cfg.text_dim).astype(np.float32),
-        ground_truth=("c1",),
-    )
-    manifest = StoreManifest(cfg.image_dim, cfg.text_dim, n_candidates, 1)
-    store = Store(manifest, refs, [query])
-    sample = TrainingSample("q0", tuple(f"c{i}" for i in range(n_candidates)), 1)
+    # one image then one text draw per row, candidates first, then the query
+    rows = rng.standard_normal((n_candidates + 1, cfg.image_dim + cfg.text_dim)).astype(np.float32)
+    ids = [f"c{i}" for i in range(n_candidates)]
+    refs = Columns(ids, rows[:-1, :cfg.image_dim], rows[:-1, cfg.image_dim:])
+    query = Columns(["q0"], rows[-1:, :cfg.image_dim], rows[-1:, cfg.image_dim:])
+    store = Store(StoreManifest(cfg.image_dim, cfg.text_dim, n_candidates, 1), refs, query, {"q0": ("c1",)})
+    sample = TrainingSample("q0", tuple(ids), 1)
     return sample, init_params(cfg), store
 
 

@@ -1,12 +1,28 @@
 import numpy as np
 import pytest
 
-from georank.geostore import GeoCoord, QueryRecord, ReferenceRecord, Store, StoreManifest
+from georank.geostore import Columns, GeoCoord, QueryRecord, ReferenceRecord, Store, StoreManifest
+
+
+def _columns(records, image_dim, text_dim):
+    """Store columns of ``records``. The text width is that of the records'
+    text (``text_dim`` when none has any), so a store whose text disagrees
+    with its manifest reaches the store's own check."""
+    with_text = [r.text_emb for r in records if r.text_emb is not None]
+    text = np.zeros((len(records), np.size(with_text[0]) if with_text else text_dim), np.float32)
+    has_text = np.array([r.text_emb is not None for r in records], bool)
+    for row in np.flatnonzero(has_text):
+        text[row] = records[row].text_emb
+    has_coord = np.array([r.coord is not None for r in records], bool)
+    coords = np.array([(r.coord.lat, r.coord.lon) if r.coord else (0.0, 0.0) for r in records], float).reshape(-1, 2)
+    image = np.array([r.image_emb for r in records], np.float32).reshape(len(records), -1 if records else image_dim)
+    return Columns([r.id for r in records], image, text, has_text, coords, has_coord, [r.caption for r in records])
 
 
 def build_store(refs, queries, image_dim, text_dim=8):
     manifest = StoreManifest(image_dim, text_dim, len(refs), len(queries))
-    return Store(manifest, refs, queries)
+    truth = {q.id: q.ground_truth for q in queries}
+    return Store(manifest, _columns(refs, image_dim, text_dim), _columns(queries, image_dim, text_dim), truth)
 
 
 def make_ref(rid, image, text=None, caption=None, coord=None):

@@ -183,6 +183,18 @@ def test_embed_dim_mismatch_on_attach_exits_1(tmp_path, mini_store, capsys):
     assert "text_dim" in capsys.readouterr().err
 
 
+def test_embed_attach_refuses_nonfinite_vector_and_writes_nothing(tmp_path, mini_store, monkeypatch, capsys):
+    from georank import cvlang
+
+    texts = tmp_path / "texts.jsonl"
+    texts.write_text(json.dumps({"id": "r00", "text": "hello"}) + "\n")
+    monkeypatch.setattr(cvlang, "embed_texts", lambda texts, endpoint: [np.full(endpoint.text_dim, np.nan, np.float32)])
+    before = store_digest(mini_store)
+    assert main(["embed", "--texts", str(texts), "--text-dim", "8", "--attach", str(mini_store)]) == 1
+    assert "id 'r00' has a non-finite text embedding" in capsys.readouterr().err
+    assert store_digest(mini_store) == before
+
+
 def test_stability_cli(tmp_path):
     corpus_a = tmp_path / "a.jsonl"
     corpus_b = tmp_path / "b.jsonl"

@@ -1,5 +1,6 @@
 import errno
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from georank import geostore
 from georank.evaluator import haversine
+from georank.retriever import rank_store_queries
 from georank.geostore import (
+    Columns,
     EvalInstance,
     FormatError,
     GeoCoord,
@@ -233,11 +236,10 @@ LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 @settings(max_examples=200, deadline=None)
 @given(st.text(st.one_of(st.characters(), st.sampled_from(LINE_BREAKS)), max_size=6))
 def test_any_id_round_trips_or_is_rejected_at_write(rid):
-    store = build_store([make_ref(rid, [1.0, 0.5], text=[0.0, 1.0, 0.0])],
-                        [make_query(rid, [0.5, 1.0], [rid], text=[1.0, 0.0, 0.0])], image_dim=2, text_dim=3)
     with tempfile.TemporaryDirectory() as d:
         try:
-            store.save(d)
+            build_store([make_ref(rid, [1.0, 0.5], text=[0.0, 1.0, 0.0])],
+                        [make_query(rid, [0.5, 1.0], [rid], text=[1.0, 0.0, 0.0])], image_dim=2, text_dim=3).save(d)
         except ValueError:
             assert not geostore.valid_id(rid)
             return
@@ -251,9 +253,8 @@ def test_any_id_round_trips_or_is_rejected_at_write(rid):
 def test_ids_with_lone_surrogates_rejected_on_write_and_ingest(tmp_path):
     rid = "a\ud800b"
     assert not geostore.valid_id(rid)
-    store = build_store([make_ref(rid, [1.0, 0.0])], [], image_dim=2)
     with pytest.raises(ValueError, match="invalid id"):
-        store.save(tmp_path / "s")
+        build_store([make_ref(rid, [1.0, 0.0])], [], image_dim=2).save(tmp_path / "s")
     emb = tmp_path / "refs.jsonl"
     emb.write_text('{"id": "ok", "embedding": [1.0, 0.0]}\n{"id": "a\\ud800b", "embedding": [0.0, 1.0]}\n',
                    encoding="utf-8")
@@ -265,9 +266,8 @@ def test_ids_with_lone_surrogates_rejected_on_write_and_ingest(tmp_path):
 @pytest.mark.parametrize("brk", ["\r", "\x85", "\u2028"])
 def test_ids_with_line_breaks_rejected_on_write_and_ingest(tmp_path, brk):
     rid = f"a{brk}b"
-    store = build_store([make_ref(rid, [1.0, 0.0])], [], image_dim=2)
     with pytest.raises(ValueError, match="invalid id"):
-        store.save(tmp_path / "s")
+        build_store([make_ref(rid, [1.0, 0.0])], [], image_dim=2).save(tmp_path / "s")
     emb = _ref_file(tmp_path, [{"id": "ok", "embedding": [1.0, 0.0]}, {"id": rid, "embedding": [0.0, 1.0]}])
     with pytest.raises(IngestError, match="line 2") as exc:
         ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
@@ -277,25 +277,29 @@ def test_ids_with_line_breaks_rejected_on_write_and_ingest(tmp_path, brk):
 @pytest.mark.parametrize("side", ["refs", "queries"])
 @pytest.mark.parametrize("bad", [[0.0, 0.0], [1.0, np.nan], [np.inf, 0.0]])
 def test_load_rejects_zero_and_nonfinite_image_rows(tmp_path, side, bad):
-    refs = [make_ref("a", [1.0, 0.0]), make_ref("z", bad if side == "refs" else [0.0, 1.0])]
-    queries = [make_query("q", bad if side == "queries" else [1.0, 1.0], ["a"])]
+    # no store holding such a row can be built, so the bad matrix overwrites a saved one
+    refs = [make_ref("a", [1.0, 0.0]), make_ref("z", [0.0, 1.0])]
+    queries = [make_query("q", [1.0, 1.0], ["a"])]
     build_store(refs, queries, image_dim=2).save(tmp_path / "s")
+    write_embedding_matrix([[1.0, 0.0], bad] if side == "refs" else [bad], tmp_path / "s" / f"{side}.img.emb")
     with pytest.raises(FormatError, match=f"{side}.img.emb: id '{'z' if side == 'refs' else 'q'}'"):
         Store.load(tmp_path / "s")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_load_rejects_nonfinite_text_rows(tmp_path, bad):
-    refs = [make_ref("a", [1.0, 0.0], text=[1.0, 0.0, 0.0]), make_ref("b", [0.0, 1.0], text=[bad, 0.0, 0.0])]
+    refs = [make_ref("a", [1.0, 0.0], text=[1.0, 0.0, 0.0]), make_ref("b", [0.0, 1.0], text=[0.0, 0.0, 0.0])]
     queries = [make_query("q", [1.0, 1.0], ["a"], text=[0.0, 1.0, 0.0])]
     build_store(refs, queries, image_dim=2, text_dim=3).save(tmp_path / "s")
+    write_embedding_matrix([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]], tmp_path / "s" / "refs.txt.emb")
     with pytest.raises(FormatError, match="refs.txt.emb: id 'b' has a non-finite text embedding"):
         Store.load(tmp_path / "s")
 
 
 def test_load_rejects_text_dim_other_than_manifest(tmp_path):
-    refs = [make_ref("a", [1.0, 0.0], text=[1.0, 2.0, 3.0, 4.0])]
+    refs = [make_ref("a", [1.0, 0.0], text=[1.0, 2.0, 3.0])]
     build_store(refs, [], image_dim=2, text_dim=3).save(tmp_path / "s")
+    write_embedding_matrix([[1.0, 2.0, 3.0, 4.0]], tmp_path / "s" / "refs.txt.emb")
     with pytest.raises(FormatError, match="text embedding dim 4 does not match manifest 3"):
         Store.load(tmp_path / "s")
 
@@ -336,9 +340,8 @@ def test_eval_instances_single_positive_degenerate():
 def test_eval_instances_empty_truth_rejected():
     refs = [make_ref("r0", [1.0, 0.0])]
     q = make_query("q", [1.0, 0.0], [])
-    store = build_store(refs, [q], image_dim=2)
     with pytest.raises(ValueError, match="empty ground-truth"):
-        build_eval_instances(q, store)
+        build_eval_instances(q, build_store(refs, [q], image_dim=2))
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +456,22 @@ def test_ingest_full_dual_side_store(tmp_path):
     assert store_digest(tmp_path / "store") == store_digest(tmp_path / "store")
 
 
-@pytest.mark.parametrize("kind", ["emb", "gvck"])
+@pytest.mark.parametrize("kind", ["emb", "gvck", "ids", "jsonl", "manifest"])
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, kind):
     from georank.reranker import RerankerConfig, init_params, save_params
 
     if kind == "emb":
         path = tmp_path / "m.emb"
         write = lambda seed: write_embedding_matrix(np.full((3, 2), seed + 1, np.float32), path)
+    elif kind == "ids":
+        path = tmp_path / "m.ids"
+        write = lambda seed: geostore._write_lines([f"r{seed}", "r2", "r3"], path)
+    elif kind == "jsonl":
+        path = tmp_path / "m.jsonl"
+        write = lambda seed: geostore._write_jsonl(({"id": f"r{i}", "seed": seed} for i in range(3)), path)
+    elif kind == "manifest":
+        path = tmp_path / geostore.MANIFEST_FILE
+        write = lambda seed: StoreManifest(seed + 1, 2, 3, 0).write(path)
     else:
         path = tmp_path / "m.gvck"
         cfg = lambda seed: RerankerConfig(image_dim=2, text_dim=2, latent_dim=2, aligner_hidden=2, init_seed=seed)
@@ -504,3 +516,124 @@ def test_ingest_text_dim_mismatch_names_id(tmp_path):
     _write_jsonl(txt, [{"id": "r0", "embedding": [1.0, 2.0, 3.0, 4.0]}])
     with pytest.raises(IngestError, match="r0"):
         ingest(tmp_path / "store", StoreManifest(2, 3, 1, 0), emb, ref_text_embeddings=txt)
+
+
+# ---------------------------------------------------------------------------
+# one validator on every construction path
+# ---------------------------------------------------------------------------
+
+def _saved_store_with_tables(root):
+    refs = [make_ref("r0", [1.0, 0.0], caption="a road", coord=GeoCoord(1.0, 2.0)),
+            make_ref("r1", [0.0, 1.0], caption="a river", coord=GeoCoord(3.0, 4.0))]
+    queries = [make_query("q0", [1.0, 0.5], ["r0"]), make_query("q1", [0.5, 1.0], ["r1"])]
+    build_store(refs, queries, image_dim=2).save(root)
+
+
+@pytest.mark.parametrize("table,record,rid", [
+    ("refs.coords.jsonl", {"id": "r1", "lat": "x", "lon": 4.0}, "r1"),
+    ("refs.coords.jsonl", {"id": "r1", "lon": 4.0}, "r1"),
+    ("refs.captions.jsonl", {"id": "r1"}, "r1"),
+    ("queries.truth.jsonl", {"id": "q1"}, "q1"),
+    ("queries.truth.jsonl", {"id": "q1", "refs": ["nowhere"]}, "q1"),
+    ("queries.truth.jsonl", {"id": "q9", "refs": ["r1"]}, "q9"),
+    ("queries.truth.jsonl", {"id": "q1", "refs": []}, "q1"),
+])
+def test_load_rejects_malformed_side_table_naming_file_line_and_id(tmp_path, table, record, rid):
+    _saved_store_with_tables(tmp_path / "s")
+    path = tmp_path / "s" / table
+    first = path.read_text().splitlines()[0]
+    path.write_text(first + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(FormatError, match=re.escape(f"{path}, line 2")) as exc:
+        Store.load(tmp_path / "s")
+    assert f"id '{rid}'" in str(exc.value)
+
+
+CORRUPTIONS = ["zero row", "nan image", "inf image", "nan text", "inf text", "image width", "text width",
+               "duplicate id", "invalid id", "unknown truth", "latitude"]
+# legal cells that must still construct and rank
+LEGAL = [None, "tiny row", "huge row"]
+
+
+@st.composite
+def corrupted_store(draw):
+    """Valid columns for both sides of a store, with at most one cell corrupted.
+    Returns (manifest, refs, queries, truth, kind, named): ``named`` is the id
+    the store's error must name (None for a width error, which has no row)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image_dim, text_dim = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    sides = {}
+    for name, prefix, n in (("refs", "r", draw(st.integers(2, 6))), ("queries", "q", draw(st.integers(2, 4)))):
+        sides[name] = dict(
+            ids=[f"{prefix}{i}" for i in range(n)],
+            image=rng.standard_normal((n, image_dim)).astype(np.float32),
+            text=rng.standard_normal((n, text_dim)).astype(np.float32),
+            has_text=rng.random(n) < 0.7,
+            coords=np.column_stack([rng.uniform(-90, 90, n), rng.uniform(-180, 180, n)]),
+            has_coord=rng.random(n) < 0.7,
+        )
+        sides[name]["text"][~sides[name]["has_text"]] = 0.0
+    truth = {q: tuple(rng.choice(sides["refs"]["ids"], size=int(rng.integers(1, 3)), replace=False))
+             for q in sides["queries"]["ids"]}
+    kind = draw(st.sampled_from(CORRUPTIONS + LEGAL))
+    side = sides["queries"] if kind == "unknown truth" else sides[draw(st.sampled_from(["refs", "queries"]))]
+    row = draw(st.integers(0, len(side["ids"]) - 1))
+    named = side["ids"][row]
+    if kind == "zero row":
+        side["image"][row] = 0.0
+    elif kind in ("nan image", "inf image", "nan text", "inf text"):
+        column = side[kind.split()[1]]
+        column[row, draw(st.integers(0, column.shape[1] - 1))] = np.nan if kind.startswith("nan") else np.inf
+    elif kind in ("image width", "text width"):
+        column = kind.split()[0]
+        side[column] = np.hstack([side[column], side[column][:, :1]]) if draw(st.booleans()) else side[column][:, :-1]
+        named = None
+    elif kind == "duplicate id":
+        other = (row + 1) % len(side["ids"])
+        side["ids"][row] = named = side["ids"][other]
+    elif kind == "invalid id":
+        side["ids"][row] = named = draw(st.sampled_from(["", "a\nb", "a\rb", "a\u2028b", "a\ud800b"]))
+    elif kind == "unknown truth":
+        truth[named] += ("nowhere",)
+    elif kind == "latitude":
+        side["coords"][row, 0] = draw(st.sampled_from([90.5, -91.0, np.nan, np.inf]))
+        side["has_coord"][row] = True
+    elif kind in ("tiny row", "huge row"):
+        side["image"][row] *= np.float32(2.0**-100 if kind == "tiny row" else 2.0**100)
+    manifest = StoreManifest(image_dim, text_dim, len(sides["refs"]["ids"]), len(sides["queries"]["ids"]))
+    return manifest, Columns(**sides["refs"]), Columns(**sides["queries"]), truth, kind, named
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_store(), st.integers(1, 8))
+def test_in_memory_store_rejects_any_corrupted_cell_or_ranks_finite(case, k):
+    manifest, refs, queries, truth, kind, named = case
+    if kind in CORRUPTIONS:
+        with pytest.raises(ValueError) as exc:
+            Store(manifest, refs, queries, truth)
+        assert (f"id '{named}'" if named is not None else "embedding dim") in str(exc.value)
+        return
+    store = Store(manifest, refs, queries, truth)
+    for ranking in rank_store_queries(store, k):
+        assert all(np.isfinite(score) for _, score in ranking.entries)
+
+
+def test_synthetic_and_ingest_run_the_store_check(tmp_path, monkeypatch):
+    calls = []
+    real = Store.validate
+    monkeypatch.setattr(Store, "validate", lambda self: calls.append(1) or real(self))
+    generate_synthetic(SynthConfig(n_locations=8, group_size=2, image_dim=4, text_dim=4), seed=0)
+    ingest(tmp_path / "s", StoreManifest(2, 2, 1, 0), _ref_file(tmp_path, [{"id": "r0", "embedding": [1.0, 0.0]}]))
+    Store.load(tmp_path / "s")
+    assert len(calls) == 3
+
+
+def test_attach_text_refuses_nonfinite_vector_before_writing(tmp_path):
+    store, _ = generate_synthetic(SynthConfig(n_locations=8, group_size=2, image_dim=4, text_dim=3), seed=0)
+    store.save(tmp_path / "s")
+    before = store_digest(tmp_path / "s")
+    with pytest.raises(ValueError, match="id 'r1' has a non-finite text embedding"):
+        geostore.attach_text(tmp_path / "s", "refs", ["r0", "r1"], [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]])
+    assert store_digest(tmp_path / "s") == before
+    assert geostore.attach_text(tmp_path / "s", "refs", ["r1", "r0"], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]) == 2
+    back = Store.load(tmp_path / "s")
+    assert back.ref_text_emb("r0").tolist() == [1.0, 0.0, 0.0] and back.ref_text_emb("r2") is None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georank import retriever
+from georank import kernels, retriever
 from georank.retriever import (
     Ranking,
     brute_force_rank,
@@ -141,8 +141,11 @@ def test_top_k_unswept_rows_rank_like_oracle():
     # zero, tiny and huge rows are outside the float32 sweep's range and are always re-scored exactly
     rng = np.random.default_rng(12)
     rows = list(rng.standard_normal((30, 5)))
-    rows += [np.zeros(5), 2.0**-100 * rows[0], 2.0**100 * rows[1], 2.0**100 * rows[1]]
+    rows += [np.ones(5), 2.0**-100 * rows[0], 2.0**100 * rows[1], 2.0**100 * rows[1]]
     store = build_store([make_ref(f"r{i:02d}", v) for i, v in enumerate(rows)], [], image_dim=5)
+    # a store rejects a zero row, so write one into a built store and index it again
+    store.ref_image[30] = 0.0
+    store.cosine_index = kernels.build_cosine_index(store.ref_image)
     assert store.cosine_index.unswept.tolist() == [30, 31, 32, 33]
     for q in (rows[0], rows[1], rng.standard_normal(5)):
         oracle = brute_force_rank(q, store).ids()

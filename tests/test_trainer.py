@@ -517,19 +517,16 @@ def test_train_report_csv_and_jsonl(tmp_path):
 
 def test_loss_and_gradients_missing_text_names_id():
     import numpy as np
-    from georank.geostore import ReferenceRecord, QueryRecord, Store, StoreManifest
     from georank.reranker import RerankerConfig, init_params
     from georank.trainer import TrainingSample, loss_and_gradients
 
     rng = np.random.default_rng(30)
     refs = [
-        ReferenceRecord("c0", rng.standard_normal(3).astype(np.float32),
-                        text_emb=rng.standard_normal(2).astype(np.float32)),
-        ReferenceRecord("c1_no_text", rng.standard_normal(3).astype(np.float32)),
+        make_ref("c0", rng.standard_normal(3), text=rng.standard_normal(2)),
+        make_ref("c1_no_text", rng.standard_normal(3)),
     ]
-    query = QueryRecord("q0", rng.standard_normal(3).astype(np.float32), ("c0",),
-                        text_emb=rng.standard_normal(2).astype(np.float32))
-    store = Store(StoreManifest(3, 2, 2, 1), refs, [query])
+    query = make_query("q0", rng.standard_normal(3), ["c0"], text=rng.standard_normal(2))
+    store = build_store(refs, [query], image_dim=3, text_dim=2)
     params = init_params(RerankerConfig(image_dim=3, text_dim=2, latent_dim=4,
                                         aligner_layers=1, aligner_hidden=4))
     with pytest.raises(ValueError, match="c1_no_text"):
