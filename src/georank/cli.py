@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -124,9 +125,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _store_coords(store: Store) -> dict | None:
+class _RefCoords(Mapping):
+    """Read-only id -> GeoCoord view of a store's reference coordinates. Each
+    coordinate is built from its row of the column when first looked up, so
+    a report over a few rankings builds a few, not one per reference."""
+
+    def __init__(self, store: Store):
+        self.refs = store.refs
+        self.built: dict = {}
+
+    def __getitem__(self, rid: str):
+        coord = self.built.get(rid)
+        if coord is None:
+            coord = self.refs.coord_of(rid)
+            if coord is None:
+                raise KeyError(rid)
+            self.built[rid] = coord
+        return coord
+
+    def __iter__(self):
+        return iter(self.refs.ids)
+
+    def __len__(self):
+        return len(self.refs.ids)
+
+
+def _store_coords(store: Store) -> Mapping | None:
     """Every reference's coordinate, or None when some reference has none."""
-    return {rid: store.coord_of(rid) for rid in store.ref_ids} if store.refs.has_coord.all() else None
+    return _RefCoords(store) if store.refs.has_coord.all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +221,8 @@ def cmd_caption(args) -> int:
             rendered.append({"description": cvlang.render_description(sheet, bank), "id": sheet.image_id})
     if problems:
         raise ValueError("invalid answer sheets:\n" + "\n".join(problems))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for rec in rendered:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n")
+    geostore.write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+                          for rec in rendered), args.out)
     print(f"rendered {len(rendered)} descriptions -> {args.out}")
     return 0
 
@@ -223,10 +248,8 @@ def cmd_embed(args) -> int:
     pairs = _read_texts(args.texts)
     vectors = cvlang.embed_texts([t for _, t in pairs], endpoint)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for (rid, _), vec in zip(pairs, vectors):
-                rec = {"embedding": [float(x) for x in vec], "id": rid}
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        geostore.write_lines((json.dumps({"embedding": [float(x) for x in vec], "id": rid}, sort_keys=True,
+                                         separators=(",", ":")) for (rid, _), vec in zip(pairs, vectors)), args.out)
         print(f"embedded {len(pairs)} texts (dim {endpoint.text_dim}) -> {args.out}")
     if args.attach:
         side = args.side or "refs"
@@ -374,9 +397,8 @@ def cmd_stability(args) -> int:
     payload = report.to_dict()
     payload["reference_context"] = evaluator.REFERENCE_CONTEXT["description_stability"]
     payload["reference_note"] = evaluator.REFERENCE_CONTEXT["note"]
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    lines = ["metric,value"] + [f"{k},{v}" for k, v in report.to_dict().items()]
-    (out / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    geostore.write_lines([json.dumps(payload, indent=2, sort_keys=True)], out / "report.json")
+    geostore.write_lines(["metric,value"] + [f"{k},{v}" for k, v in report.to_dict().items()], out / "report.csv")
     print(
         f"stability over {report.count} pairs: cosine={report.mean_cosine:.4f} "
         f"jaccard={report.mean_jaccard:.4f} length={report.mean_length:.2f}±{report.std_length:.2f} -> {out}"

@@ -8,13 +8,14 @@ non-asserted reference context in the report footer.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .geostore import GeoCoord
+from .geostore import GeoCoord, write_lines
 from .retriever import Ranking
 
 # Figures reported for the original full-scale pipeline (pretrained vision
@@ -91,7 +92,7 @@ def mean_average_precision(rankings: list[Ranking], ground_truth: dict) -> float
 
 def threshold_recall(
     rankings: list[Ranking],
-    coords: dict[str, GeoCoord],
+    coords: Mapping[str, GeoCoord],
     ground_truth: dict[str, tuple | set],
     threshold_km: float,
     k: int,
@@ -108,9 +109,10 @@ def threshold_recall(
     _check_known(rankings, ground_truth)
 
     def coord(rid: str) -> GeoCoord:
-        if rid not in coords:
-            raise ValueError(f"missing coordinate for id '{rid}'")
-        return coords[rid]
+        try:
+            return coords[rid]
+        except KeyError:
+            raise ValueError(f"missing coordinate for id '{rid}'") from None
 
     owner, near, truth = [], [], []
     for i, r in enumerate(rankings):
@@ -132,7 +134,7 @@ def evaluate_rankings(
     rankings: list[Ranking],
     ground_truth: dict,
     config: EvalConfig,
-    coords: dict[str, GeoCoord] | None = None,
+    coords: Mapping[str, GeoCoord] | None = None,
 ) -> dict:
     """Single-sided metric table for one ranking set."""
     config.validate()
@@ -174,7 +176,7 @@ class EvalReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_lines([json.dumps(self.to_dict(), indent=2, sort_keys=True)], path)
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["metric,baseline,reranked,delta"]
@@ -185,10 +187,10 @@ class EvalReport:
         for t, per_k in self.threshold_recall.items():
             for k, v in per_k.items():
                 lines.append(f"recall@{k}@{t:g}km,{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(lines, path)
 
     def write_svg(self, path: str | Path) -> None:
-        Path(path).write_text(_recall_bars_svg(self.recall), encoding="utf-8")
+        write_lines(_recall_bars_svg(self.recall), path)
 
 
 def compare_rankings(
@@ -196,7 +198,7 @@ def compare_rankings(
     reranked: list[Ranking],
     ground_truth: dict,
     config: EvalConfig,
-    coords: dict[str, GeoCoord] | None = None,
+    coords: Mapping[str, GeoCoord] | None = None,
     skipped_query_count: int = 0,
 ) -> EvalReport:
     """Baseline vs reranked report; reranking must not have changed any top-k set."""
@@ -240,8 +242,8 @@ def compare_rankings(
     )
 
 
-def _bars_svg(series: list[tuple[str, str, dict[int, float]]]) -> str:
-    """Minimal grouped recall bar chart (one bar per series per k), deterministic bytes."""
+def _bars_svg(series: list[tuple[str, str, dict[int, float]]]) -> list[str]:
+    """Lines of a minimal grouped recall bar chart (one bar per series per k), deterministic bytes."""
     width, height, pad = 420, 240, 36
     groups = sorted(series[0][2])
     bar_w = 28
@@ -269,10 +271,10 @@ def _bars_svg(series: list[tuple[str, str, dict[int, float]]]) -> str:
     legend = ", ".join(f"{name} ({color})" for name, color, _ in series)
     parts.append(f'<text x="{pad}" y="{pad - 16}" font-size="11">recall: {legend}</text>')
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
 
 
-def _recall_bars_svg(recall: dict[int, dict[str, float]]) -> str:
+def _recall_bars_svg(recall: dict[int, dict[str, float]]) -> list[str]:
     return _bars_svg(
         [
             ("baseline", "#888888", {k: v["baseline"] for k, v in recall.items()}),
@@ -287,7 +289,7 @@ def single_run_files(metrics: dict, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     payload = dict(metrics)
     payload["reference_context"] = REFERENCE_CONTEXT
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_lines([json.dumps(payload, indent=2, sort_keys=True)], out / "report.json")
     lines = ["metric,value"]
     for k, v in metrics["recall"].items():
         lines.append(f"recall@{k},{v:.6f}")
@@ -295,5 +297,5 @@ def single_run_files(metrics: dict, out_dir: str | Path) -> None:
     for t, per_k in metrics.get("threshold_recall", {}).items():
         for k, v in per_k.items():
             lines.append(f"recall@{k}@{t:g}km,{v:.6f}")
-    (out / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "report.svg").write_text(_bars_svg([("recall", "#2b7bba", dict(metrics["recall"]))]), encoding="utf-8")
+    write_lines(lines, out / "report.csv")
+    write_lines(_bars_svg([("recall", "#2b7bba", dict(metrics["recall"]))]), out / "report.svg")

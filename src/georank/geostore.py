@@ -1,10 +1,11 @@
 """Data model, on-disk formats, ingestion, and synthetic dataset generation.
 
-A store is a directory holding binary embedding matrices (magic ``GVLM``),
-line-delimited JSON caption/coordinate/ground-truth tables, and a plain-text
-``key=value`` manifest. In memory it is a ``Store`` of row-aligned columns,
-checked by ``Store.validate`` however it was built. Loaded stores are
-immutable; ingestion, synthesis and ``attach_text`` are the only writers.
+A store is a directory holding binary matrices (magic ``GVLM``: float32
+image and text embeddings, float64 coordinates), line-delimited JSON
+caption/ground-truth tables, and a plain-text ``key=value`` manifest. In
+memory it is a ``Store`` of row-aligned columns, checked by
+``Store.validate`` however it was built. Loaded stores are immutable;
+ingestion, synthesis and ``attach_text`` are the only writers.
 """
 
 from __future__ import annotations
@@ -24,10 +25,18 @@ import numpy as np
 from . import kernels
 
 EMB_MAGIC = b"GVLM"
-EMB_VERSION = 1
+# the GVLM header's version field names the payload type
+EMB_VERSIONS = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
 
 MANIFEST_FILE = "manifest.txt"
 GROUPS_FILE = "groups.jsonl"
+TRUTH_FILE = "queries.truth.jsonl"
+# every file a store directory can hold, with the coordinate tables of stores
+# written before the binary coordinate column; ``Store.save`` removes those it does not write
+STORE_FILES = frozenset([MANIFEST_FILE, TRUTH_FILE] + [
+    f"{side}.{name}" for side in ("refs", "queries")
+    for name in ("img.emb", "img.ids", "txt.emb", "txt.ids", "coords.emb", "coords.ids", "captions.jsonl",
+                 "coords.jsonl")])
 
 
 class GeostoreError(Exception):
@@ -159,12 +168,12 @@ class StoreManifest:
 
     def write(self, path: Path) -> None:
         keys = ("format_version", "image_dim", "text_dim", "reference_count", "query_count")
-        _write_lines((f"{k}={getattr(self, k)}" for k in keys), path)
+        write_lines((f"{k}={getattr(self, k)}" for k in keys), path)
 
     @classmethod
     def read(cls, path: Path) -> "StoreManifest":
         fields = {}
-        for ln, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        for ln, raw in enumerate(_read_utf8(path).splitlines(), start=1):
             raw = raw.strip()
             if not raw or raw.startswith("#"):
                 continue
@@ -214,13 +223,13 @@ def atomic_write(path: str | Path):
         tmp.unlink(missing_ok=True)
 
 
-def _write_matrix(fh, rows: np.ndarray) -> None:
-    rows = np.asarray(rows, dtype="<f4")
+def _write_matrix(fh, rows: np.ndarray, dtype: str = "<f4") -> None:
+    rows = np.asarray(rows, dtype=dtype)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D (count, dim) array, got shape {rows.shape}")
     count, dim = rows.shape
     fh.write(EMB_MAGIC)
-    fh.write(struct.pack("<IIQ", EMB_VERSION, dim, count))
+    fh.write(struct.pack("<IIQ", EMB_VERSIONS[rows.dtype], dim, count))
     fh.write(np.ascontiguousarray(rows))
 
 
@@ -230,8 +239,12 @@ def write_embedding_matrix(rows: np.ndarray, path: str | Path) -> None:
         _write_matrix(fh, rows)
 
 
-def read_embedding_matrix(path: str | Path) -> np.ndarray:
-    """Read a GVLM matrix back bit-exactly; raises FormatError on corruption."""
+def read_embedding_matrix(path: str | Path, dtype: str = "<f4") -> np.ndarray:
+    """Read a GVLM matrix of ``dtype`` rows (float32, version 1, or float64,
+    version 2) back bit-exactly; raises FormatError on corruption or on a
+    file of another payload type."""
+    dtype = np.dtype(dtype)
+    want = EMB_VERSIONS[dtype]
     header = struct.calcsize("<IIQ") + 4
     with open(path, "rb") as fh:
         data = fh.read(header)
@@ -240,16 +253,16 @@ def read_embedding_matrix(path: str | Path) -> np.ndarray:
         if data[:4] != EMB_MAGIC:
             raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {EMB_MAGIC!r}")
         version, dim, count = struct.unpack("<IIQ", data[4:])
-        if version != EMB_VERSION:
-            raise FormatError(f"{path}: format version {version}, expected {EMB_VERSION}")
-        expected = count * dim * 4
+        if version != want:
+            raise FormatError(f"{path}: format version {version}, expected {want} ({dtype.name} rows)")
+        expected = count * dim * dtype.itemsize
         payload = os.fstat(fh.fileno()).st_size - header
         if payload < expected:
             raise FormatError(f"{path}: truncated payload ({payload} of {expected} bytes)")
         if payload > expected:
             raise FormatError(f"{path}: {payload - expected} trailing bytes after payload")
         # read straight into the matrix: no intermediate copy of the payload
-        rows = np.empty((count, dim), "<f4")
+        rows = np.empty((count, dim), dtype)
         if fh.readinto(rows) != expected:
             raise FormatError(f"{path}: truncated payload (file shrank while reading)")
     return rows
@@ -268,30 +281,53 @@ def valid_id(record_id: str) -> bool:
     return True
 
 
-def _write_lines(lines, path: Path) -> None:
+def _all_valid_ids(ids: list[str]) -> bool:
+    """``valid_id`` of every id at once: one join, one split and one encode."""
+    try:
+        joined = "\n".join(ids)
+        joined.encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return False
+    return all(ids) and joined.splitlines() == list(ids)
+
+
+def _read_utf8(path: Path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises IngestError naming its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"byte 0x{data[exc.start]:02x} is not UTF-8", file=str(path),
+                          line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def write_lines(lines, path: str | Path) -> None:
     """Each string of ``lines`` and a newline, UTF-8, through ``atomic_write``."""
     with atomic_write(path) as fh:
         for line in lines:
             fh.write((line + "\n").encode("utf-8"))
 
 
-def _write_rows(rows: np.ndarray, ids: list[str], stem: Path) -> None:
+def _write_rows(rows: np.ndarray, ids: list[str], stem: Path, dtype: str = "<f4") -> None:
     """``stem``.emb and its ``stem``.ids sidecar. The sidecar is replaced just
     before the matrix, and neither is replaced when writing either fails."""
     with atomic_write(f"{stem}.emb") as fh:
-        _write_matrix(fh, rows)
-        _write_lines(ids, Path(f"{stem}.ids"))
+        _write_matrix(fh, rows, dtype)
+        write_lines(ids, Path(f"{stem}.ids"))
 
 
 def _write_jsonl(records, path: Path) -> None:
-    _write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False) for rec in records), path)
+    write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False) for rec in records), path)
 
 
 def _read_jsonl(path: str | Path):
     """Yield (line_number, record) pairs; malformed lines raise IngestError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for ln, raw in enumerate(fh, start=1):
-            raw = raw.strip()
+            try:
+                raw = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise IngestError(f"byte 0x{raw[exc.start]:02x} is not UTF-8", file=str(path), line=ln) from None
             if not raw:
                 continue
             try:
@@ -370,10 +406,10 @@ class Store:
             n = len(cols.ids)
             if n != getattr(m, key):
                 raise InvalidStore(side, "ids", None, None, f"{n} rows, but the manifest's {key} is {getattr(m, key)}")
-            for row, rid in enumerate(cols.ids):
-                if not valid_id(rid):
-                    raise InvalidStore(side, "ids", row, rid, "is an invalid id: empty, or holding a line break "
-                                                              "or a lone surrogate")
+            if not _all_valid_ids(cols.ids):
+                row = next(r for r, i in enumerate(cols.ids) if not valid_id(i))
+                raise InvalidStore(side, "ids", row, cols.ids[row], "is an invalid id: empty, or holding a line "
+                                                                    "break or a lone surrogate")
             if len(cols.pos) != n:
                 # pos keeps an id's last row: report the repeat of the first id that has one
                 first = next(r for r, i in enumerate(cols.ids) if cols.pos[i] != r)
@@ -452,38 +488,45 @@ class Store:
     # -- persistence ----------------------------------------------------------
 
     def save(self, store_dir: str | Path) -> None:
+        """Write the store into ``store_dir``, and remove every store file
+        there that this store does not write (a column or side it lacks), so
+        that loading the directory gives this store back. Other files stay."""
         out = Path(store_dir)
         out.mkdir(parents=True, exist_ok=True)
         self.manifest.write(out / MANIFEST_FILE)
+        written = {MANIFEST_FILE}
         sides = [("refs", self.refs)] + ([("queries", self.queries)] if self.query_ids else [])
         for prefix, cols in sides:
             _write_rows(cols.image, cols.ids, out / f"{prefix}.img")
-            _write_text(out, prefix, cols)
+            written |= {f"{prefix}.img.emb", f"{prefix}.img.ids"}
+            for column, (mask, stem, dtype) in _COLUMNS.items():
+                if _write_column(out / f"{prefix}.{stem}", cols.ids, getattr(cols, column), getattr(cols, mask), dtype):
+                    written |= {f"{prefix}.{stem}.emb", f"{prefix}.{stem}.ids"}
             if any(c is not None for c in cols.captions):
                 captions = ({"caption": c, "id": i} for i, c in zip(cols.ids, cols.captions) if c is not None)
                 _write_jsonl(captions, out / f"{prefix}.captions.jsonl")
-            if cols.has_coord.any():
-                coords = ({"id": i, "lat": lat, "lon": lon}
-                          for i, (lat, lon) in compress(zip(cols.ids, cols.coords.tolist()), cols.has_coord))
-                _write_jsonl(coords, out / f"{prefix}.coords.jsonl")
+                written.add(f"{prefix}.captions.jsonl")
         if self.query_ids:
             truth = ({"id": q, "refs": sorted(self.ground_truth[q])} for q in self.query_ids)
-            _write_jsonl(truth, out / "queries.truth.jsonl")
+            _write_jsonl(truth, out / TRUTH_FILE)
+            written.add(TRUTH_FILE)
+        for name in STORE_FILES - written:
+            (out / name).unlink(missing_ok=True)
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "Store":
-        """Read a store directory. A table that does not parse, or a store that
+        """Read a store directory. A file that does not parse, or a store that
         fails ``validate``, raises FormatError naming the file, and the line and
         id where they are known."""
         root = Path(store_dir)
-        manifest = StoreManifest.read(root / MANIFEST_FILE)
         sources: dict = {}
         queries, truth = None, {}
         try:
+            manifest = StoreManifest.read(root / MANIFEST_FILE)
             refs = _load_side(root, "refs", sources)
             if (root / "queries.img.emb").exists():
                 queries = _load_side(root, "queries", sources)
-                tpath = root / "queries.truth.jsonl"
+                tpath = root / TRUTH_FILE
                 if tpath.exists():
                     truth = _read_truth(tpath, queries, sources)
         except IngestError as exc:
@@ -504,46 +547,72 @@ def _where(sources: dict, exc: InvalidStore) -> tuple[str | None, int | None]:
     return (None if path is None else str(path)), (line or None)
 
 
-def _write_text(out: Path, prefix: str, cols: Columns) -> None:
-    """A side's text rows and their ids, when any row has text."""
-    if cols.has_text.any():
-        rows = cols.text if cols.has_text.all() else cols.text[cols.has_text]
-        _write_rows(rows, list(compress(cols.ids, cols.has_text)), out / f"{prefix}.txt")
+# the matrix columns a row need not have: attribute of ``Columns`` -> its mask,
+# the stem of its files and its payload type
+_COLUMNS = {"text": ("has_text", "txt", "<f4"), "coords": ("has_coord", "coords", "<f8")}
 
 
-def _set_text(cols: Columns, ids: list[str], rows: np.ndarray) -> None:
-    """Make ``rows`` (row i the text embedding of ``ids[i]``) the text column of
-    ``cols``; rows of other ids get none. An id ``cols`` lacks is a KeyError."""
+def _write_column(stem: Path, ids: list[str], rows: np.ndarray, has: np.ndarray, dtype: str) -> bool:
+    """The rows that ``has`` marks and their ids, as ``stem``.emb and
+    ``stem``.ids; nothing when no row is marked. Returns whether the pair
+    was written."""
+    if not has.any():
+        return False
+    if not has.all():
+        rows, ids = rows[has], list(compress(ids, has))
+    _write_rows(rows, ids, stem, dtype)
+    return True
+
+
+def _set_rows(cols: Columns, column: str, ids: list[str], rows: np.ndarray, source) -> None:
+    """Make ``rows`` (row i the value of ``ids[i]``) the ``column`` ("text" or
+    "coords") of ``cols`` and set its mask; rows of other ids get none. An id
+    ``cols`` lacks, an id given twice, or a count of ids other than of rows
+    raises FormatError naming ``source``, where the ids came from."""
     n = len(cols.ids)
+    if len(ids) != len(rows):
+        raise FormatError(f"{source}: {len(ids)} ids for {len(rows)} {column} rows")
+    mask = _COLUMNS[column][0]
     if ids == cols.ids:
-        cols.text, cols.has_text = rows, np.ones(n, bool)
+        setattr(cols, column, rows)
+        setattr(cols, mask, np.ones(n, bool))
         return
-    at = _rows(cols.pos, ids, "text embedding")
-    cols.text = np.zeros((n, rows.shape[1]), np.float32)
-    cols.text[at] = rows
-    cols.has_text = np.zeros(n, bool)
-    cols.has_text[at] = True
+    try:
+        at = _rows(cols.pos, ids, column)
+    except KeyError as exc:
+        raise FormatError(f"{source}: {exc.args[0]}") from None
+    has = np.zeros(n, bool)
+    has[at] = True
+    if np.count_nonzero(has) != len(at):
+        seen: set[str] = set()
+        for rid in ids:
+            if rid in seen:
+                raise FormatError(f"{source}: repeated id '{rid}'")
+            seen.add(rid)
+    full = np.zeros((n, rows.shape[1]), rows.dtype)
+    full[at] = rows
+    setattr(cols, column, full)
+    setattr(cols, mask, has)
 
 
 def _load_side(root: Path, prefix: str, sources: dict) -> Columns:
     """One side of a saved store; ``sources`` learns the file of each column."""
+    legacy = root / f"{prefix}.coords.jsonl"
+    if legacy.exists():
+        raise FormatError(f"{legacy}: coordinates stored as JSON lines are no longer read; "
+                          "re-ingest or re-synth the store to write them as a binary column")
     emb, ids = root / f"{prefix}.img.emb", root / f"{prefix}.img.ids"
-    cols = Columns(ids.read_text(encoding="utf-8").splitlines(), read_embedding_matrix(emb))
+    cols = Columns(_read_utf8(ids).splitlines(), read_embedding_matrix(emb))
     sources[prefix, "ids"] = (ids, np.arange(1, len(cols.ids) + 1))
     sources[prefix, "image"] = (emb, None)
-    tpath = root / f"{prefix}.txt.emb"
-    if tpath.exists():
-        text, tids = read_embedding_matrix(tpath), (root / f"{prefix}.txt.ids").read_text(encoding="utf-8").splitlines()
-        if text.shape[0] != len(tids):
-            raise FormatError(f"{tpath}: {text.shape[0]} text rows but {len(tids)} ids")
-        try:
-            _set_text(cols, tids, text)
-        except KeyError as exc:
-            raise FormatError(f"{tpath}: {exc.args[0]}") from None
-        sources[prefix, "text"] = (tpath, None)
-    captions, coords = root / f"{prefix}.captions.jsonl", root / f"{prefix}.coords.jsonl"
-    _read_side_tables(cols, prefix, sources, captions if captions.exists() else None,
-                      coords if coords.exists() else None)
+    for column, (_, stem, dtype) in _COLUMNS.items():
+        path = root / f"{prefix}.{stem}.emb"
+        if path.exists():
+            sidecar = path.with_suffix(".ids")
+            _set_rows(cols, column, _read_utf8(sidecar).splitlines(), read_embedding_matrix(path, dtype), sidecar)
+            sources[prefix, column] = (path, None)
+    captions = root / f"{prefix}.captions.jsonl"
+    _read_side_tables(cols, prefix, sources, captions if captions.exists() else None, None)
     return cols
 
 
@@ -560,16 +629,16 @@ def attach_text(store_dir: str | Path, side: str, ids: list[str], vectors) -> in
     store = Store.load(store_dir)
     cols = store.refs if side == "refs" else store.queries
     try:
-        _set_text(cols, list(ids), np.asarray(vectors, np.float32))
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]} among store {side}") from None
+        _set_rows(cols, "text", list(ids), np.asarray(vectors, np.float32), "text embeddings")
+    except FormatError as exc:
+        raise ValueError(f"{exc} among store {side}") from None
     store.validate()
-    _write_text(Path(store_dir), side, cols)
+    _write_column(Path(store_dir) / f"{side}.txt", cols.ids, cols.text, cols.has_text, "<f4")
     return int(cols.has_text.sum())
 
 
 # ---------------------------------------------------------------------------
-# JSONL tables (ingest inputs, and the store's own caption/coordinate/truth files)
+# JSONL tables (ingest inputs, and the store's own caption and truth files)
 # ---------------------------------------------------------------------------
 
 def _parse_embedding_rows(path: str | Path, out: np.ndarray, label: str,

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .geostore import Store
+from .geostore import Store, write_lines
 
 # Upper bound on the memory of one block's approximate scores: 4 bytes of
 # float32 product plus 8 of float64 cosine per (query, reference) pair.
@@ -173,15 +173,17 @@ def restrict_ranking(ranking: Ranking, pool, k: int | None = None) -> Ranking:
 
 
 def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
-    """Line-delimited JSON, one ranking per line. A NaN or infinite score raises
-    ValueError before the file is opened: JSON has no token for it."""
-    lines = []
-    for r in rankings:
-        rec = {"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
-        if r.reranked:
-            rec["reranked"] = True
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    """Line-delimited JSON, one ranking per line, through ``write_lines``. A NaN
+    or infinite score raises ValueError, since JSON has no token for it, and
+    like any failure part way leaves the file at ``path`` as it was."""
+    def lines():
+        for r in rankings:
+            rec = {"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
+            if r.reranked:
+                rec["reranked"] = True
+            yield json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+    write_lines(lines(), path)
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:

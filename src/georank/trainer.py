@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geostore import Store
+from .geostore import Store, write_lines
 from .retriever import Ranking
 from .reranker import (
     RerankerConfig,
@@ -340,10 +340,8 @@ def build_training_samples(
 
 
 def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            rec = {"candidates": list(s.candidate_ids), "positive_index": s.positive_index, "query_id": s.query_id}
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_lines((json.dumps({"candidates": list(s.candidate_ids), "positive_index": s.positive_index,
+                             "query_id": s.query_id}, sort_keys=True, separators=(",", ":")) for s in samples), path)
 
 
 def load_samples(path: str | Path) -> list[TrainingSample]:
@@ -398,11 +396,8 @@ class TrainReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def write_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.epochs:
-                rec = {"epoch": e.epoch, "mean_loss": e.mean_loss, "seconds": e.seconds,
-                       "val_r1": e.val_r1, "val_r5": e.val_r5}
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+        write_lines((json.dumps({"epoch": e.epoch, "mean_loss": e.mean_loss, "seconds": e.seconds, "val_r1": e.val_r1,
+                                 "val_r5": e.val_r5}, sort_keys=True, separators=(",", ":")) for e in self.epochs), path)
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["epoch,mean_loss,val_r1,val_r5,seconds"]
@@ -410,7 +405,7 @@ class TrainReport:
             r1 = "" if e.val_r1 is None else f"{e.val_r1:.6f}"
             r5 = "" if e.val_r5 is None else f"{e.val_r5:.6f}"
             lines.append(f"{e.epoch},{e.mean_loss:.8f},{r1},{r5},{e.seconds:.3f}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(lines, path)
 
 
 def _candidate_recall(samples: list[TrainingSample], params: RerankerParams, store: Store) -> tuple[float, float]:

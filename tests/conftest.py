@@ -1,6 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
+from georank import geostore
 from georank.geostore import Columns, GeoCoord, QueryRecord, ReferenceRecord, Store, StoreManifest
 
 
@@ -43,6 +46,27 @@ def make_query(qid, image, truth, text=None, coord=None):
         text_emb=None if text is None else np.asarray(text, np.float32),
         coord=coord,
     )
+
+
+def fill_disk_after_first_write(monkeypatch):
+    """Make every file that ``geostore`` opens fail with ENOSPC after its first write."""
+    real_open = open
+
+    def disk_fills_after_first_write(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        first = fh.write
+
+        def write_once(data):
+            fh.write = full
+            return first(data)
+
+        def full(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        fh.write = write_once
+        return fh
+
+    monkeypatch.setattr(geostore, "open", disk_fills_after_first_write, raising=False)
 
 
 @pytest.fixture

@@ -311,3 +311,20 @@ def test_ingested_store_pipeline(tmp_path):
                  "--checkpoint", str(train_dir / "final.gvck"), "--out", str(reranked)]) == 0
     out = load_rankings(reranked)
     assert sorted(out[0].ids()) == sorted(load_rankings(rankings)[0].ids())
+
+
+def test_store_coords_reads_the_column_or_is_none():
+    from georank import cli
+    from georank.evaluator import threshold_recall
+    from georank.geostore import GeoCoord
+    from georank.retriever import Ranking
+    from conftest import build_store, make_query, make_ref
+
+    refs = [make_ref("r0", [1.0, 0.0], coord=GeoCoord(1.0, 2.0)), make_ref("r1", [0.0, 1.0], coord=GeoCoord(3.0, 4.0))]
+    store = build_store(refs, [make_query("q0", [1.0, 0.5], ["r0"], coord=GeoCoord(1.0, 2.0))], image_dim=2)
+    coords = cli._store_coords(store)
+    assert dict(coords) == {"r0": GeoCoord(1.0, 2.0), "r1": GeoCoord(3.0, 4.0)} and "q0" not in coords
+    with pytest.raises(ValueError, match="missing coordinate for id 'q0'"):
+        threshold_recall([Ranking("q0", [("q0", 1.0)], k=1)], coords, {"q0": ("r0",)}, 0.5, 1)
+    refs[1].coord = None
+    assert cli._store_coords(build_store(refs, [], image_dim=2)) is None

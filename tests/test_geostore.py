@@ -1,4 +1,3 @@
-import errno
 import json
 import re
 import tempfile
@@ -29,7 +28,7 @@ from georank.geostore import (
     write_embedding_matrix,
 )
 
-from conftest import build_store, make_query, make_ref
+from conftest import build_store, fill_disk_after_first_write, make_query, make_ref
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +197,23 @@ def test_ingest_bad_coordinate_names_id(tmp_path):
         ingest(tmp_path / "store", StoreManifest(2, 2, 1, 0), emb, ref_coords=coords)
 
 
+@pytest.mark.parametrize("record", [{"id": "r1", "lat": "x", "lon": 4.0}, {"id": "r1", "lon": 4.0}],
+                         ids=["lat-not-number", "lon-missing"])
+def test_ingest_bad_coordinate_row_names_file_line_and_id(tmp_path, record):
+    emb = _ref_file(tmp_path, [{"id": "r0", "embedding": [1, 0]}, {"id": "r1", "embedding": [0, 1]}])
+    coords = tmp_path / "coords.jsonl"
+    _write_jsonl(coords, [{"id": "r0", "lat": 1.0, "lon": 2.0}, record])
+    with pytest.raises(IngestError, match=re.escape(f"{coords}, line 2, id 'r1'")):
+        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb, ref_coords=coords)
+
+
+def test_non_utf8_ingest_line_is_ingest_error_naming_file_and_line(tmp_path):
+    emb = tmp_path / "refs.jsonl"
+    emb.write_bytes(b'{"id": "r0", "embedding": [1, 0]}\n{"id": "r\xff", "embedding": [0, 1]}\n')
+    with pytest.raises(IngestError, match=re.escape(f"{emb}, line 2: byte 0xff is not UTF-8")):
+        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
+
+
 # ---------------------------------------------------------------------------
 # store persistence
 # ---------------------------------------------------------------------------
@@ -301,6 +317,75 @@ def test_load_rejects_text_dim_other_than_manifest(tmp_path):
     build_store(refs, [], image_dim=2, text_dim=3).save(tmp_path / "s")
     write_embedding_matrix([[1.0, 2.0, 3.0, 4.0]], tmp_path / "s" / "refs.txt.emb")
     with pytest.raises(FormatError, match="text embedding dim 4 does not match manifest 3"):
+        Store.load(tmp_path / "s")
+
+
+def _full_store(root):
+    """A saved store with every column: text, coordinates, captions, queries and truth."""
+    refs = [make_ref("r0", [1.0, 0.0], text=[1.0, 0.0, 0.0], caption="a road", coord=GeoCoord(1.0, 2.0)),
+            make_ref("r1", [0.0, 1.0], text=[0.0, 1.0, 0.0], caption="a river", coord=GeoCoord(3.0, 4.0))]
+    queries = [make_query("q0", [1.0, 0.5], ["r0"], text=[0.0, 0.0, 1.0], coord=GeoCoord(1.0, 2.0)),
+               make_query("q1", [0.5, 1.0], ["r1"])]
+    build_store(refs, queries, image_dim=2, text_dim=3).save(root)
+
+
+def test_load_rejects_out_of_range_coordinate_column(tmp_path):
+    _full_store(tmp_path / "s")
+    geostore._write_rows(np.array([[1.0, 2.0], [95.0, 4.0]]), ["r0", "r1"], tmp_path / "s" / "refs.coords", "<f8")
+    with pytest.raises(FormatError, match=re.escape("refs.coords.emb: id 'r1' has a coordinate outside")):
+        Store.load(tmp_path / "s")
+
+
+def test_load_refuses_legacy_coordinate_table(tmp_path):
+    _full_store(tmp_path / "s")
+    legacy = tmp_path / "s" / "refs.coords.jsonl"
+    legacy.write_text('{"id":"r0","lat":1.0,"lon":2.0}\n{"id":"r1","lat":3.0,"lon":4.0}\n')
+    with pytest.raises(FormatError, match=re.escape(str(legacy)) + ".*re-ingest or re-synth"):
+        Store.load(tmp_path / "s")
+
+
+def test_coordinate_column_is_float64_matrix_and_reads_back_bit_exact(tmp_path):
+    lat, lon = 0.1 + 0.2, -(1.0 / 3.0)
+    refs = [make_ref("r0", [1.0, 0.0], coord=GeoCoord(lat, lon)), make_ref("r1", [0.0, 1.0])]
+    build_store(refs, [], image_dim=2).save(tmp_path / "s")
+    assert (tmp_path / "s" / "refs.coords.ids").read_text() == "r0\n"
+    assert read_embedding_matrix(tmp_path / "s" / "refs.coords.emb", "<f8").tolist() == [[lat, lon]]
+    with pytest.raises(FormatError, match="format version 2, expected 1"):
+        read_embedding_matrix(tmp_path / "s" / "refs.coords.emb")
+    with pytest.raises(FormatError, match="format version 1, expected 2"):
+        read_embedding_matrix(tmp_path / "s" / "refs.img.emb", "<f8")
+    back = Store.load(tmp_path / "s")
+    assert back.coord_of("r0") == GeoCoord(lat, lon) and back.coord_of("r1") is None
+
+
+@pytest.mark.parametrize("stem,dtype", [("txt", "<f4"), ("coords", "<f8")])
+def test_load_rejects_repeated_sidecar_id(tmp_path, stem, dtype):
+    _full_store(tmp_path / "s")
+    geostore._write_rows(np.ones((2, 3 if stem == "txt" else 2)), ["r0", "r0"], tmp_path / "s" / f"refs.{stem}", dtype)
+    with pytest.raises(FormatError, match=re.escape(f"refs.{stem}.ids: repeated id 'r0'")):
+        Store.load(tmp_path / "s")
+
+
+def test_save_over_a_fuller_store_leaves_no_stale_column(tmp_path):
+    _full_store(tmp_path / "s")
+    (tmp_path / "s" / "refs.coords.jsonl").write_text("")  # a legacy table, from before the binary column
+    geostore.save_groups({"r0": 0, "r1": 1}, tmp_path / "s" / geostore.GROUPS_FILE)
+    bare = build_store([make_ref("r0", [1.0, 0.0]), make_ref("r1", [0.0, 1.0])], [], image_dim=2, text_dim=3)
+    bare.save(tmp_path / "s")
+    back = Store.load(tmp_path / "s")
+    assert back.ref_text_emb("r0") is None and back.coord_of("r1") is None
+    assert back.reference("r0").caption is None and back.query_ids == [] and back.ground_truth == {}
+    bare.save(tmp_path / "bare")
+    names = sorted(p.name for p in (tmp_path / "bare").iterdir())
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(names + [geostore.GROUPS_FILE])
+
+
+@pytest.mark.parametrize("name", ["refs.img.ids", "refs.txt.ids", "manifest.txt"])
+def test_non_utf8_store_file_is_format_error_naming_it(tmp_path, name):
+    _full_store(tmp_path / "s")
+    path = tmp_path / "s" / name
+    path.write_bytes(path.read_bytes().replace(b"r1", b"r\xff").replace(b"query_count", b"query_c\xffount"))
+    with pytest.raises(FormatError, match=re.escape(f"{path}, line") + ".*byte 0xff is not UTF-8"):
         Store.load(tmp_path / "s")
 
 
@@ -465,7 +550,7 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
         write = lambda seed: write_embedding_matrix(np.full((3, 2), seed + 1, np.float32), path)
     elif kind == "ids":
         path = tmp_path / "m.ids"
-        write = lambda seed: geostore._write_lines([f"r{seed}", "r2", "r3"], path)
+        write = lambda seed: geostore.write_lines([f"r{seed}", "r2", "r3"], path)
     elif kind == "jsonl":
         path = tmp_path / "m.jsonl"
         write = lambda seed: geostore._write_jsonl(({"id": f"r{i}", "seed": seed} for i in range(3)), path)
@@ -478,24 +563,7 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
         write = lambda seed: save_params(path, init_params(cfg(seed)))
     write(0)
     before = path.read_bytes()
-
-    real_open = open
-
-    def disk_fills_after_first_write(file, mode="r", *args, **kwargs):
-        fh = real_open(file, mode, *args, **kwargs)
-        first = fh.write
-
-        def write_once(data):
-            fh.write = full
-            return first(data)
-
-        def full(data):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        fh.write = write_once
-        return fh
-
-    monkeypatch.setattr(geostore, "open", disk_fills_after_first_write, raising=False)
+    fill_disk_after_first_write(monkeypatch)
     with pytest.raises(OSError, match="No space"):
         write(1)
     monkeypatch.undo()
@@ -522,16 +590,7 @@ def test_ingest_text_dim_mismatch_names_id(tmp_path):
 # one validator on every construction path
 # ---------------------------------------------------------------------------
 
-def _saved_store_with_tables(root):
-    refs = [make_ref("r0", [1.0, 0.0], caption="a road", coord=GeoCoord(1.0, 2.0)),
-            make_ref("r1", [0.0, 1.0], caption="a river", coord=GeoCoord(3.0, 4.0))]
-    queries = [make_query("q0", [1.0, 0.5], ["r0"]), make_query("q1", [0.5, 1.0], ["r1"])]
-    build_store(refs, queries, image_dim=2).save(root)
-
-
 @pytest.mark.parametrize("table,record,rid", [
-    ("refs.coords.jsonl", {"id": "r1", "lat": "x", "lon": 4.0}, "r1"),
-    ("refs.coords.jsonl", {"id": "r1", "lon": 4.0}, "r1"),
     ("refs.captions.jsonl", {"id": "r1"}, "r1"),
     ("queries.truth.jsonl", {"id": "q1"}, "q1"),
     ("queries.truth.jsonl", {"id": "q1", "refs": ["nowhere"]}, "q1"),
@@ -539,7 +598,7 @@ def _saved_store_with_tables(root):
     ("queries.truth.jsonl", {"id": "q1", "refs": []}, "q1"),
 ])
 def test_load_rejects_malformed_side_table_naming_file_line_and_id(tmp_path, table, record, rid):
-    _saved_store_with_tables(tmp_path / "s")
+    _full_store(tmp_path / "s")
     path = tmp_path / "s" / table
     first = path.read_text().splitlines()[0]
     path.write_text(first + "\n" + json.dumps(record) + "\n")
@@ -615,6 +674,42 @@ def test_in_memory_store_rejects_any_corrupted_cell_or_ranks_finite(case, k):
     store = Store(manifest, refs, queries, truth)
     for ranking in rank_store_queries(store, k):
         assert all(np.isfinite(score) for _, score in ranking.entries)
+
+
+@st.composite
+def partial_side(draw, prefix, n, image_dim, text_dim):
+    """Columns of one side in which each row may lack text, a coordinate or a caption."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    has_text = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+    text = rng.standard_normal((n, text_dim)).astype(np.float32)
+    text[~has_text] = 0.0
+    coord = st.tuples(st.floats(-90, 90), st.floats(-180, 180))
+    coords = draw(st.lists(st.one_of(st.none(), coord), min_size=n, max_size=n))
+    caption = st.one_of(st.none(), st.text(st.characters(blacklist_categories=("Cs",)), max_size=5))
+    return Columns([f"{prefix}{i}" for i in range(n)], rng.standard_normal((n, image_dim)).astype(np.float32) + 3.0,
+                   text, has_text, np.array([c or (0.0, 0.0) for c in coords], float).reshape(n, 2),
+                   np.array([c is not None for c in coords], bool),
+                   draw(st.lists(caption, min_size=n, max_size=n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_save_load_round_trips_partial_columns(data):
+    image_dim, text_dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    n_refs, n_queries = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    refs = data.draw(partial_side("r", n_refs, image_dim, text_dim))
+    queries = data.draw(partial_side("q", n_queries, image_dim, text_dim))
+    truth = {q: (f"r{data.draw(st.integers(0, n_refs - 1))}",) for q in queries.ids}
+    store = Store(StoreManifest(image_dim, text_dim, n_refs, n_queries), refs, queries, truth)
+    with tempfile.TemporaryDirectory() as d:
+        store.save(d)
+        back = Store.load(d)
+    assert back.ground_truth == store.ground_truth
+    for got, want in ((back.refs, store.refs), (back.queries, store.queries)):
+        assert got.ids == want.ids and got.captions == want.captions
+        for column in ("image", "text", "has_text", "coords", "has_coord"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert getattr(got, "coords").tobytes() == want.coords.tobytes()
 
 
 def test_synthetic_and_ingest_run_the_store_check(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georank.geostore import FormatError, read_embedding_matrix, write_embedding_matrix
+from georank.geostore import FormatError, GeoCoord, Store, read_embedding_matrix, write_embedding_matrix
 from georank import trainer
 from georank.reranker import (
     RerankerConfig,
@@ -404,7 +404,7 @@ def test_load_params_bad_tensor_is_format_error_naming_file(tmp_path, edit, matc
     assert str(path) in str(exc.value)
 
 
-@pytest.mark.parametrize("kind", ["gvck", "emb"])
+@pytest.mark.parametrize("kind", ["gvck", "emb", "coords"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_corrupted_file_raises_only_format_error(kind, data):
@@ -413,6 +413,11 @@ def test_corrupted_file_raises_only_format_error(kind, data):
         if kind == "gvck":
             save_params(path, init_params(tiny_config(aligner_layers=2, aligner_hidden=3)))
             load = load_params
+        elif kind == "coords":
+            refs = [make_ref(f"r{i}", [1.0, float(i)], coord=GeoCoord(10.0 * i, -20.0 * i)) for i in range(3)]
+            build_store(refs, [], image_dim=2).save(d)
+            path = Path(d) / "refs.coords.emb"
+            load = lambda _: Store.load(d)
         else:
             write_embedding_matrix(np.arange(12, dtype=np.float32).reshape(4, 3), path)
             load = read_embedding_matrix

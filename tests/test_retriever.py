@@ -16,7 +16,7 @@ from georank.retriever import (
     top_k,
 )
 
-from conftest import build_store, make_query, make_ref, random_store
+from conftest import build_store, fill_disk_after_first_write, make_query, make_ref, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,22 @@ def test_save_rankings_rejects_nan_and_writes_nothing(tmp_path):
     with pytest.raises(ValueError, match="JSON"):
         save_rankings([Ranking("q1", [("a", 1.0)], k=1), Ranking("q2", [("z", float("nan"))], k=1)], path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("failure", ["nan score", "disk full"])
+def test_failed_save_rankings_keeps_previous_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "rankings.jsonl"
+    save_rankings([Ranking("q0", [("a", 0.5)], k=1)], path)
+    before = path.read_bytes()
+    new = [Ranking("q1", [("a", 1.0)], k=1), Ranking("q2", [("z", 0.25)], k=1)]
+    if failure == "nan score":
+        new[1].entries[0] = ("z", float("nan"))
+    else:
+        fill_disk_after_first_write(monkeypatch)
+    with pytest.raises((ValueError, OSError)):
+        save_rankings(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_rankings_malformed_line(tmp_path):
