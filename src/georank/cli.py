@@ -3,13 +3,15 @@
 Subcommands cover the full flow: synth/ingest -> retrieve -> caption/embed ->
 build-samples -> train -> rerank -> eval/compare, plus stability and
 gradcheck. Values resolve as: command-line flag, then config file
-(``--config`` or ``GEOVLM_CONFIG``), then built-in default. Exit codes:
-0 success, 1 validation/usage error, 2 I/O error.
+(``--config`` or ``GEOVLM_CONFIG``), then the default of the config dataclass
+that takes the value. Exit codes: 0 success, 1 validation/usage error, 2 I/O
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,7 +45,10 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in str(text).split(",") if x.strip() != "")
 
 
-# config-file keys and how to parse their values; unknown keys are errors
+# Every setting: its config-file key and how its value parses. A tuple is the
+# values the setting may take. Each subcommand reads the keys COMMAND_KEYS
+# lists and has one flag per key ("--" + key, "_" as "-"); a setting given by
+# neither flag nor file keeps the default its config dataclass declares.
 CONFIG_SCHEMA = {
     "store": str,
     "k": int,
@@ -56,15 +61,14 @@ CONFIG_SCHEMA = {
     "group_spread": float,
     "text_margin": float,
     "queries_per_location": int,
-    "semipositive_regime": str,
     "epochs": int,
     "lr": float,
     "margin": float,
-    "optimizer": str,
+    "optimizer": trainer.OPTIMIZERS,
     "batch_size": int,
     "shuffle_seed": int,
     "val_split": float,
-    "loss_on": str,
+    "loss_on": trainer.LOSS_ON,
     "grad_clip": float,
     "latent_dim": int,
     "aligner_layers": int,
@@ -79,44 +83,84 @@ CONFIG_SCHEMA = {
     "model": str,
 }
 
+_EVAL_KEYS = ("store", "ks", "thresholds", "earth_radius_km")
+_ENDPOINT_KEYS = ("endpoint", "model", "text_dim")
+COMMAND_KEYS = {
+    "synth": ("seed", "locations", "group_size", "image_dim", "text_dim", "image_noise", "group_spread",
+              "text_margin", "queries_per_location"),
+    "ingest": (),
+    "retrieve": ("store", "k"),
+    "caption": (),
+    "embed": _ENDPOINT_KEYS,
+    "build-samples": ("store",),
+    "train": ("store", "epochs", "lr", "margin", "optimizer", "batch_size", "shuffle_seed", "val_split", "loss_on",
+              "grad_clip", "latent_dim", "aligner_layers", "aligner_hidden", "ln_epsilon", "init_seed",
+              "shared_projections"),
+    "rerank": ("store",),
+    "eval": _EVAL_KEYS,
+    "compare": _EVAL_KEYS,
+    "stability": _ENDPOINT_KEYS,
+    "gradcheck": ("seed", "margin", "loss_on"),
+}
 
-def load_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+# keys whose config-dataclass field is named otherwise
+_FIELD_NAMES = {"locations": "n_locations", "thresholds": "thresholds_km", "endpoint": "url"}
+
+
+def load_config_file(path: str | Path) -> dict:
+    """The settings of a key=value config file, parsed; an unknown key or a bad
+    value is a ValueError naming the file and line."""
+    values = {}
     for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}, line {ln}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_SCHEMA:
             raise ValueError(f"{path}, line {ln}: unknown config key '{key}'")
-        values[key] = value.strip()
+        parse = CONFIG_SCHEMA[key]
+        try:
+            if isinstance(parse, tuple) and value not in parse:
+                raise ValueError(f"'{value}' is not one of {', '.join(parse)}")
+            values[key] = value if isinstance(parse, tuple) else parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {ln}: bad value for '{key}': {exc}") from None
     return values
 
 
-class _Resolver:
-    """flag > config file > default, with config values parsed by schema."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        path = args.config or os.environ.get(CONFIG_ENV)
-        self.file_values = load_config_file(path) if path else {}
-
-    def get(self, key: str, default=None):
-        flag = getattr(self.args, key, None)
+def _settings(args: argparse.Namespace) -> dict:
+    """The subcommand's settings given by flag or else by config file (``--config``
+    or $GEOVLM_CONFIG); a key given by neither is absent."""
+    path = args.config or os.environ.get(CONFIG_ENV)
+    file_values = load_config_file(path) if path else {}
+    given = {}
+    for key in COMMAND_KEYS[args.command]:
+        flag = getattr(args, key)
         if flag is not None:
-            return flag
-        if key in self.file_values:
-            return CONFIG_SCHEMA[key](self.file_values[key])
-        return default
+            given[key] = flag
+        elif key in file_values:
+            given[key] = file_values[key]
+    return given
 
-    def require(self, key: str):
-        value = self.get(key)
-        if value is None:
-            raise ValueError(f"missing required setting '{key}' (flag, config file, or ${CONFIG_ENV})")
-        return value
+
+def _require(settings: dict, key: str):
+    if key not in settings:
+        raise ValueError(f"missing required setting '{key}' (flag, config file, or ${CONFIG_ENV})")
+    return settings[key]
+
+
+def _build(cls, settings: dict, **fixed):
+    """A ``cls`` config from the settings that name its fields, and ``fixed``;
+    every other field keeps its default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    given = {_FIELD_NAMES.get(k, k): v for k, v in settings.items()}
+    return cls(**{n: v for n, v in given.items() if n in names} | fixed)
+
+
+def _pick(settings: dict, *keys) -> dict:
+    return {k: settings[k] for k in keys if k in settings}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,19 +204,8 @@ def _store_coords(store: Store) -> Mapping | None:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    cfg = _Resolver(args)
-    synth = SynthConfig(
-        n_locations=cfg.get("locations", 100),
-        group_size=cfg.get("group_size", 4),
-        image_dim=cfg.get("image_dim", 64),
-        text_dim=cfg.get("text_dim", 64),
-        image_noise=cfg.get("image_noise", 0.7),
-        group_spread=cfg.get("group_spread", 0.15),
-        text_margin=cfg.get("text_margin", 0.95),
-        queries_per_location=cfg.get("queries_per_location", 1),
-        semipositive_regime=cfg.get("semipositive_regime", "negative"),
-    )
-    store, groups = geostore.generate_synthetic(synth, cfg.get("seed", 0))
+    settings = _settings(args)
+    store, groups = geostore.generate_synthetic(_build(SynthConfig, settings), settings.get("seed", 0))
     store.save(args.out)
     geostore.save_groups(groups, Path(args.out) / geostore.GROUPS_FILE)
     print(f"synthetic store: {len(store.ref_ids)} references, {len(store.query_ids)} queries -> {args.out}")
@@ -199,9 +232,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    cfg = _Resolver(args)
-    store = Store.load(cfg.require("store"))
-    k = cfg.get("k", 10)
+    settings = _settings(args)
+    store = Store.load(_require(settings, "store"))
+    k = settings.get("k", 10)
     rankings = retriever.rank_store_queries(store, k)
     retriever.save_rankings(rankings, args.out)
     print(f"ranked {len(rankings)} queries at k={k} -> {args.out}")
@@ -239,12 +272,7 @@ def _read_texts(path: str | Path) -> list[tuple[str, str]]:
 
 
 def cmd_embed(args) -> int:
-    cfg = _Resolver(args)
-    endpoint = cvlang.EmbedEndpointConfig(
-        url=cfg.get("endpoint", "mock:"),
-        model=cfg.get("model", "text-embedding-3-small"),
-        text_dim=cfg.get("text_dim", 1536),
-    )
+    endpoint = _build(cvlang.EmbedEndpointConfig, _settings(args))
     pairs = _read_texts(args.texts)
     vectors = cvlang.embed_texts([t for _, t in pairs], endpoint)
     if args.out:
@@ -259,12 +287,12 @@ def cmd_embed(args) -> int:
 
 
 def cmd_build_samples(args) -> int:
-    cfg = _Resolver(args)
-    store = Store.load(cfg.require("store"))
+    store_dir = _require(_settings(args), "store")
+    store = Store.load(store_dir)
     rankings = retriever.load_rankings(args.rankings)
     semipositives = None
     if args.exclude_semipositives:
-        groups_path = args.groups or Path(cfg.require("store")) / geostore.GROUPS_FILE
+        groups_path = args.groups or Path(store_dir) / geostore.GROUPS_FILE
         groups = geostore.load_groups(groups_path)
         semipositives = geostore.semipositive_map(groups, store)
     queries = [store.query(qid) for qid in store.query_ids]
@@ -274,38 +302,15 @@ def cmd_build_samples(args) -> int:
     return 0
 
 
-def _reranker_config(cfg: _Resolver, store: Store) -> RerankerConfig:
-    return RerankerConfig(
-        image_dim=store.manifest.image_dim,
-        text_dim=store.manifest.text_dim,
-        latent_dim=cfg.get("latent_dim", 512),
-        aligner_layers=cfg.get("aligner_layers", 2),
-        aligner_hidden=cfg.get("aligner_hidden", 512),
-        ln_epsilon=cfg.get("ln_epsilon", 1e-5),
-        shared_projections=bool(cfg.get("shared_projections", True)),
-        init_seed=cfg.get("init_seed", 0),
-    )
-
-
 def cmd_train(args) -> int:
-    cfg = _Resolver(args)
-    store = Store.load(cfg.require("store"))
+    settings = _settings(args)
+    store = Store.load(_require(settings, "store"))
     samples = trainer.load_samples(args.samples)
-    rr_config = _reranker_config(cfg, store)
-    tr_config = TrainConfig(
-        margin=cfg.get("margin", 1.0),
-        optimizer=cfg.get("optimizer", "adam"),
-        lr=cfg.get("lr", 1e-4),
-        batch_size=cfg.get("batch_size", 16),
-        epochs=cfg.get("epochs", 10),
-        shuffle_seed=cfg.get("shuffle_seed", 0),
-        grad_clip=cfg.get("grad_clip"),
-        loss_on=cfg.get("loss_on", "scores"),
-    )
+    rr_config = _build(RerankerConfig, settings, image_dim=store.manifest.image_dim, text_dim=store.manifest.text_dim)
+    tr_config = _build(TrainConfig, settings)
     out = Path(args.out)
-    params, report = trainer.train(
-        samples, store, rr_config, tr_config, val_split=cfg.get("val_split", 0.2), checkpoint_dir=out
-    )
+    params, report = trainer.train(samples, store, rr_config, tr_config, checkpoint_dir=out,
+                                   **_pick(settings, "val_split"))
     report.write_csv(out / "train_report.csv")
     report.write_jsonl(out / "train_report.jsonl")
     last = report.epochs[-1] if report.epochs else None
@@ -317,74 +322,52 @@ def cmd_train(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    cfg = _Resolver(args)
-    store = Store.load(cfg.require("store"))
+    store = Store.load(_require(_settings(args), "store"))
     params = reranker.load_params(args.checkpoint)
     rankings = retriever.load_rankings(args.rankings)
-    out = []
-    for r in rankings:
-        out.append(reranker.rerank(store.query(r.query_id), r, params, store))
+    out = [reranker.rerank(store.query(r.query_id), r, params, store) for r in rankings]
     retriever.save_rankings(out, args.out)
     print(f"reranked {len(out)} rankings -> {args.out}")
     return 0
 
 
-def _eval_config(cfg: _Resolver) -> evaluator.EvalConfig:
-    return evaluator.EvalConfig(
-        ks=tuple(cfg.get("ks", (1, 5, 10))),
-        thresholds_km=tuple(cfg.get("thresholds", (0.0, 0.5))),
-        earth_radius_km=cfg.get("earth_radius_km", 6371.0),
-    )
-
-
 def cmd_eval(args) -> int:
-    cfg = _Resolver(args)
-    store = Store.load(cfg.require("store"))
+    settings = _settings(args)
+    store = Store.load(_require(settings, "store"))
     rankings = retriever.load_rankings(args.rankings)
     coords = _store_coords(store)
-    metrics = evaluator.evaluate_rankings(rankings, store.ground_truth, _eval_config(cfg), coords)
+    metrics = evaluator.evaluate_rankings(rankings, store.ground_truth, _build(evaluator.EvalConfig, settings), coords)
     evaluator.single_run_files(metrics, args.out)
     print(f"evaluated {metrics['query_count']} rankings -> {args.out}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _Resolver(args)
-    store = Store.load(cfg.require("store"))
+    settings = _settings(args)
+    store = Store.load(_require(settings, "store"))
     baseline = retriever.load_rankings(args.baseline)
     reranked = retriever.load_rankings(args.reranked)
-    coords = _store_coords(store)
-    skipped = 0
-    for r in baseline:
-        truth = set(store.ground_truth.get(r.query_id, ()))
-        if not any(rid in truth for rid, _ in r.entries):
-            skipped += 1
-    report = evaluator.compare_rankings(
-        baseline, reranked, store.ground_truth, _eval_config(cfg), coords, skipped_query_count=skipped
-    )
+    report = evaluator.compare_rankings(baseline, reranked, store.ground_truth, _build(evaluator.EvalConfig, settings),
+                                        _store_coords(store))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")
     report.write_svg(out / "report.svg")
     deltas = ", ".join(f"ΔR@{k}={v['delta']:+.4f}" for k, v in report.recall.items())
-    print(f"compared {report.query_count} queries ({skipped} without positive in candidates): {deltas} -> {out}")
+    print(f"compared {report.query_count} queries ({report.skipped_query_count} without positive in candidates): "
+          f"{deltas} -> {out}")
     return 0
 
 
 def cmd_stability(args) -> int:
-    cfg = _Resolver(args)
+    endpoint = _build(cvlang.EmbedEndpointConfig, _settings(args))
     corpus_a = dict(_read_texts(args.corpus_a))
     corpus_b = dict(_read_texts(args.corpus_b))
 
     def embeddings_for(path, corpus):
         if path:
             return {rec["id"]: np.asarray(rec["embedding"], np.float32) for _, rec in geostore._read_jsonl(path)}
-        endpoint = cvlang.EmbedEndpointConfig(
-            url=cfg.get("endpoint", "mock:"),
-            model=cfg.get("model", "text-embedding-3-small"),
-            text_dim=cfg.get("text_dim", 1536),
-        )
         ids = sorted(corpus)
         vecs = cvlang.embed_texts([corpus[i] for i in ids], endpoint)
         return dict(zip(ids, vecs))
@@ -407,9 +390,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _Resolver(args)
-    seed = cfg.get("seed", 1)
-    err = trainer.run_gradcheck(seed, margin=cfg.get("margin", 1.0), loss_on=cfg.get("loss_on", "scores"))
+    settings = _settings(args)
+    seed = settings.get("seed", 1)
+    err = trainer.run_gradcheck(seed, **_pick(settings, "margin", "loss_on"))
     print(f"gradcheck seed={seed}: max relative error = {err:.3e} (tolerance 1e-4)")
     return 0 if err <= 1e-4 else 1
 
@@ -426,20 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", default=None, help=f"key=value config file (default ${CONFIG_ENV})")
+        for key in COMMAND_KEYS[name]:
+            parse = CONFIG_SCHEMA[key]
+            if parse is _bool:  # an on/off pair, added by hand
+                continue
+            flag = "--" + key.replace("_", "-")
+            if isinstance(parse, tuple):
+                p.add_argument(flag, choices=parse)
+            else:
+                p.add_argument(flag, type=parse)
         return p
 
     p = add("synth", cmd_synth, "generate a deterministic synthetic store")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--locations", type=int)
-    p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--image-dim", dest="image_dim", type=int)
-    p.add_argument("--text-dim", dest="text_dim", type=int)
-    p.add_argument("--image-noise", dest="image_noise", type=float)
-    p.add_argument("--group-spread", dest="group_spread", type=float)
-    p.add_argument("--text-margin", dest="text_margin", type=float)
-    p.add_argument("--queries-per-location", dest="queries_per_location", type=int)
-    p.add_argument("--semipositive-regime", dest="semipositive_regime", choices=("negative", "exclude"))
 
     p = add("ingest", cmd_ingest, "validate raw JSONL inputs and build a store")
     p.add_argument("--out", required=True)
@@ -455,8 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth")
 
     p = add("retrieve", cmd_retrieve, "rank top-k references for every store query")
-    p.add_argument("--store")
-    p.add_argument("--k", type=int)
     p.add_argument("--out", required=True)
 
     p = add("caption", cmd_caption, "validate answer sheets and render descriptions")
@@ -467,59 +447,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("embed", cmd_embed, "embed descriptions via endpoint or offline mock")
     p.add_argument("--texts", required=True)
     p.add_argument("--out")
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
-    p.add_argument("--text-dim", dest="text_dim", type=int)
     p.add_argument("--attach", help="store directory to attach embeddings to")
     p.add_argument("--side", choices=("refs", "queries"))
 
     p = add("build-samples", cmd_build_samples, "turn rankings into training samples")
-    p.add_argument("--store")
     p.add_argument("--rankings", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--exclude-semipositives", dest="exclude_semipositives", action="store_true")
     p.add_argument("--groups", help="groups.jsonl (default: <store>/groups.jsonl)")
 
     p = add("train", cmd_train, "train the reranking scorer")
-    p.add_argument("--store")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
-    p.add_argument("--val-split", dest="val_split", type=float)
-    p.add_argument("--loss-on", dest="loss_on", choices=("scores", "logits"))
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--latent-dim", dest="latent_dim", type=int)
-    p.add_argument("--aligner-layers", dest="aligner_layers", type=int)
-    p.add_argument("--aligner-hidden", dest="aligner_hidden", type=int)
-    p.add_argument("--ln-epsilon", dest="ln_epsilon", type=float)
-    p.add_argument("--init-seed", dest="init_seed", type=int)
     p.add_argument("--shared-projections", dest="shared_projections", action="store_const", const=True, default=None)
     p.add_argument("--separate-projections", dest="shared_projections", action="store_const", const=False)
 
     p = add("rerank", cmd_rerank, "reorder rankings with a trained checkpoint")
-    p.add_argument("--store")
     p.add_argument("--rankings", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
 
     p = add("eval", cmd_eval, "metrics for one ranking set")
-    p.add_argument("--store")
     p.add_argument("--rankings", required=True)
-    p.add_argument("--ks", type=_int_list)
-    p.add_argument("--thresholds", type=_float_list)
     p.add_argument("--out", required=True)
 
     p = add("compare", cmd_compare, "baseline vs reranked comparison report")
-    p.add_argument("--store")
     p.add_argument("--baseline", required=True)
     p.add_argument("--reranked", required=True)
-    p.add_argument("--ks", type=_int_list)
-    p.add_argument("--thresholds", type=_float_list)
     p.add_argument("--out", required=True)
 
     p = add("stability", cmd_stability, "description stability metrics between two runs")
@@ -527,15 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus-b", dest="corpus_b", required=True)
     p.add_argument("--emb-a", dest="emb_a")
     p.add_argument("--emb-b", dest="emb_b")
-    p.add_argument("--endpoint")
-    p.add_argument("--model")
-    p.add_argument("--text-dim", dest="text_dim", type=int)
     p.add_argument("--out", required=True)
 
-    p = add("gradcheck", cmd_gradcheck, "verify analytic gradients against finite differences")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--loss-on", dest="loss_on", choices=("scores", "logits"))
+    add("gradcheck", cmd_gradcheck, "verify analytic gradients against finite differences")
 
     return parser
 

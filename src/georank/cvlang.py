@@ -98,15 +98,15 @@ def render_description(sheet: MCQAnswerSheet, bank: QuestionBank) -> str:
 
 def sheets_from_jsonl(path: str | Path) -> list[MCQAnswerSheet]:
     sheets = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for ln, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
+                raw = raw.decode("utf-8").strip()
+                if not raw:
+                    continue
                 rec = json.loads(raw)
                 sheets.append(MCQAnswerSheet(rec["image_id"], dict(rec["answers"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}, line {ln}: malformed answer sheet ({exc})") from None
     return sheets
 

@@ -53,21 +53,68 @@ def haversine(p: GeoCoord, q: GeoCoord, radius_km: float = 6371.0) -> float:
 
 
 def _check_known(rankings: list[Ranking], ground_truth: dict) -> None:
+    """The precondition of every metric: a non-empty set of known query ids."""
+    if not rankings:
+        raise ValueError("no rankings to evaluate")
     for r in rankings:
         if r.query_id not in ground_truth:
             raise ValueError(f"unknown query id '{r.query_id}' in rankings")
 
 
+def _positive_ranks(rankings: list[Ranking], ground_truth: dict) -> np.ndarray:
+    """The 1-based rank of each ranking's first positive; inf where it has none."""
+    first = np.full(len(rankings), np.inf)
+    for i, r in enumerate(rankings):
+        truth = set(ground_truth[r.query_id])
+        first[i] = next((j for j, (rid, _) in enumerate(r.entries, start=1) if rid in truth), np.inf)
+    return first
+
+
+def _near_ranks(rankings: list[Ranking], coords: Mapping[str, GeoCoord], ground_truth: dict,
+                thresholds_km, depth: int, radius_km: float) -> dict[float, np.ndarray]:
+    """For each threshold, the 1-based rank of each ranking's first entry among
+    its top ``depth`` that lies within the threshold (inclusive) of a true
+    location; inf where there is none. Every (entry, true location) pair is
+    measured once, in one vectorised haversine call."""
+
+    def coord(rid: str) -> GeoCoord:
+        try:
+            return coords[rid]
+        except KeyError:
+            raise ValueError(f"missing coordinate for id '{rid}'") from None
+
+    owner, rank, near, truth = [], [], [], []
+    for i, r in enumerate(rankings):
+        truth_coords = [coord(g) for g in ground_truth[r.query_id]]
+        m = len(truth_coords)
+        for j, (rid, _) in enumerate(r.entries[:depth], start=1):
+            c = coord(rid)
+            owner.extend([i] * m)
+            rank.extend([j] * m)
+            near.extend([c] * m)
+            truth.extend(truth_coords)
+    dist = kernels.haversine_km(
+        np.array([c.lat for c in near]), np.array([c.lon for c in near]),
+        np.array([t.lat for t in truth]), np.array([t.lon for t in truth]), radius_km,
+    )
+    owner, rank = np.array(owner, np.int64), np.array(rank, np.float64)
+    out = {}
+    for t in thresholds_km:
+        out[t] = np.full(len(rankings), np.inf)
+        hit = dist <= t
+        np.minimum.at(out[t], owner[hit], rank[hit])
+    return out
+
+
+def _share(ranks: np.ndarray, k: int) -> float:
+    """Fraction of rankings whose rank is at most k."""
+    return int(np.count_nonzero(ranks <= k)) / len(ranks)
+
+
 def recall_at_k(rankings: list[Ranking], ground_truth: dict[str, tuple | set], k: int) -> float:
     """Fraction of queries with any positive among the first k entries."""
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
     _check_known(rankings, ground_truth)
-    hits = 0
-    for r in rankings:
-        truth = set(ground_truth[r.query_id])
-        hits += any(rid in truth for rid, _ in r.entries[:k])
-    return hits / len(rankings)
+    return _share(_positive_ranks(rankings, ground_truth), k)
 
 
 def average_precision(ranking: Ranking, positives: set[str]) -> float:
@@ -83,11 +130,13 @@ def average_precision(ranking: Ranking, positives: set[str]) -> float:
     return total / len(positives)
 
 
-def mean_average_precision(rankings: list[Ranking], ground_truth: dict) -> float:
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
-    _check_known(rankings, ground_truth)
+def _mean_ap(rankings: list[Ranking], ground_truth: dict) -> float:
     return sum(average_precision(r, set(ground_truth[r.query_id])) for r in rankings) / len(rankings)
+
+
+def mean_average_precision(rankings: list[Ranking], ground_truth: dict) -> float:
+    _check_known(rankings, ground_truth)
+    return _mean_ap(rankings, ground_truth)
 
 
 def threshold_recall(
@@ -99,35 +148,24 @@ def threshold_recall(
     radius_km: float = 6371.0,
 ) -> float:
     """Fraction of queries where a top-k reference lies within threshold_km
-    (inclusive) of a true location.
-
-    Every (top-k reference, true location) pair of every query is measured in
-    one vectorised haversine call.
-    """
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
+    (inclusive) of a true location."""
     _check_known(rankings, ground_truth)
+    return _share(_near_ranks(rankings, coords, ground_truth, (threshold_km,), k, radius_km)[threshold_km], k)
 
-    def coord(rid: str) -> GeoCoord:
-        try:
-            return coords[rid]
-        except KeyError:
-            raise ValueError(f"missing coordinate for id '{rid}'") from None
 
-    owner, near, truth = [], [], []
-    for i, r in enumerate(rankings):
-        truth_coords = [coord(g) for g in ground_truth[r.query_id]]
-        for rid, _ in r.entries[:k]:
-            c = coord(rid)
-            owner.extend([i] * len(truth_coords))
-            near.extend([c] * len(truth_coords))
-            truth.extend(truth_coords)
-    dist = kernels.haversine_km(
-        np.array([c.lat for c in near]), np.array([c.lon for c in near]),
-        np.array([t.lat for t in truth]), np.array([t.lon for t in truth]), radius_km,
-    )
-    hits = np.unique(np.asarray(owner)[dist <= threshold_km]).size
-    return hits / len(rankings)
+def _table(rankings: list[Ranking], first: np.ndarray, ground_truth: dict, config: EvalConfig,
+           coords: Mapping[str, GeoCoord] | None) -> dict:
+    """The metric table of one checked ranking set, given the rank of each
+    ranking's first positive."""
+    out = {
+        "query_count": len(rankings),
+        "recall": {k: _share(first, k) for k in config.ks},
+        "mean_ap": _mean_ap(rankings, ground_truth),
+    }
+    if coords is not None:
+        near = _near_ranks(rankings, coords, ground_truth, config.thresholds_km, config.ks[-1], config.earth_radius_km)
+        out["threshold_recall"] = {t: {k: _share(near[t], k) for k in config.ks} for t in config.thresholds_km}
+    return out
 
 
 def evaluate_rankings(
@@ -138,17 +176,8 @@ def evaluate_rankings(
 ) -> dict:
     """Single-sided metric table for one ranking set."""
     config.validate()
-    out = {
-        "query_count": len(rankings),
-        "recall": {k: recall_at_k(rankings, ground_truth, k) for k in config.ks},
-        "mean_ap": mean_average_precision(rankings, ground_truth),
-    }
-    if coords is not None:
-        out["threshold_recall"] = {
-            t: {k: threshold_recall(rankings, coords, ground_truth, t, k, config.earth_radius_km) for k in config.ks}
-            for t in config.thresholds_km
-        }
-    return out
+    _check_known(rankings, ground_truth)
+    return _table(rankings, _positive_ranks(rankings, ground_truth), ground_truth, config, coords)
 
 
 @dataclass
@@ -199,46 +228,36 @@ def compare_rankings(
     ground_truth: dict,
     config: EvalConfig,
     coords: Mapping[str, GeoCoord] | None = None,
-    skipped_query_count: int = 0,
 ) -> EvalReport:
-    """Baseline vs reranked report; reranking must not have changed any top-k set."""
+    """Baseline vs reranked report; reranking must not have changed any top-k set.
+    ``skipped_query_count`` is the number of baseline rankings that hold no positive."""
     config.validate()
     base_ids = sorted(r.query_id for r in baseline)
     rr_ids = sorted(r.query_id for r in reranked)
     if base_ids != rr_ids:
         raise ValueError("query-set mismatch between baseline and reranked rankings")
+    _check_known(baseline, ground_truth)  # reranked holds the same query ids
+    base_first, rr_first = _positive_ranks(baseline, ground_truth), _positive_ranks(reranked, ground_truth)
     k_max = max(len(r.entries) for r in baseline)
-    r_base = recall_at_k(baseline, ground_truth, k_max)
-    r_rr = recall_at_k(reranked, ground_truth, k_max)
+    r_base, r_rr = _share(base_first, k_max), _share(rr_first, k_max)
     if r_base != r_rr:
         raise ValueError(
             f"reranking changed recall@{k_max} ({r_base} -> {r_rr}); it must only permute the candidate set"
         )
+    base = _table(baseline, base_first, ground_truth, config, coords)
+    rr = _table(reranked, rr_first, ground_truth, config, coords)
 
     def side(metric_base, metric_rr):
         return {"baseline": metric_base, "reranked": metric_rr, "delta": metric_rr - metric_base}
 
-    recall = {
-        k: side(recall_at_k(baseline, ground_truth, k), recall_at_k(reranked, ground_truth, k)) for k in config.ks
-    }
-    mean_ap = side(mean_average_precision(baseline, ground_truth), mean_average_precision(reranked, ground_truth))
-    thr: dict[float, dict[int, dict[str, float]]] = {}
-    if coords is not None:
-        for t in config.thresholds_km:
-            thr[t] = {
-                k: side(
-                    threshold_recall(baseline, coords, ground_truth, t, k, config.earth_radius_km),
-                    threshold_recall(reranked, coords, ground_truth, t, k, config.earth_radius_km),
-                )
-                for k in config.ks
-            }
     return EvalReport(
         query_count=len(baseline),
-        skipped_query_count=skipped_query_count,
+        skipped_query_count=int(np.isinf(base_first).sum()),
         k_max=k_max,
-        recall=recall,
-        mean_ap=mean_ap,
-        threshold_recall=thr,
+        recall={k: side(base["recall"][k], rr["recall"][k]) for k in config.ks},
+        mean_ap=side(base["mean_ap"], rr["mean_ap"]),
+        threshold_recall={t: {k: side(v, rr["threshold_recall"][t][k]) for k, v in per_k.items()}
+                          for t, per_k in base.get("threshold_recall", {}).items()},
     )
 
 

@@ -291,6 +291,15 @@ def _all_valid_ids(ids: list[str]) -> bool:
     return all(ids) and joined.splitlines() == list(ids)
 
 
+def _all_utf8_text(values) -> bool:
+    """Every value that is not None is a string encodable as UTF-8 (no lone surrogate)."""
+    try:
+        "".join(v for v in values if v is not None).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
+        return False
+    return True
+
+
 def _read_utf8(path: Path) -> str:
     """The text of ``path``; a byte that is not UTF-8 raises IngestError naming its line."""
     data = path.read_bytes()
@@ -396,10 +405,10 @@ class Store:
     def validate(self) -> None:
         """Check every store invariant, and build the retrieval index on the way.
 
-        Ids are valid and unique, matrices have the manifest's widths, image
-        rows are finite and non-zero, text rows are finite, coordinates lie in
-        range, and every query's ground truth is non-empty and names
-        references. The first failure raises ``InvalidStore``.
+        Ids are valid and unique, matrices have the manifest's widths,
+        captions are strings encodable as UTF-8, image rows are finite and
+        non-zero, text rows are finite, coordinates lie in range, and every
+        query's ground truth is non-empty and names references. The first failure raises ``InvalidStore``.
         """
         m = self.manifest
         for side, cols, key in (("refs", self.refs, "reference_count"), ("queries", self.queries, "query_count")):
@@ -423,6 +432,10 @@ class Store:
                                        f"{name} embedding dim {got[1]} does not match manifest {want[1]} ({name}_dim)")
                 if got != want:
                     raise InvalidStore(side, name, None, None, f"{name} has shape {got}, not {want}")
+            if not _all_utf8_text(cols.captions):
+                row = next(r for r, c in enumerate(cols.captions) if not _all_utf8_text([c]))
+                raise InvalidStore(side, "captions", row, cols.ids[row], "has a caption that is not a string "
+                                                                        "encodable as UTF-8")
             # a zero or non-finite image row could only score NaN
             if side == "refs":
                 self.cosine_index = kernels.build_cosine_index(cols.image)
@@ -696,11 +709,13 @@ def _read_side_tables(cols: Columns, side: str, sources: dict, captions: str | P
     """Fill the captions and coordinates of ``cols`` from their JSONL tables (either may be None)."""
     n = len(cols.ids)
     if captions is not None:
-        cols.captions = [None] * n
+        cols.captions, lines = [None] * n, np.zeros(n, np.int64)
         for ln, row, rid, rec in _read_keyed(captions, cols.pos, "caption"):
             if not isinstance(rec.get("caption"), str):
                 raise IngestError("missing 'caption' string", file=str(captions), line=ln, record_id=rid)
             cols.captions[row] = rec["caption"]
+            lines[row] = ln
+        sources[side, "captions"] = (captions, lines)
     if coords is not None:
         cols.coords, lines = np.zeros((n, 2)), np.zeros(n, np.int64)
         for ln, row, rid, rec in _read_keyed(coords, cols.pos, "coordinate"):
@@ -815,12 +830,10 @@ class SynthConfig:
     centroids. ``group_spread`` is how far location image centroids sit from
     their group centroid. ``text_margin`` is the target cosine between two
     noisy views of one location's text centroid (1.0 = noiseless), which
-    fixes the text noise level. ``semipositive_regime`` selects whether
-    same-group non-matching references are treated as ordinary negatives
-    ("negative") or flagged for exclusion from reranker training ("exclude").
+    fixes the text noise level.
     """
 
-    n_locations: int
+    n_locations: int = 100
     group_size: int = 4
     image_dim: int = 64
     text_dim: int = 64
@@ -828,7 +841,6 @@ class SynthConfig:
     group_spread: float = 0.15
     text_margin: float = 0.95
     queries_per_location: int = 1
-    semipositive_regime: str = "negative"
 
     def validate(self) -> None:
         if self.group_size < 2:
@@ -841,8 +853,6 @@ class SynthConfig:
             raise ValueError("text_margin must be in (0, 1]")
         if self.queries_per_location < 1:
             raise ValueError("queries_per_location must be >= 1")
-        if self.semipositive_regime not in ("negative", "exclude"):
-            raise ValueError(f"unknown semipositive_regime '{self.semipositive_regime}'")
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:

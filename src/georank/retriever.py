@@ -188,12 +188,12 @@ def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
 
 def load_rankings(path: str | Path) -> list[Ranking]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for ln, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
+                raw = raw.decode("utf-8").strip()
+                if not raw:
+                    continue
                 rec = json.loads(raw)
                 entries = [(str(rid), float(s)) for rid, s in rec["entries"]]
                 out.append(

@@ -56,6 +56,11 @@ class TrainingSample:
             raise ValueError(f"sample '{self.query_id}' has duplicate candidates")
 
 
+# the values TrainConfig.validate accepts; the command line offers the same
+OPTIMIZERS = ("sgd", "adam")
+LOSS_ON = ("scores", "logits")
+
+
 @dataclass
 class TrainConfig:
     margin: float = 1.0
@@ -75,10 +80,10 @@ class TrainConfig:
             raise ValueError("margin must be >= 0")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
-        if self.loss_on not in ("scores", "logits"):
-            raise ValueError(f"loss_on must be 'scores' or 'logits', got '{self.loss_on}'")
+        if self.loss_on not in LOSS_ON:
+            raise ValueError(f"loss_on must be one of {', '.join(LOSS_ON)}, got '{self.loss_on}'")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
@@ -346,12 +351,12 @@ def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
 
 def load_samples(path: str | Path) -> list[TrainingSample]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for ln, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
             try:
+                raw = raw.decode("utf-8").strip()
+                if not raw:
+                    continue
                 rec = json.loads(raw)
                 s = TrainingSample(rec["query_id"], tuple(rec["candidates"]), int(rec["positive_index"]))
                 s.validate()

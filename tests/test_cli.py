@@ -1,11 +1,15 @@
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from georank.cli import build_parser, main
-from georank.geostore import Store, store_digest
+from georank import cvlang, evaluator, geostore, retriever, trainer
+from georank.cli import COMMAND_KEYS, CONFIG_SCHEMA, build_parser, main
+from georank.geostore import Store, SynthConfig, store_digest
+from georank.reranker import RerankerConfig
 from georank.retriever import load_rankings
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +118,167 @@ def test_missing_store_setting_is_validation_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# every declared setting, as flag and from a config file
+# ---------------------------------------------------------------------------
+
+class _Reached(Exception):
+    """Raised in place of the call a subcommand hands its settings to; carries
+    that call's arguments, defaults applied."""
+
+
+# the call each subcommand hands its settings to (build-samples and rerank read only the store)
+_CONSUMERS = {
+    "synth": (geostore, "generate_synthetic"),
+    "retrieve": (retriever, "rank_store_queries"),
+    "embed": (cvlang, "embed_texts"),
+    "train": (trainer, "train"),
+    "eval": (evaluator, "evaluate_rankings"),
+    "compare": (evaluator, "compare_rankings"),
+    "stability": (cvlang, "embed_texts"),
+    "gradcheck": (trainer, "run_gradcheck"),
+}
+# keys whose config-dataclass field is named otherwise
+_FIELD = {"locations": "n_locations", "thresholds": "thresholds_km", "endpoint": "url"}
+# (file text, its value, flag arguments, their value) per kind of key; the store key is apart
+_EXAMPLES = {
+    int: ("7", 7, ["9"], 9),
+    float: ("0.25", 0.25, ["0.375"], 0.375),
+    str: ("mock:file", "mock:file", ["mock:flag"], "mock:flag"),
+    "ks": ("3,4", (3, 4), ["2,6"], (2, 6)),
+    "thresholds": ("0.25,1", (0.25, 1.0), ["2"], (2.0,)),
+    "shared_projections": ("false", False, [], True),
+}
+
+
+def _examples(key, default):
+    parse = CONFIG_SCHEMA[key]
+    if isinstance(parse, tuple):  # one of a few values: the file picks one that is not the default
+        file_value = next(v for v in parse if v != default)
+        flag_value = next(v for v in parse if v != file_value)
+        return file_value, file_value, [flag_value], flag_value
+    return _EXAMPLES[parse if parse in (int, float, str) else key]
+
+
+@pytest.fixture
+def settings_inputs(tmp_path, mini_store):
+    rankings, samples, texts = tmp_path / "rankings.jsonl", tmp_path / "samples.jsonl", tmp_path / "texts.jsonl"
+    assert main(["retrieve", "--store", str(mini_store), "--k", "4", "--out", str(rankings)]) == 0
+    assert main(["build-samples", "--store", str(mini_store), "--rankings", str(rankings), "--out", str(samples)]) == 0
+    texts.write_text('{"id": "a", "description": "a road"}\n')
+    out = str(tmp_path / "out")
+    return {
+        "synth": ["--out", out],
+        "retrieve": ["--out", out],
+        "embed": ["--texts", str(texts), "--out", out],
+        "build-samples": ["--rankings", str(rankings), "--out", out],
+        "train": ["--samples", str(samples), "--out", out],
+        "rerank": ["--rankings", str(rankings), "--checkpoint", out, "--out", out],
+        "eval": ["--rankings", str(rankings), "--out", out],
+        "compare": ["--baseline", str(rankings), "--reranked", str(rankings), "--out", out],
+        "stability": ["--corpus-a", str(texts), "--corpus-b", str(texts), "--out", out],
+        "gradcheck": [],
+    }
+
+
+def _stop_at(monkeypatch, module, name):
+    signature = inspect.signature(getattr(module, name))
+
+    def reached(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        raise _Reached(bound.arguments)
+
+    monkeypatch.setattr(module, name, reached)
+
+
+def _handed_on(argv) -> dict:
+    """What the subcommand passed on: each argument, and each field of each config dataclass."""
+    with pytest.raises(_Reached) as exc:
+        main(argv)
+    values = {}
+    for name, value in exc.value.args[0].items():
+        values.update(dataclasses.asdict(value) if dataclasses.is_dataclass(value) else {name: value})
+    return values
+
+
+@pytest.mark.parametrize("command", [c for c in COMMAND_KEYS if COMMAND_KEYS[c]])
+def test_every_setting_works_as_flag_and_file_with_flag_over_file_over_default(
+        command, settings_inputs, mini_store, tmp_path, monkeypatch):
+    monkeypatch.delenv("GEOVLM_CONFIG", raising=False)
+    cfg = tmp_path / "georank.cfg"
+    argv = [command, "--config", str(cfg)] + settings_inputs[command]
+    if "store" in COMMAND_KEYS[command]:
+        with monkeypatch.context() as patch:
+            _stop_at(patch, Store, "load")
+            cfg.write_text(f"store={tmp_path / 'other'}\n")
+            assert _handed_on(argv)["store_dir"] == str(tmp_path / "other")
+            assert _handed_on(argv + ["--store", str(mini_store)])["store_dir"] == str(mini_store)
+        argv += ["--store", str(mini_store)]
+    keys = [k for k in COMMAND_KEYS[command] if k != "store"]
+    if not keys:
+        return
+    _stop_at(monkeypatch, *_CONSUMERS[command])
+    cfg.write_text("")
+    defaults = _handed_on(argv)
+    for key in keys:
+        field = _FIELD.get(key, key)
+        file_text, file_value, flag_args, flag_value = _examples(key, defaults[field])
+        assert file_value != defaults[field] and flag_value != file_value
+        cfg.write_text(f"{key}={file_text}\n")
+        assert _handed_on(argv)[field] == file_value, f"{key} from the config file"
+        flag = ["--" + key.replace("_", "-")] + flag_args
+        assert _handed_on(argv + flag)[field] == flag_value, f"--{key} over the config file"
+
+
+def test_settings_left_unset_keep_the_config_dataclass_defaults(settings_inputs, mini_store, monkeypatch):
+    monkeypatch.delenv("GEOVLM_CONFIG", raising=False)
+    manifest = Store.load(mini_store).manifest
+    expected = {
+        "synth": [SynthConfig()],
+        "train": [RerankerConfig(image_dim=manifest.image_dim, text_dim=manifest.text_dim), trainer.TrainConfig()],
+        "eval": [evaluator.EvalConfig()],
+        "compare": [evaluator.EvalConfig()],
+        "embed": [cvlang.EmbedEndpointConfig()],
+        "stability": [cvlang.EmbedEndpointConfig()],
+    }
+    for command, configs in expected.items():
+        argv = [command] + settings_inputs[command]
+        if "store" in COMMAND_KEYS[command]:
+            argv += ["--store", str(mini_store)]
+        with monkeypatch.context() as patch, pytest.raises(_Reached) as exc:
+            _stop_at(patch, *_CONSUMERS[command])
+            main(argv)
+        assert [v for v in exc.value.args[0].values() if dataclasses.is_dataclass(v)] == configs, command
+
+
+def test_separate_projections_flag_and_train_batch_size_stay_where_they_belong(
+        settings_inputs, mini_store, tmp_path, monkeypatch):
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("batch_size=7\nshared_projections=true\n")
+    monkeypatch.setenv("GEOVLM_CONFIG", str(cfg))
+    _stop_at(monkeypatch, cvlang, "embed_texts")
+    assert _handed_on(["embed"] + settings_inputs["embed"])["batch_size"] == cvlang.EmbedEndpointConfig().batch_size
+    _stop_at(monkeypatch, trainer, "train")
+    train = _handed_on(["train", "--store", str(mini_store), "--separate-projections"] + settings_inputs["train"])
+    assert train["batch_size"] == 7 and train["shared_projections"] is False
+
+
+def test_every_setting_is_read_by_some_subcommand():
+    assert set(CONFIG_SCHEMA) == {key for keys in COMMAND_KEYS.values() for key in keys}
+
+
+@pytest.mark.parametrize("command,flag", [("train", "--optimizer"), ("train", "--loss-on"), ("gradcheck", "--loss-on")])
+def test_invalid_choice_exits_1_naming_value(command, flag, capsys, tmp_path):
+    extra = ["--samples", "s", "--out", str(tmp_path)] if command == "train" else []
+    assert main([command, flag, "bogus"] + extra) == 1
+    assert "bogus" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')}=bogus\n")
+    assert main([command, "--config", str(cfg)] + extra) == 1
+    assert "bogus" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # pipeline pieces
 # ---------------------------------------------------------------------------
 
@@ -213,7 +378,7 @@ def test_stability_cli(tmp_path):
 
 def test_semipositive_exclusion_pipeline(tmp_path):
     store_dir = tmp_path / "store"
-    assert main(synth_args(store_dir, locations=12, group_size=3) + ["--semipositive-regime", "exclude"]) == 0
+    assert main(synth_args(store_dir, locations=12, group_size=3)) == 0
     rankings = tmp_path / "rankings.jsonl"
     assert main(["retrieve", "--store", str(store_dir), "--k", "6", "--out", str(rankings)]) == 0
     samples = tmp_path / "samples.jsonl"

@@ -152,6 +152,14 @@ def test_sheets_jsonl_loader(tmp_path, bank):
         sheets_from_jsonl(bad)
 
 
+def test_sheets_non_utf8_line_names_file_and_line(tmp_path):
+    path = tmp_path / "sheets.jsonl"
+    path.write_bytes(b'{"image_id": "a", "answers": {}}\n\xff\n')
+    with pytest.raises(ValueError, match="line 2") as exc:
+        sheets_from_jsonl(path)
+    assert str(path) in str(exc.value) and not isinstance(exc.value, UnicodeDecodeError)
+
+
 # ---------------------------------------------------------------------------
 # jaccard and stability
 # ---------------------------------------------------------------------------

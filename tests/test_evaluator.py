@@ -187,9 +187,16 @@ def test_threshold_recall_matches_per_pair_loop():
                         for rid, _ in r.entries[:k] for g in truth[r.query_id])
         return hits / len(rankings)
 
-    for threshold in (0.0, 5.0, 30.0, 80.0, haversine(coords["r3"], coords["r7"])):
+    thresholds = (0.0, 5.0, 30.0, 80.0, haversine(coords["r3"], coords["r7"]))
+    for threshold in thresholds:
         for k in (1, 3, 8):
             assert threshold_recall(rankings, coords, truth, threshold, k) == loop(threshold, k)
+    # the table measures each ranking once for every k and threshold
+    table = evaluate_rankings(rankings, truth, EvalConfig(ks=(1, 3, 8), thresholds_km=thresholds), coords)
+    assert table["threshold_recall"] == {t: {k: loop(t, k) for k in (1, 3, 8)} for t in thresholds}
+    exact = {k: sum(any(rid in truth[r.query_id] for rid, _ in r.entries[:k]) for r in rankings) / len(rankings)
+             for k in (1, 3, 8)}
+    assert table["recall"] == exact
 
 
 def test_threshold_recall_missing_coordinate():
@@ -256,13 +263,15 @@ def test_compare_report_files(tmp_path):
     for r in baseline:
         for i, (rid, _) in enumerate(r.entries):
             coords[rid] = GeoCoord(0.02 * i, 0.1)
-    report = compare_rankings(baseline, reranked, truth, EvalConfig(), coords=coords, skipped_query_count=2)
+    truth["q0"] = {"elsewhere"}
+    coords["elsewhere"] = GeoCoord(10.0, 10.0)
+    report = compare_rankings(baseline, reranked, truth, EvalConfig(), coords=coords)
     report.write_json(tmp_path / "report.json")
     report.write_csv(tmp_path / "report.csv")
     report.write_svg(tmp_path / "report.svg")
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["skipped_query_count"] == 2
-    assert payload["recall"]["1"]["delta"] == 1.0
+    assert payload["skipped_query_count"] == 1
+    assert payload["recall"]["1"]["delta"] == 0.8
     assert "reference_context" in payload
     assert payload["reference_context"]["description_stability"]["cosine"] == 0.83
     csv = (tmp_path / "report.csv").read_text()

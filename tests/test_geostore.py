@@ -16,6 +16,7 @@ from georank.geostore import (
     FormatError,
     GeoCoord,
     IngestError,
+    InvalidStore,
     Store,
     StoreManifest,
     SynthConfig,
@@ -277,6 +278,27 @@ def test_ids_with_lone_surrogates_rejected_on_write_and_ingest(tmp_path):
     with pytest.raises(IngestError, match="line 2") as exc:
         ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
     assert exc.value.record_id == rid
+
+
+@pytest.mark.parametrize("caption", ["a\ud800b", 7])
+def test_caption_not_utf8_string_rejected_in_memory_on_ingest_and_on_load(tmp_path, caption):
+    refs = [make_ref("ok", [1.0, 0.0], caption="fine"), make_ref("r1", [0.0, 1.0], caption=caption)]
+    with pytest.raises(InvalidStore, match="caption") as exc:
+        build_store(refs, [], image_dim=2)
+    assert (exc.value.side, exc.value.row, exc.value.record_id) == ("refs", 1, "r1")
+    if not isinstance(caption, str):
+        return  # JSON input gives a non-string caption its own ingest error
+    emb = _ref_file(tmp_path, [{"id": "ok", "embedding": [1.0, 0.0]}, {"id": "r1", "embedding": [0.0, 1.0]}])
+    caps = tmp_path / "caps.jsonl"
+    caps.write_text('{"id": "ok", "caption": "fine"}\n{"id": "r1", "caption": "a\\ud800b"}\n')
+    with pytest.raises(IngestError, match=re.escape(f"{caps}, line 2")) as exc:
+        ingest(tmp_path / "store", StoreManifest(2, 8, 2, 0), emb, ref_captions=caps)
+    assert exc.value.record_id == "r1" and not (tmp_path / "store").exists()
+    refs[1] = make_ref("r1", [0.0, 1.0], caption="also fine")
+    build_store(refs, [], image_dim=2).save(tmp_path / "s")
+    (tmp_path / "s" / "refs.captions.jsonl").write_bytes(caps.read_bytes())
+    with pytest.raises(FormatError, match=re.escape(f"refs.captions.jsonl, line 2: id 'r1'")):
+        Store.load(tmp_path / "s")
 
 
 @pytest.mark.parametrize("brk", ["\r", "\x85", "\u2028"])

@@ -299,6 +299,14 @@ def test_rankings_malformed_line(tmp_path):
         load_rankings(path)
 
 
+def test_rankings_non_utf8_line_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"query_id": "q", "entries": [["a", 0.5]]}\n\xff\n')
+    with pytest.raises(ValueError, match="line 2") as exc:
+        load_rankings(path)
+    assert str(path) in str(exc.value) and not isinstance(exc.value, UnicodeDecodeError)
+
+
 def test_ranking_validate_rejects_bad_order():
     with pytest.raises(ValueError, match="order"):
         Ranking("q", [("a", 0.1), ("b", 0.9)], k=2).validate()

@@ -423,6 +423,14 @@ def test_samples_jsonl_rejects_invalid(tmp_path):
         load_samples(path)
 
 
+def test_samples_non_utf8_line_names_file_and_line(tmp_path):
+    path = tmp_path / "samples.jsonl"
+    path.write_bytes(b'{"query_id": "q", "candidates": ["a", "b"], "positive_index": 0}\n\xff\n')
+    with pytest.raises(ValueError, match="line 2") as exc:
+        load_samples(path)
+    assert str(path) in str(exc.value) and not isinstance(exc.value, UnicodeDecodeError)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
