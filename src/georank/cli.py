@@ -325,6 +325,7 @@ def cmd_rerank(args) -> int:
     store = Store.load(_require(_settings(args), "store"))
     params = reranker.load_params(args.checkpoint)
     rankings = retriever.load_rankings(args.rankings)
+    # per query, not batched: a stacked GEMM rounds each row differently, and the scores must equal reranker.rerank's
     out = [reranker.rerank(store.query(r.query_id), r, params, store) for r in rankings]
     retriever.save_rankings(out, args.out)
     print(f"reranked {len(out)} rankings -> {args.out}")
@@ -360,21 +361,50 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _read_embeddings(path: str | Path, dim: int | None) -> dict[str, np.ndarray]:
+    """id -> float32 vector of a JSONL file of ``{"id", "embedding"}`` lines,
+    each ``dim`` wide (as wide as the first, given None). A bad record raises
+    ValueError naming the file, the line and the id."""
+    out: dict[str, np.ndarray] = {}
+    for ln, rec in geostore._read_jsonl(path):
+        rid = rec.get("id")
+        if not isinstance(rid, str):
+            raise ValueError(f"{path}, line {ln}: missing or invalid 'id'")
+        where = f"{path}, line {ln}, id '{rid}'"
+        if rid in out:
+            raise ValueError(f"{where}: id appears twice")
+        values = rec.get("embedding")
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"{where}: missing or empty 'embedding' array")
+        try:
+            vec = np.asarray(values, np.float32)
+        except (TypeError, ValueError):
+            vec = None
+        if vec is None or vec.ndim != 1:
+            raise ValueError(f"{where}: embedding is not a list of numbers")
+        dim = dim or len(vec)
+        if len(vec) != dim:
+            raise ValueError(f"{where}: embedding has {len(vec)} values, expected {dim}")
+        out[rid] = vec
+    return out
+
+
 def cmd_stability(args) -> int:
     endpoint = _build(cvlang.EmbedEndpointConfig, _settings(args))
     corpus_a = dict(_read_texts(args.corpus_a))
     corpus_b = dict(_read_texts(args.corpus_b))
 
-    def embeddings_for(path, corpus):
+    def embeddings_for(path, corpus, dim):
         if path:
-            return {rec["id"]: np.asarray(rec["embedding"], np.float32) for _, rec in geostore._read_jsonl(path)}
+            return _read_embeddings(path, dim)
         ids = sorted(corpus)
         vecs = cvlang.embed_texts([corpus[i] for i in ids], endpoint)
         return dict(zip(ids, vecs))
 
-    report = cvlang.stability_report(
-        corpus_a, corpus_b, embeddings_for(args.emb_a, corpus_a), embeddings_for(args.emb_b, corpus_b)
-    )
+    # every vector must be as wide as the first of --emb-a, or text_dim if either side is embedded here
+    emb_a = embeddings_for(args.emb_a, corpus_a, None if args.emb_b else endpoint.text_dim)
+    emb_b = embeddings_for(args.emb_b, corpus_b, len(next(iter(emb_a.values()))) if emb_a else endpoint.text_dim)
+    report = cvlang.stability_report(corpus_a, corpus_b, emb_a, emb_b)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()

@@ -202,6 +202,29 @@ def init_params(config: RerankerConfig) -> RerankerParams:
 # forward pieces
 # ---------------------------------------------------------------------------
 
+def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` for (m, k) rows ``x`` and an (n, k) weight ``w``.
+
+    In float32 it is computed as ``(w @ x.T).T``: for a few rows against a
+    wide weight, OpenBLAS runs ``x @ w.T`` on a path that spends its time
+    packing ``w``, and the swapped product on its fast one. Both run the same
+    float32 kernel with the same accumulation order, so the result is bit for
+    bit ``x @ w.T``. The float64 kernels do not: on AVX-512 OpenBLAS 0.3.31
+    rounds some shapes differently (78 rows of 81 against an 83 x 81 weight),
+    so any other dtype keeps the plain product.
+    """
+    if x.dtype != np.float32:
+        return x @ w.T
+    return np.ascontiguousarray((w @ x.T).T)
+
+
+def row_mean(z: np.ndarray) -> np.ndarray:
+    """``z.mean(axis=-1, keepdims=True)``, bit for bit, without the Python
+    wrapper of ``np.mean``, which at the aligner's widths costs as much as
+    the sum itself."""
+    return np.add.reduce(z, axis=-1, keepdims=True) / z.shape[-1]
+
+
 def proj_names(config: RerankerConfig, side: str) -> tuple[str, str, str, str]:
     """Names of the image weight, image bias, text weight and text bias that
     project one side ('query' or 'reference') into the latent space."""
@@ -221,7 +244,7 @@ def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerPa
         raise ValueError(f"image dim {img.shape[1]} does not match projection {wi.shape[1]}")
     if txt.shape[1] != wt.shape[1]:
         raise ValueError(f"text dim {txt.shape[1]} does not match projection {wt.shape[1]}")
-    fused = (img @ wi.T + bi) + (txt @ wt.T + bt)
+    fused = (_linear(img, wi) + bi) + (_linear(txt, wt) + bt)
     return fused if np.ndim(image_emb) == 2 else fused[0]
 
 
@@ -250,10 +273,10 @@ def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) 
         raise ValueError(f"fused dim {x.shape[1]} does not match latent_dim {params.config.latent_dim}")
     eps = params.config.ln_epsilon
     for w, b, scale, shift in aligner_blocks(params):
-        z = x @ w.T + b
-        mu = z.mean(axis=-1, keepdims=True)
+        z = _linear(x, w) + b
+        mu = row_mean(z)
         zc = z - mu
-        var = (zc * zc).mean(axis=-1, keepdims=True)
+        var = row_mean(zc * zc)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = zc * inv
         y = scale * xhat + shift
@@ -306,7 +329,7 @@ def score_logits(
     segment = np.repeat(np.arange(len(aligned_q)), [len(aligned_c)] if counts is None else counts)
     if len(segment) != len(aligned_c):
         raise ValueError(f"candidate counts cover {len(segment)} rows, but {len(aligned_c)} candidates were given")
-    u_c = (aligned_q @ params.tensors["score.w"].T)[segment]
+    u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
     if cache is not None:
         cache.update(aligned_q=aligned_q, aligned_c=aligned_c, segment=segment, u_c=u_c)
     return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64)

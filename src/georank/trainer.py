@@ -31,6 +31,7 @@ from .reranker import (
     init_params,
     order_by_score,
     proj_names,
+    row_mean,
     save_params,
     score_logits,
 )
@@ -111,8 +112,8 @@ def _aligner_backward(dout: np.ndarray, blocks, caches, grads: dict) -> np.ndarr
         grads[f"align{i}.ln_scale"] += (dy * xhat).sum(axis=0)
         grads[f"align{i}.ln_shift"] += dy.sum(axis=0)
         dxhat = dy * scale
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = row_mean(dxhat)
+        m2 = row_mean(dxhat * xhat)
         dz = inv * (dxhat - m1 - xhat * m2)
         grads[f"align{i}.w"] += dz.T @ x_in
         grads[f"align{i}.b"] += dz.sum(axis=0)

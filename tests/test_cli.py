@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from georank import cvlang, evaluator, geostore, retriever, trainer
+from georank import cvlang, evaluator, geostore, reranker, retriever, trainer
 from georank.cli import COMMAND_KEYS, CONFIG_SCHEMA, build_parser, main
 from georank.geostore import Store, SynthConfig, store_digest
 from georank.reranker import RerankerConfig
@@ -376,6 +376,34 @@ def test_stability_cli(tmp_path):
     assert payload["reference_context"]["cosine"] == 0.83
 
 
+def _stability_inputs(tmp_path, emb_a, emb_b):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"i{i}", "description": f"scene {i}"}) + "\n" for i in range(2)))
+    paths = []
+    for name, records in (("emb_a.jsonl", emb_a), ("emb_b.jsonl", emb_b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(r) + "\n" for r in records))
+    return ["stability", "--corpus-a", str(corpus), "--corpus-b", str(corpus), "--emb-a", str(paths[0]),
+            "--emb-b", str(paths[1]), "--out", str(tmp_path / "stab")], paths
+
+
+def test_stability_embedding_without_id_names_file_and_line(tmp_path, capsys):
+    good = [{"id": "i0", "embedding": [1.0, 0.0]}, {"id": "i1", "embedding": [0.0, 1.0]}]
+    args, (_, emb_b) = _stability_inputs(tmp_path, good, [good[0], {"embedding": [0.0, 1.0]}])
+    assert main(args) == 1
+    assert f"error: {emb_b}, line 2: missing or invalid 'id'" in capsys.readouterr().err
+    assert not (tmp_path / "stab").exists()
+
+
+def test_stability_embedding_width_mismatch_names_file_line_and_id(tmp_path, capsys):
+    emb_a = [{"id": "i0", "embedding": [1.0, 0.0]}, {"id": "i1", "embedding": [0.0, 1.0]}]
+    emb_b = [{"id": "i0", "embedding": [1.0, 0.0]}, {"id": "i1", "embedding": [0.0, 1.0, 0.0]}]
+    args, (_, path_b) = _stability_inputs(tmp_path, emb_a, emb_b)
+    assert main(args) == 1
+    assert f"error: {path_b}, line 2, id 'i1': embedding has 3 values, expected 2" in capsys.readouterr().err
+    assert not (tmp_path / "stab").exists()
+
+
 def test_semipositive_exclusion_pipeline(tmp_path):
     store_dir = tmp_path / "store"
     assert main(synth_args(store_dir, locations=12, group_size=3)) == 0
@@ -435,6 +463,28 @@ def test_end_to_end_pipeline(tmp_path):
 def test_parser_builds():
     parser = build_parser()
     assert parser.prog == "georank"
+
+
+def test_rerank_command_equals_per_query_rerank(tmp_path):
+    """perfbench checks the rankings `georank rerank` writes against per-query
+    `reranker.rerank` calls exactly, scores included; a batched forward would
+    round differently."""
+    store_dir = tmp_path / "store"
+    assert main(["synth", "--out", str(store_dir), "--locations", "40", "--group-size", "4",
+                 "--image-dim", "64", "--text-dim", "64", "--seed", "3"]) == 0
+    baseline = tmp_path / "baseline.jsonl"
+    assert main(["retrieve", "--store", str(store_dir), "--k", "10", "--out", str(baseline)]) == 0
+    ckpt = tmp_path / "init.gvck"
+    cfg = RerankerConfig(image_dim=64, text_dim=64, latent_dim=64, aligner_hidden=64, init_seed=5)
+    reranker.save_params(ckpt, reranker.init_params(cfg))
+    out = tmp_path / "reranked.jsonl"
+    assert main(["rerank", "--store", str(store_dir), "--rankings", str(baseline), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 0
+    store, params = Store.load(store_dir), reranker.load_params(ckpt)
+    want = [reranker.rerank(store.query(r.query_id), r, params, store) for r in load_rankings(baseline)]
+    got = load_rankings(out)
+    assert len(got) == 40
+    assert [(r.query_id, r.entries) for r in got] == [(r.query_id, r.entries) for r in want]
 
 
 def test_ingested_store_pipeline(tmp_path):

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georank.geostore import FormatError, GeoCoord, Store, read_embedding_matrix, write_embedding_matrix
-from georank import trainer
+from georank import reranker, trainer
 from georank.reranker import (
     RerankerConfig,
     RerankerParams,
+    _linear,
     _sigmoid,
     align,
     expected_shapes,
@@ -29,7 +30,7 @@ from georank.reranker import (
 )
 from georank.retriever import Ranking, top_k
 
-from conftest import build_store, make_query, make_ref
+from conftest import build_store, make_query, make_ref, random_store
 
 
 def tiny_config(**overrides):
@@ -279,6 +280,76 @@ def test_separate_projections_have_their_own_tensors():
     s = score_pair((rng.standard_normal(2), rng.standard_normal(3)),
                    (rng.standard_normal(2), rng.standard_normal(3)), params)
     assert 0.0 < s < 1.0
+
+
+# ---------------------------------------------------------------------------
+# dense layers as (W·xᵀ)ᵀ: bit for bit the x·Wᵀ they replace
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 300), k=st.integers(1, 1536), n=st.integers(1, 1536),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+def test_linear_is_bitwise_x_times_w_transposed(m, k, n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, k)).astype(dtype)
+    w = rng.standard_normal((n, k)).astype(dtype)
+    got = _linear(x, w)
+    assert got.dtype == dtype and got.flags.c_contiguous
+    assert np.array_equal(got, x @ w.T)
+
+
+def _reference_logits(q_img, q_txt, c_img, c_txt, params, counts):
+    """The scorer forward written with x @ w.T and np.mean: (logits, aligned_q, aligned_c, u_c)."""
+    t, cfg = params.tensors, params.config
+    fused = [(img @ t["proj_img.w"].T + t["proj_img.b"]) + (txt @ t["proj_txt.w"].T + t["proj_txt.b"])
+             for img, txt in ((q_img, q_txt), (c_img, c_txt))]
+    x = np.concatenate(fused)
+    for i in range(cfg.aligner_layers):
+        z = x @ t[f"align{i}.w"].T + t[f"align{i}.b"]
+        zc = z - z.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((zc * zc).mean(axis=-1, keepdims=True) + cfg.ln_epsilon)
+        x = np.maximum(t[f"align{i}.ln_scale"] * (zc * inv) + t[f"align{i}.ln_shift"], 0)
+    aligned_q, aligned_c = x[: len(q_img)], x[len(q_img) :]
+    u_c = (aligned_q @ t["score.w"].T)[np.repeat(np.arange(len(q_img)), counts)]
+    return np.einsum("ij,ij->i", aligned_c, u_c) + t["score.b"], aligned_q, aligned_c, u_c
+
+
+@pytest.mark.parametrize("latent", [64, 512])
+def test_score_logits_bitwise_equal_to_reference_forward(latent):
+    cfg = RerankerConfig(image_dim=96, text_dim=80, latent_dim=latent, aligner_hidden=latent, init_seed=6)
+    params = init_params(cfg)
+    rng = np.random.default_rng(latent)
+    q_img, q_txt = rng.standard_normal((3, 96)).astype(np.float32), rng.standard_normal((3, 80)).astype(np.float32)
+    c_img, c_txt = rng.standard_normal((16, 96)).astype(np.float32), rng.standard_normal((16, 80)).astype(np.float32)
+    for counts in ([10, 1, 5], [16]):
+        b = len(counts)
+        want = _reference_logits(q_img[:b], q_txt[:b], c_img, c_txt, params, counts)
+        assert np.array_equal(score_logits(q_img[:b], q_txt[:b], c_img, c_txt, params, counts), want[0])
+        cache = {}
+        assert np.array_equal(score_logits(q_img[:b], q_txt[:b], c_img, c_txt, params, counts, cache), want[0])
+        for name, value in zip(("aligned_q", "aligned_c", "u_c"), want[1:]):
+            assert np.array_equal(cache[name], value), name
+    # no counts: every candidate belongs to the one query, as rerank passes it
+    want = _reference_logits(q_img[:1], q_txt[:1], c_img[:10], c_txt[:10], params, [10])[0]
+    assert np.array_equal(score_logits(q_img[0], q_txt[0], c_img[:10], c_txt[:10], params), want)
+
+
+@pytest.mark.parametrize("loss_on", ["scores", "logits"])
+@pytest.mark.parametrize("latent", [64, 512])
+def test_batch_gradients_bitwise_equal_to_reference_forward(latent, loss_on, monkeypatch):
+    rng = np.random.default_rng(latent)
+    store = random_store(rng, 30, 4, 48, text_dim=40, with_text=True)
+    samples = [trainer.TrainingSample(f"q{i:05d}", tuple(f"r{j:05d}" for j in rng.choice(30, 6, replace=False)),
+                                      int(rng.integers(0, 6))) for i in range(4)]
+    cfg = RerankerConfig(image_dim=48, text_dim=40, latent_dim=latent, aligner_hidden=latent, init_seed=2)
+    params, config = init_params(cfg), trainer.TrainConfig(loss_on=loss_on)
+    loss, grads = trainer.batch_gradients(samples, params, store, config)
+    monkeypatch.setattr(reranker, "_linear", lambda x, w: x @ w.T)
+    for module in (reranker, trainer):
+        monkeypatch.setattr(module, "row_mean", lambda z: z.mean(axis=-1, keepdims=True))
+    want_loss, want = trainer.batch_gradients(samples, params, store, config)
+    assert loss == want_loss
+    assert np.array_equal(grads.flat, want.flat)
 
 
 # ---------------------------------------------------------------------------
