@@ -203,18 +203,12 @@ def init_params(config: RerankerConfig) -> RerankerParams:
 # ---------------------------------------------------------------------------
 
 def _linear(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w.T`` for (m, k) rows ``x`` and an (n, k) weight ``w``.
-
-    In float32 it is computed as ``(w @ x.T).T``: for a few rows against a
-    wide weight, OpenBLAS runs ``x @ w.T`` on a path that spends its time
-    packing ``w``, and the swapped product on its fast one. Both run the same
-    float32 kernel with the same accumulation order, so the result is bit for
-    bit ``x @ w.T``. The float64 kernels do not: on AVX-512 OpenBLAS 0.3.31
-    rounds some shapes differently (78 rows of 81 against an 83 x 81 weight),
-    so any other dtype keeps the plain product.
+    """``x @ w.T`` for (m, k) rows ``x`` and an (n, k) weight ``w``, computed
+    as ``(w @ x.T).T``: for a few rows against a wide weight, OpenBLAS runs
+    ``x @ w.T`` on a path that spends its time packing ``w``, and the swapped
+    product on its fast one. In float32 both run the same kernel with the
+    same accumulation order, so the result is bit for bit ``x @ w.T``.
     """
-    if x.dtype != np.float32:
-        return x @ w.T
     return np.ascontiguousarray((w @ x.T).T)
 
 

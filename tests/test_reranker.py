@@ -287,14 +287,16 @@ def test_separate_projections_have_their_own_tensors():
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
-@given(m=st.integers(1, 300), k=st.integers(1, 1536), n=st.integers(1, 1536),
-       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-def test_linear_is_bitwise_x_times_w_transposed(m, k, n, dtype, seed):
+@given(m=st.integers(1, 300), k=st.integers(1, 1536), n=st.integers(1, 1536), seed=st.integers(0, 2**32 - 1))
+def test_linear_is_bitwise_x_times_w_transposed(m, k, n, seed):
+    """In float32, ``(w @ x.T).T`` equals ``x @ w.T`` bit for bit. This is a
+    property of the BLAS numpy links, not of georank; it was verified on
+    OpenBLAS 0.3.31 (AVX-512) only."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((m, k)).astype(dtype)
-    w = rng.standard_normal((n, k)).astype(dtype)
+    x = rng.standard_normal((m, k)).astype(np.float32)
+    w = rng.standard_normal((n, k)).astype(np.float32)
     got = _linear(x, w)
-    assert got.dtype == dtype and got.flags.c_contiguous
+    assert got.dtype == np.float32 and got.flags.c_contiguous
     assert np.array_equal(got, x @ w.T)
 
 
@@ -316,6 +318,9 @@ def _reference_logits(q_img, q_txt, c_img, c_txt, params, counts):
 
 @pytest.mark.parametrize("latent", [64, 512])
 def test_score_logits_bitwise_equal_to_reference_forward(latent):
+    """The float32 forward equals one written with ``x @ w.T`` and ``np.mean``
+    bit for bit. The products' equality is a property of the BLAS; it was
+    verified on OpenBLAS 0.3.31 (AVX-512) only."""
     cfg = RerankerConfig(image_dim=96, text_dim=80, latent_dim=latent, aligner_hidden=latent, init_seed=6)
     params = init_params(cfg)
     rng = np.random.default_rng(latent)
@@ -337,6 +342,9 @@ def test_score_logits_bitwise_equal_to_reference_forward(latent):
 @pytest.mark.parametrize("loss_on", ["scores", "logits"])
 @pytest.mark.parametrize("latent", [64, 512])
 def test_batch_gradients_bitwise_equal_to_reference_forward(latent, loss_on, monkeypatch):
+    """Gradients are bit for bit those of a forward and backward written with
+    ``x @ w.T`` and ``np.mean``. The products' equality is a property of the
+    BLAS; it was verified on OpenBLAS 0.3.31 (AVX-512) only."""
     rng = np.random.default_rng(latent)
     store = random_store(rng, 30, 4, 48, text_dim=40, with_text=True)
     samples = [trainer.TrainingSample(f"q{i:05d}", tuple(f"r{j:05d}" for j in rng.choice(30, 6, replace=False)),
