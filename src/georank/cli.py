@@ -254,21 +254,21 @@ def cmd_caption(args) -> int:
             rendered.append({"description": cvlang.render_description(sheet, bank), "id": sheet.image_id})
     if problems:
         raise ValueError("invalid answer sheets:\n" + "\n".join(problems))
-    geostore.write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-                          for rec in rendered), args.out)
+    geostore.write_jsonl(rendered, args.out)
     print(f"rendered {len(rendered)} descriptions -> {args.out}")
     return 0
 
 
+def _text_entry(rec: dict) -> tuple[str, str]:
+    text = rec.get("description", rec.get("caption", rec.get("text")))
+    rid = rec.get("id", rec.get("image_id"))
+    if not isinstance(rid, str) or not isinstance(text, str):
+        raise ValueError("need 'id' (or 'image_id') and one of description/caption/text")
+    return rid, text
+
+
 def _read_texts(path: str | Path) -> list[tuple[str, str]]:
-    out = []
-    for ln, rec in geostore._read_jsonl(path):
-        text = rec.get("description", rec.get("caption", rec.get("text")))
-        rid = rec.get("id", rec.get("image_id"))
-        if not isinstance(rid, str) or not isinstance(text, str):
-            raise ValueError(f"{path}, line {ln}: need 'id' (or 'image_id') and one of description/caption/text")
-        out.append((rid, text))
-    return out
+    return geostore.load_jsonl(path, _text_entry, "text record")
 
 
 def cmd_embed(args) -> int:
@@ -276,8 +276,8 @@ def cmd_embed(args) -> int:
     pairs = _read_texts(args.texts)
     vectors = cvlang.embed_texts([t for _, t in pairs], endpoint)
     if args.out:
-        geostore.write_lines((json.dumps({"embedding": [float(x) for x in vec], "id": rid}, sort_keys=True,
-                                         separators=(",", ":")) for (rid, _), vec in zip(pairs, vectors)), args.out)
+        geostore.write_jsonl(({"embedding": [float(x) for x in vec], "id": rid} for (rid, _), vec in zip(pairs, vectors)),
+                             args.out)
         print(f"embedded {len(pairs)} texts (dim {endpoint.text_dim}) -> {args.out}")
     if args.attach:
         side = args.side or "refs"
@@ -366,7 +366,7 @@ def _read_embeddings(path: str | Path, dim: int | None) -> dict[str, np.ndarray]
     each ``dim`` wide (as wide as the first, given None). A bad record raises
     ValueError naming the file, the line and the id."""
     out: dict[str, np.ndarray] = {}
-    for ln, rec in geostore._read_jsonl(path):
+    for ln, rec in geostore.read_jsonl(path):
         rid = rec.get("id")
         if not isinstance(rid, str):
             raise ValueError(f"{path}, line {ln}: missing or invalid 'id'")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geostore import load_jsonl
 from .retriever import cosine
 
 EMBED_TOKEN_ENV = "GEOVLM_EMBED_TOKEN"
@@ -97,18 +99,7 @@ def render_description(sheet: MCQAnswerSheet, bank: QuestionBank) -> str:
 
 
 def sheets_from_jsonl(path: str | Path) -> list[MCQAnswerSheet]:
-    sheets = []
-    with open(path, "rb") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            try:
-                raw = raw.decode("utf-8").strip()
-                if not raw:
-                    continue
-                rec = json.loads(raw)
-                sheets.append(MCQAnswerSheet(rec["image_id"], dict(rec["answers"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, line {ln}: malformed answer sheet ({exc})") from None
-    return sheets
+    return load_jsonl(path, lambda rec: MCQAnswerSheet(rec["image_id"], dict(rec["answers"])), "answer sheet")
 
 
 # ---------------------------------------------------------------------------
@@ -200,34 +191,58 @@ def mock_embedding(text: str, dim: int) -> np.ndarray:
     return (v / np.linalg.norm(v)).astype(np.float32)
 
 
+# statuses worth another attempt: rate limiting and server-side failures
+_RETRIED_STATUSES = (429, 500, 502, 503, 504)
+
+
+def _embeddings_of(body: bytes) -> list[list[float]]:
+    """The vectors of a 200 response, which must be ``{"embeddings": [[numbers], ...]}``."""
+    try:
+        vectors = json.loads(body)
+    except ValueError as exc:
+        raise EmbedServiceError(f"malformed response: not JSON ({exc})") from None
+    vectors = vectors.get("embeddings") if isinstance(vectors, dict) else None
+    if not isinstance(vectors, list) or not all(
+            isinstance(v, list) and all(type(x) in (int, float) for x in v) for v in vectors):
+        raise EmbedServiceError('malformed response: expected {"embeddings": [[numbers], ...]}')
+    return vectors
+
+
 def _post_batch(texts: list[str], endpoint: EmbedEndpointConfig) -> list[list[float]]:
-    import os
+    """POST one batch, retrying connection failures, timeouts and the statuses
+    of ``_RETRIED_STATUSES`` with exponential backoff; any other status fails
+    at once with its body."""
+    # imported here, not at the top: http.client loads ssl, about 5 MB of
+    # resident memory that no command but a live ``embed`` needs
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    import requests
-
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     token = os.environ.get(EMBED_TOKEN_ENV)
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    body = {"input": texts, "model": endpoint.model}
+    body = json.dumps({"input": texts, "model": endpoint.model}).encode("utf-8")
     last_error = None
     for attempt in range(endpoint.max_retries + 1):
         if attempt:
             time.sleep(endpoint.backoff_s * (2 ** (attempt - 1)))
+        request = urllib.request.Request(endpoint.url, data=body, headers=headers, method="POST")
         try:
-            resp = requests.post(endpoint.url, json=body, headers=headers, timeout=endpoint.timeout_s)
-        except requests.RequestException as exc:
+            try:
+                resp = urllib.request.urlopen(request, timeout=endpoint.timeout_s)
+            except urllib.error.HTTPError as exc:
+                resp = exc  # a status urllib raises on is a response too, and must be closed like one
+            with resp:
+                status, payload = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"request failed: {exc}"
             continue
-        if resp.status_code in (429, 500, 502, 503, 504):
-            last_error = f"HTTP {resp.status_code}: {resp.text[:500]}"
-            continue
-        if resp.status_code != 200:
-            raise EmbedServiceError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-        try:
-            return resp.json()["embeddings"]
-        except (ValueError, KeyError) as exc:
-            raise EmbedServiceError(f"malformed response: {exc}") from None
+        if status == 200:
+            return _embeddings_of(payload)
+        last_error = f"HTTP {status}: {payload[:500].decode('utf-8', 'replace')}"
+        if status not in _RETRIED_STATUSES:
+            raise EmbedServiceError(last_error)
     raise EmbedServiceError(f"endpoint unreachable after {endpoint.max_retries + 1} attempts ({last_error})")
 
 

@@ -134,11 +134,6 @@ def _mean_ap(rankings: list[Ranking], ground_truth: dict) -> float:
     return sum(average_precision(r, set(ground_truth[r.query_id])) for r in rankings) / len(rankings)
 
 
-def mean_average_precision(rankings: list[Ranking], ground_truth: dict) -> float:
-    _check_known(rankings, ground_truth)
-    return _mean_ap(rankings, ground_truth)
-
-
 def threshold_recall(
     rankings: list[Ranking],
     coords: Mapping[str, GeoCoord],

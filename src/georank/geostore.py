@@ -47,8 +47,8 @@ class FormatError(GeostoreError):
     """Corrupt or incompatible binary file."""
 
 
-class IngestError(GeostoreError):
-    """Invalid ingestion input; message carries file, line, and id context."""
+class IngestError(GeostoreError, ValueError):
+    """Invalid input file; message carries file, line, and id context."""
 
     def __init__(self, message: str, file: str | None = None, line: int | None = None, record_id: str | None = None):
         parts = []
@@ -195,15 +195,6 @@ class StoreManifest:
             raise IngestError(f"manifest value not an integer: {exc}", file=str(path)) from None
 
 
-@dataclass(frozen=True)
-class EvalInstance:
-    """Single-positive evaluation unit: all other positives are excluded."""
-
-    query_id: str
-    candidate_pool: frozenset[str]
-    positive_id: str
-
-
 # ---------------------------------------------------------------------------
 # binary embedding matrix format
 # ---------------------------------------------------------------------------
@@ -325,12 +316,19 @@ def _write_rows(rows: np.ndarray, ids: list[str], stem: Path, dtype: str = "<f4"
         write_lines(ids, Path(f"{stem}.ids"))
 
 
-def _write_jsonl(records, path: Path) -> None:
-    write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False) for rec in records), path)
+def write_jsonl(records, path: str | Path) -> None:
+    """Each record as one line of JSON (UTF-8, sorted keys, compact separators)
+    through ``write_lines``. A NaN or infinite number raises ValueError, since
+    JSON has no token for it, and like any failure part way leaves the file
+    at ``path`` as it was."""
+    write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+                 for rec in records), path)
 
 
-def _read_jsonl(path: str | Path):
-    """Yield (line_number, record) pairs; malformed lines raise IngestError."""
+def read_jsonl(path: str | Path):
+    """Yield (line number, record) for each non-blank line of a JSONL file. A
+    line that is not UTF-8, not JSON or not an object raises IngestError
+    naming the file and line."""
     with open(path, "rb") as fh:
         for ln, raw in enumerate(fh, start=1):
             try:
@@ -346,6 +344,21 @@ def _read_jsonl(path: str | Path):
             if not isinstance(rec, dict):
                 raise IngestError("record is not an object", file=str(path), line=ln)
             yield ln, rec
+
+
+def load_jsonl(path: str | Path, parse, what: str) -> list:
+    """``parse(record)`` for each record of a JSONL file, in file order. A
+    KeyError, TypeError or ValueError from ``parse`` raises IngestError naming
+    the file and line, as a bad line does."""
+    out = []
+    for ln, rec in read_jsonl(path):
+        try:
+            out.append(parse(rec))
+        except KeyError as exc:
+            raise IngestError(f"malformed {what}: missing field {exc}", file=str(path), line=ln) from None
+        except (TypeError, ValueError) as exc:
+            raise IngestError(f"malformed {what} ({exc})", file=str(path), line=ln) from None
+    return out
 
 
 def store_digest(store_dir: str | Path) -> str:
@@ -517,11 +530,11 @@ class Store:
                     written |= {f"{prefix}.{stem}.emb", f"{prefix}.{stem}.ids"}
             if any(c is not None for c in cols.captions):
                 captions = ({"caption": c, "id": i} for i, c in zip(cols.ids, cols.captions) if c is not None)
-                _write_jsonl(captions, out / f"{prefix}.captions.jsonl")
+                write_jsonl(captions, out / f"{prefix}.captions.jsonl")
                 written.add(f"{prefix}.captions.jsonl")
         if self.query_ids:
             truth = ({"id": q, "refs": sorted(self.ground_truth[q])} for q in self.query_ids)
-            _write_jsonl(truth, out / TRUTH_FILE)
+            write_jsonl(truth, out / TRUTH_FILE)
             written.add(TRUTH_FILE)
         for name in STORE_FILES - written:
             (out / name).unlink(missing_ok=True)
@@ -661,7 +674,7 @@ def _parse_embedding_rows(path: str | Path, out: np.ndarray, label: str,
     row), each line into its id's row. Returns the ids in file order and the
     line that filled each row of ``out`` (0 for none)."""
     if pos is None:
-        records = ((ln, row, rec.get("id"), rec) for row, (ln, rec) in enumerate(_read_jsonl(path)))
+        records = ((ln, row, rec.get("id"), rec) for row, (ln, rec) in enumerate(read_jsonl(path)))
     else:
         records = _read_keyed(path, pos, label)
     ids, lines = [], np.zeros(len(out), np.int64)
@@ -691,7 +704,7 @@ def _read_keyed(path, pos: dict[str, int], label: str):
     ``pos`` (id -> row); an id that is missing, repeated or not in ``pos``
     raises IngestError."""
     seen: set[str] = set()
-    for ln, rec in _read_jsonl(path):
+    for ln, rec in read_jsonl(path):
         rid = rec.get("id")
         if not isinstance(rid, str):
             raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
@@ -801,23 +814,6 @@ def ingest(
 
 
 # ---------------------------------------------------------------------------
-# evaluation instances
-# ---------------------------------------------------------------------------
-
-def build_eval_instances(query: QueryRecord, store: Store) -> list[EvalInstance]:
-    """One single-positive instance per ground-truth id, other positives excluded from the pool."""
-    if not query.ground_truth:
-        raise ValueError(f"query '{query.id}' has an empty ground-truth set")
-    all_ids = set(store.ref_ids)
-    positives = set(query.ground_truth)
-    instances = []
-    for pos in sorted(positives):
-        pool = all_ids - (positives - {pos})
-        instances.append(EvalInstance(query_id=query.id, candidate_pool=frozenset(pool), positive_id=pos))
-    return instances
-
-
-# ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------
 
@@ -920,11 +916,17 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
 
 
 def save_groups(groups: dict[str, int], path: str | Path) -> None:
-    _write_jsonl(({"group": gi, "id": i} for i, gi in sorted(groups.items())), Path(path))
+    write_jsonl(({"group": gi, "id": i} for i, gi in sorted(groups.items())), path)
+
+
+def _group_entry(rec: dict) -> tuple[str, int]:
+    if not isinstance(rec["id"], str):
+        raise TypeError("'id' is not a string")
+    return rec["id"], int(rec["group"])
 
 
 def load_groups(path: str | Path) -> dict[str, int]:
-    return {rec["id"]: int(rec["group"]) for _, rec in _read_jsonl(path)}
+    return dict(load_jsonl(path, _group_entry, "group record"))
 
 
 def semipositive_map(groups: dict[str, int], store: Store) -> dict[str, set[str]]:

@@ -333,15 +333,6 @@ def score_candidates(query_img, query_txt, cand_img, cand_txt, params: RerankerP
     return _sigmoid(score_logits(query_img, query_txt, cand_img, cand_txt, params))
 
 
-def score_pair(query: tuple[np.ndarray, np.ndarray], ref: tuple[np.ndarray, np.ndarray], params: RerankerParams) -> float:
-    """Likelihood in (0,1) that the reference matches the query."""
-    q_img, q_txt = query
-    r_img, r_txt = ref
-    if q_txt is None or r_txt is None:
-        raise ValueError("score_pair requires text embeddings on both sides")
-    return float(score_candidates(q_img, q_txt, np.atleast_2d(r_img), np.atleast_2d(r_txt), params)[0])
-
-
 def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
     rows = store.ref_rows(ids)

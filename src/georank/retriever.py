@@ -20,14 +20,13 @@ selection.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .geostore import Store, write_lines
+from .geostore import Store, load_jsonl, write_jsonl
 
 # Upper bound on the memory of one block's approximate scores: 4 bytes of
 # float32 product plus 8 of float64 cosine per (query, reference) pair.
@@ -157,53 +156,17 @@ def rank_store_queries(store: Store, k: int) -> list[Ranking]:
     return out
 
 
-def restrict_ranking(ranking: Ranking, pool, k: int | None = None) -> Ranking:
-    """Drop entries outside ``pool`` and truncate to k; order is untouched.
-
-    Restricting a full ranking to a candidate pool equals ranking the pool
-    directly (cosine scores do not depend on the pool), which is how
-    single-positive evaluation instances are scored.
-    """
-    pool = set(pool)
-    entries = [(rid, s) for rid, s in ranking.entries if rid in pool]
-    if k is not None:
-        entries = entries[:k]
-    return Ranking(query_id=ranking.query_id, entries=entries, k=k if k is not None else len(entries),
-                   reranked=ranking.reranked)
-
-
 def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
-    """Line-delimited JSON, one ranking per line, through ``write_lines``. A NaN
-    or infinite score raises ValueError, since JSON has no token for it, and
-    like any failure part way leaves the file at ``path`` as it was."""
-    def lines():
-        for r in rankings:
-            rec = {"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
-            if r.reranked:
-                rec["reranked"] = True
-            yield json.dumps(rec, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """One ranking per line through ``write_jsonl``, so a NaN or infinite
+    score raises ValueError and leaves the file at ``path`` as it was."""
+    write_jsonl(({"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
+                 | ({"reranked": True} if r.reranked else {}) for r in rankings), path)
 
-    write_lines(lines(), path)
+
+def _ranking(rec: dict) -> Ranking:
+    entries = [(str(rid), float(s)) for rid, s in rec["entries"]]
+    return Ranking(query_id=rec["query_id"], entries=entries, k=len(entries), reranked=bool(rec.get("reranked", False)))
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:
-    out = []
-    with open(path, "rb") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            try:
-                raw = raw.decode("utf-8").strip()
-                if not raw:
-                    continue
-                rec = json.loads(raw)
-                entries = [(str(rid), float(s)) for rid, s in rec["entries"]]
-                out.append(
-                    Ranking(
-                        query_id=rec["query_id"],
-                        entries=entries,
-                        k=len(entries),
-                        reranked=bool(rec.get("reranked", False)),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, line {ln}: malformed ranking record ({exc})") from None
-    return out
+    return load_jsonl(path, _ranking, "ranking record")

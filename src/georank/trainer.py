@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geostore import Store, write_lines
+from .geostore import Store, load_jsonl, write_jsonl, write_lines
 from .retriever import Ranking
 from .reranker import (
     RerankerConfig,
@@ -261,25 +261,21 @@ def init_optimizer_state(params: RerankerParams, config: TrainConfig) -> dict:
 
 def optimizer_step(
     params: RerankerParams,
-    grads,
+    grads: TensorViews,
     state: dict,
     config: TrainConfig,
 ) -> tuple[RerankerParams, dict]:
     """One SGD or Adam update of ``params`` and ``state``, in place; returns both.
 
-    The update is a few whole-vector operations on ``params.flat``. Each
-    element sees the operations of the per-tensor update in the same order,
-    so the result is the same bit for bit. ``grads`` maps every tensor name
-    to its gradient; a ``TensorViews`` (what ``batch_gradients`` returns) is
-    used without a copy.
+    ``grads`` is laid out like ``params`` (as ``batch_gradients`` returns
+    it), and the update is a few whole-vector operations on ``params.flat``
+    and ``grads.flat``. Each element sees the operations of the per-tensor
+    update in the same order, so the result is the same bit for bit.
     """
-    for name, t in params.tensors.items():
-        if name not in grads or np.shape(grads[name]) != t.shape:
-            raise ValueError(f"gradient shape mismatch for '{name}'")
-    if isinstance(grads, TensorViews):
-        g = grads.flat
-    else:
-        g = np.concatenate([np.ravel(grads[name]) for name in params.tensors])
+    if not isinstance(grads, TensorViews) or [(n, g.shape) for n, g in grads.items()] != [
+            (n, t.shape) for n, t in params.tensors.items()]:
+        raise ValueError("gradients are not laid out like the parameters (names, order and shapes)")
+    g = grads.flat
     if config.grad_clip is not None:
         g64 = g.astype(np.float64)
         norm = math.sqrt(g64 @ g64)
@@ -346,25 +342,18 @@ def build_training_samples(
 
 
 def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
-    write_lines((json.dumps({"candidates": list(s.candidate_ids), "positive_index": s.positive_index,
-                             "query_id": s.query_id}, sort_keys=True, separators=(",", ":")) for s in samples), path)
+    write_jsonl(({"candidates": list(s.candidate_ids), "positive_index": s.positive_index, "query_id": s.query_id}
+                 for s in samples), path)
+
+
+def _sample(rec: dict) -> TrainingSample:
+    s = TrainingSample(rec["query_id"], tuple(rec["candidates"]), int(rec["positive_index"]))
+    s.validate()
+    return s
 
 
 def load_samples(path: str | Path) -> list[TrainingSample]:
-    out = []
-    with open(path, "rb") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            try:
-                raw = raw.decode("utf-8").strip()
-                if not raw:
-                    continue
-                rec = json.loads(raw)
-                s = TrainingSample(rec["query_id"], tuple(rec["candidates"]), int(rec["positive_index"]))
-                s.validate()
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}, line {ln}: malformed sample ({exc})") from None
-            out.append(s)
-    return out
+    return load_jsonl(path, _sample, "sample")
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +391,8 @@ class TrainReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def write_jsonl(self, path: str | Path) -> None:
-        write_lines((json.dumps({"epoch": e.epoch, "mean_loss": e.mean_loss, "seconds": e.seconds, "val_r1": e.val_r1,
-                                 "val_r5": e.val_r5}, sort_keys=True, separators=(",", ":")) for e in self.epochs), path)
+        write_jsonl(({"epoch": e.epoch, "mean_loss": e.mean_loss, "seconds": e.seconds, "val_r1": e.val_r1,
+                      "val_r5": e.val_r5} for e in self.epochs), path)
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["epoch,mean_loss,val_r1,val_r5,seconds"]

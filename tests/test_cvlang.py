@@ -1,12 +1,20 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import georank
+from georank.cli import main
 from georank.cvlang import (
+    EMBED_TOKEN_ENV,
     EmbedEndpointConfig,
     EmbedServiceError,
     MCQAnswerSheet,
@@ -282,10 +290,12 @@ def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.seen = []
     server.script = [(200, {"embeddings": []})]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def _endpoint(server, **kw):
@@ -339,3 +349,51 @@ def test_live_endpoint_hard_error_surfaces_body(stub_server):
         embed_texts(["x"], _endpoint(stub_server))
     assert "no such model" in str(exc.value)
     assert len(stub_server.seen) == 1  # non-transient: no retry
+
+
+@pytest.mark.parametrize("body", [[1, 2], {"embeddings": 5}, {"embeddings": [1.0]},
+                                  {"embeddings": [["a", "b", "c", "d"]]}])
+def test_live_endpoint_malformed_body_is_embed_service_error(stub_server, tmp_path, capsys, body):
+    stub_server.script = [(200, body)]
+    with pytest.raises(EmbedServiceError, match="malformed response"):
+        embed_texts(["x"], _endpoint(stub_server))
+    texts, out = tmp_path / "texts.jsonl", tmp_path / "emb.jsonl"
+    texts.write_text(json.dumps({"id": "a", "text": "x"}) + "\n")
+    assert main(["embed", "--texts", str(texts), "--endpoint", _endpoint(stub_server).url, "--text-dim", "4",
+                 "--out", str(out)]) == 1
+    assert "malformed response" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_closed_port_is_tried_max_retries_plus_one_times(monkeypatch):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    calls = []
+    urlopen = urllib.request.urlopen
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: calls.append(a) or urlopen(*a, **kw))
+    endpoint = EmbedEndpointConfig(url=f"http://127.0.0.1:{port}/embed", text_dim=4, max_retries=2, backoff_s=0.0)
+    with pytest.raises(EmbedServiceError, match="unreachable after 3 attempts"):
+        embed_texts(["x"], endpoint)
+    assert len(calls) == 3
+
+
+def test_no_authorization_header_without_token(stub_server, monkeypatch):
+    monkeypatch.delenv(EMBED_TOKEN_ENV, raising=False)
+    stub_server.script = [(200, {"embeddings": [[1.0, 2.0, 3.0, 4.0]]})]
+    embed_texts(["x"], _endpoint(stub_server))
+    (req,) = stub_server.seen
+    assert req["auth"] is None
+
+
+def test_live_endpoint_roundtrip_without_requests_installed(stub_server):
+    stub_server.script = [(200, {"embeddings": [[1.0, 2.0, 3.0, 4.0]]})]
+    code = ("import sys\n"
+            "sys.modules['requests'] = None  # any import of requests now fails\n"
+            "from georank.cvlang import EmbedEndpointConfig, embed_texts\n"
+            f"print(embed_texts(['x'], EmbedEndpointConfig(url={_endpoint(stub_server).url!r}, text_dim=4)).tolist())")
+    env = dict(os.environ, PYTHONPATH=str(Path(georank.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[[1.0, 2.0, 3.0, 4.0]]"
+    assert len(stub_server.seen) == 1

@@ -10,7 +10,6 @@ from georank.evaluator import (
     compare_rankings,
     evaluate_rankings,
     haversine,
-    mean_average_precision,
     recall_at_k,
     single_run_files,
     threshold_recall,
@@ -304,4 +303,4 @@ def test_eval_config_validation():
 def test_mean_ap_over_rankings():
     rankings = [ranking_with_truth_at("q1", 1, truth="p1"), ranking_with_truth_at("q2", 4, truth="p2")]
     truth = {"q1": {"p1"}, "q2": {"p2"}}
-    assert mean_average_precision(rankings, truth) == pytest.approx((1.0 + 0.25) / 2)
+    assert evaluate_rankings(rankings, truth, EvalConfig())["mean_ap"] == pytest.approx((1.0 + 0.25) / 2)

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from georank import geostore
 from georank.evaluator import haversine
-from georank.retriever import rank_store_queries
+from georank.retriever import Ranking, load_rankings, rank_store_queries, save_rankings
+from georank.trainer import TrainingSample, load_samples, save_samples
 from georank.geostore import (
     Columns,
-    EvalInstance,
     FormatError,
     GeoCoord,
     IngestError,
@@ -20,7 +21,6 @@ from georank.geostore import (
     Store,
     StoreManifest,
     SynthConfig,
-    build_eval_instances,
     generate_synthetic,
     ingest,
     read_embedding_matrix,
@@ -412,46 +412,6 @@ def test_non_utf8_store_file_is_format_error_naming_it(tmp_path, name):
 
 
 # ---------------------------------------------------------------------------
-# eval instances
-# ---------------------------------------------------------------------------
-
-def test_eval_instances_one_per_positive():
-    refs = [make_ref(f"r{i}", [1.0, float(i)]) for i in range(6)]
-    q = make_query("q", [1.0, 0.0], ["r1", "r3", "r5"])
-    store = build_store(refs, [q], image_dim=2)
-    instances = build_eval_instances(q, store)
-    assert len(instances) == 3
-    assert {i.positive_id for i in instances} == {"r1", "r3", "r5"}
-    for inst in instances:
-        assert inst.positive_id in inst.candidate_pool
-        others = {"r1", "r3", "r5"} - {inst.positive_id}
-        assert not (others & inst.candidate_pool)
-
-
-def test_eval_instances_pool_arithmetic():
-    refs = [make_ref(f"r{i:02d}", [1.0, float(i)]) for i in range(50)]
-    q = make_query("q", [1.0, 0.0], ["r01", "r02", "r03"])
-    store = build_store(refs, [q], image_dim=2)
-    for inst in build_eval_instances(q, store):
-        assert len(inst.candidate_pool) == 48
-
-
-def test_eval_instances_single_positive_degenerate():
-    refs = [make_ref("r0", [1.0, 0.0]), make_ref("r1", [0.0, 1.0])]
-    q = make_query("q", [1.0, 0.0], ["r0"])
-    store = build_store(refs, [q], image_dim=2)
-    (inst,) = build_eval_instances(q, store)
-    assert inst == EvalInstance("q", frozenset({"r0", "r1"}), "r0")
-
-
-def test_eval_instances_empty_truth_rejected():
-    refs = [make_ref("r0", [1.0, 0.0])]
-    q = make_query("q", [1.0, 0.0], [])
-    with pytest.raises(ValueError, match="empty ground-truth"):
-        build_eval_instances(q, build_store(refs, [q], image_dim=2))
-
-
-# ---------------------------------------------------------------------------
 # synthetic generation
 # ---------------------------------------------------------------------------
 
@@ -534,6 +494,51 @@ def test_groups_roundtrip(tmp_path):
     assert geostore.load_groups(tmp_path / "g.jsonl") == groups
 
 
+@pytest.mark.parametrize("record,problem", [({"id": "r1"}, "missing field 'group'"),
+                                            ({"id": "r1", "group": "x"}, "invalid literal for int()")])
+def test_load_groups_bad_record_names_file_and_line(tmp_path, record, problem):
+    path = tmp_path / "groups.jsonl"
+    path.write_text(json.dumps({"id": "r0", "group": 0}) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: ") + ".*" + re.escape(problem)):
+        geostore.load_groups(path)
+
+
+# ids as a store accepts them, with non-ASCII ones drawn on purpose as well as by chance
+_IDS = st.sampled_from(["ré", "東京-3", "🙂", "q\u00a0x"]) | st.text(min_size=1, max_size=8).filter(geostore.valid_id)
+
+
+@st.composite
+def _samples(draw):
+    candidates = draw(st.lists(_IDS, min_size=2, max_size=5, unique=True))
+    return TrainingSample(draw(_IDS), tuple(candidates), draw(st.integers(0, len(candidates) - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rankings=st.lists(st.builds(
+           lambda qid, entries, reranked: Ranking(qid, entries, k=len(entries), reranked=reranked),
+           _IDS, st.lists(st.tuples(_IDS, st.floats(allow_nan=False, allow_infinity=False)), max_size=4),
+           st.booleans()), max_size=4),
+       samples=st.lists(_samples(), max_size=4),
+       groups=st.dictionaries(_IDS, st.integers(), max_size=6),
+       poison=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+def test_jsonl_tables_round_trip_through_one_writer_and_reader(rankings, samples, groups, poison):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_rankings(rankings, tmp / "rankings.jsonl")
+        save_samples(samples, tmp / "samples.jsonl")
+        geostore.save_groups(groups, tmp / "groups.jsonl")
+        assert load_rankings(tmp / "rankings.jsonl") == rankings
+        assert load_samples(tmp / "samples.jsonl") == samples
+        assert geostore.load_groups(tmp / "groups.jsonl") == groups
+
+        # a score JSON cannot hold is refused, and the file there stays as it was
+        before = (tmp / "rankings.jsonl").read_bytes()
+        with pytest.raises(ValueError, match="JSON"):
+            save_rankings(rankings + [Ranking("q", [("r", poison)], k=1)], tmp / "rankings.jsonl")
+        assert (tmp / "rankings.jsonl").read_bytes() == before
+        assert sorted(p.name for p in tmp.iterdir()) == ["groups.jsonl", "rankings.jsonl", "samples.jsonl"]
+
+
 def test_ingest_full_dual_side_store(tmp_path):
     rng = np.random.default_rng(17)
     refs = [{"id": f"r{i}", "embedding": [float(x) for x in rng.standard_normal(4)]} for i in range(5)]
@@ -575,7 +580,7 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
         write = lambda seed: geostore.write_lines([f"r{seed}", "r2", "r3"], path)
     elif kind == "jsonl":
         path = tmp_path / "m.jsonl"
-        write = lambda seed: geostore._write_jsonl(({"id": f"r{i}", "seed": seed} for i in range(3)), path)
+        write = lambda seed: geostore.write_jsonl(({"id": f"r{i}", "seed": seed} for i in range(3)), path)
     elif kind == "manifest":
         path = tmp_path / geostore.MANIFEST_FILE
         write = lambda seed: StoreManifest(seed + 1, 2, 3, 0).write(path)

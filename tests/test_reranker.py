@@ -26,7 +26,6 @@ from georank.reranker import (
     save_params,
     score_candidates,
     score_logits,
-    score_pair,
 )
 from georank.retriever import Ranking, top_k
 
@@ -141,28 +140,33 @@ def test_align_zero_fixed_point_and_nonnegative():
 # scoring
 # ---------------------------------------------------------------------------
 
+def _score_one(query, ref, params):
+    """``score_candidates`` of one (image, text) query against one (image, text) reference."""
+    return float(score_candidates(query[0], query[1], np.atleast_2d(ref[0]), np.atleast_2d(ref[1]), params)[0])
+
+
 def test_score_zero_weights_gives_half():
     params = manual_params(tiny_config())
     rng = np.random.default_rng(1)
     for _ in range(5):
-        s = score_pair((rng.standard_normal(2), rng.standard_normal(3)),
+        s = _score_one((rng.standard_normal(2), rng.standard_normal(3)),
                        (rng.standard_normal(2), rng.standard_normal(3)), params)
         assert s == 0.5
 
 
 def test_score_saturates_with_large_bias():
     params = manual_params(tiny_config(), **{"score.b": 20.0})
-    s = score_pair((np.ones(2), np.ones(3)), (np.ones(2), np.ones(3)), params)
+    s = _score_one((np.ones(2), np.ones(3)), (np.ones(2), np.ones(3)), params)
     assert s == pytest.approx(1.0, abs=1e-8)
     assert 0.0 < s < 1.0
 
 
 def test_score_strictly_inside_unit_interval_even_when_saturated():
     params = manual_params(tiny_config(), **{"score.b": 1000.0})
-    s = score_pair((np.ones(2), np.ones(3)), (np.ones(2), np.ones(3)), params)
+    s = _score_one((np.ones(2), np.ones(3)), (np.ones(2), np.ones(3)), params)
     assert 0.0 < s < 1.0
     params = manual_params(tiny_config(), **{"score.b": -1000.0})
-    s = score_pair((np.ones(2), np.ones(3)), (np.ones(2), np.ones(3)), params)
+    s = _score_one((np.ones(2), np.ones(3)), (np.ones(2), np.ones(3)), params)
     assert 0.0 < s < 1.0
 
 
@@ -195,7 +199,7 @@ def test_score_matches_independent_reimplementation():
     for _ in range(10):
         q = (rng.standard_normal(4), rng.standard_normal(6))
         r = (rng.standard_normal(4), rng.standard_normal(6))
-        assert score_pair(q, r, params) == pytest.approx(_oracle_score(*q, *r, params), abs=1e-12)
+        assert _score_one(q, r, params) == pytest.approx(_oracle_score(*q, *r, params), abs=1e-12)
 
 
 def test_score_trace_consistency():
@@ -203,7 +207,7 @@ def test_score_trace_consistency():
     rng = np.random.default_rng(3)
     q_img, q_txt, r_img, r_txt = (rng.standard_normal(d) for d in (2, 3, 2, 3))
     logit = float(score_logits(q_img, q_txt, r_img[None, :], r_txt[None, :], params)[0])
-    score = score_pair((q_img, q_txt), (r_img, r_txt), params)
+    score = _score_one((q_img, q_txt), (r_img, r_txt), params)
     assert score == pytest.approx(1.0 / (1.0 + np.exp(-logit)), abs=1e-12)
     assert 0.0 < score < 1.0
     assert np.all(align(project_fuse(q_img, q_txt, params, "query"), params) >= 0)
@@ -266,8 +270,8 @@ def test_shared_projection_shape_contract_both_ways():
     rng = np.random.default_rng(6)
     a = (rng.standard_normal(2), rng.standard_normal(3))
     b = (rng.standard_normal(2), rng.standard_normal(3))
-    s_ab = score_pair(a, b, params)
-    s_ba = score_pair(b, a, params)
+    s_ab = _score_one(a, b, params)
+    s_ba = _score_one(b, a, params)
     assert 0.0 < s_ab < 1.0 and 0.0 < s_ba < 1.0
 
 
@@ -277,7 +281,7 @@ def test_separate_projections_have_their_own_tensors():
     assert "proj_img_q.w" in params.tensors and "proj_img_r.w" in params.tensors
     params.validate()
     rng = np.random.default_rng(8)
-    s = score_pair((rng.standard_normal(2), rng.standard_normal(3)),
+    s = _score_one((rng.standard_normal(2), rng.standard_normal(3)),
                    (rng.standard_normal(2), rng.standard_normal(3)), params)
     assert 0.0 < s < 1.0
 

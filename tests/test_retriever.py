@@ -16,7 +16,7 @@ from georank.retriever import (
     top_k,
 )
 
-from conftest import build_store, fill_disk_after_first_write, make_query, make_ref, random_store
+from conftest import build_store, fill_disk_after_first_write, make_ref, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -312,38 +312,3 @@ def test_ranking_validate_rejects_bad_order():
         Ranking("q", [("a", 0.1), ("b", 0.9)], k=2).validate()
     with pytest.raises(ValueError, match="order"):
         Ranking("q", [("b", 0.5), ("a", 0.5)], k=2).validate()
-
-
-def test_restrict_ranking_matches_direct_pool_ranking():
-    from georank.retriever import restrict_ranking
-
-    rng = np.random.default_rng(21)
-    store = random_store(rng, 40, 0, image_dim=8)
-    q = rng.standard_normal(8)
-    full = brute_force_rank(q, store)
-    pool = set(store.ref_ids[::3])
-    restricted = restrict_ranking(full, pool, k=5)
-    assert len(restricted.entries) == 5
-    assert all(rid in pool for rid, _ in restricted.entries)
-    # equals ranking a store that contains only the pool
-    sub = build_store([make_ref(rid, store.reference(rid).image_emb) for rid in store.ref_ids if rid in pool],
-                      [], image_dim=8)
-    direct = brute_force_rank(q, sub)
-    assert restricted.ids() == direct.ids()[:5]
-
-
-def test_restrict_ranking_single_positive_instances():
-    from georank.geostore import build_eval_instances
-    from georank.retriever import restrict_ranking
-
-    rng = np.random.default_rng(22)
-    refs = [make_ref(f"r{i}", rng.standard_normal(4)) for i in range(12)]
-    query = make_query("q", rng.standard_normal(4), ["r2", "r5", "r7"])
-    store = build_store(refs, [query], image_dim=4)
-    full = brute_force_rank(query.image_emb, store, query_id="q")
-    for inst in build_eval_instances(query, store):
-        restricted = restrict_ranking(full, inst.candidate_pool, k=10)
-        ids = restricted.ids()
-        assert inst.positive_id in set(store.ref_ids)
-        positives_present = [rid for rid in ids if rid in {"r2", "r5", "r7"}]
-        assert positives_present in ([inst.positive_id], [])

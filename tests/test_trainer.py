@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -250,11 +251,15 @@ def _scalar_params(theta: float):
     return params
 
 
+def _grads(params, value: float) -> TensorViews:
+    """Gradients laid out like ``params``, every element ``value``."""
+    return TensorViews(np.full_like(params.flat, value), expected_shapes(params.config))
+
+
 def test_sgd_closed_form():
     params = _scalar_params(1.0)
-    grads = {name: np.full_like(t, 0.5) for name, t in params.tensors.items()}
     config = TrainConfig(optimizer="sgd", lr=0.1)
-    new, _ = optimizer_step(params, grads, {}, config)
+    new, _ = optimizer_step(params, _grads(params, 0.5), {}, config)
     for t in new.tensors.values():
         assert t == pytest.approx(0.95, abs=1e-12)
 
@@ -262,18 +267,16 @@ def test_sgd_closed_form():
 def test_sgd_zero_gradient_fixed_point():
     params = _scalar_params(0.7)
     before = params.copy()
-    grads = {name: np.zeros_like(t) for name, t in params.tensors.items()}
-    new, _ = optimizer_step(params, grads, {}, TrainConfig(optimizer="sgd", lr=0.1))
+    new, _ = optimizer_step(params, _grads(params, 0.0), {}, TrainConfig(optimizer="sgd", lr=0.1))
     for name, t in new.tensors.items():
         assert np.array_equal(t, before.tensors[name])
 
 
 def test_adam_first_step_closed_form():
     params = _scalar_params(0.0)
-    grads = {name: np.ones_like(t) for name, t in params.tensors.items()}
     config = TrainConfig(optimizer="adam", lr=0.001)
     state = init_optimizer_state(params, config)
-    new, state = optimizer_step(params, grads, state, config)
+    new, state = optimizer_step(params, _grads(params, 1.0), state, config)
     # bias-corrected m_hat/sqrt(v_hat) = 1 on the first step
     expected = -0.001 / (1.0 + 1e-8)
     for t in new.tensors.values():
@@ -282,14 +285,27 @@ def test_adam_first_step_closed_form():
 
 
 def test_optimizer_shape_mismatch():
+    """Gradients not laid out like the parameters are refused: other shapes,
+    another tensor order, or a plain mapping, even of the right arrays."""
     params = _scalar_params(0.0)
-    grads = {name: np.zeros((3, 3)) for name in params.tensors}
-    with pytest.raises(ValueError, match="shape"):
-        optimizer_step(params, grads, {}, TrainConfig(optimizer="sgd"))
+    shapes = expected_shapes(params.config)
+    wider = RerankerConfig(image_dim=3, text_dim=1, latent_dim=1, aligner_layers=1, aligner_hidden=1)
+    wider_shapes = expected_shapes(wider)
+    for grads in (TensorViews(np.zeros(sum(np.prod(s, dtype=int) for s in wider_shapes.values())), wider_shapes),
+                  TensorViews(np.zeros_like(params.flat), dict(reversed(shapes.items()))),
+                  {name: np.zeros_like(t) for name, t in params.tensors.items()}):
+        with pytest.raises(ValueError, match="shape"):
+            optimizer_step(params, grads, {}, TrainConfig(optimizer="sgd"))
 
 
 def _per_tensor_step(tensors, grads, state, config):
-    """Reference SGD/Adam: one loop over the tensors, each updated on its own."""
+    """Reference SGD/Adam: one loop over the tensors, each updated on its own,
+    after clipping the gradients' global norm to ``config.grad_clip``."""
+    if config.grad_clip is not None:
+        g64 = np.concatenate([np.ravel(g) for g in grads.values()]).astype(np.float64)
+        norm = math.sqrt(g64 @ g64)  # a Python float, so the scaled gradients stay float32
+        if norm > config.grad_clip:
+            grads = {name: g * (config.grad_clip / norm) for name, g in grads.items()}
     if config.optimizer == "sgd":
         return {name: t - config.lr * grads[name] for name, t in tensors.items()}, state
     t_step = state["t"] + 1
@@ -305,12 +321,13 @@ def _per_tensor_step(tensors, grads, state, config):
     return new, {"t": t_step, "m": new_m, "v": new_v}
 
 
-@pytest.mark.parametrize("as_views", [False, True])
+@pytest.mark.parametrize("clip", [False, True])
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_flat_optimizer_bit_exact_against_per_tensor_loop(optimizer, as_views):
+def test_flat_optimizer_bit_exact_against_per_tensor_loop(optimizer, clip):
     cfg = RerankerConfig(image_dim=5, text_dim=4, latent_dim=6, aligner_layers=2, aligner_hidden=3, init_seed=2)
     params = init_params(cfg)
-    config = TrainConfig(optimizer=optimizer, lr=3e-3)
+    # the gradients' global norm is about 10 at the magnitudes below, so a clip at 1 always acts
+    config = TrainConfig(optimizer=optimizer, lr=3e-3, grad_clip=1.0 if clip else None)
     state = init_optimizer_state(params, config)
     ref = {name: t.copy() for name, t in params.tensors.items()}
     ref_state = {"t": 0, "m": {n: np.zeros_like(t) for n, t in ref.items()},
@@ -320,11 +337,9 @@ def test_flat_optimizer_bit_exact_against_per_tensor_loop(optimizer, as_views):
         # magnitudes from 1e-9 to 10, so eps matters for some elements and not for others
         grads = {name: np.asarray(rng.standard_normal(t.shape) * 10.0 ** rng.uniform(-9, 1, t.shape), np.float32)
                  for name, t in ref.items()}
-        given = grads
-        if as_views:
-            given = TensorViews(np.zeros_like(params.flat), expected_shapes(cfg))
-            for name, g in grads.items():
-                given[name][...] = g
+        given = TensorViews(np.zeros_like(params.flat), expected_shapes(cfg))
+        for name, g in grads.items():
+            given[name][...] = g
         params, state = optimizer_step(params, given, state, config)
         ref, ref_state = _per_tensor_step(ref, grads, ref_state, config)
         for name, t in ref.items():
@@ -335,8 +350,8 @@ def test_flat_optimizer_bit_exact_against_per_tensor_loop(optimizer, as_views):
 
 def test_grad_clip_rescales_global_norm():
     params = _scalar_params(0.0)
-    grads = {name: np.full_like(t, 10.0) for name, t in params.tensors.items()}
-    total = np.sqrt(sum(np.sum(g**2) for g in grads.values()))
+    grads = _grads(params, 10.0)
+    total = np.sqrt(grads.flat @ grads.flat)
     config = TrainConfig(optimizer="sgd", lr=1.0, grad_clip=1.0)
     new, _ = optimizer_step(params, grads, {}, config)
     moved = np.sqrt(sum(np.sum(t**2) for t in new.tensors.values()))
