@@ -109,24 +109,16 @@ _FIELD_NAMES = {"locations": "n_locations", "thresholds": "thresholds_km", "endp
 
 def load_config_file(path: str | Path) -> dict:
     """The settings of a key=value config file, parsed; an unknown key or a bad
-    value is a ValueError naming the file and line."""
+    value is a ValueError (``IngestError``) naming the file and line."""
     values = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}, line {ln}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_SCHEMA:
-            raise ValueError(f"{path}, line {ln}: unknown config key '{key}'")
+
+    def put(key: str, value: str) -> None:
         parse = CONFIG_SCHEMA[key]
-        try:
-            if isinstance(parse, tuple) and value not in parse:
-                raise ValueError(f"'{value}' is not one of {', '.join(parse)}")
-            values[key] = value if isinstance(parse, tuple) else parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {ln}: bad value for '{key}': {exc}") from None
+        if isinstance(parse, tuple) and value not in parse:
+            raise ValueError(f"'{value}' is not one of {', '.join(parse)}")
+        values[key] = value if isinstance(parse, tuple) else parse(value)
+
+    geostore.read_key_values(path, put)
     return values
 
 
@@ -361,56 +353,37 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _read_embeddings(path: str | Path, dim: int | None) -> dict[str, np.ndarray]:
-    """id -> float32 vector of a JSONL file of ``{"id", "embedding"}`` lines,
-    each ``dim`` wide (as wide as the first, given None). A bad record raises
-    ValueError naming the file, the line and the id."""
-    out: dict[str, np.ndarray] = {}
-    for ln, rec in geostore.read_jsonl(path):
-        rid = rec.get("id")
-        if not isinstance(rid, str):
-            raise ValueError(f"{path}, line {ln}: missing or invalid 'id'")
-        where = f"{path}, line {ln}, id '{rid}'"
-        if rid in out:
-            raise ValueError(f"{where}: id appears twice")
-        values = rec.get("embedding")
-        if not isinstance(values, list) or not values:
-            raise ValueError(f"{where}: missing or empty 'embedding' array")
-        try:
-            vec = np.asarray(values, np.float32)
-        except (TypeError, ValueError):
-            vec = None
-        if vec is None or vec.ndim != 1:
-            raise ValueError(f"{where}: embedding is not a list of numbers")
-        dim = dim or len(vec)
-        if len(vec) != dim:
-            raise ValueError(f"{where}: embedding has {len(vec)} values, expected {dim}")
-        out[rid] = vec
-    return out
-
-
 def cmd_stability(args) -> int:
     endpoint = _build(cvlang.EmbedEndpointConfig, _settings(args))
     corpus_a = dict(_read_texts(args.corpus_a))
     corpus_b = dict(_read_texts(args.corpus_b))
-
-    def embeddings_for(path, corpus, dim):
-        if path:
-            return _read_embeddings(path, dim)
-        ids = sorted(corpus)
-        vecs = cvlang.embed_texts([corpus[i] for i in ids], endpoint)
-        return dict(zip(ids, vecs))
-
     # every vector must be as wide as the first of --emb-a, or text_dim if either side is embedded here
-    emb_a = embeddings_for(args.emb_a, corpus_a, None if args.emb_b else endpoint.text_dim)
-    emb_b = embeddings_for(args.emb_b, corpus_b, len(next(iter(emb_a.values()))) if emb_a else endpoint.text_dim)
-    report = cvlang.stability_report(corpus_a, corpus_b, emb_a, emb_b)
+    width = None if args.emb_a and args.emb_b else endpoint.text_dim
+
+    def embeddings_for(path, corpus):
+        ids = sorted(corpus)
+        if not path:
+            return dict(zip(ids, cvlang.embed_texts([corpus[i] for i in ids], endpoint)))
+        vectors = {}
+
+        def put(row: int, rec: dict) -> None:
+            nonlocal width
+            vec = geostore.embedding_of(rec, width)
+            if not (np.isfinite(vec).all() and vec.any()):
+                raise ValueError("embedding has a NaN/Inf value or zero norm")
+            vectors[rec["id"]], width = vec, len(vec)
+
+        geostore.read_rows(path, "embedding", put, {i: row for row, i in enumerate(ids)})
+        return vectors
+
+    report = cvlang.stability_report(corpus_a, corpus_b, embeddings_for(args.emb_a, corpus_a),
+                                     embeddings_for(args.emb_b, corpus_b))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["reference_context"] = evaluator.REFERENCE_CONTEXT["description_stability"]
     payload["reference_note"] = evaluator.REFERENCE_CONTEXT["note"]
-    geostore.write_lines([json.dumps(payload, indent=2, sort_keys=True)], out / "report.json")
+    geostore.write_lines([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], out / "report.json")
     geostore.write_lines(["metric,value"] + [f"{k},{v}" for k, v in report.to_dict().items()], out / "report.csv")
     print(
         f"stability over {report.count} pairs: cosine={report.mean_cosine:.4f} "

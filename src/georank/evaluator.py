@@ -200,7 +200,7 @@ class EvalReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        write_lines([json.dumps(self.to_dict(), indent=2, sort_keys=True)], path)
+        write_lines([json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)], path)
 
     def write_csv(self, path: str | Path) -> None:
         lines = ["metric,baseline,reranked,delta"]
@@ -303,7 +303,7 @@ def single_run_files(metrics: dict, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     payload = dict(metrics)
     payload["reference_context"] = REFERENCE_CONTEXT
-    write_lines([json.dumps(payload, indent=2, sort_keys=True)], out / "report.json")
+    write_lines([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], out / "report.json")
     lines = ["metric,value"]
     for k, v in metrics["recall"].items():
         lines.append(f"recall@{k},{v:.6f}")

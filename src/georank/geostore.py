@@ -67,8 +67,8 @@ class IngestError(GeostoreError, ValueError):
 
 class InvalidStore(ValueError):
     """A store invariant that does not hold, found by ``Store.validate``: the
-    side ("refs" or "queries"), column and row it was found in, and the id of
-    that row, so a reader can name the file and line the row came from."""
+    side ("refs", "queries" or "manifest"), column and row it was found in, and
+    the id of that row, so a reader can name the file and line the row came from."""
 
     def __init__(self, side: str, column: str, row: int | None, record_id: str | None, problem: str):
         self.side, self.column, self.row, self.record_id, self.problem = side, column, row, record_id, problem
@@ -158,6 +158,11 @@ class Columns:
         return None if row is None or not self.has_coord[row] else GeoCoord(*self.coords[row].tolist())
 
 
+# the values a manifest may hold, in the order it is written, each with its accepted range
+MANIFEST_RANGES = {"format_version": (1, 1), "image_dim": (1, math.inf), "text_dim": (1, math.inf),
+                   "reference_count": (0, math.inf), "query_count": (0, math.inf)}
+
+
 @dataclass
 class StoreManifest:
     image_dim: int
@@ -167,32 +172,26 @@ class StoreManifest:
     format_version: int = 1
 
     def write(self, path: Path) -> None:
-        keys = ("format_version", "image_dim", "text_dim", "reference_count", "query_count")
-        write_lines((f"{k}={getattr(self, k)}" for k in keys), path)
+        write_lines((f"{k}={getattr(self, k)}" for k in MANIFEST_RANGES), path)
 
     @classmethod
     def read(cls, path: Path) -> "StoreManifest":
-        fields = {}
-        for ln, raw in enumerate(_read_utf8(path).splitlines(), start=1):
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            if "=" not in raw:
-                raise IngestError("manifest line is not key=value", file=str(path), line=ln)
-            key, value = raw.split("=", 1)
-            fields[key.strip()] = value.strip()
-        try:
-            return cls(
-                image_dim=int(fields["image_dim"]),
-                text_dim=int(fields["text_dim"]),
-                reference_count=int(fields["reference_count"]),
-                query_count=int(fields["query_count"]),
-                format_version=int(fields.get("format_version", "1")),
-            )
-        except KeyError as exc:
-            raise IngestError(f"manifest missing key {exc}", file=str(path)) from None
-        except ValueError as exc:
-            raise IngestError(f"manifest value not an integer: {exc}", file=str(path)) from None
+        """A manifest file; a value that is not an integer in its range raises
+        IngestError naming the file and line. Other keys are ignored."""
+        fields = {"format_version": 1}
+
+        def put(key: str, value: str) -> None:
+            if key in MANIFEST_RANGES:
+                lo, hi = MANIFEST_RANGES[key]
+                fields[key] = int(value)
+                if not lo <= fields[key] <= hi:
+                    raise ValueError(f"{fields[key]} is outside [{lo}, {hi}]")
+
+        read_key_values(path, put)
+        missing = [key for key in MANIFEST_RANGES if key not in fields]
+        if missing:
+            raise IngestError(f"manifest missing key '{missing[0]}'", file=str(path))
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +298,27 @@ def _read_utf8(path: Path) -> str:
     except UnicodeDecodeError as exc:
         raise IngestError(f"byte 0x{data[exc.start]:02x} is not UTF-8", file=str(path),
                           line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def read_key_values(path: str | Path, put) -> None:
+    """Call ``put(key, value)`` for each ``key=value`` line of the UTF-8 file at
+    ``path``, both stripped; blank lines and lines starting with ``#`` are
+    skipped. A byte that is not UTF-8, a line without ``=``, and a KeyError
+    (unknown key) or ValueError (bad value) from ``put`` raise IngestError
+    naming the file and line."""
+    for ln, raw in enumerate(_read_utf8(Path(path)).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise IngestError("expected key=value", file=str(path), line=ln)
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            put(key, value)
+        except KeyError:
+            raise IngestError(f"unknown key '{key}'", file=str(path), line=ln) from None
+        except ValueError as exc:
+            raise IngestError(f"bad value for '{key}': {exc}", file=str(path), line=ln) from None
 
 
 def write_lines(lines, path: str | Path) -> None:
@@ -418,12 +438,15 @@ class Store:
     def validate(self) -> None:
         """Check every store invariant, and build the retrieval index on the way.
 
-        Ids are valid and unique, matrices have the manifest's widths,
-        captions are strings encodable as UTF-8, image rows are finite and
-        non-zero, text rows are finite, coordinates lie in range, and every
-        query's ground truth is non-empty and names references. The first failure raises ``InvalidStore``.
+        Manifest values lie in ``MANIFEST_RANGES``, ids are valid and unique, matrices have
+        the manifest's widths, captions are strings encodable as UTF-8, image rows are finite
+        and non-zero, text rows are finite, coordinates lie in range, and every query's
+        ground truth is non-empty and names references. The first failure raises ``InvalidStore``.
         """
         m = self.manifest
+        for key, (lo, hi) in MANIFEST_RANGES.items():
+            if not lo <= getattr(m, key) <= hi:
+                raise InvalidStore("manifest", key, None, None, f"{key} {getattr(m, key)} is outside [{lo}, {hi}]")
         for side, cols, key in (("refs", self.refs, "reference_count"), ("queries", self.queries, "query_count")):
             n = len(cols.ids)
             if n != getattr(m, key):
@@ -638,7 +661,8 @@ def _load_side(root: Path, prefix: str, sources: dict) -> Columns:
             _set_rows(cols, column, _read_utf8(sidecar).splitlines(), read_embedding_matrix(path, dtype), sidecar)
             sources[prefix, column] = (path, None)
     captions = root / f"{prefix}.captions.jsonl"
-    _read_side_tables(cols, prefix, sources, captions if captions.exists() else None, None)
+    if captions.exists():
+        _read_captions(captions, cols, prefix, sources)
     return cols
 
 
@@ -667,92 +691,86 @@ def attach_text(store_dir: str | Path, side: str, ids: list[str], vectors) -> in
 # JSONL tables (ingest inputs, and the store's own caption and truth files)
 # ---------------------------------------------------------------------------
 
-def _parse_embedding_rows(path: str | Path, out: np.ndarray, label: str,
-                          pos: dict[str, int] | None = None) -> tuple[list[str], np.ndarray]:
-    """Parse a JSONL file of ``{"id", "embedding"}`` lines into rows of ``out``,
-    whose width is the manifest's: line i into row i or, given ``pos`` (id ->
-    row), each line into its id's row. Returns the ids in file order and the
-    line that filled each row of ``out`` (0 for none)."""
-    if pos is None:
-        records = ((ln, row, rec.get("id"), rec) for row, (ln, rec) in enumerate(read_jsonl(path)))
-    else:
-        records = _read_keyed(path, pos, label)
-    ids, lines = [], np.zeros(len(out), np.int64)
-    for ln, row, rid, rec in records:
-        if not isinstance(rid, str):
-            raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
-        if row == len(out):
-            raise IngestError(f"more {label} rows than the manifest's {len(out)}",
-                              file=str(path), line=ln, record_id=rid)
-        values = rec.get("embedding")
-        if not isinstance(values, list):
-            raise IngestError("missing 'embedding' array", file=str(path), line=ln, record_id=rid)
-        if len(values) != out.shape[1]:
-            raise IngestError(f"embedding has {len(values)} values, expected dim {out.shape[1]}",
-                              file=str(path), line=ln, record_id=rid)
-        try:
-            out[row] = np.asarray(values, dtype=np.float32)
-        except (TypeError, ValueError):
-            raise IngestError("non-numeric embedding value", file=str(path), line=ln, record_id=rid) from None
-        ids.append(rid)
-        lines[row] = ln
-    return ids, lines
-
-
-def _read_keyed(path, pos: dict[str, int], label: str):
-    """Yield (line, row, id, record) for a JSONL table keyed by the ids of
-    ``pos`` (id -> row); an id that is missing, repeated or not in ``pos``
-    raises IngestError."""
-    seen: set[str] = set()
+def read_rows(path: str | Path, label: str, put, pos: dict[str, int] | None = None,
+              size: int | None = None) -> np.ndarray:
+    """Read a JSONL table keyed by each record's ``"id"``, calling ``put(row,
+    record)`` for each record: with ``pos`` (id -> row) into its id's row, or
+    else into rows 0, 1, ... in file order, of which there are ``size``. A
+    record without a string id, an id seen before, an id ``pos`` lacks, a row
+    past ``size``, and a KeyError, TypeError or ValueError from ``put`` raise
+    IngestError naming the file, the line and the id. Returns the line that
+    filled each row (0 for none)."""
+    lines, seen = np.zeros(size if pos is None else len(pos), np.int64), set()
     for ln, rec in read_jsonl(path):
         rid = rec.get("id")
         if not isinstance(rid, str):
             raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
         if rid in seen:
             raise IngestError(f"duplicate {label} row", file=str(path), line=ln, record_id=rid)
-        seen.add(rid)
-        row = pos.get(rid)
+        row = len(seen) if pos is None else pos.get(rid)
         if row is None:
             raise IngestError(f"{label} for unknown id", file=str(path), line=ln, record_id=rid)
-        yield ln, row, rid, rec
+        if row == size:
+            raise IngestError(f"more than {size} {label} rows", file=str(path), line=ln, record_id=rid)
+        try:
+            put(row, rec)
+        except KeyError as exc:
+            raise IngestError(f"missing field {exc}", file=str(path), line=ln, record_id=rid) from None
+        except (TypeError, ValueError) as exc:
+            raise IngestError(str(exc), file=str(path), line=ln, record_id=rid) from None
+        seen.add(rid)
+        lines[row] = ln
+    return lines
 
 
-def _read_side_tables(cols: Columns, side: str, sources: dict, captions: str | Path | None,
-                      coords: str | Path | None) -> None:
-    """Fill the captions and coordinates of ``cols`` from their JSONL tables (either may be None)."""
-    n = len(cols.ids)
-    if captions is not None:
-        cols.captions, lines = [None] * n, np.zeros(n, np.int64)
-        for ln, row, rid, rec in _read_keyed(captions, cols.pos, "caption"):
-            if not isinstance(rec.get("caption"), str):
-                raise IngestError("missing 'caption' string", file=str(captions), line=ln, record_id=rid)
-            cols.captions[row] = rec["caption"]
-            lines[row] = ln
-        sources[side, "captions"] = (captions, lines)
-    if coords is not None:
-        cols.coords, lines = np.zeros((n, 2)), np.zeros(n, np.int64)
-        for ln, row, rid, rec in _read_keyed(coords, cols.pos, "coordinate"):
-            try:
-                cols.coords[row] = float(rec["lat"]), float(rec["lon"])
-            except KeyError as exc:
-                raise IngestError(f"missing coordinate field {exc}", file=str(coords), line=ln, record_id=rid) from None
-            except (TypeError, ValueError):
-                raise IngestError("coordinate is not a number", file=str(coords), line=ln, record_id=rid) from None
-            lines[row] = ln
-        cols.has_coord = lines > 0
-        sources[side, "coords"] = (coords, lines)
+def embedding_of(rec: dict, dim: int | None) -> np.ndarray:
+    """The ``"embedding"`` of a JSONL record as a float32 vector of ``dim``
+    numbers (of any width, given None); anything else raises ValueError."""
+    vec = np.asarray(rec["embedding"], np.float32)
+    if vec.ndim != 1:
+        raise ValueError("embedding is not a list of numbers")
+    if len(vec) != (dim or len(vec)):
+        raise ValueError(f"embedding has {len(vec)} values, expected {dim}")
+    return vec
+
+
+def _parse_embedding_rows(path: str | Path, out: np.ndarray, label: str,
+                          pos: dict[str, int] | None = None) -> tuple[list[str], np.ndarray]:
+    """Parse a JSONL file of ``{"id", "embedding"}`` lines into rows of ``out``,
+    whose width is the manifest's: line i into row i or, given ``pos`` (id ->
+    row), each line into its id's row. Returns the ids in file order and the
+    line that filled each row of ``out`` (0 for none)."""
+    ids = []
+
+    def put(row: int, rec: dict) -> None:
+        out[row] = embedding_of(rec, out.shape[1])
+        ids.append(rec["id"])
+
+    return ids, read_rows(path, label, put, pos, len(out))
+
+
+def _read_captions(path: str | Path, cols: Columns, side: str, sources: dict) -> None:
+    cols.captions = [None] * len(cols.ids)
+
+    def put(row: int, rec: dict) -> None:
+        if not isinstance(rec["caption"], str):
+            raise TypeError("'caption' is not a string")
+        cols.captions[row] = rec["caption"]
+
+    sources[side, "captions"] = (path, read_rows(path, "caption", put, cols.pos))
 
 
 def _read_truth(path: str | Path, queries: Columns, sources: dict) -> dict[str, tuple[str, ...]]:
     """The ground-truth table: query id -> sorted distinct reference ids."""
-    truth, lines = {}, np.zeros(len(queries.ids), np.int64)
-    for ln, row, qid, rec in _read_keyed(path, queries.pos, "ground truth"):
-        refs = rec.get("refs")
+    truth = {}
+
+    def put(row: int, rec: dict) -> None:
+        refs = rec["refs"]
         if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            raise IngestError("ground truth needs a 'refs' list of ids", file=str(path), line=ln, record_id=qid)
-        truth[qid] = tuple(sorted(set(refs)))
-        lines[row] = ln
-    sources["queries", "truth"] = (path, lines)
+            raise TypeError("ground truth needs a 'refs' list of ids")
+        truth[rec["id"]] = tuple(sorted(set(refs)))
+
+    sources["queries", "truth"] = (path, read_rows(path, "ground truth", put, queries.pos))
     return truth
 
 
@@ -771,7 +789,17 @@ def _ingest_side(side: str, count: int, manifest: StoreManifest, sources: dict, 
         _, lines = _parse_embedding_rows(text_embeddings, cols.text, "text embedding", cols.pos)
         cols.has_text = lines > 0
         sources[side, "text"] = (text_embeddings, lines)
-    _read_side_tables(cols, side, sources, captions, coords)
+    if captions is not None:
+        _read_captions(captions, cols, side, sources)
+    if coords is not None:
+        cols.coords = np.zeros((len(ids), 2))
+
+        def put(row: int, rec: dict) -> None:
+            cols.coords[row] = float(rec["lat"]), float(rec["lon"])
+
+        lines = read_rows(coords, "coordinate", put, cols.pos)
+        cols.has_coord = lines > 0
+        sources[side, "coords"] = (coords, lines)
     return cols
 
 

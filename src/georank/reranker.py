@@ -429,11 +429,8 @@ def load_checkpoint(path: str | Path) -> tuple[RerankerConfig, dict[str, np.ndar
     return config, tensors
 
 
-def save_params(path: str | Path, params: RerankerParams, extra: dict[str, np.ndarray] | None = None) -> None:
-    tensors = dict(params.tensors)
-    if extra:
-        tensors.update(extra)
-    save_checkpoint(path, params.config, tensors)
+def save_params(path: str | Path, params: RerankerParams) -> None:
+    save_checkpoint(path, params.config, params.tensors)
 
 
 def load_params(path: str | Path) -> RerankerParams:

@@ -1,14 +1,15 @@
 import dataclasses
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from georank import cvlang, evaluator, geostore, reranker, retriever, trainer
-from georank.cli import COMMAND_KEYS, CONFIG_SCHEMA, build_parser, main
-from georank.geostore import Store, SynthConfig, store_digest
+from georank.cli import COMMAND_KEYS, CONFIG_SCHEMA, build_parser, load_config_file, main
+from georank.geostore import Store, StoreManifest, SynthConfig, store_digest
 from georank.reranker import RerankerConfig
 from georank.retriever import load_rankings
 
@@ -103,6 +104,17 @@ def test_unknown_config_key_rejected(tmp_path, mini_store, capsys):
     out = tmp_path / "r.jsonl"
     assert main(["retrieve", "--config", str(cfg), "--store", str(mini_store), "--out", str(out)]) == 1
     assert "wibble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", ["config", "manifest"])
+@pytest.mark.parametrize("line,problem", [(b"KEY=\xff", "byte 0xff is not UTF-8"), (b"KEY 3", "expected key=value"),
+                                          (b"KEY=x", "bad value for 'KEY'")])
+def test_key_value_file_fault_names_file_and_line(tmp_path, reader, line, problem):
+    path = tmp_path / "settings.txt"
+    key = b"k" if reader == "config" else b"image_dim"
+    path.write_bytes(b"# settings\n" + line.replace(b"KEY", key) + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: {problem.replace('KEY', key.decode())}")):
+        (load_config_file if reader == "config" else StoreManifest.read)(path)
 
 
 def test_store_setting_from_config_file(tmp_path, mini_store):
@@ -401,6 +413,15 @@ def test_stability_embedding_width_mismatch_names_file_line_and_id(tmp_path, cap
     args, (_, path_b) = _stability_inputs(tmp_path, emb_a, emb_b)
     assert main(args) == 1
     assert f"error: {path_b}, line 2, id 'i1': embedding has 3 values, expected 2" in capsys.readouterr().err
+    assert not (tmp_path / "stab").exists()
+
+
+@pytest.mark.parametrize("bad", [[float("nan"), 1.0], [1e39, 0.0], [0.0, 0.0]], ids=["nan", "overflow", "zero"])
+def test_stability_refuses_nonfinite_or_zero_embedding_naming_file_line_and_id(tmp_path, capsys, bad):
+    good = [{"id": "i0", "embedding": [1.0, 0.0]}, {"id": "i1", "embedding": [0.0, 1.0]}]
+    args, (emb_a, _) = _stability_inputs(tmp_path, [good[0], {"id": "i1", "embedding": bad}], good)
+    assert main(args) == 1
+    assert f"error: {emb_a}, line 2, id 'i1': embedding" in capsys.readouterr().err
     assert not (tmp_path / "stab").exists()
 
 

@@ -278,6 +278,11 @@ def test_compare_report_files(tmp_path):
     assert "recall@1@0.5km" in csv
     svg = (tmp_path / "report.svg").read_text()
     assert svg.startswith("<svg") and "baseline" in svg
+    before = (tmp_path / "report.json").read_bytes()
+    report.mean_ap["delta"] = float("nan")
+    with pytest.raises(ValueError):
+        report.write_json(tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == before
 
 
 def test_single_run_files(tmp_path):
@@ -288,6 +293,10 @@ def test_single_run_files(tmp_path):
         assert (tmp_path / name).exists()
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["recall"]["10"] == 1.0
+    before = (tmp_path / "report.json").read_bytes()
+    with pytest.raises(ValueError):
+        single_run_files(metrics | {"mean_ap": float("nan")}, tmp_path)
+    assert (tmp_path / "report.json").read_bytes() == before
 
 
 def test_eval_config_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tempfile
@@ -737,6 +738,97 @@ def test_save_load_round_trips_partial_columns(data):
         for column in ("image", "text", "has_text", "coords", "has_coord"):
             assert np.array_equal(getattr(got, column), getattr(want, column)), column
         assert getattr(got, "coords").tobytes() == want.coords.tobytes()
+
+
+def _ingest_inputs(store: Store, root: Path, shuffle) -> dict:
+    """``store`` as ingest's JSONL inputs under ``root``: image embeddings in
+    row order, and each keyed table in the order ``shuffle`` gives its lines."""
+    files = {}
+    for prefix, cols in (("ref", store.refs), ("query", store.queries)):
+        rows = range(len(cols.ids))
+        tables = {
+            "embeddings": [{"id": cols.ids[r], "embedding": cols.image[r].tolist()} for r in rows],
+            "text_embeddings": shuffle([{"id": cols.ids[r], "embedding": cols.text[r].tolist()}
+                                        for r in rows if cols.has_text[r]]),
+            "captions": shuffle([{"id": cols.ids[r], "caption": cols.captions[r]}
+                                 for r in rows if cols.captions[r] is not None]),
+            "coords": shuffle([{"id": cols.ids[r], "lat": cols.coords[r, 0], "lon": cols.coords[r, 1]}
+                               for r in rows if cols.has_coord[r]]),
+        }
+        for name, records in tables.items():
+            files[f"{prefix}_{name}"] = _ref_file(root, records, name=f"{prefix}.{name}.jsonl")
+    truth = [{"id": q, "refs": list(refs)} for q, refs in store.ground_truth.items()]
+    files["query_truth"] = _ref_file(root, shuffle(truth), name="truth.jsonl")
+    return files
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ingest_of_an_exported_store_gives_back_its_columns_and_files(data):
+    image_dim, text_dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    n_refs, n_queries = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 3))
+    refs = data.draw(partial_side("r", n_refs, image_dim, text_dim))
+    queries = data.draw(partial_side("q", n_queries, image_dim, text_dim))
+    truth = {q: (f"r{data.draw(st.integers(0, n_refs - 1))}",) for q in queries.ids}
+    manifest = StoreManifest(image_dim, text_dim, n_refs, n_queries)
+    store = Store(manifest, refs, queries, truth)
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        files = _ingest_inputs(store, d, lambda records: data.draw(st.permutations(records)))
+        back = ingest(d / "ingested", manifest, files.pop("ref_embeddings"), **files)
+        store.save(d / "saved")
+        assert store_digest(d / "ingested") == store_digest(d / "saved")
+    assert back.ground_truth == store.ground_truth
+    for got, want in ((back.refs, store.refs), (back.queries, store.queries)):
+        assert got.ids == want.ids and got.captions == want.captions
+        for column in ("image", "text", "has_text", "coords", "has_coord"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+
+
+@pytest.mark.parametrize("fault", ["missing", "repeated", "unknown"])
+@pytest.mark.parametrize("table", ["ref_text_embeddings", "ref_captions", "ref_coords", "query_text_embeddings",
+                                   "query_captions", "query_coords", "query_truth"])
+def test_keyed_table_refuses_missing_repeated_or_unknown_id(tmp_path, table, fault):
+    refs = [make_ref(f"r{i}", [1.0, i], text=[i, 1.0], caption=f"c{i}", coord=GeoCoord(i, 0.0)) for i in range(2)]
+    queries = [make_query(f"q{i}", [i, 1.0], ["r0"], text=[1.0, i], coord=GeoCoord(0.0, i)) for i in range(2)]
+    for q in queries:
+        q.caption = f"caption of {q.id}"
+    store = build_store(refs, queries, image_dim=2, text_dim=2)
+    files = _ingest_inputs(store, tmp_path, list)
+    records = [json.loads(line) for line in files[table].read_text().splitlines()]
+    second = records[1]
+    rid = {"missing": None, "repeated": records[0]["id"], "unknown": "nowhere"}[fault]
+    if rid is None:
+        del second["id"]
+    else:
+        second["id"] = rid
+    _write_jsonl(files[table], records)
+    with pytest.raises(IngestError, match=re.escape(f"{files[table]}, line 2")) as exc:
+        ingest(tmp_path / "store", store.manifest, files.pop("ref_embeddings"), **files)
+    assert exc.value.record_id == rid and (rid is None or f"id '{rid}'" in str(exc.value))
+
+
+@pytest.mark.parametrize("line,problem", [
+    ("image_dim=-2", "bad value for 'image_dim': -2 is outside [1, inf]"),
+    ("text_dim=0", "bad value for 'text_dim': 0 is outside [1, inf]"),
+    ("reference_count=-1", "bad value for 'reference_count': -1 is outside [0, inf]"),
+    ("query_count=-3", "bad value for 'query_count': -3 is outside [0, inf]"),
+    ("format_version=7", "bad value for 'format_version': 7 is outside [1, 1]"),
+])
+def test_manifest_value_out_of_range_names_file_and_line(tmp_path, line, problem):
+    path = tmp_path / "manifest.txt"
+    StoreManifest(2, 3, 1, 0).write(path)
+    key = line.split("=")[0]
+    lines = path.read_text().splitlines()
+    at = next(i for i, old in enumerate(lines) if old.startswith(key + "="))
+    lines[at] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line {at + 1}: {problem}")):
+        StoreManifest.read(path)
+    # a store is not built on such a manifest either, so none is written that could not be read back
+    manifest = dataclasses.replace(StoreManifest(2, 3, 1, 0), **{key: int(line.split("=")[1])})
+    with pytest.raises(InvalidStore, match=re.escape(f"{key} {line.split('=')[1]} is outside")):
+        Store(manifest, Columns(["r0"], np.ones((1, 2))), Columns([], np.empty((0, 2))))
 
 
 def test_synthetic_and_ingest_run_the_store_check(tmp_path, monkeypatch):

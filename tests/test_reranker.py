@@ -446,7 +446,8 @@ def test_checkpoint_preserves_extra_optimizer_tensors(tmp_path):
     params = init_params(tiny_config())
     extra = {"opt.t": np.array(3.0, np.float32), "opt.m.score.w": np.ones((2, 2), np.float32)}
     path = tmp_path / "model.gvck"
-    save_params(path, params, extra=extra)
+    # older checkpoints hold optimizer state beside the weights
+    save_checkpoint(path, params.config, dict(params.tensors) | extra)
     _, tensors = load_checkpoint(path)
     assert np.array_equal(tensors["opt.m.score.w"], extra["opt.m.score.w"])
     assert tensors["opt.t"] == 3.0
