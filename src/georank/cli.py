@@ -260,7 +260,7 @@ def _text_entry(rec: dict) -> tuple[str, str]:
 
 
 def _read_texts(path: str | Path) -> list[tuple[str, str]]:
-    return geostore.load_jsonl(path, _text_entry, "text record")
+    return geostore.load_jsonl(path, _text_entry, "text record", key=lambda pair: pair[0])
 
 
 def cmd_embed(args) -> int:

@@ -217,6 +217,15 @@ class EvalReport:
         write_lines(_recall_bars_svg(self.recall), path)
 
 
+def _one_per_query(rankings: list[Ranking], side: str) -> dict[str, Ranking]:
+    out: dict[str, Ranking] = {}
+    for r in rankings:
+        if r.query_id in out:
+            raise ValueError(f"query '{r.query_id}' has more than one {side} ranking")
+        out[r.query_id] = r
+    return out
+
+
 def compare_rankings(
     baseline: list[Ranking],
     reranked: list[Ranking],
@@ -224,21 +233,19 @@ def compare_rankings(
     config: EvalConfig,
     coords: Mapping[str, GeoCoord] | None = None,
 ) -> EvalReport:
-    """Baseline vs reranked report; reranking must not have changed any top-k set.
-    ``skipped_query_count`` is the number of baseline rankings that hold no positive."""
+    """Baseline vs reranked report: one ranking per query on each side, and
+    each reranked list a permutation of its baseline's. ``skipped_query_count``
+    is the number of baseline rankings that hold no positive."""
     config.validate()
-    base_ids = sorted(r.query_id for r in baseline)
-    rr_ids = sorted(r.query_id for r in reranked)
-    if base_ids != rr_ids:
+    base_by_id, rr_by_id = _one_per_query(baseline, "baseline"), _one_per_query(reranked, "reranked")
+    if base_by_id.keys() != rr_by_id.keys():
         raise ValueError("query-set mismatch between baseline and reranked rankings")
+    for qid, r in rr_by_id.items():
+        if sorted(r.ids()) != sorted(base_by_id[qid].ids()):
+            raise ValueError(f"reranking changed the candidates of query '{qid}'; it must only permute them")
     _check_known(baseline, ground_truth)  # reranked holds the same query ids
     base_first, rr_first = _positive_ranks(baseline, ground_truth), _positive_ranks(reranked, ground_truth)
     k_max = max(len(r.entries) for r in baseline)
-    r_base, r_rr = _share(base_first, k_max), _share(rr_first, k_max)
-    if r_base != r_rr:
-        raise ValueError(
-            f"reranking changed recall@{k_max} ({r_base} -> {r_rr}); it must only permute the candidate set"
-        )
     base = _table(baseline, base_first, ground_truth, config, coords)
     rr = _table(reranked, rr_first, ground_truth, config, coords)
 

@@ -366,18 +366,26 @@ def read_jsonl(path: str | Path):
             yield ln, rec
 
 
-def load_jsonl(path: str | Path, parse, what: str) -> list:
+def load_jsonl(path: str | Path, parse, what: str, key=None) -> list:
     """``parse(record)`` for each record of a JSONL file, in file order. A
     KeyError, TypeError or ValueError from ``parse`` raises IngestError naming
-    the file and line, as a bad line does."""
-    out = []
+    the file and line, as a bad line does. Given ``key``, an item whose
+    ``key(item)`` an earlier one had raises IngestError naming the file, the
+    line and that id."""
+    out, seen = [], set()
     for ln, rec in read_jsonl(path):
         try:
-            out.append(parse(rec))
+            item = parse(rec)
         except KeyError as exc:
             raise IngestError(f"malformed {what}: missing field {exc}", file=str(path), line=ln) from None
         except (TypeError, ValueError) as exc:
             raise IngestError(f"malformed {what} ({exc})", file=str(path), line=ln) from None
+        if key is not None:
+            rid = key(item)
+            if rid in seen:
+                raise IngestError(f"duplicate {what}", file=str(path), line=ln, record_id=rid)
+            seen.add(rid)
+        out.append(item)
     return out
 
 
@@ -726,7 +734,8 @@ def read_rows(path: str | Path, label: str, put, pos: dict[str, int] | None = No
 def embedding_of(rec: dict, dim: int | None) -> np.ndarray:
     """The ``"embedding"`` of a JSONL record as a float32 vector of ``dim``
     numbers (of any width, given None); anything else raises ValueError."""
-    vec = np.asarray(rec["embedding"], np.float32)
+    with np.errstate(over="ignore"):  # a value past float32's range becomes inf, which callers refuse
+        vec = np.asarray(rec["embedding"], np.float32)
     if vec.ndim != 1:
         raise ValueError("embedding is not a list of numbers")
     if len(vec) != (dim or len(vec)):
@@ -954,7 +963,7 @@ def _group_entry(rec: dict) -> tuple[str, int]:
 
 
 def load_groups(path: str | Path) -> dict[str, int]:
-    return dict(load_jsonl(path, _group_entry, "group record"))
+    return dict(load_jsonl(path, _group_entry, "group record", key=lambda entry: entry[0]))
 
 
 def semipositive_map(groups: dict[str, int], store: Store) -> dict[str, set[str]]:

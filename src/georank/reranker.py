@@ -1,6 +1,7 @@
 """Pair scoring network: project image+text to a shared latent space, fuse by
 element-wise sum, align each side with FC+LayerNorm+ReLU blocks, then score
-query/reference pairs through a bilinear map and a sigmoid.
+query/reference pairs through a bilinear map and a sigmoid. The hand-derived
+backward pass of those logits, ``logit_gradients``, sits beside the forward.
 
 Parameters are a name -> array mapping so the optimizer, gradient checker,
 and checkpoint format all see the same named tensors; the arrays are views of
@@ -259,7 +260,7 @@ def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) 
     """Linear -> LayerNorm -> ReLU blocks applied to fused vectors.
 
     Given a ``cache`` list, each block appends its (input, normalised,
-    1/std, pre-ReLU output) rows, which the trainer's backward pass reads.
+    1/std, pre-ReLU output) rows, which ``logit_gradients`` reads.
     """
     dt = params.dtype
     x = np.atleast_2d(np.asarray(fused, dtype=dt))
@@ -309,24 +310,63 @@ def score_logits(
     ``score.b``.
 
     Both sides share the aligner, so the query rows and then the candidate
-    rows go through it in one pass. Given a ``cache`` dict, the activations
-    the trainer's backward pass reads are stored in it: ``aligned_q``,
-    ``aligned_c``, ``cache_align`` (that pass's per-block caches, see
-    ``align``), ``segment`` (each candidate row's query index) and ``u_c``
-    (each candidate row's query ``u``).
+    rows go through it in one pass. Given a ``cache`` dict, everything
+    ``logit_gradients`` reads is stored in it, among which ``segment`` (each
+    candidate row's query index) and ``starts`` (each query's first row).
     """
+    query_img, query_txt = np.atleast_2d(query_img), np.atleast_2d(query_txt)
     cache_align = None if cache is None else cache.setdefault("cache_align", [])
-    fused_q = project_fuse(np.atleast_2d(query_img), np.atleast_2d(query_txt), params, "query")
+    fused_q = project_fuse(query_img, query_txt, params, "query")
     fused_c = project_fuse(cand_img, cand_txt, params, "reference")
     aligned = align(np.concatenate([fused_q, fused_c]), params, cache_align)
     aligned_q, aligned_c = aligned[: len(fused_q)], aligned[len(fused_q) :]
-    segment = np.repeat(np.arange(len(aligned_q)), [len(aligned_c)] if counts is None else counts)
+    counts = [len(aligned_c)] if counts is None else counts
+    segment = np.repeat(np.arange(len(aligned_q)), counts)
     if len(segment) != len(aligned_c):
         raise ValueError(f"candidate counts cover {len(segment)} rows, but {len(aligned_c)} candidates were given")
     u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
     if cache is not None:
-        cache.update(aligned_q=aligned_q, aligned_c=aligned_c, segment=segment, u_c=u_c)
+        cache.update(inputs=(query_img, query_txt, cand_img, cand_txt), aligned_q=aligned_q, aligned_c=aligned_c,
+                     segment=segment, starts=np.cumsum(counts) - counts, u_c=u_c)
     return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64)
+
+
+def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) -> TensorViews:
+    """Gradient of ``sum(g_logit * logit)`` for the ``score_logits`` call that
+    filled ``cache``, as views of one zeroed vector laid out like
+    ``params.flat``. Per-query sums are segment reductions over the stacked
+    candidate rows, so each weight gradient is one product over every row."""
+    grads = TensorViews(np.zeros_like(params.flat), expected_shapes(params.config))
+    aligned_q, aligned_c = cache["aligned_q"], cache["aligned_c"]
+    grads["score.b"] += np.asarray(g_logit.sum(), params.dtype)
+    s_q = np.add.reduceat(g_logit[:, None] * aligned_c, cache["starts"], axis=0)
+    grads["score.w"] += s_q.T @ aligned_q
+    dout = np.concatenate([s_q @ params.tensors["score.w"], g_logit[:, None] * cache["u_c"]])
+
+    blocks = aligner_blocks(params)
+    for i in reversed(range(len(blocks))):
+        w, b, scale, shift = blocks[i]
+        x_in, xhat, inv, y = cache["cache_align"][i]
+        dy = dout * (y > 0)
+        grads[f"align{i}.ln_scale"] += (dy * xhat).sum(axis=0)
+        grads[f"align{i}.ln_shift"] += dy.sum(axis=0)
+        dxhat = dy * scale
+        m1 = row_mean(dxhat)
+        m2 = row_mean(dxhat * xhat)
+        dz = inv * (dxhat - m1 - xhat * m2)
+        grads[f"align{i}.w"] += dz.T @ x_in
+        grads[f"align{i}.b"] += dz.sum(axis=0)
+        dout = dz @ w
+
+    q_img, q_txt, c_img, c_txt = cache["inputs"]
+    for side, d_fused, img, txt in (("query", dout[: len(aligned_q)], q_img, q_txt),
+                                    ("reference", dout[len(aligned_q) :], c_img, c_txt)):
+        wi, bi, wt, bt = proj_names(params.config, side)
+        grads[wi] += d_fused.T @ img
+        grads[bi] += d_fused.sum(axis=0)
+        grads[wt] += d_fused.T @ txt
+        grads[bt] += d_fused.sum(axis=0)
+    return grads
 
 
 def score_candidates(query_img, query_txt, cand_img, cand_txt, params: RerankerParams) -> np.ndarray:
@@ -353,8 +393,6 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
     if query.text_emb is None:
         raise ValueError(f"query '{query.id}' has no text embedding")
     ids = ranking.ids()
-    if not ids:
-        return Ranking(query_id=query.id, entries=[], k=ranking.k, reranked=True)
     scores = score_candidates(query.image_emb, query.text_emb, *gather_candidates(store, ids), params)
     return Ranking(query_id=query.id, entries=order_by_score(ids, scores), k=ranking.k, reranked=True)
 

@@ -20,6 +20,7 @@ selection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,9 +165,20 @@ def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
 
 
 def _ranking(rec: dict) -> Ranking:
+    if not isinstance(rec["query_id"], str):
+        raise TypeError("'query_id' is not a string")
     entries = [(str(rid), float(s)) for rid, s in rec["entries"]]
+    seen = set()
+    for rid, s in entries:
+        if not math.isfinite(s):
+            raise ValueError(f"candidate '{rid}' has score {s}")
+        if rid in seen:
+            raise ValueError(f"candidate '{rid}' is listed twice")
+        seen.add(rid)
     return Ranking(query_id=rec["query_id"], entries=entries, k=len(entries), reranked=bool(rec.get("reranked", False)))
 
 
 def load_rankings(path: str | Path) -> list[Ranking]:
-    return load_jsonl(path, _ranking, "ranking record")
+    """One ranking per line; a non-finite score, a candidate listed twice or
+    a query id seen before raises IngestError naming the file and line."""
+    return load_jsonl(path, _ranking, "ranking record", key=lambda r: r.query_id)

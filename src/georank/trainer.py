@@ -25,13 +25,11 @@ from .reranker import (
     RerankerParams,
     TensorViews,
     _sigmoid,
-    aligner_blocks,
     expected_shapes,
     gather_candidates,
     init_params,
+    logit_gradients,
     order_by_score,
-    proj_names,
-    row_mean,
     save_params,
     score_logits,
 )
@@ -42,13 +40,15 @@ VALIDATION_PASS = 64
 
 @dataclass(frozen=True)
 class TrainingSample:
-    """One query with its phase-1 candidate list and the positive's position."""
+    """One query with its phase-1 candidate list and the positive's position;
+    construction raises ValueError unless it holds a negative, the position
+    is in range and the candidates are distinct."""
 
     query_id: str
     candidate_ids: tuple[str, ...]
     positive_index: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.candidate_ids) < 2:
             raise ValueError(f"sample '{self.query_id}' needs at least one negative candidate")
         if not (0 <= self.positive_index < len(self.candidate_ids)):
@@ -104,130 +104,59 @@ def margin_loss(pos_score: float, neg_scores, margin: float) -> float:
     return total / len(neg_scores)
 
 
-def _aligner_backward(dout: np.ndarray, blocks, caches, grads: dict) -> np.ndarray:
-    for i in reversed(range(len(blocks))):
-        w, b, scale, shift = blocks[i]
-        x_in, xhat, inv, y = caches[i]
-        dy = dout * (y > 0)
-        grads[f"align{i}.ln_scale"] += (dy * xhat).sum(axis=0)
-        grads[f"align{i}.ln_shift"] += dy.sum(axis=0)
-        dxhat = dy * scale
-        m1 = row_mean(dxhat)
-        m2 = row_mean(dxhat * xhat)
-        dz = inv * (dxhat - m1 - xhat * m2)
-        grads[f"align{i}.w"] += dz.T @ x_in
-        grads[f"align{i}.b"] += dz.sum(axis=0)
-        dout = dz @ w
-    return dout
-
-
 def _stacked_logits(samples: list[TrainingSample], params: RerankerParams, store: Store, cache: dict | None = None):
     """Logits of every sample's candidates, stacked in sample order, from one
-    forward pass; returns them with the per-sample candidate counts. Given a
-    ``cache``, the gathered inputs are stored in it beside ``score_logits``'s."""
+    ``score_logits`` pass, which fills ``cache``; returns them with the
+    per-sample candidate counts."""
     q_rows = store.query_rows([s.query_id for s in samples])
     missing = np.flatnonzero(~store.queries.has_text[q_rows])
     if missing.size:
         raise ValueError(f"query '{samples[missing[0]].query_id}' has no text embedding")
-    q_img, q_txt = store.queries.image[q_rows], store.queries.text[q_rows]
     c_img, c_txt = gather_candidates(store, [rid for s in samples for rid in s.candidate_ids])
     counts = np.array([len(s.candidate_ids) for s in samples])
-    if cache is not None:
-        cache.update(q_img=q_img, q_txt=q_txt, c_img=c_img, c_txt=c_txt)
-    return score_logits(q_img, q_txt, c_img, c_txt, params, counts, cache), counts
+    return score_logits(store.queries.image[q_rows], store.queries.text[q_rows], c_img, c_txt, params, counts,
+                        cache), counts
 
 
 def _forward(batch: list[TrainingSample], params: RerankerParams, store: Store, margin: float, loss_on: str):
     """Mean loss over ``batch`` from one stacked forward pass, and what ``_backward`` reads."""
-    ctx: dict = {}
-    logits, counts = _stacked_logits(batch, params, store, ctx)
+    scorer: dict = {}
+    logits, counts = _stacked_logits(batch, params, store, scorer)
     scores = _sigmoid(logits)
 
     basis = logits if loss_on == "logits" else scores
-    starts = np.cumsum(counts) - counts
+    starts, segment = scorer["starts"], scorer["segment"]
     pos = starts + np.array([s.positive_index for s in batch])
     is_neg = np.ones(len(logits), bool)
     is_neg[pos] = False
-    hinge = margin - (basis[pos][ctx["segment"]] - basis)
+    hinge = margin - (basis[pos][segment] - basis)
     active = is_neg & (hinge > 0)
     n_neg = counts - 1
     # np.maximum propagates NaN so a poisoned loss is caught by the train loop
     sample_losses = np.add.reduceat(np.where(is_neg, np.maximum(hinge, 0.0), 0.0), starts) / n_neg
     loss = float(sample_losses.sum() / len(batch))
-    ctx.update(logits=logits, scores=scores, starts=starts, pos=pos, n_neg=n_neg, active=active)
-    return loss, ctx
+    return loss, dict(scorer=scorer, logits=logits, scores=scores, pos=pos, n_neg=n_neg, active=active)
 
 
 def _backward(ctx, params: RerankerParams, loss_on: str) -> TensorViews:
-    """Gradients of ``_forward``'s mean batch loss, as views of one zeroed
-    vector laid out like ``params.flat``. Per-sample sums are segment
-    reductions over the stacked candidate rows, so each weight gradient is one
-    product over every row of the batch.
+    """Gradients of ``_forward``'s mean batch loss: the hinge's gradient with
+    respect to the logits, taken back through the scorer by ``logit_gradients``.
 
     Under ``loss_on="logits"`` the hinge depends on logit differences only,
     so ``score.b`` gets an exact zero, not the float32 rounding noise of a
     sum that is zero in exact arithmetic."""
-    cfg = params.config
-    dtype = params.dtype
-    grads = TensorViews(np.zeros_like(params.flat), expected_shapes(cfg))
-
-    starts, segment, n_neg = ctx["starts"], ctx["segment"], ctx["n_neg"]
+    starts, segment, n_neg = ctx["scorer"]["starts"], ctx["scorer"]["segment"], ctx["n_neg"]
     # an active negative's hinge adds +1/n_neg to its own basis gradient and -1/n_neg to its positive's
     g_basis = np.where(ctx["active"], 1.0 / n_neg[segment], 0.0)
     g_basis[ctx["pos"]] = -np.add.reduceat(ctx["active"].astype(np.int64), starts) / n_neg
     g_basis /= len(starts)
     if loss_on == "scores":
         s = ctx["scores"]
-        g_logit = (g_basis * s * (1.0 - s)).astype(dtype)
-    else:
-        g_logit = g_basis.astype(dtype)
-
-    aligned_q = ctx["aligned_q"]
-    aligned_c = ctx["aligned_c"]
-    w_score = params.tensors["score.w"]
-
-    if loss_on == "scores":
-        grads["score.b"] += np.asarray(g_logit.sum(), dtype)
-    s_q = np.add.reduceat(g_logit[:, None] * aligned_c, starts, axis=0)
-    grads["score.w"] += s_q.T @ aligned_q
-    d_aligned_q = s_q @ w_score
-    d_aligned_c = g_logit[:, None] * ctx["u_c"]
-
-    d_fused = _aligner_backward(np.concatenate([d_aligned_q, d_aligned_c]), aligner_blocks(params),
-                                ctx["cache_align"], grads)
-    d_fused_q, d_fused_c = d_fused[: len(d_aligned_q)], d_fused[len(d_aligned_q) :]
-
-    niq, biq, ntq, btq = proj_names(cfg, "query")
-    nir, bir, ntr, btr = proj_names(cfg, "reference")
-    grads[niq] += d_fused_q.T @ ctx["q_img"]
-    grads[biq] += d_fused_q.sum(axis=0)
-    grads[ntq] += d_fused_q.T @ ctx["q_txt"]
-    grads[btq] += d_fused_q.sum(axis=0)
-    grads[nir] += d_fused_c.T @ ctx["c_img"]
-    grads[bir] += d_fused_c.sum(axis=0)
-    grads[ntr] += d_fused_c.T @ ctx["c_txt"]
-    grads[btr] += d_fused_c.sum(axis=0)
+        g_basis = g_basis * s * (1.0 - s)
+    grads = logit_gradients(ctx["scorer"], g_basis.astype(params.dtype), params)
+    if loss_on == "logits":
+        grads["score.b"][...] = 0
     return grads
-
-
-def loss_and_gradients(
-    sample: TrainingSample,
-    params: RerankerParams,
-    store: Store,
-    margin: float,
-    loss_on: str = "scores",
-) -> tuple[float, TensorViews]:
-    """Loss of one sample plus analytic gradients for every parameter tensor.
-
-    Negatives already separated by more than the margin contribute exactly
-    zero gradient.
-    """
-    return batch_gradients([sample], params, store, TrainConfig(margin=margin, loss_on=loss_on))
-
-
-def sample_loss(sample: TrainingSample, params: RerankerParams, store: Store, margin: float, loss_on: str = "scores") -> float:
-    loss, _ = _forward([sample], params, store, margin, loss_on)
-    return loss
 
 
 def batch_gradients(
@@ -241,8 +170,6 @@ def batch_gradients(
     if not batch:
         raise ValueError("empty batch")
     ordered = sorted(batch, key=lambda s: (s.query_id, s.positive_index, s.candidate_ids))
-    for sample in ordered:
-        sample.validate()
     loss, ctx = _forward(ordered, params, store, config.margin, config.loss_on)
     return loss, _backward(ctx, params, config.loss_on)
 
@@ -347,9 +274,7 @@ def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
 
 
 def _sample(rec: dict) -> TrainingSample:
-    s = TrainingSample(rec["query_id"], tuple(rec["candidates"]), int(rec["positive_index"]))
-    s.validate()
-    return s
+    return TrainingSample(rec["query_id"], tuple(rec["candidates"]), int(rec["positive_index"]))
 
 
 def load_samples(path: str | Path) -> list[TrainingSample]:
@@ -431,8 +356,6 @@ def train(
     config.validate()
     if not samples:
         raise ValueError("no training samples")
-    for s in samples:
-        s.validate()
     if not (0.0 <= val_split < 1.0):
         raise ValueError("val_split must be in [0, 1)")
 
@@ -477,54 +400,32 @@ def train(
 # gradient checking
 # ---------------------------------------------------------------------------
 
-def finite_difference_gradients(
-    sample: TrainingSample,
-    params: RerankerParams,
-    store: Store,
-    margin: float,
-    loss_on: str = "scores",
-    epsilon: float = 1e-4,
-) -> dict[str, np.ndarray]:
-    """Central differences of the sample loss for every parameter element (float64).
-
-    Elements are perturbed by direct index assignment: reshape views of 0-d
-    arrays can silently be copies (numpy 2.x), which would leave the loss
-    unperturbed.
-    """
-    p = params.astype(np.float64)
-    out: dict[str, np.ndarray] = {}
-    for name, tensor in p.tensors.items():
-        grad = np.zeros_like(tensor)
-        for idx in np.ndindex(tensor.shape):
-            orig = float(tensor[idx])
-            tensor[idx] = orig + epsilon
-            up = sample_loss(sample, p, store, margin, loss_on)
-            tensor[idx] = orig - epsilon
-            down = sample_loss(sample, p, store, margin, loss_on)
-            tensor[idx] = orig
-            grad[idx] = (up - down) / (2.0 * epsilon)
-        out[name] = grad
-    return out
-
-
 def gradient_check(
-    sample: TrainingSample,
+    batch: list[TrainingSample],
     params: RerankerParams,
     store: Store,
     margin: float,
     loss_on: str = "scores",
     epsilon: float = 1e-4,
 ) -> dict[str, float]:
-    """Per-tensor max relative error of analytic vs finite-difference gradients."""
+    """Per-tensor max relative error of ``batch_gradients`` against central
+    differences of ``_forward``'s loss, both in float64, stepping each
+    element of a float64 copy of ``params.flat`` in place."""
     p = params.astype(np.float64)
-    _, analytic = loss_and_gradients(sample, p, store, margin, loss_on)
-    numeric = finite_difference_gradients(sample, p, store, margin, loss_on, epsilon)
+    _, analytic = batch_gradients(batch, p, store, TrainConfig(margin=margin, loss_on=loss_on))
+    numeric = TensorViews(np.zeros_like(p.flat), expected_shapes(p.config))
+    for i, orig in enumerate(p.flat.tolist()):
+        p.flat[i] = orig + epsilon
+        up = _forward(batch, p, store, margin, loss_on)[0]
+        p.flat[i] = orig - epsilon
+        down = _forward(batch, p, store, margin, loss_on)[0]
+        p.flat[i] = orig
+        numeric.flat[i] = (up - down) / (2.0 * epsilon)
     errors: dict[str, float] = {}
     for name in analytic:
-        a = np.atleast_1d(analytic[name])
-        n = np.atleast_1d(numeric[name])
+        a, n = analytic[name], numeric[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        errors[name] = float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+        errors[name] = float(np.max(np.abs(a - n) / denom))
     return errors
 
 
@@ -549,5 +450,5 @@ def make_gradcheck_fixture(seed: int, n_candidates: int = 5) -> tuple[TrainingSa
 def run_gradcheck(seed: int, margin: float = 1.0, loss_on: str = "scores", epsilon: float = 1e-4) -> float:
     """Max relative error over all tensors for one seeded fixture."""
     sample, params, store = make_gradcheck_fixture(seed)
-    errors = gradient_check(sample, params, store, margin, loss_on, epsilon)
+    errors = gradient_check([sample], params, store, margin, loss_on, epsilon)
     return max(errors.values())

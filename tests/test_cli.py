@@ -425,6 +425,17 @@ def test_stability_refuses_nonfinite_or_zero_embedding_naming_file_line_and_id(t
     assert not (tmp_path / "stab").exists()
 
 
+@pytest.mark.parametrize("command", ["stability", "embed"])
+def test_text_corpus_refuses_repeated_id_naming_file_line_and_id(tmp_path, capsys, command):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": "i0", "description": d}) + "\n" for d in ("scene", "street")))
+    out = tmp_path / "out"
+    args = {"stability": ["--corpus-a", str(corpus), "--corpus-b", str(corpus)], "embed": ["--texts", str(corpus)]}
+    assert main([command, *args[command], "--text-dim", "8", "--out", str(out)]) == 1
+    assert f"error: {corpus}, line 2, id 'i0': duplicate text record" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_semipositive_exclusion_pipeline(tmp_path):
     store_dir = tmp_path / "store"
     assert main(synth_args(store_dir, locations=12, group_size=3)) == 0

@@ -256,6 +256,23 @@ def test_compare_rejects_changed_candidate_set():
         compare_rankings([base], [tampered], {"q": {"pos"}}, EvalConfig())
 
 
+def test_compare_rejects_intruder_in_place_of_a_negative():
+    # the positive stays, so recall@k_max does not move, but the candidate set changed
+    base = ranking_with_truth_at("q", 1)
+    tampered = Ranking("q", base.entries[:-1] + [("intruder", 0.0)], k=10)
+    with pytest.raises(ValueError, match="query 'q'.*permute"):
+        compare_rankings([base], [tampered], {"q": {"pos"}}, EvalConfig())
+
+
+@pytest.mark.parametrize("side", ["baseline", "reranked"])
+def test_compare_rejects_repeated_query_id(side):
+    baseline, reranked, truth = _permutation_pair()
+    qid = baseline[0].query_id
+    twice = {"baseline": (baseline + baseline[:1], reranked), "reranked": (baseline, reranked + reranked[:1])}[side]
+    with pytest.raises(ValueError, match=f"query '{qid}' has more than one {side} ranking"):
+        compare_rankings(*twice, truth, EvalConfig())
+
+
 def test_compare_report_files(tmp_path):
     baseline, reranked, truth = _permutation_pair()
     coords = {}

@@ -504,6 +504,13 @@ def test_load_groups_bad_record_names_file_and_line(tmp_path, record, problem):
         geostore.load_groups(path)
 
 
+def test_load_groups_refuses_repeated_id_naming_file_line_and_id(tmp_path):
+    path = tmp_path / "groups.jsonl"
+    path.write_text(json.dumps({"id": "r0", "group": 0}) + "\n" + json.dumps({"id": "r0", "group": 1}) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line 2, id 'r0': duplicate group record")):
+        geostore.load_groups(path)
+
+
 # ids as a store accepts them, with non-ASCII ones drawn on purpose as well as by chance
 _IDS = st.sampled_from(["ré", "東京-3", "🙂", "q\u00a0x"]) | st.text(min_size=1, max_size=8).filter(geostore.valid_id)
 
@@ -517,8 +524,9 @@ def _samples(draw):
 @settings(max_examples=60, deadline=None)
 @given(rankings=st.lists(st.builds(
            lambda qid, entries, reranked: Ranking(qid, entries, k=len(entries), reranked=reranked),
-           _IDS, st.lists(st.tuples(_IDS, st.floats(allow_nan=False, allow_infinity=False)), max_size=4),
-           st.booleans()), max_size=4),
+           _IDS, st.lists(st.tuples(_IDS, st.floats(allow_nan=False, allow_infinity=False)), max_size=4,
+                          unique_by=lambda entry: entry[0]),
+           st.booleans()), max_size=4, unique_by=lambda ranking: ranking.query_id),
        samples=st.lists(_samples(), max_size=4),
        groups=st.dictionaries(_IDS, st.integers(), max_size=6),
        poison=st.sampled_from([float("nan"), float("inf"), float("-inf")]))

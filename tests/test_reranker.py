@@ -357,8 +357,7 @@ def test_batch_gradients_bitwise_equal_to_reference_forward(latent, loss_on, mon
     params, config = init_params(cfg), trainer.TrainConfig(loss_on=loss_on)
     loss, grads = trainer.batch_gradients(samples, params, store, config)
     monkeypatch.setattr(reranker, "_linear", lambda x, w: x @ w.T)
-    for module in (reranker, trainer):
-        monkeypatch.setattr(module, "row_mean", lambda z: z.mean(axis=-1, keepdims=True))
+    monkeypatch.setattr(reranker, "row_mean", lambda z: z.mean(axis=-1, keepdims=True))
     want_loss, want = trainer.batch_gradients(samples, params, store, config)
     assert loss == want_loss
     assert np.array_equal(grads.flat, want.flat)
@@ -392,6 +391,12 @@ def test_rerank_singleton_is_identity():
     baseline = top_k(store.query("q0").image_emb, store, 1, query_id="q0")
     out = rerank(store.query("q0"), baseline, params, store)
     assert out.ids() == baseline.ids()
+
+
+def test_rerank_empty_ranking_comes_back_empty_and_reranked():
+    store = _store_with_text()
+    out = rerank(store.query("q0"), Ranking("q0", [], k=5), init_params(tiny_config(init_seed=11)), store)
+    assert (out.query_id, out.entries, out.k, out.reranked) == ("q0", [], 5, True)
 
 
 def test_rerank_zero_weights_falls_back_to_id_order():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georank import kernels, retriever
+from georank.geostore import IngestError
 from georank.retriever import (
     Ranking,
     brute_force_rank,
@@ -305,6 +307,19 @@ def test_rankings_non_utf8_line_names_file_and_line(tmp_path):
     with pytest.raises(ValueError, match="line 2") as exc:
         load_rankings(path)
     assert str(path) in str(exc.value) and not isinstance(exc.value, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("lines,where,problem", [
+    (['{"query_id": "q", "entries": [["a", 0.5], ["b", NaN]]}'], "line 1", "candidate 'b' has score nan"),
+    (['{"query_id": "q", "entries": [["a", Infinity]]}'], "line 1", "candidate 'a' has score inf"),
+    (['{"query_id": "q", "entries": [["a", 0.5], ["a", 0.4]]}'], "line 1", "candidate 'a' is listed twice"),
+    (['{"query_id": "q", "entries": [["a", 0.5]]}'] * 2, "line 2, id 'q'", "duplicate ranking record"),
+], ids=["nan", "inf", "repeated-candidate", "repeated-query"])
+def test_load_rankings_refuses_nonfinite_score_or_repeated_id(tmp_path, lines, where, problem):
+    path = tmp_path / "rankings.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}, {where}: ") + ".*" + re.escape(problem)):
+        load_rankings(path)
 
 
 def test_ranking_validate_rejects_bad_order():

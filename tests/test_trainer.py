@@ -27,7 +27,6 @@ from georank.trainer import (
     gradient_check,
     init_optimizer_state,
     load_samples,
-    loss_and_gradients,
     make_gradcheck_fixture,
     margin_loss,
     optimizer_step,
@@ -58,6 +57,17 @@ def test_margin_loss_equality_case():
 def test_margin_loss_empty_negatives():
     with pytest.raises(ValueError, match="negative"):
         margin_loss(0.5, [], 1.0)
+
+
+@pytest.mark.parametrize("candidates,positive,problem", [
+    (("a",), 0, "at least one negative"),
+    (("a", "b"), 2, "positive_index 2 out of range"),
+    (("a", "b"), -1, "positive_index -1 out of range"),
+    (("a", "b", "a"), 0, "duplicate candidates"),
+])
+def test_invalid_training_sample_raises_on_construction(candidates, positive, problem):
+    with pytest.raises(ValueError, match=f"sample 'q' .*{problem}"):
+        TrainingSample("q", candidates, positive)
 
 
 def test_margin_loss_nonnegative_random():
@@ -115,7 +125,7 @@ def test_all_margins_satisfied_gives_exact_zero_gradients():
     best = int(np.argmax(scores))
     gap = float(np.sort(scores)[-1] - np.sort(scores)[-2])
     winning = TrainingSample("q0", sample.candidate_ids, best)
-    loss, grads = loss_and_gradients(winning, params, store, margin=gap / 2)
+    loss, grads = batch_gradients([winning], params, store, TrainConfig(margin=gap / 2))
     assert loss == 0.0
     for name, g in grads.items():
         assert np.all(g == 0), name
@@ -134,13 +144,13 @@ def test_gradients_match_finite_differences_separate_projections():
     sample, _, store = make_gradcheck_fixture(5)
     cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2,
                          aligner_hidden=6, shared_projections=False, init_seed=6)
-    errors = gradient_check(sample, init_params(cfg), store, margin=1.0)
+    errors = gradient_check([sample], init_params(cfg), store, margin=1.0)
     assert max(errors.values()) <= 1e-4
 
 
 def test_gradient_shapes_match_parameters():
     sample, params, store = make_gradcheck_fixture(7)
-    _, grads = loss_and_gradients(sample, params, store, margin=1.0)
+    _, grads = batch_gradients([sample], params, store, TrainConfig(margin=1.0))
     assert set(grads) == set(params.tensors)
     for name in grads:
         assert grads[name].shape == params.tensors[name].shape
@@ -169,22 +179,7 @@ MIXED_BATCH = [
 @pytest.mark.parametrize("loss_on", ["scores", "logits"])
 def test_batch_gradients_match_finite_differences(shared, loss_on):
     store, params = _mixed_fixture(21, shared)
-    p = params.astype(np.float64)
-    config = TrainConfig(margin=1.0, loss_on=loss_on)
-    _, analytic = batch_gradients(MIXED_BATCH, p, store, config)
-    eps = 1e-4
-    for name, tensor in p.tensors.items():
-        numeric = np.zeros_like(tensor)
-        for idx in np.ndindex(tensor.shape):
-            orig = float(tensor[idx])
-            tensor[idx] = orig + eps
-            up = batch_gradients(MIXED_BATCH, p, store, config)[0]
-            tensor[idx] = orig - eps
-            down = batch_gradients(MIXED_BATCH, p, store, config)[0]
-            tensor[idx] = orig
-            numeric[idx] = (up - down) / (2.0 * eps)
-        a, n = np.atleast_1d(analytic[name]), np.atleast_1d(numeric)
-        err = np.max(np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6))
+    for name, err in gradient_check(MIXED_BATCH, params, store, margin=1.0, loss_on=loss_on).items():
         assert err <= 1e-4, f"{name}: max relative error {err:.2e}"
 
 
@@ -216,7 +211,7 @@ def mixed_batches(draw):
 def test_batch_gradients_equal_mean_of_sample_gradients_property(batch, seed, loss_on):
     store, params = _mixed_fixture(seed)
     loss, grads = batch_gradients(batch, params, store, TrainConfig(loss_on=loss_on))
-    per_sample = [loss_and_gradients(s, params, store, 1.0, loss_on) for s in batch]
+    per_sample = [batch_gradients([s], params, store, TrainConfig(loss_on=loss_on)) for s in batch]
     assert loss == pytest.approx(np.mean([l for l, _ in per_sample]), rel=1e-6, abs=1e-9)
     for name, g in grads.items():
         mean = np.mean([gs[name] for _, gs in per_sample], axis=0)
@@ -541,7 +536,7 @@ def test_train_report_csv_and_jsonl(tmp_path):
 def test_loss_and_gradients_missing_text_names_id():
     import numpy as np
     from georank.reranker import RerankerConfig, init_params
-    from georank.trainer import TrainingSample, loss_and_gradients
+    from georank.trainer import TrainConfig, TrainingSample, batch_gradients
 
     rng = np.random.default_rng(30)
     refs = [
@@ -553,7 +548,7 @@ def test_loss_and_gradients_missing_text_names_id():
     params = init_params(RerankerConfig(image_dim=3, text_dim=2, latent_dim=4,
                                         aligner_layers=1, aligner_hidden=4))
     with pytest.raises(ValueError, match="c1_no_text"):
-        loss_and_gradients(TrainingSample("q0", ("c0", "c1_no_text"), 0), params, store, 1.0)
+        batch_gradients([TrainingSample("q0", ("c0", "c1_no_text"), 0)], params, store, TrainConfig())
 
 
 def test_gradients_match_finite_differences_with_randomized_layernorm():
@@ -567,20 +562,20 @@ def test_gradients_match_finite_differences_with_randomized_layernorm():
     for name, t in params.tensors.items():
         if name.endswith((".ln_scale", ".ln_shift", ".b")):
             t[...] = t + rng.uniform(-0.5, 0.5, t.shape)
-    errors = gradient_check(sample, params, store, margin=1.0)
+    errors = gradient_check([sample], params, store, margin=1.0)
     assert max(errors.values()) <= 1e-4
 
 
 def test_gradcheck_after_optimizer_step():
     # after a step, 0-d tensors must still be perturbable by the checker
     import numpy as np
-    from georank.trainer import (TrainConfig, gradient_check, init_optimizer_state,
-                                 loss_and_gradients, make_gradcheck_fixture, optimizer_step)
+    from georank.trainer import (TrainConfig, batch_gradients, gradient_check, init_optimizer_state,
+                                 make_gradcheck_fixture, optimizer_step)
 
     sample, params, store = make_gradcheck_fixture(13)
     config = TrainConfig(lr=1e-2)
-    _, grads = loss_and_gradients(sample, params, store, config.margin)
+    _, grads = batch_gradients([sample], params, store, config)
     stepped, _ = optimizer_step(params, grads, init_optimizer_state(params, config), config)
     assert isinstance(stepped.tensors["score.b"], np.ndarray)
-    errors = gradient_check(sample, stepped, store, margin=1.0)
+    errors = gradient_check([sample], stepped, store, margin=1.0)
     assert max(errors.values()) <= 1e-4
