@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .geostore import GeoCoord, write_lines
-from .retriever import Ranking
+from .retriever import Ranking, refuse_repeats
 
 # Figures reported for the original full-scale pipeline (pretrained vision
 # backbone plus hosted text embeddings). Context only; never asserted.
@@ -217,15 +217,6 @@ class EvalReport:
         write_lines(_recall_bars_svg(self.recall), path)
 
 
-def _one_per_query(rankings: list[Ranking], side: str) -> dict[str, Ranking]:
-    out: dict[str, Ranking] = {}
-    for r in rankings:
-        if r.query_id in out:
-            raise ValueError(f"query '{r.query_id}' has more than one {side} ranking")
-        out[r.query_id] = r
-    return out
-
-
 def compare_rankings(
     baseline: list[Ranking],
     reranked: list[Ranking],
@@ -237,7 +228,9 @@ def compare_rankings(
     each reranked list a permutation of its baseline's. ``skipped_query_count``
     is the number of baseline rankings that hold no positive."""
     config.validate()
-    base_by_id, rr_by_id = _one_per_query(baseline, "baseline"), _one_per_query(reranked, "reranked")
+    for name, rankings in (("baseline", baseline), ("reranked", reranked)):
+        refuse_repeats((r.query_id for r in rankings), f"{name} query")
+    base_by_id, rr_by_id = {r.query_id: r for r in baseline}, {r.query_id: r for r in reranked}
     if base_by_id.keys() != rr_by_id.keys():
         raise ValueError("query-set mismatch between baseline and reranked rankings")
     for qid, r in rr_by_id.items():

@@ -709,33 +709,33 @@ def read_rows(path: str | Path, label: str, put, pos: dict[str, int] | None = No
     IngestError naming the file, the line and the id. Returns the line that
     filled each row (0 for none)."""
     lines, seen = np.zeros(size if pos is None else len(pos), np.int64), set()
-    for ln, rec in read_jsonl(path):
-        rid = rec.get("id")
-        if not isinstance(rid, str):
-            raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
-        if rid in seen:
-            raise IngestError(f"duplicate {label} row", file=str(path), line=ln, record_id=rid)
-        row = len(seen) if pos is None else pos.get(rid)
-        if row is None:
-            raise IngestError(f"{label} for unknown id", file=str(path), line=ln, record_id=rid)
-        if row == size:
-            raise IngestError(f"more than {size} {label} rows", file=str(path), line=ln, record_id=rid)
-        try:
-            put(row, rec)
-        except KeyError as exc:
-            raise IngestError(f"missing field {exc}", file=str(path), line=ln, record_id=rid) from None
-        except (TypeError, ValueError) as exc:
-            raise IngestError(str(exc), file=str(path), line=ln, record_id=rid) from None
-        seen.add(rid)
-        lines[row] = ln
+    with np.errstate(over="ignore"):  # an embedding value past float32's range casts to inf, unwarned
+        for ln, rec in read_jsonl(path):
+            rid = rec.get("id")
+            if not isinstance(rid, str):
+                raise IngestError("missing or invalid 'id'", file=str(path), line=ln)
+            if rid in seen:
+                raise IngestError(f"duplicate {label} row", file=str(path), line=ln, record_id=rid)
+            row = len(seen) if pos is None else pos.get(rid)
+            if row is None:
+                raise IngestError(f"{label} for unknown id", file=str(path), line=ln, record_id=rid)
+            if row == size:
+                raise IngestError(f"more than {size} {label} rows", file=str(path), line=ln, record_id=rid)
+            try:
+                put(row, rec)
+            except KeyError as exc:
+                raise IngestError(f"missing field {exc}", file=str(path), line=ln, record_id=rid) from None
+            except (TypeError, ValueError) as exc:
+                raise IngestError(str(exc), file=str(path), line=ln, record_id=rid) from None
+            seen.add(rid)
+            lines[row] = ln
     return lines
 
 
 def embedding_of(rec: dict, dim: int | None) -> np.ndarray:
     """The ``"embedding"`` of a JSONL record as a float32 vector of ``dim``
     numbers (of any width, given None); anything else raises ValueError."""
-    with np.errstate(over="ignore"):  # a value past float32's range becomes inf, which callers refuse
-        vec = np.asarray(rec["embedding"], np.float32)
+    vec = np.asarray(rec["embedding"], np.float32)  # a value past float32's range becomes inf, which callers refuse
     if vec.ndim != 1:
         raise ValueError("embedding is not a list of numbers")
     if len(vec) != (dim or len(vec)):

@@ -157,9 +157,21 @@ def rank_store_queries(store: Store, k: int) -> list[Ranking]:
     return out
 
 
+def refuse_repeats(ids, what: str) -> None:
+    """Raise ValueError naming the first of ``ids`` that an earlier one equals."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ValueError(f"{what} '{i}' is listed twice")
+        seen.add(i)
+
+
 def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
-    """One ranking per line through ``write_jsonl``, so a NaN or infinite
-    score raises ValueError and leaves the file at ``path`` as it was."""
+    """One ranking per line through ``write_jsonl``. A query or a candidate listed twice, which
+    ``load_rankings`` refuses, or a NaN or infinite score raises ValueError and leaves ``path`` as it was."""
+    refuse_repeats((r.query_id for r in rankings), "query")
+    for r in rankings:
+        refuse_repeats(r.ids(), f"query '{r.query_id}': candidate")
     write_jsonl(({"query_id": r.query_id, "entries": [[rid, s] for rid, s in r.entries]}
                  | ({"reranked": True} if r.reranked else {}) for r in rankings), path)
 
@@ -168,13 +180,10 @@ def _ranking(rec: dict) -> Ranking:
     if not isinstance(rec["query_id"], str):
         raise TypeError("'query_id' is not a string")
     entries = [(str(rid), float(s)) for rid, s in rec["entries"]]
-    seen = set()
     for rid, s in entries:
         if not math.isfinite(s):
             raise ValueError(f"candidate '{rid}' has score {s}")
-        if rid in seen:
-            raise ValueError(f"candidate '{rid}' is listed twice")
-        seen.add(rid)
+    refuse_repeats((rid for rid, _ in entries), "candidate")
     return Ranking(query_id=rec["query_id"], entries=entries, k=len(entries), reranked=bool(rec.get("reranked", False)))
 
 

@@ -269,7 +269,7 @@ def test_compare_rejects_repeated_query_id(side):
     baseline, reranked, truth = _permutation_pair()
     qid = baseline[0].query_id
     twice = {"baseline": (baseline + baseline[:1], reranked), "reranked": (baseline, reranked + reranked[:1])}[side]
-    with pytest.raises(ValueError, match=f"query '{qid}' has more than one {side} ranking"):
+    with pytest.raises(ValueError, match=f"{side} query '{qid}' is listed twice"):
         compare_rankings(*twice, truth, EvalConfig())
 
 

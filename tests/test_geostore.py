@@ -162,6 +162,10 @@ def test_ingest_rejects_nonfinite_and_zero_norm(tmp_path):
     emb2 = _ref_file(tmp_path, [{"id": "zero", "embedding": [0.0, 0.0]}], name="refs2.jsonl")
     with pytest.raises(IngestError, match="zero-norm"):
         ingest(tmp_path / "s2", StoreManifest(2, 2, 1, 0), emb2)
+    # past float32's range: refused as infinite, without numpy's overflow warning (which fails a test)
+    emb3 = _ref_file(tmp_path, [{"id": "big", "embedding": [1e39, 0.0]}], name="refs3.jsonl")
+    with pytest.raises(IngestError, match="NaN"):
+        ingest(tmp_path / "s3", StoreManifest(2, 2, 1, 0), emb3)
 
 
 def test_ingest_unresolvable_ground_truth(tmp_path):
@@ -521,29 +525,48 @@ def _samples(draw):
     return TrainingSample(draw(_IDS), tuple(candidates), draw(st.integers(0, len(candidates) - 1)))
 
 
+def _each_once(rankings):
+    """Each query's first ranking, holding each candidate's first entry."""
+    out = {}
+    for r in rankings:
+        entries = {}
+        for rid, s in r.entries:
+            entries.setdefault(rid, s)
+        out.setdefault(r.query_id, Ranking(r.query_id, list(entries.items()), k=len(entries), reranked=r.reranked))
+    return list(out.values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(rankings=st.lists(st.builds(
            lambda qid, entries, reranked: Ranking(qid, entries, k=len(entries), reranked=reranked),
-           _IDS, st.lists(st.tuples(_IDS, st.floats(allow_nan=False, allow_infinity=False)), max_size=4,
-                          unique_by=lambda entry: entry[0]),
-           st.booleans()), max_size=4, unique_by=lambda ranking: ranking.query_id),
+           _IDS, st.lists(st.tuples(_IDS, st.floats(allow_nan=False, allow_infinity=False)), max_size=4),
+           st.booleans()), max_size=4),
        samples=st.lists(_samples(), max_size=4),
        groups=st.dictionaries(_IDS, st.integers(), max_size=6),
        poison=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
 def test_jsonl_tables_round_trip_through_one_writer_and_reader(rankings, samples, groups, poison):
+    once = _each_once(rankings)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        save_rankings(rankings, tmp / "rankings.jsonl")
+        save_rankings(once, tmp / "rankings.jsonl")
         save_samples(samples, tmp / "samples.jsonl")
         geostore.save_groups(groups, tmp / "groups.jsonl")
-        assert load_rankings(tmp / "rankings.jsonl") == rankings
+        assert load_rankings(tmp / "rankings.jsonl") == once
         assert load_samples(tmp / "samples.jsonl") == samples
         assert geostore.load_groups(tmp / "groups.jsonl") == groups
 
-        # a score JSON cannot hold is refused, and the file there stays as it was
+        # a score JSON cannot hold, and a query or a candidate listed twice, which the reader
+        # would refuse, are refused, and the file there stays as it was
         before = (tmp / "rankings.jsonl").read_bytes()
-        with pytest.raises(ValueError, match="JSON"):
-            save_rankings(rankings + [Ranking("q", [("r", poison)], k=1)], tmp / "rankings.jsonl")
+        new = "q" * 9  # longer than any id drawn
+        for bad, problem in (([Ranking(new, [("r", poison)], k=1)], "JSON"),
+                             ([Ranking(new, [("r", 0.0), ("r", 1.0)], k=2)], f"query '{new}': candidate 'r' is listed twice"),
+                             ([Ranking(new, [], k=0)] * 2, f"query '{new}' is listed twice")):
+            with pytest.raises(ValueError, match=problem):
+                save_rankings(once + bad, tmp / "rankings.jsonl")
+        if once != rankings:
+            with pytest.raises(ValueError, match="is listed twice"):
+                save_rankings(rankings, tmp / "rankings.jsonl")
         assert (tmp / "rankings.jsonl").read_bytes() == before
         assert sorted(p.name for p in tmp.iterdir()) == ["groups.jsonl", "rankings.jsonl", "samples.jsonl"]
 
