@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from collections.abc import Mapping
@@ -162,21 +161,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _RefCoords(Mapping):
-    """Read-only id -> GeoCoord view of a store's reference coordinates. Each
-    coordinate is built from its row of the column when first looked up, so
-    a report over a few rankings builds a few, not one per reference."""
+    """Read-only id -> GeoCoord view of a store's reference coordinates; a
+    coordinate is built from its row of the column when it is looked up."""
 
     def __init__(self, store: Store):
         self.refs = store.refs
-        self.built: dict = {}
 
     def __getitem__(self, rid: str):
-        coord = self.built.get(rid)
+        coord = self.refs.coord_of(rid)
         if coord is None:
-            coord = self.refs.coord_of(rid)
-            if coord is None:
-                raise KeyError(rid)
-            self.built[rid] = coord
+            raise KeyError(rid)
         return coord
 
     def __iter__(self):
@@ -330,7 +324,7 @@ def cmd_eval(args) -> int:
     rankings = retriever.load_rankings(args.rankings)
     coords = _store_coords(store)
     metrics = evaluator.evaluate_rankings(rankings, store.ground_truth, _build(evaluator.EvalConfig, settings), coords)
-    evaluator.single_run_files(metrics, args.out)
+    evaluator.write_report(args.out, *evaluator.single_run_parts(metrics))
     print(f"evaluated {metrics['query_count']} rankings -> {args.out}")
     return 0
 
@@ -342,14 +336,10 @@ def cmd_compare(args) -> int:
     reranked = retriever.load_rankings(args.reranked)
     report = evaluator.compare_rankings(baseline, reranked, store.ground_truth, _build(evaluator.EvalConfig, settings),
                                         _store_coords(store))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report.write_json(out / "report.json")
-    report.write_csv(out / "report.csv")
-    report.write_svg(out / "report.svg")
+    evaluator.write_report(args.out, *report.parts())
     deltas = ", ".join(f"ΔR@{k}={v['delta']:+.4f}" for k, v in report.recall.items())
     print(f"compared {report.query_count} queries ({report.skipped_query_count} without positive in candidates): "
-          f"{deltas} -> {out}")
+          f"{deltas} -> {args.out}")
     return 0
 
 
@@ -378,16 +368,14 @@ def cmd_stability(args) -> int:
 
     report = cvlang.stability_report(corpus_a, corpus_b, embeddings_for(args.emb_a, corpus_a),
                                      embeddings_for(args.emb_b, corpus_b))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    payload["reference_context"] = evaluator.REFERENCE_CONTEXT["description_stability"]
-    payload["reference_note"] = evaluator.REFERENCE_CONTEXT["note"]
-    geostore.write_lines([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], out / "report.json")
-    geostore.write_lines(["metric,value"] + [f"{k},{v}" for k, v in report.to_dict().items()], out / "report.csv")
+    metrics = report.to_dict()
+    context = evaluator.REFERENCE_CONTEXT
+    evaluator.write_report(args.out, metrics | {"reference_context": context["description_stability"],
+                                                "reference_note": context["note"]},
+                           ["metric,value"] + [f"{k},{v}" for k, v in metrics.items()])
     print(
         f"stability over {report.count} pairs: cosine={report.mean_cosine:.4f} "
-        f"jaccard={report.mean_jaccard:.4f} length={report.mean_length:.2f}±{report.std_length:.2f} -> {out}"
+        f"jaccard={report.mean_jaccard:.4f} length={report.mean_length:.2f}±{report.std_length:.2f} -> {args.out}"
     )
     return 0
 

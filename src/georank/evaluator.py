@@ -8,6 +8,7 @@ non-asserted reference context in the report footer.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,10 +42,10 @@ class EvalConfig:
     def validate(self) -> None:
         if not self.ks or any(k <= 0 for k in self.ks) or list(self.ks) != sorted(self.ks):
             raise ValueError("ks must be ascending positive integers")
-        if any(t < 0 for t in self.thresholds_km):
-            raise ValueError("thresholds must be >= 0")
-        if self.earth_radius_km <= 0:
-            raise ValueError("earth_radius_km must be positive")
+        if not all(math.isfinite(t) and t >= 0 for t in self.thresholds_km):
+            raise ValueError(f"thresholds must be finite and >= 0, got {self.thresholds_km}")
+        if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0):
+            raise ValueError(f"earth_radius_km must be a positive finite number, got {self.earth_radius_km}")
 
 
 def haversine(p: GeoCoord, q: GeoCoord, radius_km: float = 6371.0) -> float:
@@ -52,55 +53,72 @@ def haversine(p: GeoCoord, q: GeoCoord, radius_km: float = 6371.0) -> float:
     return kernels.haversine_km(p.lat, p.lon, q.lat, q.lon, radius_km)
 
 
-def _check_known(rankings: list[Ranking], ground_truth: dict) -> None:
-    """The precondition of every metric: a non-empty set of known query ids."""
+def _walk(rankings: list[Ranking], ground_truth: dict, coords: Mapping[str, GeoCoord] | None = None,
+          depth: int = 0) -> tuple[np.ndarray, list[float], tuple | None]:
+    """Measure a set of rankings in one pass; an empty set, an unknown query
+    id or an empty set of positives is a ValueError.
+
+    Returns the 1-based rank of each ranking's first positive (inf where it
+    has none), each ranking's average precision (added up as
+    ``average_precision`` does), and, when ``coords`` is given, the pairs of
+    each of a ranking's top ``depth`` entries with each of its true
+    locations: ``(owner, rank, near, truth, latlon)``, the ranking's index,
+    the entry's rank, and the entry's and the true location's row of the
+    float64 (lat, lon) array ``latlon``, which holds the coordinate of each
+    distinct id, looked up once."""
     if not rankings:
         raise ValueError("no rankings to evaluate")
-    for r in rankings:
-        if r.query_id not in ground_truth:
-            raise ValueError(f"unknown query id '{r.query_id}' in rankings")
-
-
-def _positive_ranks(rankings: list[Ranking], ground_truth: dict) -> np.ndarray:
-    """The 1-based rank of each ranking's first positive; inf where it has none."""
-    first = np.full(len(rankings), np.inf)
-    for i, r in enumerate(rankings):
-        truth = set(ground_truth[r.query_id])
-        first[i] = next((j for j, (rid, _) in enumerate(r.entries, start=1) if rid in truth), np.inf)
-    return first
-
-
-def _near_ranks(rankings: list[Ranking], coords: Mapping[str, GeoCoord], ground_truth: dict,
-                thresholds_km, depth: int, radius_km: float) -> dict[float, np.ndarray]:
-    """For each threshold, the 1-based rank of each ranking's first entry among
-    its top ``depth`` that lies within the threshold (inclusive) of a true
-    location; inf where there is none. Every (entry, true location) pair is
-    measured once, in one vectorised haversine call."""
-
-    def coord(rid: str) -> GeoCoord:
-        try:
-            return coords[rid]
-        except KeyError:
-            raise ValueError(f"missing coordinate for id '{rid}'") from None
-
+    first, ap = np.full(len(rankings), np.inf), []
     owner, rank, near, truth = [], [], [], []
     for i, r in enumerate(rankings):
-        truth_coords = [coord(g) for g in ground_truth[r.query_id]]
-        m = len(truth_coords)
-        for j, (rid, _) in enumerate(r.entries[:depth], start=1):
-            c = coord(rid)
-            owner.extend([i] * m)
-            rank.extend([j] * m)
-            near.extend([c] * m)
-            truth.extend(truth_coords)
-    dist = kernels.haversine_km(
-        np.array([c.lat for c in near]), np.array([c.lon for c in near]),
-        np.array([t.lat for t in truth]), np.array([t.lon for t in truth]), radius_km,
-    )
-    owner, rank = np.array(owner, np.int64), np.array(rank, np.float64)
+        if r.query_id not in ground_truth:
+            raise ValueError(f"unknown query id '{r.query_id}' in rankings")
+        truth_ids = ground_truth[r.query_id]
+        positives = set(truth_ids)
+        if not positives:
+            raise ValueError("empty positive set")
+        ids = [rid for rid, _ in r.entries]
+        hit_ranks = [j for j, rid in enumerate(ids, start=1) if rid in positives]
+        total = 0.0
+        for hits, j in enumerate(hit_ranks, start=1):
+            total += hits / j
+        ap.append(total / len(positives))
+        if hit_ranks:
+            first[i] = hit_ranks[0]
+        if coords is not None:
+            top = ids[:depth]
+            for g in truth_ids:
+                owner += [i] * len(top)
+                rank += range(1, len(top) + 1)
+                near += top
+                truth += [g] * len(top)
+    if coords is None:
+        return first, ap, None
+    row = {rid: n for n, rid in enumerate(dict.fromkeys(truth + near))}
+    latlon = np.array([_lat_lon(coords, rid) for rid in row], np.float64).reshape(-1, 2)
+    rows = [np.fromiter(map(row.__getitem__, col), np.intp, len(col)) for col in (near, truth)]
+    return first, ap, (np.array(owner, np.intp), np.array(rank, np.float64), *rows, latlon)
+
+
+def _lat_lon(coords: Mapping[str, GeoCoord], rid: str) -> tuple[float, float]:
+    try:
+        c = coords[rid]
+    except KeyError:
+        raise ValueError(f"missing coordinate for id '{rid}'") from None
+    return c.lat, c.lon
+
+
+def _near_ranks(pairs: tuple, count: int, thresholds_km, radius_km: float) -> dict[float, np.ndarray]:
+    """For each threshold, the rank of each of ``count`` rankings' first
+    entry among ``pairs`` (as ``_walk`` returns them) that lies within the
+    threshold (inclusive) of a true location; inf where there is none. Every
+    pair is measured once, in one vectorised haversine call."""
+    owner, rank, near, truth, latlon = pairs
+    lat, lon = latlon[:, 0], latlon[:, 1]
+    dist = kernels.haversine_km(lat[near], lon[near], lat[truth], lon[truth], radius_km)
     out = {}
     for t in thresholds_km:
-        out[t] = np.full(len(rankings), np.inf)
+        out[t] = np.full(count, np.inf)
         hit = dist <= t
         np.minimum.at(out[t], owner[hit], rank[hit])
     return out
@@ -113,8 +131,7 @@ def _share(ranks: np.ndarray, k: int) -> float:
 
 def recall_at_k(rankings: list[Ranking], ground_truth: dict[str, tuple | set], k: int) -> float:
     """Fraction of queries with any positive among the first k entries."""
-    _check_known(rankings, ground_truth)
-    return _share(_positive_ranks(rankings, ground_truth), k)
+    return _share(_walk(rankings, ground_truth)[0], k)
 
 
 def average_precision(ranking: Ranking, positives: set[str]) -> float:
@@ -130,10 +147,6 @@ def average_precision(ranking: Ranking, positives: set[str]) -> float:
     return total / len(positives)
 
 
-def _mean_ap(rankings: list[Ranking], ground_truth: dict) -> float:
-    return sum(average_precision(r, set(ground_truth[r.query_id])) for r in rankings) / len(rankings)
-
-
 def threshold_recall(
     rankings: list[Ranking],
     coords: Mapping[str, GeoCoord],
@@ -144,21 +157,20 @@ def threshold_recall(
 ) -> float:
     """Fraction of queries where a top-k reference lies within threshold_km
     (inclusive) of a true location."""
-    _check_known(rankings, ground_truth)
-    return _share(_near_ranks(rankings, coords, ground_truth, (threshold_km,), k, radius_km)[threshold_km], k)
+    pairs = _walk(rankings, ground_truth, coords, k)[2]
+    return _share(_near_ranks(pairs, len(rankings), (threshold_km,), radius_km)[threshold_km], k)
 
 
-def _table(rankings: list[Ranking], first: np.ndarray, ground_truth: dict, config: EvalConfig,
-           coords: Mapping[str, GeoCoord] | None) -> dict:
-    """The metric table of one checked ranking set, given the rank of each
-    ranking's first positive."""
+def _table(walk: tuple, config: EvalConfig) -> dict:
+    """The metric table of one ranking set, from its ``_walk`` to depth ``config.ks[-1]``."""
+    first, ap, pairs = walk
     out = {
-        "query_count": len(rankings),
+        "query_count": len(first),
         "recall": {k: _share(first, k) for k in config.ks},
-        "mean_ap": _mean_ap(rankings, ground_truth),
+        "mean_ap": sum(ap) / len(ap),
     }
-    if coords is not None:
-        near = _near_ranks(rankings, coords, ground_truth, config.thresholds_km, config.ks[-1], config.earth_radius_km)
+    if pairs is not None:
+        near = _near_ranks(pairs, len(first), config.thresholds_km, config.earth_radius_km)
         out["threshold_recall"] = {t: {k: _share(near[t], k) for k in config.ks} for t in config.thresholds_km}
     return out
 
@@ -171,8 +183,7 @@ def evaluate_rankings(
 ) -> dict:
     """Single-sided metric table for one ranking set."""
     config.validate()
-    _check_known(rankings, ground_truth)
-    return _table(rankings, _positive_ranks(rankings, ground_truth), ground_truth, config, coords)
+    return _table(_walk(rankings, ground_truth, coords, config.ks[-1]), config)
 
 
 @dataclass
@@ -199,22 +210,13 @@ class EvalReport:
             "reference_context": REFERENCE_CONTEXT,
         }
 
-    def write_json(self, path: str | Path) -> None:
-        write_lines([json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)], path)
-
-    def write_csv(self, path: str | Path) -> None:
-        lines = ["metric,baseline,reranked,delta"]
-        for k, v in self.recall.items():
-            lines.append(f"recall@{k},{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}")
-        v = self.mean_ap
-        lines.append(f"mean_ap,{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}")
-        for t, per_k in self.threshold_recall.items():
-            for k, v in per_k.items():
-                lines.append(f"recall@{k}@{t:g}km,{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}")
-        write_lines(lines, path)
-
-    def write_svg(self, path: str | Path) -> None:
-        write_lines(_recall_bars_svg(self.recall), path)
+    def parts(self) -> tuple[dict, list[str], list[str]]:
+        """The report.json payload, report.csv lines and report.svg lines that ``write_report`` takes."""
+        rows = [f"{name},{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}"
+                for name, v in metric_rows(vars(self))]
+        svg = _bars_svg([(side, color, {k: v[side] for k, v in self.recall.items()})
+                         for side, color in (("baseline", "#888888"), ("reranked", "#2b7bba"))])
+        return self.to_dict(), ["metric,baseline,reranked,delta", *rows], svg
 
 
 def compare_rankings(
@@ -236,19 +238,17 @@ def compare_rankings(
     for qid, r in rr_by_id.items():
         if sorted(r.ids()) != sorted(base_by_id[qid].ids()):
             raise ValueError(f"reranking changed the candidates of query '{qid}'; it must only permute them")
-    _check_known(baseline, ground_truth)  # reranked holds the same query ids
-    base_first, rr_first = _positive_ranks(baseline, ground_truth), _positive_ranks(reranked, ground_truth)
-    k_max = max(len(r.entries) for r in baseline)
-    base = _table(baseline, base_first, ground_truth, config, coords)
-    rr = _table(reranked, rr_first, ground_truth, config, coords)
+    base_walk = _walk(baseline, ground_truth, coords, config.ks[-1])
+    base = _table(base_walk, config)
+    rr = _table(_walk(reranked, ground_truth, coords, config.ks[-1]), config)
 
     def side(metric_base, metric_rr):
         return {"baseline": metric_base, "reranked": metric_rr, "delta": metric_rr - metric_base}
 
     return EvalReport(
         query_count=len(baseline),
-        skipped_query_count=int(np.isinf(base_first).sum()),
-        k_max=k_max,
+        skipped_query_count=int(np.isinf(base_walk[0]).sum()),
+        k_max=max(len(r.entries) for r in baseline),
         recall={k: side(base["recall"][k], rr["recall"][k]) for k in config.ks},
         mean_ap=side(base["mean_ap"], rr["mean_ap"]),
         threshold_recall={t: {k: side(v, rr["threshold_recall"][t][k]) for k, v in per_k.items()}
@@ -288,28 +288,36 @@ def _bars_svg(series: list[tuple[str, str, dict[int, float]]]) -> list[str]:
     return parts
 
 
-def _recall_bars_svg(recall: dict[int, dict[str, float]]) -> list[str]:
-    return _bars_svg(
-        [
-            ("baseline", "#888888", {k: v["baseline"] for k, v in recall.items()}),
-            ("reranked", "#2b7bba", {k: v["reranked"] for k, v in recall.items()}),
-        ]
-    )
+def metric_rows(table: Mapping):
+    """The name and value of each metric of a table, in report.csv order:
+    ``recall@{k}``, ``mean_ap``, then ``recall@{k}@{t}km`` for each threshold.
+    ``table`` is an ``evaluate_rankings`` table, whose values are floats, or
+    an ``EvalReport``'s fields, whose values are baseline/reranked/delta dicts."""
+    for k, v in table["recall"].items():
+        yield f"recall@{k}", v
+    yield "mean_ap", table["mean_ap"]
+    for t, per_k in table.get("threshold_recall", {}).items():
+        for k, v in per_k.items():
+            yield f"recall@{k}@{t:g}km", v
 
 
-def single_run_files(metrics: dict, out_dir: str | Path) -> None:
-    """Emit report.json/report.csv/report.svg for a single ranking set (CLI `eval`)."""
+def single_run_parts(metrics: dict) -> tuple[dict, list[str], list[str]]:
+    """The report.json payload, report.csv lines and report.svg lines of an
+    ``evaluate_rankings`` table, as ``write_report`` takes them."""
+    rows = [f"{name},{v:.6f}" for name, v in metric_rows(metrics)]
+    svg = _bars_svg([("recall", "#2b7bba", metrics["recall"])])
+    return metrics | {"reference_context": REFERENCE_CONTEXT}, ["metric,value", *rows], svg
+
+
+def write_report(out_dir: str | Path, payload: dict, csv_lines, svg=None) -> None:
+    """``out_dir``/report.json (``payload``: indented, keys sorted), report.csv
+    (``csv_lines``) and, when given, report.svg (``svg`` lines); ``out_dir`` is
+    created. A NaN or infinite number in ``payload`` raises ValueError before
+    any file is written, so the report already there stays as it was."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = dict(metrics)
-    payload["reference_context"] = REFERENCE_CONTEXT
-    write_lines([json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)], out / "report.json")
-    lines = ["metric,value"]
-    for k, v in metrics["recall"].items():
-        lines.append(f"recall@{k},{v:.6f}")
-    lines.append(f"mean_ap,{metrics['mean_ap']:.6f}")
-    for t, per_k in metrics.get("threshold_recall", {}).items():
-        for k, v in per_k.items():
-            lines.append(f"recall@{k}@{t:g}km,{v:.6f}")
-    write_lines(lines, out / "report.csv")
-    write_lines(_bars_svg([("recall", "#2b7bba", dict(metrics["recall"]))]), out / "report.svg")
+    write_lines([text], out / "report.json")
+    write_lines(csv_lines, out / "report.csv")
+    if svg is not None:
+        write_lines(svg, out / "report.svg")

@@ -77,10 +77,11 @@ class TrainConfig:
     loss_on: str = "scores"
 
     def validate(self) -> None:
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for name, value in (("margin", self.margin), ("lr", self.lr)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ValueError(f"grad_clip must be a positive finite number, got {self.grad_clip}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.loss_on not in LOSS_ON:

@@ -290,6 +290,19 @@ def test_invalid_choice_exits_1_naming_value(command, flag, capsys, tmp_path):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--grad-clip", "-1"), ("--grad-clip", "0"), ("--grad-clip", "nan"),
+                                        ("--lr", "nan"), ("--margin", "inf")])
+def test_train_refuses_a_setting_out_of_range_exits_1_naming_it(flag, value, tmp_path, mini_store, capsys):
+    rankings, samples, out = tmp_path / "r.jsonl", tmp_path / "s.jsonl", tmp_path / "train"
+    assert main(["retrieve", "--store", str(mini_store), "--out", str(rankings)]) == 0
+    assert main(["build-samples", "--store", str(mini_store), "--rankings", str(rankings), "--out", str(samples)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--store", str(mini_store), "--samples", str(samples), "--out", str(out), "--epochs", "1",
+                 flag, value]) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline pieces
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georank.evaluator import (
     EvalConfig,
@@ -11,8 +13,9 @@ from georank.evaluator import (
     evaluate_rankings,
     haversine,
     recall_at_k,
-    single_run_files,
+    single_run_parts,
     threshold_recall,
+    write_report,
 )
 from georank.geostore import GeoCoord
 from georank.retriever import Ranking
@@ -282,9 +285,7 @@ def test_compare_report_files(tmp_path):
     truth["q0"] = {"elsewhere"}
     coords["elsewhere"] = GeoCoord(10.0, 10.0)
     report = compare_rankings(baseline, reranked, truth, EvalConfig(), coords=coords)
-    report.write_json(tmp_path / "report.json")
-    report.write_csv(tmp_path / "report.csv")
-    report.write_svg(tmp_path / "report.svg")
+    write_report(tmp_path, *report.parts())
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["skipped_query_count"] == 1
     assert payload["recall"]["1"]["delta"] == 0.8
@@ -298,22 +299,25 @@ def test_compare_report_files(tmp_path):
     before = (tmp_path / "report.json").read_bytes()
     report.mean_ap["delta"] = float("nan")
     with pytest.raises(ValueError):
-        report.write_json(tmp_path / "report.json")
+        write_report(tmp_path, *report.parts())
     assert (tmp_path / "report.json").read_bytes() == before
 
 
 def test_single_run_files(tmp_path):
     baseline, _, truth = _permutation_pair()
     metrics = evaluate_rankings(baseline, truth, EvalConfig())
-    single_run_files(metrics, tmp_path)
+    write_report(tmp_path, *single_run_parts(metrics))
     for name in ("report.json", "report.csv", "report.svg"):
         assert (tmp_path / name).exists()
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["recall"]["10"] == 1.0
-    before = (tmp_path / "report.json").read_bytes()
+    assert (tmp_path / "report.csv").read_text().splitlines()[:3] == ["metric,value", "recall@1,0.000000",
+                                                                      "recall@5,1.000000"]
+    assert (tmp_path / "report.svg").read_text().startswith("<svg")
+    before = {name: (tmp_path / name).read_bytes() for name in ("report.json", "report.csv", "report.svg")}
     with pytest.raises(ValueError):
-        single_run_files(metrics | {"mean_ap": float("nan")}, tmp_path)
-    assert (tmp_path / "report.json").read_bytes() == before
+        write_report(tmp_path, *single_run_parts(metrics | {"mean_ap": float("nan")}))
+    assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
 def test_eval_config_validation():
@@ -323,6 +327,12 @@ def test_eval_config_validation():
         EvalConfig(ks=()).validate()
     with pytest.raises(ValueError):
         EvalConfig(thresholds_km=(-1.0,)).validate()
+    for thresholds in ((math.nan, 0.5), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="thresholds"):
+            EvalConfig(thresholds_km=thresholds).validate()
+    for radius in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="earth_radius_km"):
+            EvalConfig(earth_radius_km=radius).validate()
     EvalConfig().validate()
 
 
@@ -330,3 +340,58 @@ def test_mean_ap_over_rankings():
     rankings = [ranking_with_truth_at("q1", 1, truth="p1"), ranking_with_truth_at("q2", 4, truth="p2")]
     truth = {"q1": {"p1"}, "q2": {"p2"}}
     assert evaluate_rankings(rankings, truth, EvalConfig())["mean_ap"] == pytest.approx((1.0 + 0.25) / 2)
+
+
+POOL = [f"r{i}" for i in range(12)]
+
+
+@st.composite
+def ranking_sets(draw):
+    """Rankings of 1-6 queries over a small id pool, several true locations per
+    query, coordinates within a few km of each other, and reranked lists that
+    permute the baseline's."""
+    coords = {rid: GeoCoord(draw(st.floats(0.0, 0.05)), draw(st.floats(0.0, 0.05))) for rid in POOL}
+    baseline, reranked, truth = [], [], {}
+    for q in range(draw(st.integers(1, 6))):
+        ids = draw(st.lists(st.sampled_from(POOL), max_size=8, unique=True))
+        truth[f"q{q}"] = tuple(draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True)))
+        for out, order in ((baseline, ids), (reranked, draw(st.permutations(ids)))):
+            out.append(Ranking(f"q{q}", [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(order)], k=len(ids)))
+    ks = tuple(sorted(draw(st.sets(st.integers(1, 8), min_size=1))))
+    thresholds = tuple(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 6.0]), min_size=1, max_size=3, unique=True)))
+    return baseline, reranked, truth, coords, EvalConfig(ks=ks, thresholds_km=thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranking_sets())
+def test_one_walk_table_equals_the_reference_metrics(case):
+    baseline, reranked, truth, coords, config = case
+
+    def reference(rankings):
+        """The table from the public per-metric functions, and from per-pair loops."""
+        loop_recall = {k: sum(any(rid in truth[r.query_id] for rid in r.ids()[:k]) for r in rankings) / len(rankings)
+                       for k in config.ks}
+        loop_near = {t: {k: sum(any(haversine(coords[rid], coords[g]) <= t for rid in r.ids()[:k]
+                                    for g in truth[r.query_id]) for r in rankings) / len(rankings)
+                         for k in config.ks} for t in config.thresholds_km}
+        aps = [average_precision(r, set(truth[r.query_id])) for r in rankings]
+        table = {
+            "query_count": len(rankings),
+            "recall": {k: recall_at_k(rankings, truth, k) for k in config.ks},
+            "mean_ap": sum(aps) / len(aps),
+            "threshold_recall": {t: {k: threshold_recall(rankings, coords, truth, t, k) for k in config.ks}
+                                 for t in config.thresholds_km},
+        }
+        assert table["recall"] == loop_recall and table["threshold_recall"] == loop_near
+        return table
+
+    base, rr = reference(baseline), reference(reranked)
+    assert evaluate_rankings(baseline, truth, config, coords) == base
+    assert evaluate_rankings(reranked, truth, config, coords) == rr
+    report = compare_rankings(baseline, reranked, truth, config, coords)
+    for side, table in (("baseline", base), ("reranked", rr)):
+        assert {k: v[side] for k, v in report.recall.items()} == table["recall"]
+        assert report.mean_ap[side] == table["mean_ap"]
+        assert {t: {k: v[side] for k, v in per_k.items()} for t, per_k in report.threshold_recall.items()} == \
+            table["threshold_recall"]
+    assert report.skipped_query_count == sum(not set(r.ids()) & set(truth[r.query_id]) for r in baseline)

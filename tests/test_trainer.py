@@ -59,6 +59,20 @@ def test_margin_loss_empty_negatives():
         margin_loss(0.5, [], 1.0)
 
 
+@pytest.mark.parametrize("setting,value", [
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", math.nan), ("grad_clip", math.inf),
+    ("lr", -1.0), ("lr", math.nan), ("lr", math.inf), ("margin", -1.0), ("margin", math.nan), ("margin", math.inf),
+])
+def test_train_config_refuses_a_setting_out_of_range_naming_it(setting, value):
+    with pytest.raises(ValueError, match=setting):
+        TrainConfig(**{setting: value}).validate()
+
+
+def test_train_config_accepts_a_positive_grad_clip_or_none():
+    TrainConfig(grad_clip=1e-3).validate()
+    TrainConfig(grad_clip=None).validate()
+
+
 @pytest.mark.parametrize("candidates,positive,problem", [
     (("a",), 0, "at least one negative"),
     (("a", "b"), 2, "positive_index 2 out of range"),
@@ -512,9 +526,9 @@ def test_train_loss_decreases_and_reports():
 
 def test_train_nan_loss_aborts_with_batch_diagnostic():
     samples, store, rr = _train_fixture(16)
-    config = TrainConfig(epochs=1, margin=float("nan"))
+    store.refs.image[:] = float("nan")  # a NaN margin or lr would be refused by TrainConfig.validate
     with pytest.raises(RuntimeError, match="epoch 1"):
-        train(samples, store, rr, config, val_split=0.0)
+        train(samples, store, rr, TrainConfig(epochs=1), val_split=0.0)
 
 
 def test_train_requires_samples():
