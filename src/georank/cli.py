@@ -77,12 +77,11 @@ CONFIG_SCHEMA = {
     "shared_projections": _bool,
     "ks": _int_list,
     "thresholds": _float_list,
-    "earth_radius_km": float,
     "endpoint": str,
     "model": str,
 }
 
-_EVAL_KEYS = ("store", "ks", "thresholds", "earth_radius_km")
+_EVAL_KEYS = ("store", "ks", "thresholds")
 _ENDPOINT_KEYS = ("endpoint", "model", "text_dim")
 COMMAND_KEYS = {
     "synth": ("seed", "locations", "group_size", "image_dim", "text_dim", "image_noise", "group_spread",
@@ -323,9 +322,9 @@ def cmd_eval(args) -> int:
     store = Store.load(_require(settings, "store"))
     rankings = retriever.load_rankings(args.rankings)
     coords = _store_coords(store)
-    metrics = evaluator.evaluate_rankings(rankings, store.ground_truth, _build(evaluator.EvalConfig, settings), coords)
-    evaluator.write_report(args.out, *evaluator.single_run_parts(metrics))
-    print(f"evaluated {metrics['query_count']} rankings -> {args.out}")
+    report = evaluator.evaluate_rankings(rankings, store.ground_truth, _build(evaluator.EvalConfig, settings), coords)
+    evaluator.write_report(args.out, *report.parts())
+    print(f"evaluated {report['query_count']} rankings -> {args.out}")
     return 0
 
 
@@ -337,8 +336,8 @@ def cmd_compare(args) -> int:
     report = evaluator.compare_rankings(baseline, reranked, store.ground_truth, _build(evaluator.EvalConfig, settings),
                                         _store_coords(store))
     evaluator.write_report(args.out, *report.parts())
-    deltas = ", ".join(f"ΔR@{k}={v['delta']:+.4f}" for k, v in report.recall.items())
-    print(f"compared {report.query_count} queries ({report.skipped_query_count} without positive in candidates): "
+    deltas = ", ".join(f"ΔR@{k}={v['delta']:+.4f}" for k, v in report["recall"].items())
+    print(f"compared {report['query_count']} queries ({report['skipped_query_count']} without positive in candidates): "
           f"{deltas} -> {args.out}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,24 +33,29 @@ REFERENCE_CONTEXT = {
 }
 
 
+EARTH_RADIUS_KM = 6371.0
+
+
 @dataclass
 class EvalConfig:
     ks: tuple[int, ...] = (1, 5, 10)
     thresholds_km: tuple[float, ...] = (0.0, 0.5)
-    earth_radius_km: float = 6371.0
 
     def validate(self) -> None:
-        if not self.ks or any(k <= 0 for k in self.ks) or list(self.ks) != sorted(self.ks):
-            raise ValueError("ks must be ascending positive integers")
+        if not self.ks or self.ks[0] <= 0 or any(a >= b for a, b in zip(self.ks, self.ks[1:])):
+            raise ValueError(f"ks must be strictly ascending positive integers, got {self.ks}")
         if not all(math.isfinite(t) and t >= 0 for t in self.thresholds_km):
             raise ValueError(f"thresholds must be finite and >= 0, got {self.thresholds_km}")
-        if not (math.isfinite(self.earth_radius_km) and self.earth_radius_km > 0):
-            raise ValueError(f"earth_radius_km must be a positive finite number, got {self.earth_radius_km}")
+        named = {}
+        for t in self.thresholds_km:  # a report names each threshold f"{t:g}"
+            if f"{t:g}" in named:
+                raise ValueError(f"thresholds {named[f'{t:g}']} and {t} share the report name '{t:g}'")
+            named[f"{t:g}"] = t
 
 
-def haversine(p: GeoCoord, q: GeoCoord, radius_km: float = 6371.0) -> float:
+def haversine(p: GeoCoord, q: GeoCoord) -> float:
     """Great-circle distance between two coordinates in km."""
-    return kernels.haversine_km(p.lat, p.lon, q.lat, q.lon, radius_km)
+    return kernels.haversine_km(p.lat, p.lon, q.lat, q.lon, EARTH_RADIUS_KM)
 
 
 def _walk(rankings: list[Ranking], ground_truth: dict, coords: Mapping[str, GeoCoord] | None = None,
@@ -108,19 +113,19 @@ def _lat_lon(coords: Mapping[str, GeoCoord], rid: str) -> tuple[float, float]:
     return c.lat, c.lon
 
 
-def _near_ranks(pairs: tuple, count: int, thresholds_km, radius_km: float) -> dict[float, np.ndarray]:
+def _near_ranks(pairs: tuple, count: int, thresholds_km) -> list[np.ndarray]:
     """For each threshold, the rank of each of ``count`` rankings' first
     entry among ``pairs`` (as ``_walk`` returns them) that lies within the
     threshold (inclusive) of a true location; inf where there is none. Every
     pair is measured once, in one vectorised haversine call."""
     owner, rank, near, truth, latlon = pairs
     lat, lon = latlon[:, 0], latlon[:, 1]
-    dist = kernels.haversine_km(lat[near], lon[near], lat[truth], lon[truth], radius_km)
-    out = {}
+    dist = kernels.haversine_km(lat[near], lon[near], lat[truth], lon[truth], EARTH_RADIUS_KM)
+    out = []
     for t in thresholds_km:
-        out[t] = np.full(count, np.inf)
+        out.append(np.full(count, np.inf))
         hit = dist <= t
-        np.minimum.at(out[t], owner[hit], rank[hit])
+        np.minimum.at(out[-1], owner[hit], rank[hit])
     return out
 
 
@@ -153,26 +158,57 @@ def threshold_recall(
     ground_truth: dict[str, tuple | set],
     threshold_km: float,
     k: int,
-    radius_km: float = 6371.0,
 ) -> float:
     """Fraction of queries where a top-k reference lies within threshold_km
     (inclusive) of a true location."""
     pairs = _walk(rankings, ground_truth, coords, k)[2]
-    return _share(_near_ranks(pairs, len(rankings), (threshold_km,), radius_km)[threshold_km], k)
+    return _share(_near_ranks(pairs, len(rankings), (threshold_km,))[0], k)
 
 
-def _table(walk: tuple, config: EvalConfig) -> dict:
-    """The metric table of one ranking set, from its ``_walk`` to depth ``config.ks[-1]``."""
+class Report(dict):
+    """The metric table of an ``eval`` or ``compare`` report, keyed as its
+    report.json keys it: ``query_count``, ``recall[str(k)]``, ``mean_ap`` and
+    ``threshold_recall[f"{t:g}"][str(k)]`` (empty without coordinates), each
+    level in the order of ``EvalConfig``'s ks and thresholds.
+    ``evaluate_rankings`` gives one ranking set's table, whose metrics are
+    floats; ``compare_rankings`` gives the leaf-by-leaf baseline/reranked/delta
+    of two such tables, with the counts ``skipped_query_count`` and ``k_max``."""
+
+    def to_dict(self) -> dict:
+        """The report.json payload: the table and the reference context."""
+        return self | {"reference_context": REFERENCE_CONTEXT}
+
+    def parts(self) -> tuple[dict, list[str], list[str]]:
+        """The report.json payload, report.csv lines and report.svg lines that ``write_report`` takes."""
+        if isinstance(self["mean_ap"], dict):
+            head = "metric,baseline,reranked,delta"
+            rows = [f"{name},{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}"
+                    for name, v in metric_rows(self)]
+            series = [(side, color, {k: v[side] for k, v in self["recall"].items()})
+                      for side, color in (("baseline", "#888888"), ("reranked", "#2b7bba"))]
+        else:
+            head, rows = "metric,value", [f"{name},{v:.6f}" for name, v in metric_rows(self)]
+            series = [("recall", "#2b7bba", self["recall"])]
+        return self.to_dict(), [head, *rows], _bars_svg(series)
+
+
+def _metrics(walk: tuple, config: EvalConfig) -> dict:
+    """The metrics of one ranking set, from its ``_walk`` to depth ``config.ks[-1]``."""
     first, ap, pairs = walk
-    out = {
-        "query_count": len(first),
-        "recall": {k: _share(first, k) for k in config.ks},
+    near = [] if pairs is None else _near_ranks(pairs, len(first), config.thresholds_km)
+    return {
+        "recall": {str(k): _share(first, k) for k in config.ks},
         "mean_ap": sum(ap) / len(ap),
+        "threshold_recall": {f"{t:g}": {str(k): _share(ranks, k) for k in config.ks}
+                             for t, ranks in zip(config.thresholds_km, near)},
     }
-    if pairs is not None:
-        near = _near_ranks(pairs, len(first), config.thresholds_km, config.earth_radius_km)
-        out["threshold_recall"] = {t: {k: _share(near[t], k) for k in config.ks} for t in config.thresholds_km}
-    return out
+
+
+def _sides(base, rr):
+    """The leaf-by-leaf baseline/reranked/delta of two metric tables, or of two metrics."""
+    if isinstance(base, dict):
+        return {key: _sides(v, rr[key]) for key, v in base.items()}
+    return {"baseline": base, "reranked": rr, "delta": rr - base}
 
 
 def evaluate_rankings(
@@ -180,43 +216,10 @@ def evaluate_rankings(
     ground_truth: dict,
     config: EvalConfig,
     coords: Mapping[str, GeoCoord] | None = None,
-) -> dict:
-    """Single-sided metric table for one ranking set."""
+) -> Report:
+    """The metric table of one ranking set."""
     config.validate()
-    return _table(_walk(rankings, ground_truth, coords, config.ks[-1]), config)
-
-
-@dataclass
-class EvalReport:
-    """Side-by-side baseline vs reranked metrics with deltas."""
-
-    query_count: int
-    skipped_query_count: int
-    k_max: int
-    recall: dict[int, dict[str, float]]
-    mean_ap: dict[str, float]
-    threshold_recall: dict[float, dict[int, dict[str, float]]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "query_count": self.query_count,
-            "skipped_query_count": self.skipped_query_count,
-            "k_max": self.k_max,
-            "recall": {str(k): v for k, v in self.recall.items()},
-            "mean_ap": self.mean_ap,
-            "threshold_recall": {
-                f"{t:g}": {str(k): v for k, v in per_k.items()} for t, per_k in self.threshold_recall.items()
-            },
-            "reference_context": REFERENCE_CONTEXT,
-        }
-
-    def parts(self) -> tuple[dict, list[str], list[str]]:
-        """The report.json payload, report.csv lines and report.svg lines that ``write_report`` takes."""
-        rows = [f"{name},{v['baseline']:.6f},{v['reranked']:.6f},{v['delta']:+.6f}"
-                for name, v in metric_rows(vars(self))]
-        svg = _bars_svg([(side, color, {k: v[side] for k, v in self.recall.items()})
-                         for side, color in (("baseline", "#888888"), ("reranked", "#2b7bba"))])
-        return self.to_dict(), ["metric,baseline,reranked,delta", *rows], svg
+    return Report(_metrics(_walk(rankings, ground_truth, coords, config.ks[-1]), config), query_count=len(rankings))
 
 
 def compare_rankings(
@@ -225,7 +228,7 @@ def compare_rankings(
     ground_truth: dict,
     config: EvalConfig,
     coords: Mapping[str, GeoCoord] | None = None,
-) -> EvalReport:
+) -> Report:
     """Baseline vs reranked report: one ranking per query on each side, and
     each reranked list a permutation of its baseline's. ``skipped_query_count``
     is the number of baseline rankings that hold no positive."""
@@ -239,28 +242,20 @@ def compare_rankings(
         if sorted(r.ids()) != sorted(base_by_id[qid].ids()):
             raise ValueError(f"reranking changed the candidates of query '{qid}'; it must only permute them")
     base_walk = _walk(baseline, ground_truth, coords, config.ks[-1])
-    base = _table(base_walk, config)
-    rr = _table(_walk(reranked, ground_truth, coords, config.ks[-1]), config)
-
-    def side(metric_base, metric_rr):
-        return {"baseline": metric_base, "reranked": metric_rr, "delta": metric_rr - metric_base}
-
-    return EvalReport(
+    rr = _metrics(_walk(reranked, ground_truth, coords, config.ks[-1]), config)
+    return Report(
+        _sides(_metrics(base_walk, config), rr),
         query_count=len(baseline),
         skipped_query_count=int(np.isinf(base_walk[0]).sum()),
         k_max=max(len(r.entries) for r in baseline),
-        recall={k: side(base["recall"][k], rr["recall"][k]) for k in config.ks},
-        mean_ap=side(base["mean_ap"], rr["mean_ap"]),
-        threshold_recall={t: {k: side(v, rr["threshold_recall"][t][k]) for k, v in per_k.items()}
-                          for t, per_k in base.get("threshold_recall", {}).items()},
     )
 
 
-def _bars_svg(series: list[tuple[str, str, dict[int, float]]]) -> list[str]:
-    """Lines of a minimal grouped recall bar chart (one bar per series per k), deterministic bytes."""
-    width, height, pad = 420, 240, 36
-    groups = sorted(series[0][2])
-    bar_w = 28
+def _bars_svg(series: list[tuple[str, str, dict[str, float]]]) -> list[str]:
+    """Lines of a minimal grouped recall bar chart (one bar per series per k,
+    in the order of the first series' keys), deterministic bytes."""
+    width, height, pad, bar_w = 420, 240, 36, 28
+    groups = list(series[0][2])
     group_w = (width - 2 * pad) / max(len(groups), 1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
@@ -289,24 +284,15 @@ def _bars_svg(series: list[tuple[str, str, dict[int, float]]]) -> list[str]:
 
 
 def metric_rows(table: Mapping):
-    """The name and value of each metric of a table, in report.csv order:
-    ``recall@{k}``, ``mean_ap``, then ``recall@{k}@{t}km`` for each threshold.
-    ``table`` is an ``evaluate_rankings`` table, whose values are floats, or
-    an ``EvalReport``'s fields, whose values are baseline/reranked/delta dicts."""
+    """The name and value of each metric of a report table (a ``Report`` or its
+    report.json, parsed) in the table's order: ``recall@{k}``, ``mean_ap``, then
+    ``recall@{k}@{t}km`` for each threshold; a ``compare`` value is a baseline/reranked/delta dict."""
     for k, v in table["recall"].items():
         yield f"recall@{k}", v
     yield "mean_ap", table["mean_ap"]
-    for t, per_k in table.get("threshold_recall", {}).items():
+    for t, per_k in table["threshold_recall"].items():
         for k, v in per_k.items():
-            yield f"recall@{k}@{t:g}km", v
-
-
-def single_run_parts(metrics: dict) -> tuple[dict, list[str], list[str]]:
-    """The report.json payload, report.csv lines and report.svg lines of an
-    ``evaluate_rankings`` table, as ``write_report`` takes them."""
-    rows = [f"{name},{v:.6f}" for name, v in metric_rows(metrics)]
-    svg = _bars_svg([("recall", "#2b7bba", metrics["recall"])])
-    return metrics | {"reference_context": REFERENCE_CONTEXT}, ["metric,value", *rows], svg
+            yield f"recall@{k}@{t}km", v
 
 
 def write_report(out_dir: str | Path, payload: dict, csv_lines, svg=None) -> None:

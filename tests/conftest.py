@@ -3,7 +3,8 @@ import errno
 import numpy as np
 import pytest
 
-from georank import geostore
+from georank import geostore, reranker
+from georank.cli import main
 from georank.geostore import Columns, GeoCoord, QueryRecord, ReferenceRecord, Store, StoreManifest
 
 
@@ -79,6 +80,22 @@ def simple_store():
     ]
     queries = [make_query("q1", [1.0, 0.0], ["e1"], text=[1.0, 0.0, 0.0])]
     return build_store(refs, queries, image_dim=2, text_dim=3)
+
+
+@pytest.fixture
+def reranked_pair(tmp_path):
+    """A synthetic store (with coordinates), its top-10 rankings and those
+    rankings reordered by an untrained scorer, all written by the CLI:
+    (store dir, baseline.jsonl, reranked.jsonl)."""
+    store, baseline, reranked, ckpt = (tmp_path / n for n in ("store", "baseline.jsonl", "reranked.jsonl", "i.gvck"))
+    assert main(["synth", "--out", str(store), "--locations", "20", "--group-size", "3", "--image-dim", "8",
+                 "--text-dim", "8", "--seed", "3"]) == 0
+    assert main(["retrieve", "--store", str(store), "--k", "10", "--out", str(baseline)]) == 0
+    config = reranker.RerankerConfig(image_dim=8, text_dim=8, latent_dim=8, aligner_hidden=8, init_seed=5)
+    reranker.save_params(ckpt, reranker.init_params(config))
+    assert main(["rerank", "--store", str(store), "--rankings", str(baseline), "--checkpoint", str(ckpt),
+                 "--out", str(reranked)]) == 0
+    return store, baseline, reranked
 
 
 def random_store(rng, n_refs, n_queries, image_dim, text_dim=4, with_text=False, with_coords=False):

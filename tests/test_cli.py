@@ -502,7 +502,41 @@ def test_end_to_end_pipeline(tmp_path):
     assert main(["eval", "--store", str(store_dir), "--rankings", str(baseline), "--out", str(eval_dir)]) == 0
     metrics = json.loads((eval_dir / "report.json").read_text())
     assert 0.0 <= metrics["recall"]["1"] <= 1.0
-    assert "threshold_recall" in metrics  # synthetic stores carry coordinates
+    assert set(metrics["threshold_recall"]) == {"0", "0.5"}  # synthetic stores carry coordinates
+
+
+def test_eval_and_compare_reports_load_through_one_reader(tmp_path, reranked_pair):
+    store, baseline, reranked = reranked_pair
+    settings = ["--store", str(store), "--thresholds", "0,0.5,1e-9,3", "--ks", "1,2,10"]
+    for command, args in (("eval", ["--rankings", str(baseline)]),
+                          ("compare", ["--baseline", str(baseline), "--reranked", str(reranked)])):
+        out = tmp_path / command
+        assert main([command, *settings, *args, "--out", str(out)]) == 0
+        rows = dict(evaluator.metric_rows(json.loads((out / "report.json").read_text())))
+        csv = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+        # the same names, each once; report.json sorts its keys, so there "10" comes before "2"
+        assert sorted(rows) == sorted(name for name, *_ in csv) and len(csv) == 3 + 1 + 4 * 3
+        assert {"recall@2", "mean_ap", "recall@1@0km", "recall@10@1e-09km", "recall@2@3km"} <= set(rows)
+        for name, *cells in csv:
+            v = rows[name]
+            want = [v] if command == "eval" else [v["baseline"], v["reranked"], v["delta"]]
+            assert [float(c) for c in cells] == pytest.approx(want, abs=5e-7), (command, name)
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+@pytest.mark.parametrize("flag,value,named", [("--thresholds", "0.5,0.5000001", "thresholds 0.5 and 0.5000001"),
+                                              ("--thresholds", "0,0.5,0", "thresholds 0.0 and 0.0"),
+                                              ("--ks", "1,1,5", "ks must be strictly ascending")])
+def test_colliding_thresholds_or_repeated_ks_exit_1_writing_nothing(
+        command, flag, value, named, tmp_path, reranked_pair, capsys):
+    store, baseline, reranked = reranked_pair
+    out = tmp_path / "report"
+    inputs = ["--rankings", str(baseline)] if command == "eval" else ["--baseline", str(baseline),
+                                                                      "--reranked", str(reranked)]
+    capsys.readouterr()
+    assert main([command, "--store", str(store), *inputs, flag, value, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parser_builds():

@@ -1,19 +1,21 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from georank import evaluator
 from georank.evaluator import (
     EvalConfig,
+    Report,
     average_precision,
     compare_rankings,
     evaluate_rankings,
     haversine,
     recall_at_k,
-    single_run_parts,
     threshold_recall,
     write_report,
 )
@@ -129,8 +131,14 @@ def test_haversine_triangle_inequality():
         assert ac <= ab + bc + 1e-9
 
 
-def test_haversine_custom_radius():
-    assert haversine(GeoCoord(0, 0), GeoCoord(90, 0), radius_km=1.0) == pytest.approx(math.pi / 2, rel=1e-9)
+def test_haversine_custom_radius(monkeypatch):
+    # both distance paths read the module constant: on a unit sphere a quarter arc is pi/2 km
+    assert evaluator.EARTH_RADIUS_KM == 6371.0
+    monkeypatch.setattr(evaluator, "EARTH_RADIUS_KM", 1.0)
+    assert haversine(GeoCoord(0, 0), GeoCoord(90, 0)) == pytest.approx(math.pi / 2, rel=1e-9)
+    rankings, coords = [Ranking("q", [("near", 0.9)], k=1)], {"near": GeoCoord(0, 0), "truth": GeoCoord(90, 0)}
+    assert threshold_recall(rankings, coords, {"q": {"truth"}}, 1.571, 1) == 1.0
+    assert threshold_recall(rankings, coords, {"q": {"truth"}}, 1.570, 1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +203,8 @@ def test_threshold_recall_matches_per_pair_loop():
             assert threshold_recall(rankings, coords, truth, threshold, k) == loop(threshold, k)
     # the table measures each ranking once for every k and threshold
     table = evaluate_rankings(rankings, truth, EvalConfig(ks=(1, 3, 8), thresholds_km=thresholds), coords)
-    assert table["threshold_recall"] == {t: {k: loop(t, k) for k in (1, 3, 8)} for t in thresholds}
-    exact = {k: sum(any(rid in truth[r.query_id] for rid, _ in r.entries[:k]) for r in rankings) / len(rankings)
+    assert table["threshold_recall"] == {f"{t:g}": {str(k): loop(t, k) for k in (1, 3, 8)} for t in thresholds}
+    exact = {str(k): sum(any(rid in truth[r.query_id] for rid, _ in r.entries[:k]) for r in rankings) / len(rankings)
              for k in (1, 3, 8)}
     assert table["recall"] == exact
 
@@ -230,19 +238,19 @@ def _permutation_pair(n_queries=5):
 def test_compare_identity_has_zero_deltas():
     baseline, _, truth = _permutation_pair()
     report = compare_rankings(baseline, baseline, truth, EvalConfig())
-    for k, v in report.recall.items():
+    for k, v in report["recall"].items():
         assert v["delta"] == 0.0
-    assert report.mean_ap["delta"] == 0.0
+    assert report["mean_ap"]["delta"] == 0.0
 
 
 def test_compare_promotion_lifts_r1_only():
     baseline, reranked, truth = _permutation_pair()
     report = compare_rankings(baseline, reranked, truth, EvalConfig())
-    assert report.recall[1]["baseline"] == 0.0
-    assert report.recall[1]["reranked"] == 1.0
-    assert report.recall[1]["delta"] == 1.0
-    assert report.recall[10]["delta"] == 0.0
-    assert report.mean_ap["delta"] > 0
+    assert report["recall"]["1"]["baseline"] == 0.0
+    assert report["recall"]["1"]["reranked"] == 1.0
+    assert report["recall"]["1"]["delta"] == 1.0
+    assert report["recall"]["10"]["delta"] == 0.0
+    assert report["mean_ap"]["delta"] > 0
 
 
 def test_compare_rejects_query_set_mismatch():
@@ -296,8 +304,9 @@ def test_compare_report_files(tmp_path):
     assert "recall@1@0.5km" in csv
     svg = (tmp_path / "report.svg").read_text()
     assert svg.startswith("<svg") and "baseline" in svg
+    assert re.findall(r">R@(\d+)<", svg) == ["1", "5", "10"]  # bars in ks order, not in key-string order
     before = (tmp_path / "report.json").read_bytes()
-    report.mean_ap["delta"] = float("nan")
+    report["mean_ap"]["delta"] = float("nan")
     with pytest.raises(ValueError):
         write_report(tmp_path, *report.parts())
     assert (tmp_path / "report.json").read_bytes() == before
@@ -306,33 +315,34 @@ def test_compare_report_files(tmp_path):
 def test_single_run_files(tmp_path):
     baseline, _, truth = _permutation_pair()
     metrics = evaluate_rankings(baseline, truth, EvalConfig())
-    write_report(tmp_path, *single_run_parts(metrics))
+    write_report(tmp_path, *metrics.parts())
     for name in ("report.json", "report.csv", "report.svg"):
         assert (tmp_path / name).exists()
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["recall"]["10"] == 1.0
     assert (tmp_path / "report.csv").read_text().splitlines()[:3] == ["metric,value", "recall@1,0.000000",
                                                                       "recall@5,1.000000"]
-    assert (tmp_path / "report.svg").read_text().startswith("<svg")
+    svg = (tmp_path / "report.svg").read_text()
+    assert svg.startswith("<svg") and re.findall(r">R@(\d+)<", svg) == ["1", "5", "10"]
     before = {name: (tmp_path / name).read_bytes() for name in ("report.json", "report.csv", "report.svg")}
     with pytest.raises(ValueError):
-        write_report(tmp_path, *single_run_parts(metrics | {"mean_ap": float("nan")}))
+        write_report(tmp_path, *Report(metrics, mean_ap=float("nan")).parts())
     assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
 
 def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(ks=(5, 1)).validate()
-    with pytest.raises(ValueError):
-        EvalConfig(ks=()).validate()
+    for ks in ((5, 1), (), (1, 1, 5), (0, 1)):
+        with pytest.raises(ValueError, match="ks must be strictly ascending"):
+            EvalConfig(ks=ks).validate()
     with pytest.raises(ValueError):
         EvalConfig(thresholds_km=(-1.0,)).validate()
     for thresholds in ((math.nan, 0.5), (0.0, math.inf)):
         with pytest.raises(ValueError, match="thresholds"):
             EvalConfig(thresholds_km=thresholds).validate()
-    for radius in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="earth_radius_km"):
-            EvalConfig(earth_radius_km=radius).validate()
+    # a report names a threshold f"{t:g}", so two with one name would share a report.json key
+    for thresholds, named in (((0.5, 0.5000001), "0.5 and 0.5000001"), ((0.0, 0.5, 0.5), "0.5 and 0.5")):
+        with pytest.raises(ValueError, match=f"thresholds {named} share the report name '0.5'"):
+            EvalConfig(thresholds_km=thresholds).validate()
     EvalConfig().validate()
 
 
@@ -369,18 +379,18 @@ def test_one_walk_table_equals_the_reference_metrics(case):
 
     def reference(rankings):
         """The table from the public per-metric functions, and from per-pair loops."""
-        loop_recall = {k: sum(any(rid in truth[r.query_id] for rid in r.ids()[:k]) for r in rankings) / len(rankings)
-                       for k in config.ks}
-        loop_near = {t: {k: sum(any(haversine(coords[rid], coords[g]) <= t for rid in r.ids()[:k]
-                                    for g in truth[r.query_id]) for r in rankings) / len(rankings)
-                         for k in config.ks} for t in config.thresholds_km}
+        loop_recall = {str(k): sum(any(rid in truth[r.query_id] for rid in r.ids()[:k]) for r in rankings)
+                       / len(rankings) for k in config.ks}
+        loop_near = {f"{t:g}": {str(k): sum(any(haversine(coords[rid], coords[g]) <= t for rid in r.ids()[:k]
+                                                for g in truth[r.query_id]) for r in rankings) / len(rankings)
+                                for k in config.ks} for t in config.thresholds_km}
         aps = [average_precision(r, set(truth[r.query_id])) for r in rankings]
         table = {
             "query_count": len(rankings),
-            "recall": {k: recall_at_k(rankings, truth, k) for k in config.ks},
+            "recall": {str(k): recall_at_k(rankings, truth, k) for k in config.ks},
             "mean_ap": sum(aps) / len(aps),
-            "threshold_recall": {t: {k: threshold_recall(rankings, coords, truth, t, k) for k in config.ks}
-                                 for t in config.thresholds_km},
+            "threshold_recall": {f"{t:g}": {str(k): threshold_recall(rankings, coords, truth, t, k)
+                                            for k in config.ks} for t in config.thresholds_km},
         }
         assert table["recall"] == loop_recall and table["threshold_recall"] == loop_near
         return table
@@ -390,8 +400,9 @@ def test_one_walk_table_equals_the_reference_metrics(case):
     assert evaluate_rankings(reranked, truth, config, coords) == rr
     report = compare_rankings(baseline, reranked, truth, config, coords)
     for side, table in (("baseline", base), ("reranked", rr)):
-        assert {k: v[side] for k, v in report.recall.items()} == table["recall"]
-        assert report.mean_ap[side] == table["mean_ap"]
-        assert {t: {k: v[side] for k, v in per_k.items()} for t, per_k in report.threshold_recall.items()} == \
+        assert {k: v[side] for k, v in report["recall"].items()} == table["recall"]
+        assert report["mean_ap"][side] == table["mean_ap"]
+        assert {t: {k: v[side] for k, v in per_k.items()} for t, per_k in report["threshold_recall"].items()} == \
             table["threshold_recall"]
-    assert report.skipped_query_count == sum(not set(r.ids()) & set(truth[r.query_id]) for r in baseline)
+    assert report["query_count"] == len(baseline)
+    assert report["skipped_query_count"] == sum(not set(r.ids()) & set(truth[r.query_id]) for r in baseline)

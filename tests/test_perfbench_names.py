@@ -8,12 +8,16 @@ constants, the others are listed here as perfbench uses them.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 from pathlib import Path
 
 from georank import geostore
+from georank.cli import main
+from georank.evaluator import EvalConfig, compare_rankings
 from georank.geostore import Store, StoreManifest, ingest
+from georank.retriever import load_rankings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -80,3 +84,23 @@ def test_store_api_perfbench_uses(tmp_path, monkeypatch):
     assert store.ref_text_emb("r2").tolist() == [2.0, 1.0] and store.query_text_emb("q0") is not None
     assert (store.coord_of("r1").lat, store.coord_of("r1").lon) == (0.5, -0.5)
     assert store.ground_truth == {"q0": ("r0",)}
+
+
+def test_compare_report_passes_the_benchmark_check(tmp_path, reranked_pair):
+    """perfbench's correctness check reads the compare report's keys, both from
+    ``compare_rankings(...).to_dict()`` and from ``report.json``; a change to
+    them that would fail the benchmark fails here first."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    store_dir, baseline, reranked = reranked_pair
+    store, base, rr = Store.load(store_dir), load_rankings(baseline), load_rankings(reranked)
+    ids = [[r.ids() for r in rankings] for rankings in (base, rr)]
+    truth = [set(store.ground_truth[r.query_id]) for r in base]
+    coords = {r: store.coord_of(r) for r in store.ref_ids}  # as run.py builds them
+    report = compare_rankings(base, rr, store.ground_truth, EvalConfig(), coords).to_dict()
+    checks.check_report(json.loads(json.dumps(report)), *ids, truth)
+    out = tmp_path / "report"
+    assert main(["compare", "--store", str(store_dir), "--baseline", str(baseline), "--reranked", str(reranked),
+                 "--out", str(out)]) == 0
+    checks.check_report(json.loads((out / "report.json").read_text()), *ids, truth)
