@@ -59,16 +59,13 @@ CONFIG_SCHEMA = {
     "image_noise": float,
     "group_spread": float,
     "text_margin": float,
-    "queries_per_location": int,
     "epochs": int,
     "lr": float,
     "margin": float,
-    "optimizer": trainer.OPTIMIZERS,
     "batch_size": int,
     "shuffle_seed": int,
     "val_split": float,
     "loss_on": trainer.LOSS_ON,
-    "grad_clip": float,
     "latent_dim": int,
     "aligner_layers": int,
     "aligner_hidden": int,
@@ -85,15 +82,14 @@ _EVAL_KEYS = ("store", "ks", "thresholds")
 _ENDPOINT_KEYS = ("endpoint", "model", "text_dim")
 COMMAND_KEYS = {
     "synth": ("seed", "locations", "group_size", "image_dim", "text_dim", "image_noise", "group_spread",
-              "text_margin", "queries_per_location"),
+              "text_margin"),
     "ingest": (),
     "retrieve": ("store", "k"),
     "caption": (),
     "embed": _ENDPOINT_KEYS,
     "build-samples": ("store",),
-    "train": ("store", "epochs", "lr", "margin", "optimizer", "batch_size", "shuffle_seed", "val_split", "loss_on",
-              "grad_clip", "latent_dim", "aligner_layers", "aligner_hidden", "ln_epsilon", "init_seed",
-              "shared_projections"),
+    "train": ("store", "epochs", "lr", "margin", "batch_size", "shuffle_seed", "val_split", "loss_on", "latent_dim",
+              "aligner_layers", "aligner_hidden", "ln_epsilon", "init_seed", "shared_projections"),
     "rerank": ("store",),
     "eval": _EVAL_KEYS,
     "compare": _EVAL_KEYS,

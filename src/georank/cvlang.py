@@ -169,15 +169,19 @@ class EmbedServiceError(Exception):
     """Embedding endpoint failure after retries, or a malformed response."""
 
 
+# texts per POST, seconds each attempt may wait, retries after the first
+# attempt, and the first retry's backoff (doubled on each retry after it)
+EMBED_BATCH_SIZE = 256
+EMBED_TIMEOUT_S = 30.0
+EMBED_MAX_RETRIES = 3
+EMBED_BACKOFF_S = 0.5
+
+
 @dataclass
 class EmbedEndpointConfig:
     url: str = "mock:"
     model: str = "text-embedding-3-small"
     text_dim: int = 1536
-    timeout_s: float = 30.0
-    max_retries: int = 3
-    backoff_s: float = 0.5
-    batch_size: int = 256
 
     @property
     def mock(self) -> bool:
@@ -224,13 +228,13 @@ def _post_batch(texts: list[str], endpoint: EmbedEndpointConfig) -> list[list[fl
         headers["Authorization"] = f"Bearer {token}"
     body = json.dumps({"input": texts, "model": endpoint.model}).encode("utf-8")
     last_error = None
-    for attempt in range(endpoint.max_retries + 1):
+    for attempt in range(EMBED_MAX_RETRIES + 1):
         if attempt:
-            time.sleep(endpoint.backoff_s * (2 ** (attempt - 1)))
+            time.sleep(EMBED_BACKOFF_S * (2 ** (attempt - 1)))
         request = urllib.request.Request(endpoint.url, data=body, headers=headers, method="POST")
         try:
             try:
-                resp = urllib.request.urlopen(request, timeout=endpoint.timeout_s)
+                resp = urllib.request.urlopen(request, timeout=EMBED_TIMEOUT_S)
             except urllib.error.HTTPError as exc:
                 resp = exc  # a status urllib raises on is a response too, and must be closed like one
             with resp:
@@ -243,19 +247,21 @@ def _post_batch(texts: list[str], endpoint: EmbedEndpointConfig) -> list[list[fl
         last_error = f"HTTP {status}: {payload[:500].decode('utf-8', 'replace')}"
         if status not in _RETRIED_STATUSES:
             raise EmbedServiceError(last_error)
-    raise EmbedServiceError(f"endpoint unreachable after {endpoint.max_retries + 1} attempts ({last_error})")
+    raise EmbedServiceError(f"endpoint unreachable after {EMBED_MAX_RETRIES + 1} attempts ({last_error})")
 
 
 def embed_texts(texts: list[str], endpoint: EmbedEndpointConfig) -> np.ndarray:
     """One (n, text_dim) float32 row per text, in input order."""
+    if endpoint.text_dim < 1:
+        raise ValueError(f"text_dim must be >= 1, got {endpoint.text_dim}")
     if endpoint.mock:
         if not texts:
             return np.empty((0, endpoint.text_dim), np.float32)
         return np.stack([mock_embedding(t, endpoint.text_dim) for t in texts])
     out = np.empty((len(texts), endpoint.text_dim), np.float32)
     row = 0
-    for start in range(0, len(texts), endpoint.batch_size):
-        chunk = texts[start : start + endpoint.batch_size]
+    for start in range(0, len(texts), EMBED_BATCH_SIZE):
+        chunk = texts[start : start + EMBED_BATCH_SIZE]
         vectors = _post_batch(chunk, endpoint)
         if len(vectors) != len(chunk):
             raise EmbedServiceError(f"endpoint returned {len(vectors)} embeddings for {len(chunk)} inputs")

@@ -873,7 +873,6 @@ class SynthConfig:
     image_noise: float = 0.7
     group_spread: float = 0.15
     text_margin: float = 0.95
-    queries_per_location: int = 1
 
     def validate(self) -> None:
         if self.group_size < 2:
@@ -882,10 +881,12 @@ class SynthConfig:
             raise ValueError(f"group_size {self.group_size} exceeds n_locations {self.n_locations}")
         if self.image_dim <= 0 or self.text_dim <= 0:
             raise ValueError("embedding dims must be positive")
+        for name in ("image_noise", "group_spread"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
         if not (0.0 < self.text_margin <= 1.0):
             raise ValueError("text_margin must be in (0, 1]")
-        if self.queries_per_location < 1:
-            raise ValueError("queries_per_location must be >= 1")
 
 
 def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -906,7 +907,6 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
     rng = np.random.default_rng(seed)
     n = config.n_locations
     g = config.group_size
-    per = config.queries_per_location
     n_groups = (n + g - 1) // g
     grid_cols = max(1, math.ceil(math.sqrt(n_groups)))
 
@@ -933,22 +933,19 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
 
     width = len(str(max(n - 1, 1)))
     refs = side(n, [f"r{i:0{width}d}" for i in range(n)])
-    qids = [f"q{i:0{width}d}" if per == 1 else f"q{i:0{width}d}.{j}" for i in range(n) for j in range(per)]
-    queries = side(n * per, qids)
+    queries = side(n, [f"q{i:0{width}d}" for i in range(n)])
     truth: dict[str, tuple[str, ...]] = {}
     groups: dict[str, int] = {}
-    for i, rid in enumerate(refs.ids):
+    for i, (rid, qid) in enumerate(zip(refs.ids, queries.ids)):
         gi = int(loc_group[i])
         lat = 0.1 * (gi // grid_cols) + float(rng.uniform(-0.001, 0.001))
         lon = 0.1 * (gi % grid_cols) + float(rng.uniform(-0.001, 0.001))
         refs.image[i], refs.text[i], refs.coords[i] = img_view(i), txt_view(i), (lat, lon)
-        groups[rid] = gi
-        for row in range(i * per, (i + 1) * per):
-            queries.image[row], queries.text[row], queries.coords[row] = img_view(i), txt_view(i), (lat, lon)
-            truth[qids[row]] = (rid,)
-            groups[qids[row]] = gi
+        queries.image[i], queries.text[i], queries.coords[i] = img_view(i), txt_view(i), (lat, lon)
+        truth[qid] = (rid,)
+        groups[rid] = groups[qid] = gi
 
-    manifest = StoreManifest(config.image_dim, config.text_dim, n, n * per)
+    manifest = StoreManifest(config.image_dim, config.text_dim, n, n)
     return Store(manifest, refs, queries, truth), groups
 
 

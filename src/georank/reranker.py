@@ -49,8 +49,9 @@ class RerankerConfig:
                 raise ValueError(f"{name} must be positive")
         if self.aligner_layers < 1:
             raise ValueError("aligner_layers must be >= 1")
-        if self.ln_epsilon <= 0:
-            raise ValueError("ln_epsilon must be positive")
+        f32 = np.finfo(np.float32)  # bounds as Python floats: comparing a float32 to 1e300 casts it and warns
+        if not (float(f32.smallest_subnormal) <= self.ln_epsilon <= float(f32.max)):
+            raise ValueError(f"ln_epsilon must be positive and finite in float32, got {self.ln_epsilon}")
 
     def aligner_dims(self) -> list[tuple[int, int]]:
         """(in, out) per block; the stack starts and ends at latent_dim."""
@@ -60,7 +61,7 @@ class RerankerConfig:
         return list(zip(ins, outs))
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "RerankerConfig":

@@ -1,7 +1,7 @@
 """Learning-to-rank training for the pair scorer.
 
 Margin ranking loss over each query's top-k candidate list, hand-derived
-gradients (verified against central finite differences), SGD/Adam, and
+gradients (verified against central finite differences), Adam, and
 deterministic epoch shuffling. A batch is stacked in a canonical sample
 order and run through one forward and one backward pass, so the batch
 gradient is independent of the order samples arrive in.
@@ -57,33 +57,27 @@ class TrainingSample:
             raise ValueError(f"sample '{self.query_id}' has duplicate candidates")
 
 
-# the values TrainConfig.validate accepts; the command line offers the same
-OPTIMIZERS = ("sgd", "adam")
+# the values TrainConfig.validate accepts for loss_on; the command line offers the same
 LOSS_ON = ("scores", "logits")
+# Adam's moment decay rates and denominator guard (Kingma & Ba, arXiv:1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
     margin: float = 1.0
-    optimizer: str = "adam"
     lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 16
     epochs: int = 10
     shuffle_seed: int = 0
-    grad_clip: float | None = None
     loss_on: str = "scores"
 
     def validate(self) -> None:
         for name, value in (("margin", self.margin), ("lr", self.lr)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value}")
-        if self.grad_clip is not None and not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
-            raise ValueError(f"grad_clip must be a positive finite number, got {self.grad_clip}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer '{self.optimizer}'")
         if self.loss_on not in LOSS_ON:
             raise ValueError(f"loss_on must be one of {', '.join(LOSS_ON)}, got '{self.loss_on}'")
         if self.batch_size < 1 or self.epochs < 0:
@@ -176,14 +170,12 @@ def batch_gradients(
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 # ---------------------------------------------------------------------------
 
-def init_optimizer_state(params: RerankerParams, config: TrainConfig) -> dict:
+def init_optimizer_state(params: RerankerParams) -> dict:
     """Adam's step count and its first and second moments, each moment one
-    vector laid out like ``params.flat``; SGD keeps no state."""
-    if config.optimizer == "sgd":
-        return {}
+    vector laid out like ``params.flat``."""
     return {"t": 0, "m": np.zeros_like(params.flat), "v": np.zeros_like(params.flat)}
 
 
@@ -193,7 +185,7 @@ def optimizer_step(
     state: dict,
     config: TrainConfig,
 ) -> tuple[RerankerParams, dict]:
-    """One SGD or Adam update of ``params`` and ``state``, in place; returns both.
+    """One Adam update of ``params`` and ``state``, in place; returns both.
 
     ``grads`` is laid out like ``params`` (as ``batch_gradients`` returns
     it), and the update is a few whole-vector operations on ``params.flat``
@@ -204,19 +196,9 @@ def optimizer_step(
             (n, t.shape) for n, t in params.tensors.items()]:
         raise ValueError("gradients are not laid out like the parameters (names, order and shapes)")
     g = grads.flat
-    if config.grad_clip is not None:
-        g64 = g.astype(np.float64)
-        norm = math.sqrt(g64 @ g64)
-        if norm > config.grad_clip:
-            g = g * (config.grad_clip / norm)
-
     theta = params.flat
-    if config.optimizer == "sgd":
-        theta -= config.lr * g
-        return params, state
-
     t_step = state["t"] + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state["m"], state["v"]
     m *= b1
     m += (1.0 - b1) * g
@@ -226,7 +208,7 @@ def optimizer_step(
     step *= config.lr
     denom = v / (1.0 - b2 ** t_step)
     np.sqrt(denom, out=denom)
-    denom += config.adam_eps
+    denom += ADAM_EPS
     step /= denom
     theta -= step
     state["t"] = t_step
@@ -369,7 +351,7 @@ def train(
     if not train_set:
         raise ValueError("val_split leaves no training samples")
 
-    state = init_optimizer_state(params, config)
+    state = init_optimizer_state(params)
     report = TrainReport(train_count=len(train_set), val_count=len(val_set))
     ckpt = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt is not None:
@@ -411,9 +393,12 @@ def gradient_check(
 ) -> dict[str, float]:
     """Per-tensor max relative error of ``batch_gradients`` against central
     differences of ``_forward``'s loss, both in float64, stepping each
-    element of a float64 copy of ``params.flat`` in place."""
+    element of a float64 copy of ``params.flat`` in place. ``margin`` and
+    ``loss_on`` are checked as ``train`` checks them."""
+    config = TrainConfig(margin=margin, loss_on=loss_on)
+    config.validate()
     p = params.astype(np.float64)
-    _, analytic = batch_gradients(batch, p, store, TrainConfig(margin=margin, loss_on=loss_on))
+    _, analytic = batch_gradients(batch, p, store, config)
     numeric = TensorViews(np.zeros_like(p.flat), expected_shapes(p.config))
     for i, orig in enumerate(p.flat.tolist()):
         p.flat[i] = orig + epsilon

@@ -269,7 +269,7 @@ def test_separate_projections_flag_and_train_batch_size_stay_where_they_belong(
     cfg.write_text("batch_size=7\nshared_projections=true\n")
     monkeypatch.setenv("GEOVLM_CONFIG", str(cfg))
     _stop_at(monkeypatch, cvlang, "embed_texts")
-    assert _handed_on(["embed"] + settings_inputs["embed"])["batch_size"] == cvlang.EmbedEndpointConfig().batch_size
+    assert "batch_size" not in _handed_on(["embed"] + settings_inputs["embed"])
     _stop_at(monkeypatch, trainer, "train")
     train = _handed_on(["train", "--store", str(mini_store), "--separate-projections"] + settings_inputs["train"])
     assert train["batch_size"] == 7 and train["shared_projections"] is False
@@ -279,7 +279,7 @@ def test_every_setting_is_read_by_some_subcommand():
     assert set(CONFIG_SCHEMA) == {key for keys in COMMAND_KEYS.values() for key in keys}
 
 
-@pytest.mark.parametrize("command,flag", [("train", "--optimizer"), ("train", "--loss-on"), ("gradcheck", "--loss-on")])
+@pytest.mark.parametrize("command,flag", [("train", "--loss-on"), ("gradcheck", "--loss-on")])
 def test_invalid_choice_exits_1_naming_value(command, flag, capsys, tmp_path):
     extra = ["--samples", "s", "--out", str(tmp_path)] if command == "train" else []
     assert main([command, flag, "bogus"] + extra) == 1
@@ -290,8 +290,7 @@ def test_invalid_choice_exits_1_naming_value(command, flag, capsys, tmp_path):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [("--grad-clip", "-1"), ("--grad-clip", "0"), ("--grad-clip", "nan"),
-                                        ("--lr", "nan"), ("--margin", "inf")])
+@pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--margin", "inf")])
 def test_train_refuses_a_setting_out_of_range_exits_1_naming_it(flag, value, tmp_path, mini_store, capsys):
     rankings, samples, out = tmp_path / "r.jsonl", tmp_path / "s.jsonl", tmp_path / "train"
     assert main(["retrieve", "--store", str(mini_store), "--out", str(rankings)]) == 0
@@ -301,6 +300,23 @@ def test_train_refuses_a_setting_out_of_range_exits_1_naming_it(flag, value, tmp
                  flag, value]) == 1
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--ln-epsilon", "inf"), ("train", "--ln-epsilon", "1e300"), ("train", "--ln-epsilon", "nan"),
+    ("gradcheck", "--margin", "-1"), ("gradcheck", "--margin", "nan"),
+    ("synth", "--image-noise", "nan"), ("synth", "--group-spread", "inf"),
+    ("embed", "--text-dim", "0"), ("embed", "--text-dim", "-1"),
+])
+def test_a_setting_out_of_range_exits_1_naming_it_and_writes_nothing(
+        command, flag, value, settings_inputs, mini_store, tmp_path, capsys):
+    argv = [command, flag, value] + settings_inputs[command]
+    if "store" in COMMAND_KEYS[command]:
+        argv += ["--store", str(mini_store)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import georank
+from georank import cvlang
 from georank.cli import main
 from georank.cvlang import (
     EMBED_TOKEN_ENV,
@@ -286,7 +287,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def stub_server():
+def quick_retries(monkeypatch):
+    """Two retries after the first attempt, with no backoff between them."""
+    monkeypatch.setattr(cvlang, "EMBED_MAX_RETRIES", 2)
+    monkeypatch.setattr(cvlang, "EMBED_BACKOFF_S", 0.0)
+
+
+@pytest.fixture
+def stub_server(quick_retries):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
     server.seen = []
     server.script = [(200, {"embeddings": []})]
@@ -298,11 +306,8 @@ def stub_server():
     thread.join()
 
 
-def _endpoint(server, **kw):
-    defaults = dict(url=f"http://127.0.0.1:{server.server_address[1]}/embed",
-                    text_dim=4, max_retries=2, backoff_s=0.0)
-    defaults.update(kw)
-    return EmbedEndpointConfig(**defaults)
+def _endpoint(server):
+    return EmbedEndpointConfig(url=f"http://127.0.0.1:{server.server_address[1]}/embed", text_dim=4)
 
 
 def test_live_endpoint_roundtrip(stub_server, monkeypatch):
@@ -316,9 +321,10 @@ def test_live_endpoint_roundtrip(stub_server, monkeypatch):
     assert req["auth"] == "Bearer secret-token"
 
 
-def test_live_endpoint_batching(stub_server):
+def test_live_endpoint_batching(stub_server, monkeypatch):
+    monkeypatch.setattr(cvlang, "EMBED_BATCH_SIZE", 2)
     stub_server.script = [(200, lambda body: {"embeddings": [[0.0] * 4 for _ in body["input"]]})]
-    embed_texts([f"t{i}" for i in range(5)], _endpoint(stub_server, batch_size=2))
+    embed_texts([f"t{i}" for i in range(5)], _endpoint(stub_server))
     assert len(stub_server.seen) == 3
     assert [len(r["body"]["input"]) for r in stub_server.seen] == [2, 2, 1]
 
@@ -365,14 +371,14 @@ def test_live_endpoint_malformed_body_is_embed_service_error(stub_server, tmp_pa
     assert not out.exists()
 
 
-def test_closed_port_is_tried_max_retries_plus_one_times(monkeypatch):
+def test_closed_port_is_tried_max_retries_plus_one_times(quick_retries, monkeypatch):
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     calls = []
     urlopen = urllib.request.urlopen
     monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: calls.append(a) or urlopen(*a, **kw))
-    endpoint = EmbedEndpointConfig(url=f"http://127.0.0.1:{port}/embed", text_dim=4, max_retries=2, backoff_s=0.0)
+    endpoint = EmbedEndpointConfig(url=f"http://127.0.0.1:{port}/embed", text_dim=4)
     with pytest.raises(EmbedServiceError, match="unreachable after 3 attempts"):
         embed_texts(["x"], endpoint)
     assert len(calls) == 3

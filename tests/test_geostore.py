@@ -437,6 +437,10 @@ def test_synthetic_config_validation():
         generate_synthetic(SynthConfig(n_locations=3, group_size=4), 0)
     with pytest.raises(ValueError, match="dims"):
         generate_synthetic(SynthConfig(n_locations=8, group_size=2, image_dim=0), 0)
+    for name in ("image_noise", "group_spread"):
+        for value in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                generate_synthetic(SynthConfig(n_locations=8, group_size=2, **{name: value}), 0)
 
 
 def test_synthetic_coordinates_grouped():

@@ -90,6 +90,12 @@ def test_config_validation():
         RerankerConfig(latent_dim=0).validate()
     with pytest.raises(ValueError):
         RerankerConfig(aligner_layers=0).validate()
+    for eps in (0.0, -1e-5, 1e-50, 1e300, float("inf"), float("nan")):  # not positive and finite in float32
+        with pytest.raises(ValueError, match="ln_epsilon"):
+            RerankerConfig(ln_epsilon=eps).validate()
+    # nor can a checkpoint's config hold a value JSON has no token for
+    with pytest.raises(ValueError, match="JSON"):
+        RerankerConfig(ln_epsilon=float("inf")).to_json()
 
 
 # ---------------------------------------------------------------------------
