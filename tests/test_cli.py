@@ -319,6 +319,29 @@ def test_a_setting_out_of_range_exits_1_naming_it_and_writes_nothing(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,key,value", [("train", "optimizer", "sgd"), ("train", "grad_clip", "1.0"),
+                                               ("synth", "queries_per_location", "2")])
+@pytest.mark.parametrize("given_as", ["flag", "file"])
+def test_a_removed_setting_is_refused_by_name_and_writes_nothing(
+        command, key, value, given_as, settings_inputs, mini_store, tmp_path, capsys):
+    argv = [command] + settings_inputs[command]
+    if "store" in COMMAND_KEYS[command]:
+        argv += ["--store", str(mini_store)]
+    flag, cfg = "--" + key.replace("_", "-"), tmp_path / "georank.cfg"
+    if given_as == "flag":
+        argv += [flag, value]
+        named = [flag]
+    else:  # as any unknown key is: by file, line and key
+        cfg.write_text(f"# settings\n{key}={value}\n")
+        argv += ["--config", str(cfg)]
+        named = [f"{cfg}, line 2", key]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in named)
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # pipeline pieces
 # ---------------------------------------------------------------------------

@@ -329,6 +329,14 @@ def test_live_endpoint_batching(stub_server, monkeypatch):
     assert [len(r["body"]["input"]) for r in stub_server.seen] == [2, 2, 1]
 
 
+@pytest.mark.parametrize("text_dim", [0, -1])
+def test_text_dim_below_1_is_refused_before_any_request(stub_server, text_dim):
+    endpoint = EmbedEndpointConfig(url=f"http://127.0.0.1:{stub_server.server_address[1]}/embed", text_dim=text_dim)
+    with pytest.raises(ValueError, match="text_dim"):
+        embed_texts(["x"], endpoint)
+    assert stub_server.seen == []
+
+
 def test_live_endpoint_dim_mismatch(stub_server):
     stub_server.script = [(200, {"embeddings": [[1.0] * 8]})]
     with pytest.raises(EmbedServiceError, match="dim"):
