@@ -306,7 +306,8 @@ def cmd_rerank(args) -> int:
     store = Store.load(_require(_settings(args), "store"))
     params = reranker.load_params(args.checkpoint)
     rankings = retriever.load_rankings(args.rankings)
-    # per query, not batched: a stacked GEMM rounds each row differently, and the scores must equal reranker.rerank's
+    # reranker.rerank per ranking, as a server calls it: its cache aligns each reference row once for the
+    # whole file, so stacking queries would save only their one-row forwards
     out = [reranker.rerank(store.query(r.query_id), r, params, store) for r in rankings]
     retriever.save_rankings(out, args.out)
     print(f"reranked {len(out)} rankings -> {args.out}")

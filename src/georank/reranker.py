@@ -6,6 +6,10 @@ backward pass of those logits, ``logit_gradients``, sits beside the forward.
 Parameters are a name -> array mapping so the optimizer, gradient checker,
 and checkpoint format all see the same named tensors; the arrays are views of
 one contiguous vector, so the optimizer updates them all at once.
+
+``rerank`` keeps the aligned rows of the references it has scored, per store
+and per read-only params (``load_params``), and projects and aligns each
+reference row once in a zero-padded block of ``ROW_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import hashlib
 import json
 import math
 import struct
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +35,12 @@ CKPT_VERSION = 1
 # sigmoid outputs clamped to the open interval so scores are strictly in (0,1)
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
+
+# Rows per block in which ``rerank`` projects and aligns references and aligns
+# its query. In float32 a row's result from a zero-padded block of this many
+# rows does not depend on its position, its neighbours or the padding, so a
+# cached row is the row any later block would compute.
+ROW_BLOCK = 16
 
 
 @dataclass
@@ -130,7 +141,8 @@ class RerankerParams:
 
     ``tensors`` is a ``TensorViews`` over one contiguous vector, ``flat``,
     in ``expected_shapes`` order. Construction copies the given arrays into
-    it and rejects missing, extra or misshapen tensors.
+    it and rejects missing, extra or misshapen tensors. ``copy`` and
+    ``astype`` give writable params, whatever ``flat``'s flags.
     """
 
     def __init__(self, config: RerankerConfig, tensors: Mapping[str, np.ndarray]):
@@ -145,6 +157,7 @@ class RerankerParams:
         flat = np.empty(sum(math.prod(s) for s in shapes.values()), np.result_type(*tensors.values()))
         self.config = config
         self.tensors = TensorViews(flat, shapes)
+        self._reference_rows = weakref.WeakKeyDictionary()
         for name, view in self.tensors.items():
             view[...] = tensors[name]
 
@@ -154,6 +167,7 @@ class RerankerParams:
         params = cls.__new__(cls)
         params.config = config
         params.tensors = TensorViews(flat, expected_shapes(config))
+        params._reference_rows = weakref.WeakKeyDictionary()
         return params
 
     @property
@@ -325,11 +339,19 @@ def score_logits(
     segment = np.repeat(np.arange(len(aligned_q)), counts)
     if len(segment) != len(aligned_c):
         raise ValueError(f"candidate counts cover {len(segment)} rows, but {len(aligned_c)} candidates were given")
-    u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
+    logits, u_c = _bilinear(aligned_q, aligned_c, segment, params)
     if cache is not None:
         cache.update(inputs=(query_img, query_txt, cand_img, cand_txt), aligned_q=aligned_q, aligned_c=aligned_c,
                      segment=segment, starts=np.cumsum(counts) - counts, u_c=u_c)
-    return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64)
+    return logits
+
+
+def _bilinear(aligned_q: np.ndarray, aligned_c: np.ndarray, segment: np.ndarray, params: RerankerParams):
+    """Float64 logits ``a_r·u + b`` of aligned candidate rows, each with the
+    ``u = a_q·Wᵀ`` of its own query (``segment`` holds its query's row), and
+    those ``u`` rows."""
+    u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
+    return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64), u_c
 
 
 def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) -> TensorViews:
@@ -376,11 +398,68 @@ def score_candidates(query_img, query_txt, cand_img, cand_txt, params: RerankerP
 
 def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
-    rows = store.ref_rows(ids)
+    return _gather_rows(store, store.ref_rows(ids))
+
+
+def _gather_rows(store: Store, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     missing = np.flatnonzero(~store.refs.has_text[rows])
     if missing.size:
         raise ValueError(f"candidate '{store.ref_ids[rows[missing[0]]]}' has no text embedding")
     return store.refs.image[rows], store.refs.text[rows]
+
+
+def _align_block(fused: np.ndarray, params: RerankerParams) -> np.ndarray:
+    """``align`` of at most ROW_BLOCK fused rows, run as one zero-padded block of ROW_BLOCK rows."""
+    block = np.zeros((ROW_BLOCK, fused.shape[1]), params.dtype)
+    block[: len(fused)] = fused
+    return align(block, params)[: len(fused)]
+
+
+class ReferenceRows:
+    """Aligned rows of one store's references under one set of params, each
+    computed the first time it is asked for. ``slot`` maps a store row to its
+    row of ``aligned`` (-1 while not computed); ``aligned`` grows as rows are
+    added, so memory follows the rows touched, not the store's size. It takes
+    no lock: threads that rerank at once should each load their own params."""
+
+    def __init__(self, store: Store, params: RerankerParams):
+        self.slot = np.full(len(store.ref_ids), -1, np.int32)
+        self.aligned = np.empty((ROW_BLOCK, params.config.latent_dim), params.dtype)
+        self.count = 0
+
+    def lookup(self, rows: np.ndarray, store: Store, params: RerankerParams) -> np.ndarray:
+        """Aligned rows of store ``rows``. Those not yet computed are projected
+        and aligned ROW_BLOCK at a time, in zero-padded blocks."""
+        missing = np.unique(rows[self.slot[rows] < 0])
+        for lo in range(0, len(missing), ROW_BLOCK):
+            block = missing[lo : lo + ROW_BLOCK]
+            img, txt = (np.zeros((ROW_BLOCK, col.shape[1]), col.dtype) for col in (store.refs.image, store.refs.text))
+            img[: len(block)], txt[: len(block)] = _gather_rows(store, block)
+            aligned = align(project_fuse(img, txt, params, "reference"), params)[: len(block)]
+            self._append(block, aligned)
+        return self.aligned[self.slot[rows]]
+
+    def _append(self, rows: np.ndarray, aligned: np.ndarray) -> None:
+        end = self.count + len(rows)
+        if end > len(self.aligned):
+            grown = np.empty((max(end, 2 * len(self.aligned)), self.aligned.shape[1]), self.aligned.dtype)
+            grown[: self.count] = self.aligned[: self.count]
+            self.aligned = grown
+        self.aligned[self.count : end] = aligned
+        self.slot[rows] = np.arange(self.count, end)
+        self.count = end
+
+
+def reference_rows(store: Store, params: RerankerParams) -> ReferenceRows:
+    """The aligned-row cache ``rerank`` reads for ``store`` under ``params``.
+    Read-only params (as ``load_params`` returns them) keep one per store,
+    held weakly; writable params may change between calls, so each call gets
+    a new, empty one."""
+    if params.flat.flags.writeable:
+        return ReferenceRows(store, params)
+    if store not in params._reference_rows:
+        params._reference_rows[store] = ReferenceRows(store, params)
+    return params._reference_rows[store]
 
 
 def order_by_score(ids, scores) -> list[tuple[str, float]]:
@@ -390,12 +469,18 @@ def order_by_score(ids, scores) -> list[tuple[str, float]]:
 
 
 def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
-    """Reorder the candidate list by pair score, ties by id; the id set never changes."""
+    """Reorder the candidate list by pair score, ties by id; the id set never changes.
+
+    The candidates' aligned rows come from ``reference_rows``. The query is
+    projected as one row and aligned in a zero-padded block of ROW_BLOCK
+    rows, and the logits are ``score_logits``'s bilinear tail."""
     if query.text_emb is None:
         raise ValueError(f"query '{query.id}' has no text embedding")
     ids = ranking.ids()
-    scores = score_candidates(query.image_emb, query.text_emb, *gather_candidates(store, ids), params)
-    return Ranking(query_id=query.id, entries=order_by_score(ids, scores), k=ranking.k, reranked=True)
+    aligned_c = reference_rows(store, params).lookup(store.ref_rows(ids), store, params)
+    aligned_q = _align_block(project_fuse(query.image_emb[None], query.text_emb[None], params, "query"), params)
+    logits, _ = _bilinear(aligned_q, aligned_c, np.zeros(len(ids), np.intp), params)
+    return Ranking(query_id=query.id, entries=order_by_score(ids, _sigmoid(logits)), k=ranking.k, reranked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +558,7 @@ def save_params(path: str | Path, params: RerankerParams) -> None:
 
 
 def load_params(path: str | Path) -> RerankerParams:
-    """Load model tensors; optimizer-state tensors ('opt.*') are ignored.
+    """Load model tensors, read-only; optimizer-state tensors ('opt.*') are ignored.
     A missing, extra, misshapen or non-finite tensor is a ``FormatError``."""
     config, tensors = load_checkpoint(path)
     try:
@@ -481,4 +566,7 @@ def load_params(path: str | Path) -> RerankerParams:
         params.validate()
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    return params
+    # read-only, so rerank can keep aligned reference rows across calls; the
+    # views are taken again, because views taken before the flag stay writable
+    params.flat.flags.writeable = False
+    return RerankerParams.from_flat(config, params.flat)

@@ -1,3 +1,4 @@
+import functools
 import struct
 import tempfile
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from georank.geostore import FormatError, GeoCoord, Store, read_embedding_matrix, write_embedding_matrix
 from georank import reranker, trainer
 from georank.reranker import (
+    ROW_BLOCK,
     RerankerConfig,
     RerankerParams,
     _linear,
@@ -438,6 +440,116 @@ def test_rerank_missing_query_text_rejected():
 
 
 # ---------------------------------------------------------------------------
+# aligned reference rows: computed once per (store, read-only params)
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _block_params(image_dim, text_dim, latent):
+    """Initial weights with random biases and LayerNorm affines, so that a
+    zero-padding row is not zero once projected."""
+    params = init_params(RerankerConfig(image_dim=image_dim, text_dim=text_dim, latent_dim=latent,
+                                        aligner_hidden=latent, init_seed=3))
+    rng = np.random.default_rng(latent)
+    for name, t in params.tensors.items():
+        if not name.endswith(".w"):
+            t[...] = 0.1 * rng.standard_normal(t.shape) + name.endswith(".ln_scale")
+    return params
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(7, 5, 6), (64, 64, 64), (256, 256, 512), (1024, 1536, 512)]),
+       rows=st.integers(1, ROW_BLOCK), seed=st.integers(0, 2**32 - 1))
+def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
+    """In float32, a row projected and aligned in a zero-padded block of
+    ROW_BLOCK rows comes out the same bit for bit at any position, beside any
+    neighbours and any zero padding, and so does a fused row aligned in such a
+    block. This is a property of the BLAS numpy links, not of georank; it was
+    verified on OpenBLAS 0.3.31 only."""
+    params = _block_params(*dims)
+    rng = np.random.default_rng(seed)
+    img, txt = (np.zeros((ROW_BLOCK, d), np.float32) for d in dims[:2])
+    img[:rows], txt[:rows] = (rng.standard_normal((rows, d)).astype(np.float32) for d in dims[:2])
+    at, alone_at = rng.integers(rows), rng.integers(ROW_BLOCK)
+    alone_img, alone_txt = np.zeros_like(img), np.zeros_like(txt)
+    alone_img[alone_at], alone_txt[alone_at] = img[at], txt[at]
+    block = align(project_fuse(img, txt, params, "reference"), params)
+    alone = align(project_fuse(alone_img, alone_txt, params, "reference"), params)
+    assert np.array_equal(block[at], alone[alone_at])
+    fused = project_fuse(img[:rows], txt[:rows], params, "query")
+    in_block = reranker._align_block(fused, params)[at]
+    assert np.array_equal(in_block, reranker._align_block(fused[at : at + 1], params)[0])
+
+
+def _saved_store_and_checkpoint(tmp_path, image_dim, text_dim, latent, n_refs=300, n_queries=40):
+    rng = np.random.default_rng(latent)
+    random_store(rng, n_refs, n_queries, image_dim, text_dim, with_text=True).save(tmp_path / "store")
+    cfg = RerankerConfig(image_dim=image_dim, text_dim=text_dim, latent_dim=latent, aligner_hidden=latent, init_seed=8)
+    save_params(tmp_path / "model.gvck", init_params(cfg))
+    return lambda: (Store.load(tmp_path / "store"), load_params(tmp_path / "model.gvck"))
+
+
+def _rerank_each(store, params, query_ids, k=20):
+    out = {}
+    for qid in query_ids:
+        q = store.query(qid)
+        out[qid] = rerank(q, top_k(q.image_emb, store, k, query_id=qid), params, store).entries
+    return out
+
+
+@pytest.mark.parametrize("dims", [(64, 64, 64), (256, 256, 512)])
+def test_rerank_does_not_depend_on_the_order_rows_enter_the_cache(tmp_path, dims):
+    """Fresh (store, params) pairs, so each pass starts from an empty cache:
+    forward, reverse, and forward again after a warm-up pass give the same entries."""
+    fresh = _saved_store_and_checkpoint(tmp_path, *dims)
+    store, params = fresh()
+    forward = _rerank_each(store, params, store.query_ids)
+    store, params = fresh()
+    reverse = _rerank_each(store, params, store.query_ids[::-1])
+    store, params = fresh()
+    _rerank_each(store, params, store.query_ids)
+    warm = _rerank_each(store, params, store.query_ids)
+    assert forward == reverse == warm
+
+
+def test_a_warm_pass_aligns_only_its_queries_and_the_cache_holds_the_rows_touched(tmp_path, monkeypatch):
+    store, params = _saved_store_and_checkpoint(tmp_path, 8, 6, 5, n_refs=200, n_queries=12)()
+    rankings = [top_k(store.query(q).image_emb, store, 20, query_id=q) for q in store.query_ids]
+    blocks = []
+    real_align = reranker.align
+
+    def counted_align(fused, p, cache=None):
+        blocks.append(len(fused))
+        return real_align(fused, p, cache)
+
+    monkeypatch.setattr(reranker, "align", counted_align)
+
+    first = [rerank(store.query(r.query_id), r, params, store).entries for r in rankings]
+    cold = len(blocks)
+    cache = reranker.reference_rows(store, params)
+    touched = np.unique(np.concatenate([store.ref_rows(r.ids()) for r in rankings]))
+    assert np.array_equal(np.flatnonzero(cache.slot >= 0), touched)
+    assert cache.count == len(touched) < len(store.ref_ids)
+    assert cold >= len(rankings) + len(touched) / ROW_BLOCK
+
+    second = [rerank(store.query(r.query_id), r, params, store).entries for r in rankings]
+    assert len(blocks) - cold == len(rankings)  # one query block each, no reference block
+    assert second == first
+    assert set(blocks) == {ROW_BLOCK}
+
+
+def test_rerank_with_writable_params_reuses_no_row_after_an_in_place_change():
+    store = random_store(np.random.default_rng(15), 40, 1, 8, 6, with_text=True)
+    params = init_params(RerankerConfig(image_dim=8, text_dim=6, latent_dim=5, aligner_hidden=7, init_seed=2))
+    q = store.query("q00000")
+    ranking = top_k(q.image_emb, store, 10, query_id=q.id)
+    before = rerank(q, ranking, params, store).entries
+    params.tensors["proj_img.w"][0, 0] += 1.0
+    after = rerank(q, ranking, params, store).entries
+    assert after == rerank(q, ranking, RerankerParams(params.config, params.tensors), store).entries
+    assert after != before
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
@@ -451,6 +563,19 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert set(back.tensors) == set(params.tensors)
     for name in params.tensors:
         assert np.array_equal(back.tensors[name], params.tensors[name])
+
+
+def test_loaded_params_are_read_only_and_their_copies_writable(tmp_path):
+    path = tmp_path / "model.gvck"
+    save_params(path, init_params(tiny_config()))
+    params = load_params(path)
+    with pytest.raises(ValueError, match="read-only"):
+        params.flat[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.tensors["score.w"][0, 0] = 1.0
+    for writable in (params.copy(), params.astype(np.float32), params.astype(np.float64)):
+        writable.tensors["score.w"][0, 0] = 2.0
+    assert params.tensors["score.w"][0, 0] != 2.0
 
 
 def test_checkpoint_preserves_extra_optimizer_tensors(tmp_path):
