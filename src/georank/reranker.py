@@ -409,7 +409,10 @@ def _gather_rows(store: Store, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _align_block(fused: np.ndarray, params: RerankerParams) -> np.ndarray:
-    """``align`` of at most ROW_BLOCK fused rows, run as one zero-padded block of ROW_BLOCK rows."""
+    """``align`` of at most ROW_BLOCK fused rows, run as one zero-padded block of ROW_BLOCK rows.
+    A query whose candidates are all cached is aligned so too: as one row it
+    would round differently from a row of a block, and its scores would depend
+    on what ran before it (``test_rerank_does_not_depend_on_the_order_rows_enter_the_cache``)."""
     block = np.zeros((ROW_BLOCK, fused.shape[1]), params.dtype)
     block[: len(fused)] = fused
     return align(block, params)[: len(fused)]
@@ -424,25 +427,39 @@ class ReferenceRows:
 
     def __init__(self, store: Store, params: RerankerParams):
         self.slot = np.full(len(store.ref_ids), -1, np.int32)
-        self.aligned = np.empty((ROW_BLOCK, params.config.latent_dim), params.dtype)
+        self.aligned = np.empty((min(ROW_BLOCK, len(store.ref_ids)), params.config.latent_dim), params.dtype)
         self.count = 0
 
-    def lookup(self, rows: np.ndarray, store: Store, params: RerankerParams) -> np.ndarray:
-        """Aligned rows of store ``rows``. Those not yet computed are projected
-        and aligned ROW_BLOCK at a time, in zero-padded blocks."""
+    def lookup(self, rows: np.ndarray, fused_q: np.ndarray, store: Store, params: RerankerParams):
+        """Aligned rows of store ``rows``, and the aligned row of the fused
+        query row ``fused_q`` (shape (1, latent)). Rows not yet computed are
+        projected and aligned ROW_BLOCK at a time in zero-padded blocks; the
+        query is aligned in the first free row of the last such block, or in a
+        block of its own when there is none, so a cold lookup runs no more
+        aligner blocks than it must."""
         missing = np.unique(rows[self.slot[rows] < 0])
+        aligned_q = None
         for lo in range(0, len(missing), ROW_BLOCK):
             block = missing[lo : lo + ROW_BLOCK]
+            n = len(block)
             img, txt = (np.zeros((ROW_BLOCK, col.shape[1]), col.dtype) for col in (store.refs.image, store.refs.text))
-            img[: len(block)], txt[: len(block)] = _gather_rows(store, block)
-            aligned = align(project_fuse(img, txt, params, "reference"), params)[: len(block)]
-            self._append(block, aligned)
-        return self.aligned[self.slot[rows]]
+            img[:n], txt[:n] = _gather_rows(store, block)
+            fused = project_fuse(img, txt, params, "reference")
+            if n < ROW_BLOCK:
+                fused[n] = fused_q[0]
+            aligned = align(fused, params)
+            self._append(block, aligned[:n])
+            if n < ROW_BLOCK:
+                aligned_q = aligned[n : n + 1]
+        if aligned_q is None:
+            aligned_q = _align_block(fused_q, params)
+        return self.aligned[self.slot[rows]], aligned_q
 
     def _append(self, rows: np.ndarray, aligned: np.ndarray) -> None:
         end = self.count + len(rows)
         if end > len(self.aligned):
-            grown = np.empty((max(end, 2 * len(self.aligned)), self.aligned.shape[1]), self.aligned.dtype)
+            size = max(end, min(2 * len(self.aligned), len(self.slot)))  # never more rows than the store has
+            grown = np.empty((size, self.aligned.shape[1]), self.aligned.dtype)
             grown[: self.count] = self.aligned[: self.count]
             self.aligned = grown
         self.aligned[self.count : end] = aligned
@@ -473,12 +490,13 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
 
     The candidates' aligned rows come from ``reference_rows``. The query is
     projected as one row and aligned in a zero-padded block of ROW_BLOCK
-    rows, and the logits are ``score_logits``'s bilinear tail."""
+    rows, with the candidates not yet cached if there are any, and the logits
+    are ``score_logits``'s bilinear tail."""
     if query.text_emb is None:
         raise ValueError(f"query '{query.id}' has no text embedding")
     ids = ranking.ids()
-    aligned_c = reference_rows(store, params).lookup(store.ref_rows(ids), store, params)
-    aligned_q = _align_block(project_fuse(query.image_emb[None], query.text_emb[None], params, "query"), params)
+    fused_q = project_fuse(query.image_emb[None], query.text_emb[None], params, "query")
+    aligned_c, aligned_q = reference_rows(store, params).lookup(store.ref_rows(ids), fused_q, store, params)
     logits, _ = _bilinear(aligned_q, aligned_c, np.zeros(len(ids), np.intp), params)
     return Ranking(query_id=query.id, entries=order_by_score(ids, _sigmoid(logits)), k=ranking.k, reranked=True)
 

@@ -463,6 +463,7 @@ def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
     """In float32, a row projected and aligned in a zero-padded block of
     ROW_BLOCK rows comes out the same bit for bit at any position, beside any
     neighbours and any zero padding, and so does a fused row aligned in such a
+    block, among fused query rows or in the first free row of a reference
     block. This is a property of the BLAS numpy links, not of georank; it was
     verified on OpenBLAS 0.3.31 only."""
     params = _block_params(*dims)
@@ -478,6 +479,10 @@ def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
     fused = project_fuse(img[:rows], txt[:rows], params, "query")
     in_block = reranker._align_block(fused, params)[at]
     assert np.array_equal(in_block, reranker._align_block(fused[at : at + 1], params)[0])
+    if rows < ROW_BLOCK:  # a query row riding in the first free row of a reference block
+        refs = project_fuse(img, txt, params, "reference")
+        refs[rows] = fused[at]
+        assert np.array_equal(align(refs, params)[rows], in_block)
 
 
 def _saved_store_and_checkpoint(tmp_path, image_dim, text_dim, latent, n_refs=300, n_queries=40):
@@ -529,7 +534,13 @@ def test_a_warm_pass_aligns_only_its_queries_and_the_cache_holds_the_rows_touche
     touched = np.unique(np.concatenate([store.ref_rows(r.ids()) for r in rankings]))
     assert np.array_equal(np.flatnonzero(cache.slot >= 0), touched)
     assert cache.count == len(touched) < len(store.ref_ids)
-    assert cold >= len(rankings) + len(touched) / ROW_BLOCK
+    assert cache.count <= len(cache.aligned) <= len(store.ref_ids)  # doubling stops at the store's size
+    seen, new_rows = set(), []
+    for r in rankings:
+        new_rows.append(len(set(r.ids()) - seen))
+        seen |= set(r.ids())
+    # the query rides in the last reference block when it has a free row
+    assert cold == sum(-(-(m + 1) // ROW_BLOCK) for m in new_rows) < len(rankings) + len(touched) / ROW_BLOCK
 
     second = [rerank(store.query(r.query_id), r, params, store).entries for r in rankings]
     assert len(blocks) - cold == len(rankings)  # one query block each, no reference block
