@@ -27,15 +27,6 @@ from .trainer import TrainConfig
 CONFIG_ENV = "GEOVLM_CONFIG"
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: '{text}'")
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in str(text).split(",") if x.strip() != "")
 
@@ -67,11 +58,8 @@ CONFIG_SCHEMA = {
     "val_split": float,
     "loss_on": trainer.LOSS_ON,
     "latent_dim": int,
-    "aligner_layers": int,
     "aligner_hidden": int,
-    "ln_epsilon": float,
     "init_seed": int,
-    "shared_projections": _bool,
     "ks": _int_list,
     "thresholds": _float_list,
     "endpoint": str,
@@ -89,7 +77,7 @@ COMMAND_KEYS = {
     "embed": _ENDPOINT_KEYS,
     "build-samples": ("store",),
     "train": ("store", "epochs", "lr", "margin", "batch_size", "shuffle_seed", "val_split", "loss_on", "latent_dim",
-              "aligner_layers", "aligner_hidden", "ln_epsilon", "init_seed", "shared_projections"),
+              "aligner_hidden", "init_seed"),
     "rerank": ("store",),
     "eval": _EVAL_KEYS,
     "compare": _EVAL_KEYS,
@@ -253,6 +241,10 @@ def _read_texts(path: str | Path) -> list[tuple[str, str]]:
 
 
 def cmd_embed(args) -> int:
+    if not (args.out or args.attach):
+        raise ValueError("embed needs --out, --attach or both: the embeddings would be written nowhere")
+    if args.side and not args.attach:
+        raise ValueError("--side names the store side that --attach writes to, and --attach is not given")
     endpoint = _build(cvlang.EmbedEndpointConfig, _settings(args))
     pairs = _read_texts(args.texts)
     vectors = cvlang.embed_texts([t for _, t in pairs], endpoint)
@@ -398,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help=f"key=value config file (default ${CONFIG_ENV})")
         for key in COMMAND_KEYS[name]:
             parse = CONFIG_SCHEMA[key]
-            if parse is _bool:  # an on/off pair, added by hand
-                continue
             flag = "--" + key.replace("_", "-")
             if isinstance(parse, tuple):
                 p.add_argument(flag, choices=parse)
@@ -446,8 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", cmd_train, "train the reranking scorer")
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shared-projections", dest="shared_projections", action="store_const", const=True, default=None)
-    p.add_argument("--separate-projections", dest="shared_projections", action="store_const", const=False)
 
     p = add("rerank", cmd_rerank, "reorder rankings with a trained checkpoint")
     p.add_argument("--rankings", required=True)

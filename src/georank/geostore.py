@@ -904,6 +904,8 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
     locations at the configured margin.
     """
     config.validate()
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = config.n_locations
     g = config.group_size

@@ -42,56 +42,61 @@ _SCORE_CEIL = np.nextafter(1.0, 0.0)
 # cached row is the row any later block would compute.
 ROW_BLOCK = 16
 
+# The scorer's fixed shape: query and reference share the projections, and
+# the aligner is ALIGNER_LAYERS blocks (latent -> hidden -> latent) whose
+# LayerNorm adds LN_EPSILON to the variance. Every checkpoint's config block
+# records these values under the keys of FIXED_CONFIG, and a block holding
+# any other value is refused.
+ALIGNER_LAYERS = 2
+LN_EPSILON = 1e-5
+FIXED_CONFIG = {"aligner_layers": ALIGNER_LAYERS, "ln_epsilon": LN_EPSILON, "shared_projections": True}
+
 
 @dataclass
 class RerankerConfig:
     image_dim: int = 1024
     text_dim: int = 1536
     latent_dim: int = 512
-    aligner_layers: int = 2
     aligner_hidden: int = 512
-    ln_epsilon: float = 1e-5
-    shared_projections: bool = True
     init_seed: int = 0
 
     def validate(self) -> None:
         for name in ("image_dim", "text_dim", "latent_dim", "aligner_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.aligner_layers < 1:
-            raise ValueError("aligner_layers must be >= 1")
-        f32 = np.finfo(np.float32)  # bounds as Python floats: comparing a float32 to 1e300 casts it and warns
-        if not (float(f32.smallest_subnormal) <= self.ln_epsilon <= float(f32.max)):
-            raise ValueError(f"ln_epsilon must be positive and finite in float32, got {self.ln_epsilon}")
-
-    def aligner_dims(self) -> list[tuple[int, int]]:
-        """(in, out) per block; the stack starts and ends at latent_dim."""
-        h, hid, n = self.latent_dim, self.aligner_hidden, self.aligner_layers
-        ins = [h] + [hid] * (n - 1)
-        outs = [hid] * (n - 1) + [h]
-        return list(zip(ins, outs))
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return json.dumps(dataclasses.asdict(self) | FIXED_CONFIG, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "RerankerConfig":
-        cfg = cls(**json.loads(text))
+        values = json.loads(text)
+        if not isinstance(values, dict):
+            raise ValueError("not a JSON object")
+        for key, fixed in FIXED_CONFIG.items():
+            if key not in values:
+                raise ValueError(f"no '{key}' key")
+            value = values.pop(key)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"'{key}' is {json.dumps(value)}; this scorer has {json.dumps(fixed)}")
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
 
 def expected_shapes(config: RerankerConfig) -> dict[str, tuple[int, ...]]:
     """Canonical tensor names and shapes; also fixes the init draw order."""
-    h = config.latent_dim
-    shapes: dict[str, tuple[int, ...]] = {}
-    sides = ("",) if config.shared_projections else ("_q", "_r")
-    for side in sides:
-        shapes[f"proj_img{side}.w"] = (h, config.image_dim)
-        shapes[f"proj_img{side}.b"] = (h,)
-        shapes[f"proj_txt{side}.w"] = (h, config.text_dim)
-        shapes[f"proj_txt{side}.b"] = (h,)
-    for i, (d_in, d_out) in enumerate(config.aligner_dims()):
+    h, hid = config.latent_dim, config.aligner_hidden
+    shapes: dict[str, tuple[int, ...]] = {
+        "proj_img.w": (h, config.image_dim),
+        "proj_img.b": (h,),
+        "proj_txt.w": (h, config.text_dim),
+        "proj_txt.b": (h,),
+    }
+    for i, (d_in, d_out) in enumerate(((h, hid), (hid, h))):
         shapes[f"align{i}.w"] = (d_out, d_in)
         shapes[f"align{i}.b"] = (d_out,)
         shapes[f"align{i}.ln_scale"] = (d_out,)
@@ -235,18 +240,10 @@ def row_mean(z: np.ndarray) -> np.ndarray:
     return np.add.reduce(z, axis=-1, keepdims=True) / z.shape[-1]
 
 
-def proj_names(config: RerankerConfig, side: str) -> tuple[str, str, str, str]:
-    """Names of the image weight, image bias, text weight and text bias that
-    project one side ('query' or 'reference') into the latent space."""
-    if side not in ("query", "reference"):
-        raise ValueError(f"side must be 'query' or 'reference', got '{side}'")
-    suffix = "" if config.shared_projections else ("_q" if side == "query" else "_r")
-    return f"proj_img{suffix}.w", f"proj_img{suffix}.b", f"proj_txt{suffix}.w", f"proj_txt{suffix}.b"
-
-
-def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerParams, side: str = "query") -> np.ndarray:
-    """Element-wise sum of the projected image and text embeddings."""
-    wi, bi, wt, bt = (params.tensors[n] for n in proj_names(params.config, side))
+def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerParams) -> np.ndarray:
+    """Element-wise sum of the projected image and text embeddings; query and
+    reference share the projections."""
+    wi, bi, wt, bt = (params.tensors[n] for n in ("proj_img.w", "proj_img.b", "proj_txt.w", "proj_txt.b"))
     dt = params.dtype
     img = np.atleast_2d(np.asarray(image_emb, dtype=dt))
     txt = np.atleast_2d(np.asarray(text_emb, dtype=dt))
@@ -259,7 +256,6 @@ def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerPa
 
 
 def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    n = params.config.aligner_layers
     return [
         (
             params.tensors[f"align{i}.w"],
@@ -267,7 +263,7 @@ def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray,
             params.tensors[f"align{i}.ln_scale"],
             params.tensors[f"align{i}.ln_shift"],
         )
-        for i in range(n)
+        for i in range(ALIGNER_LAYERS)
     ]
 
 
@@ -281,13 +277,12 @@ def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) 
     x = np.atleast_2d(np.asarray(fused, dtype=dt))
     if x.shape[1] != params.config.latent_dim:
         raise ValueError(f"fused dim {x.shape[1]} does not match latent_dim {params.config.latent_dim}")
-    eps = params.config.ln_epsilon
     for w, b, scale, shift in aligner_blocks(params):
         z = _linear(x, w) + b
         mu = row_mean(z)
         zc = z - mu
         var = row_mean(zc * zc)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + LN_EPSILON)
         xhat = zc * inv
         y = scale * xhat + shift
         if cache is not None:
@@ -331,8 +326,8 @@ def score_logits(
     """
     query_img, query_txt = np.atleast_2d(query_img), np.atleast_2d(query_txt)
     cache_align = None if cache is None else cache.setdefault("cache_align", [])
-    fused_q = project_fuse(query_img, query_txt, params, "query")
-    fused_c = project_fuse(cand_img, cand_txt, params, "reference")
+    fused_q = project_fuse(query_img, query_txt, params)
+    fused_c = project_fuse(cand_img, cand_txt, params)
     aligned = align(np.concatenate([fused_q, fused_c]), params, cache_align)
     aligned_q, aligned_c = aligned[: len(fused_q)], aligned[len(fused_q) :]
     counts = [len(aligned_c)] if counts is None else counts
@@ -382,13 +377,12 @@ def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) ->
         dout = dz @ w
 
     q_img, q_txt, c_img, c_txt = cache["inputs"]
-    for side, d_fused, img, txt in (("query", dout[: len(aligned_q)], q_img, q_txt),
-                                    ("reference", dout[len(aligned_q) :], c_img, c_txt)):
-        wi, bi, wt, bt = proj_names(params.config, side)
-        grads[wi] += d_fused.T @ img
-        grads[bi] += d_fused.sum(axis=0)
-        grads[wt] += d_fused.T @ txt
-        grads[bt] += d_fused.sum(axis=0)
+    # the query side's terms, then the reference side's, into the shared projections
+    for d_fused, img, txt in ((dout[: len(aligned_q)], q_img, q_txt), (dout[len(aligned_q) :], c_img, c_txt)):
+        grads["proj_img.w"] += d_fused.T @ img
+        grads["proj_img.b"] += d_fused.sum(axis=0)
+        grads["proj_txt.w"] += d_fused.T @ txt
+        grads["proj_txt.b"] += d_fused.sum(axis=0)
     return grads
 
 
@@ -444,7 +438,7 @@ class ReferenceRows:
             n = len(block)
             img, txt = (np.zeros((ROW_BLOCK, col.shape[1]), col.dtype) for col in (store.refs.image, store.refs.text))
             img[:n], txt[:n] = _gather_rows(store, block)
-            fused = project_fuse(img, txt, params, "reference")
+            fused = project_fuse(img, txt, params)
             if n < ROW_BLOCK:
                 fused[n] = fused_q[0]
             aligned = align(fused, params)
@@ -495,7 +489,7 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
     if query.text_emb is None:
         raise ValueError(f"query '{query.id}' has no text embedding")
     ids = ranking.ids()
-    fused_q = project_fuse(query.image_emb[None], query.text_emb[None], params, "query")
+    fused_q = project_fuse(query.image_emb[None], query.text_emb[None], params)
     aligned_c, aligned_q = reference_rows(store, params).lookup(store.ref_rows(ids), fused_q, store, params)
     logits, _ = _bilinear(aligned_q, aligned_c, np.zeros(len(ids), np.intp), params)
     return Ranking(query_id=query.id, entries=order_by_score(ids, _sigmoid(logits)), k=ranking.k, reranked=True)

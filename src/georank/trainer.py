@@ -82,6 +82,8 @@ class TrainConfig:
             raise ValueError(f"loss_on must be one of {', '.join(LOSS_ON)}, got '{self.loss_on}'")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +421,10 @@ def make_gradcheck_fixture(seed: int, n_candidates: int = 5) -> tuple[TrainingSa
     """Small random store/sample/params for gradient verification."""
     from .geostore import Columns, StoreManifest
 
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    cfg = RerankerConfig(
-        image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2, aligner_hidden=6, init_seed=seed + 1
-    )
+    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_hidden=6, init_seed=seed + 1)
     # one image then one text draw per row, candidates first, then the query
     rows = rng.standard_normal((n_candidates + 1, cfg.image_dim + cfg.text_dim)).astype(np.float32)
     ids = [f"c{i}" for i in range(n_candidates)]

@@ -1,9 +1,12 @@
 import errno
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
-from georank import geostore, reranker
+from georank import cvlang, geostore, reranker
 from georank.cli import main
 from georank.geostore import Columns, GeoCoord, QueryRecord, ReferenceRecord, Store, StoreManifest
 
@@ -121,3 +124,48 @@ def random_store(rng, n_refs, n_queries, image_dim, text_dim=4, with_text=False,
             )
         )
     return build_store(refs, queries, image_dim, text_dim)
+
+
+# ---------------------------------------------------------------------------
+# a local stand-in for an embedding endpoint
+# ---------------------------------------------------------------------------
+
+class _StubHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append({"body": body, "auth": self.headers.get("Authorization")})
+        step = min(len(self.server.seen) - 1, len(self.server.script) - 1)
+        status, payload = self.server.script[step]
+        if callable(payload):
+            payload = payload(body)
+        blob = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(blob)))
+        self.end_headers()
+        self.wfile.write(blob)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def quick_retries(monkeypatch):
+    """Two retries after the first attempt, with no backoff between them."""
+    monkeypatch.setattr(cvlang, "EMBED_MAX_RETRIES", 2)
+    monkeypatch.setattr(cvlang, "EMBED_BACKOFF_S", 0.0)
+
+
+@pytest.fixture
+def stub_server(quick_retries):
+    """An HTTP endpoint on localhost that records each request in ``seen`` and
+    answers the n-th with ``script[n]`` (the last entry once they run out)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+    server.seen = []
+    server.script = [(200, {"embeddings": []})]
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()

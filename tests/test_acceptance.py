@@ -99,8 +99,7 @@ def test_a3_synthetic_disambiguation_experiment():
 
     queries = [store.query(qid) for qid in store.query_ids]
     samples, skipped = build_training_samples(queries, baseline)
-    rr_config = RerankerConfig(image_dim=64, text_dim=64, latent_dim=64,
-                               aligner_layers=2, aligner_hidden=64, init_seed=0)
+    rr_config = RerankerConfig(image_dim=64, text_dim=64, latent_dim=64, aligner_hidden=64, init_seed=0)
     tr_config = TrainConfig(lr=3e-3, epochs=20, batch_size=8, shuffle_seed=0, loss_on="scores")
     params, report = train(samples, store, rr_config, tr_config, val_split=0.2)
     val_r1 = report.epochs[-1].val_r1

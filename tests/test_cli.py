@@ -158,7 +158,6 @@ _EXAMPLES = {
     str: ("mock:file", "mock:file", ["mock:flag"], "mock:flag"),
     "ks": ("3,4", (3, 4), ["2,6"], (2, 6)),
     "thresholds": ("0.25,1", (0.25, 1.0), ["2"], (2.0,)),
-    "shared_projections": ("false", False, [], True),
 }
 
 
@@ -263,16 +262,15 @@ def test_settings_left_unset_keep_the_config_dataclass_defaults(settings_inputs,
         assert [v for v in exc.value.args[0].values() if dataclasses.is_dataclass(v)] == configs, command
 
 
-def test_separate_projections_flag_and_train_batch_size_stay_where_they_belong(
-        settings_inputs, mini_store, tmp_path, monkeypatch):
+def test_train_batch_size_stays_where_it_belongs(settings_inputs, mini_store, tmp_path, monkeypatch):
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("batch_size=7\nshared_projections=true\n")
+    cfg.write_text("batch_size=7\n")
     monkeypatch.setenv("GEOVLM_CONFIG", str(cfg))
     _stop_at(monkeypatch, cvlang, "embed_texts")
     assert "batch_size" not in _handed_on(["embed"] + settings_inputs["embed"])
     _stop_at(monkeypatch, trainer, "train")
-    train = _handed_on(["train", "--store", str(mini_store), "--separate-projections"] + settings_inputs["train"])
-    assert train["batch_size"] == 7 and train["shared_projections"] is False
+    train = _handed_on(["train", "--store", str(mini_store)] + settings_inputs["train"])
+    assert train["batch_size"] == 7
 
 
 def test_every_setting_is_read_by_some_subcommand():
@@ -303,8 +301,8 @@ def test_train_refuses_a_setting_out_of_range_exits_1_naming_it(flag, value, tmp
 
 
 @pytest.mark.parametrize("command,flag,value", [
-    ("train", "--ln-epsilon", "inf"), ("train", "--ln-epsilon", "1e300"), ("train", "--ln-epsilon", "nan"),
-    ("gradcheck", "--margin", "-1"), ("gradcheck", "--margin", "nan"),
+    ("train", "--shuffle-seed", "-1"), ("train", "--init-seed", "-1"),
+    ("synth", "--seed", "-1"), ("gradcheck", "--seed", "-1"), ("gradcheck", "--margin", "-1"), ("gradcheck", "--margin", "nan"),
     ("synth", "--image-noise", "nan"), ("synth", "--group-spread", "inf"),
     ("embed", "--text-dim", "0"), ("embed", "--text-dim", "-1"),
 ])
@@ -319,9 +317,19 @@ def test_a_setting_out_of_range_exits_1_naming_it_and_writes_nothing(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command,key,value", [("train", "optimizer", "sgd"), ("train", "grad_clip", "1.0"),
-                                               ("synth", "queries_per_location", "2")])
-@pytest.mark.parametrize("given_as", ["flag", "file"])
+_REMOVED_SETTINGS = [("train", "optimizer", "sgd"), ("train", "grad_clip", "1.0"),
+                     ("synth", "queries_per_location", "2"), ("train", "aligner_layers", "2"),
+                     ("train", "ln_epsilon", "1e-5")]
+
+
+# each removed setting as flag and as config-file key; train's projection setting was an on/off flag pair
+# that took no value, and a shared_projections key in the file
+@pytest.mark.parametrize("given_as,command,key,value",
+                         [("flag", *setting) for setting in _REMOVED_SETTINGS]
+                         + [("flag", "train", "shared_projections", None),
+                            ("flag", "train", "separate_projections", None)]
+                         + [("file", *setting) for setting in _REMOVED_SETTINGS]
+                         + [("file", "train", "shared_projections", "true")])
 def test_a_removed_setting_is_refused_by_name_and_writes_nothing(
         command, key, value, given_as, settings_inputs, mini_store, tmp_path, capsys):
     argv = [command] + settings_inputs[command]
@@ -329,7 +337,7 @@ def test_a_removed_setting_is_refused_by_name_and_writes_nothing(
         argv += ["--store", str(mini_store)]
     flag, cfg = "--" + key.replace("_", "-"), tmp_path / "georank.cfg"
     if given_as == "flag":
-        argv += [flag, value]
+        argv += [flag] if value is None else [flag, value]
         named = [flag]
     else:  # as any unknown key is: by file, line and key
         cfg.write_text(f"# settings\n{key}={value}\n")
@@ -403,6 +411,24 @@ def test_caption_invalid_sheet_exits_1(tmp_path, capsys):
     assert main(["caption", "--sheets", str(sheets), "--out", str(tmp_path / "d.jsonl")]) == 1
     err = capsys.readouterr().err
     assert "img9" in err and "Q2" in err
+
+
+@pytest.mark.parametrize("given, named", [([], ["--out", "--attach"]),
+                                          (["--side", "queries", "--out", "out.jsonl"], ["--side", "--attach"])],
+                         ids=["no-out-no-attach", "side-without-attach"])
+def test_embed_refuses_nowhere_to_write_and_a_side_without_attach_before_any_request(
+        given, named, stub_server, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("texts.jsonl").write_text(json.dumps({"id": "a", "text": "a road"}) + "\n")
+    stub_server.script = [(200, lambda body: {"embeddings": [[1.0, 0.0, 0.0, 0.0] for _ in body["input"]]})]
+    argv = ["embed", "--texts", "texts.jsonl", "--text-dim", "4",
+            "--endpoint", f"http://127.0.0.1:{stub_server.server_address[1]}/embed"]
+    assert main(argv + given) == 1
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in named), err
+    assert stub_server.seen == [] and sorted(p.name for p in tmp_path.iterdir()) == ["texts.jsonl"]
+    assert main(argv + ["--out", "out.jsonl"]) == 0  # the same endpoint, given somewhere to write
+    assert len(stub_server.seen) == 1 and Path("out.jsonl").exists()
 
 
 def test_embed_dim_mismatch_on_attach_exits_1(tmp_path, mini_store, capsys):

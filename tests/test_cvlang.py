@@ -3,9 +3,7 @@ import os
 import socket
 import subprocess
 import sys
-import threading
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -266,45 +264,6 @@ def test_mock_embed_texts_order_and_empty():
 # ---------------------------------------------------------------------------
 # embeddings: live endpoint against a local stub
 # ---------------------------------------------------------------------------
-
-class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self.server.seen.append({"body": body, "auth": self.headers.get("Authorization")})
-        step = min(len(self.server.seen) - 1, len(self.server.script) - 1)
-        status, payload = self.server.script[step]
-        if callable(payload):
-            payload = payload(body)
-        blob = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def quick_retries(monkeypatch):
-    """Two retries after the first attempt, with no backoff between them."""
-    monkeypatch.setattr(cvlang, "EMBED_MAX_RETRIES", 2)
-    monkeypatch.setattr(cvlang, "EMBED_BACKOFF_S", 0.0)
-
-
-@pytest.fixture
-def stub_server(quick_retries):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.seen = []
-    server.script = [(200, {"embeddings": []})]
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join()
-
 
 def _endpoint(server):
     return EmbedEndpointConfig(url=f"http://127.0.0.1:{server.server_address[1]}/embed", text_dim=4)

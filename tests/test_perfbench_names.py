@@ -13,10 +13,13 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
+
 from georank import geostore
 from georank.cli import main
 from georank.evaluator import EvalConfig, compare_rankings
 from georank.geostore import Store, StoreManifest, ingest
+from georank.reranker import RerankerConfig, init_params, load_params, save_params, score_candidates
 from georank.retriever import load_rankings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -41,6 +44,14 @@ def _constant(file: str, name: str):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"{file} no longer assigns {name}")
+
+
+def _checks():
+    """perfbench's ``checks.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
 
 
 def test_functions_perfbench_wraps_and_laps_exist():
@@ -90,9 +101,7 @@ def test_compare_report_passes_the_benchmark_check(tmp_path, reranked_pair):
     """perfbench's correctness check reads the compare report's keys, both from
     ``compare_rankings(...).to_dict()`` and from ``report.json``; a change to
     them that would fail the benchmark fails here first."""
-    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
+    checks = _checks()
     store_dir, baseline, reranked = reranked_pair
     store, base, rr = Store.load(store_dir), load_rankings(baseline), load_rankings(reranked)
     ids = [[r.ids() for r in rankings] for rankings in (base, rr)]
@@ -104,3 +113,24 @@ def test_compare_report_passes_the_benchmark_check(tmp_path, reranked_pair):
     assert main(["compare", "--store", str(store_dir), "--baseline", str(baseline), "--reranked", str(reranked),
                  "--out", str(out)]) == 0
     checks.check_report(json.loads((out / "report.json").read_text()), *ids, truth)
+
+
+def test_the_benchmark_scorer_reads_a_saved_checkpoint(tmp_path):
+    """perfbench's reference forward reads a checkpoint's tensors and its config
+    block, ``aligner_layers``, ``ln_epsilon`` and ``shared_projections``
+    included; on a checkpoint ``save_params`` wrote, its scores must be
+    ``score_candidates``'s within the tolerance the benchmark checks rerank by."""
+    checks = _checks()
+    params = init_params(RerankerConfig(image_dim=12, text_dim=10, latent_dim=8, aligner_hidden=16, init_seed=4))
+    rng = np.random.default_rng(0)
+    for name, t in params.tensors.items():  # random biases and LayerNorm affines, so every tensor counts
+        if not name.endswith(".w"):
+            t[...] = 0.5 * rng.standard_normal(t.shape) + name.endswith(".ln_scale")
+    path = tmp_path / "model.gvck"
+    save_params(path, params)
+    q_img, q_txt = rng.standard_normal(12).astype(np.float32), rng.standard_normal(10).astype(np.float32)
+    c_img, c_txt = rng.standard_normal((10, 12)).astype(np.float32), rng.standard_normal((10, 10)).astype(np.float32)
+    want = checks.Scorer(path).scores(q_img, q_txt, c_img, c_txt)
+    got = score_candidates(q_img, q_txt, c_img, c_txt, load_params(path))
+    assert np.ptp(want) > 100 * checks.RERANK_SCORE_ATOL  # scores that differ, not one saturated value
+    assert np.max(np.abs(got - want)) <= checks.RERANK_SCORE_ATOL

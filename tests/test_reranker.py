@@ -1,4 +1,5 @@
 import functools
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -35,7 +36,7 @@ from conftest import build_store, make_query, make_ref, random_store
 
 
 def tiny_config(**overrides):
-    base = dict(image_dim=2, text_dim=3, latent_dim=2, aligner_layers=1, aligner_hidden=2, init_seed=0)
+    base = dict(image_dim=2, text_dim=3, latent_dim=2, aligner_hidden=2, init_seed=0)
     base.update(overrides)
     return RerankerConfig(**base)
 
@@ -90,14 +91,8 @@ def test_init_deterministic_digest():
 def test_config_validation():
     with pytest.raises(ValueError):
         RerankerConfig(latent_dim=0).validate()
-    with pytest.raises(ValueError):
-        RerankerConfig(aligner_layers=0).validate()
-    for eps in (0.0, -1e-5, 1e-50, 1e300, float("inf"), float("nan")):  # not positive and finite in float32
-        with pytest.raises(ValueError, match="ln_epsilon"):
-            RerankerConfig(ln_epsilon=eps).validate()
-    # nor can a checkpoint's config hold a value JSON has no token for
-    with pytest.raises(ValueError, match="JSON"):
-        RerankerConfig(ln_epsilon=float("inf")).to_json()
+    with pytest.raises(ValueError, match="init_seed"):
+        RerankerConfig(init_seed=-1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +125,13 @@ def test_project_fuse_dim_mismatch():
 
 
 def test_align_hand_case_identity_block():
-    params = manual_params(tiny_config(), **{"align0.w": np.eye(2)})
+    params = manual_params(tiny_config(), **{"align0.w": np.eye(2), "align1.w": np.eye(2)})
     out = align(np.array([1.0, -1.0]), params)
     assert out == pytest.approx([1.0, 0.0], abs=1e-4)
 
 
 def test_align_zero_fixed_point_and_nonnegative():
-    params = init_params(tiny_config(latent_dim=4, aligner_hidden=4, aligner_layers=2))
+    params = init_params(tiny_config(latent_dim=4, aligner_hidden=4))
     zero = align(np.zeros(4), params)
     assert np.all(zero == 0)
     rng = np.random.default_rng(0)
@@ -181,16 +176,15 @@ def test_score_strictly_inside_unit_interval_even_when_saturated():
 def _oracle_score(q_img, q_txt, r_img, r_txt, params):
     """Independent re-evaluation of the composed closed form, float64."""
     t = {k: v.astype(np.float64) for k, v in params.tensors.items()}
-    cfg = params.config
 
     def fuse(img, txt):
         return t["proj_img.w"] @ img + t["proj_img.b"] + t["proj_txt.w"] @ txt + t["proj_txt.b"]
 
     def aligned(x):
-        for i in range(cfg.aligner_layers):
+        for i in range(2):
             z = t[f"align{i}.w"] @ x + t[f"align{i}.b"]
             mu = z.mean()
-            sigma = np.sqrt(((z - mu) ** 2).mean() + cfg.ln_epsilon)
+            sigma = np.sqrt(((z - mu) ** 2).mean() + 1e-5)
             x = np.maximum(t[f"align{i}.ln_scale"] * (z - mu) / sigma + t[f"align{i}.ln_shift"], 0.0)
         return x
 
@@ -201,7 +195,7 @@ def _oracle_score(q_img, q_txt, r_img, r_txt, params):
 
 
 def test_score_matches_independent_reimplementation():
-    cfg = tiny_config(latent_dim=5, aligner_hidden=7, aligner_layers=2, image_dim=4, text_dim=6, init_seed=9)
+    cfg = tiny_config(latent_dim=5, aligner_hidden=7, image_dim=4, text_dim=6, init_seed=9)
     params = init_params(cfg).astype(np.float64)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -218,25 +212,23 @@ def test_score_trace_consistency():
     score = _score_one((q_img, q_txt), (r_img, r_txt), params)
     assert score == pytest.approx(1.0 / (1.0 + np.exp(-logit)), abs=1e-12)
     assert 0.0 < score < 1.0
-    assert np.all(align(project_fuse(q_img, q_txt, params, "query"), params) >= 0)
-    assert np.all(align(project_fuse(r_img, r_txt, params, "reference"), params) >= 0)
+    assert np.all(align(project_fuse(q_img, q_txt, params), params) >= 0)
+    assert np.all(align(project_fuse(r_img, r_txt, params), params) >= 0)
 
 
 def test_align_cache_does_not_change_output():
-    params = init_params(tiny_config(latent_dim=4, aligner_hidden=5, aligner_layers=3, init_seed=2))
+    params = init_params(tiny_config(latent_dim=4, aligner_hidden=5, init_seed=2))
     x = np.random.default_rng(5).standard_normal((6, 4))
     cache = []
     assert np.array_equal(align(x, params, cache=cache), align(x, params))
-    assert len(cache) == 3
+    assert len(cache) == 2
 
 
-@pytest.mark.parametrize("shared", [True, False])
-def test_rerank_scores_the_network_training_optimises(shared):
+def test_rerank_scores_the_network_training_optimises():
     """One forward: the logits rerank scores equal, bit for bit, those the
     trainer's loss and gradients are taken from."""
     sample, _, store = trainer.make_gradcheck_fixture(3)
-    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2,
-                         aligner_hidden=6, shared_projections=shared, init_seed=4)
+    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_hidden=6, init_seed=4)
     params = init_params(cfg)
     q = store.query(sample.query_id)
     logits = score_logits(q.image_emb, q.text_emb, *gather_candidates(store, sample.candidate_ids), params)
@@ -250,7 +242,7 @@ def test_rerank_scores_the_network_training_optimises(shared):
 
 
 def test_stacked_score_logits_match_per_query_calls():
-    params = init_params(tiny_config(latent_dim=4, aligner_hidden=5, aligner_layers=2, init_seed=3))
+    params = init_params(tiny_config(latent_dim=4, aligner_hidden=5, init_seed=3))
     rng = np.random.default_rng(9)
     q_img, q_txt = rng.standard_normal((3, 2)), rng.standard_normal((3, 3))
     c_img, c_txt = rng.standard_normal((8, 2)), rng.standard_normal((8, 3))
@@ -283,17 +275,6 @@ def test_shared_projection_shape_contract_both_ways():
     assert 0.0 < s_ab < 1.0 and 0.0 < s_ba < 1.0
 
 
-def test_separate_projections_have_their_own_tensors():
-    cfg = tiny_config(shared_projections=False)
-    params = init_params(cfg)
-    assert "proj_img_q.w" in params.tensors and "proj_img_r.w" in params.tensors
-    params.validate()
-    rng = np.random.default_rng(8)
-    s = _score_one((rng.standard_normal(2), rng.standard_normal(3)),
-                   (rng.standard_normal(2), rng.standard_normal(3)), params)
-    assert 0.0 < s < 1.0
-
-
 # ---------------------------------------------------------------------------
 # dense layers as (W·xᵀ)ᵀ: bit for bit the x·Wᵀ they replace
 # ---------------------------------------------------------------------------
@@ -314,14 +295,14 @@ def test_linear_is_bitwise_x_times_w_transposed(m, k, n, seed):
 
 def _reference_logits(q_img, q_txt, c_img, c_txt, params, counts):
     """The scorer forward written with x @ w.T and np.mean: (logits, aligned_q, aligned_c, u_c)."""
-    t, cfg = params.tensors, params.config
+    t = params.tensors
     fused = [(img @ t["proj_img.w"].T + t["proj_img.b"]) + (txt @ t["proj_txt.w"].T + t["proj_txt.b"])
              for img, txt in ((q_img, q_txt), (c_img, c_txt))]
     x = np.concatenate(fused)
-    for i in range(cfg.aligner_layers):
+    for i in range(2):
         z = x @ t[f"align{i}.w"].T + t[f"align{i}.b"]
         zc = z - z.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((zc * zc).mean(axis=-1, keepdims=True) + cfg.ln_epsilon)
+        inv = 1.0 / np.sqrt((zc * zc).mean(axis=-1, keepdims=True) + 1e-5)
         x = np.maximum(t[f"align{i}.ln_scale"] * (zc * inv) + t[f"align{i}.ln_shift"], 0)
     aligned_q, aligned_c = x[: len(q_img)], x[len(q_img) :]
     u_c = (aligned_q @ t["score.w"].T)[np.repeat(np.arange(len(q_img)), counts)]
@@ -473,14 +454,14 @@ def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
     at, alone_at = rng.integers(rows), rng.integers(ROW_BLOCK)
     alone_img, alone_txt = np.zeros_like(img), np.zeros_like(txt)
     alone_img[alone_at], alone_txt[alone_at] = img[at], txt[at]
-    block = align(project_fuse(img, txt, params, "reference"), params)
-    alone = align(project_fuse(alone_img, alone_txt, params, "reference"), params)
+    block = align(project_fuse(img, txt, params), params)
+    alone = align(project_fuse(alone_img, alone_txt, params), params)
     assert np.array_equal(block[at], alone[alone_at])
-    fused = project_fuse(img[:rows], txt[:rows], params, "query")
+    fused = project_fuse(img[:rows], txt[:rows], params)
     in_block = reranker._align_block(fused, params)[at]
     assert np.array_equal(in_block, reranker._align_block(fused[at : at + 1], params)[0])
     if rows < ROW_BLOCK:  # a query row riding in the first free row of a reference block
-        refs = project_fuse(img, txt, params, "reference")
+        refs = project_fuse(img, txt, params)
         refs[rows] = fused[at]
         assert np.array_equal(align(refs, params)[rows], in_block)
 
@@ -565,7 +546,7 @@ def test_rerank_with_writable_params_reuses_no_row_after_an_in_place_change():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_roundtrip_bitexact(tmp_path):
-    cfg = tiny_config(latent_dim=3, aligner_hidden=4, aligner_layers=2, init_seed=21)
+    cfg = tiny_config(latent_dim=3, aligner_hidden=4, init_seed=21)
     params = init_params(cfg)
     path = tmp_path / "model.gvck"
     save_params(path, params)
@@ -574,6 +555,59 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
     assert set(back.tensors) == set(params.tensors)
     for name in params.tensors:
         assert np.array_equal(back.tensors[name], params.tensors[name])
+
+
+# The 610 bytes save_params writes for init_params of GOLDEN_CONFIG. Its config
+# block records the scorer's fixed shape: "aligner_layers":2, "ln_epsilon":1e-05
+# and "shared_projections":true.
+GOLDEN_CONFIG = RerankerConfig(image_dim=1, text_dim=1, latent_dim=1, aligner_hidden=1, init_seed=3)
+GOLDEN_GVCK = bytes.fromhex(
+    "4756434b010000008c0000007b22616c69676e65725f68696464656e223a312c22616c69676e65725f6c617965727322"
+    "3a322c22696d6167655f64696d223a312c22696e69745f73656564223a332c226c6174656e745f64696d223a312c226c"
+    "6e5f657073696c6f6e223a31652d30352c227368617265645f70726f6a656374696f6e73223a747275652c2274657874"
+    "5f64696d223a317d0a00000070726f6a5f696d672e770200000001000000000000000100000000000000a9b9b7bf0a00"
+    "000070726f6a5f696d672e62010000000100000000000000000000000a00000070726f6a5f7478742e77020000000100"
+    "00000000000001000000000000002a6669bf0a00000070726f6a5f7478742e6201000000010000000000000000000000"
+    "08000000616c69676e302e7702000000010000000000000001000000000000002c96853f08000000616c69676e302e62"
+    "010000000100000000000000000000000f000000616c69676e302e6c6e5f7363616c6501000000010000000000000000"
+    "00803f0f000000616c69676e302e6c6e5f73686966740100000001000000000000000000000008000000616c69676e31"
+    "2e77020000000100000000000000010000000000000067b9913e08000000616c69676e312e6201000000010000000000"
+    "0000000000000f000000616c69676e312e6c6e5f7363616c650100000001000000000000000000803f0f000000616c69"
+    "676e312e6c6e5f7368696674010000000100000000000000000000000700000073636f72652e77020000000100000000"
+    "000000010000000000000024f7b3bf0700000073636f72652e620000000000000000"
+)
+
+
+def test_golden_checkpoint_loads_and_saves_back_byte_identical(tmp_path):
+    path, again = tmp_path / "golden.gvck", tmp_path / "again.gvck"
+    path.write_bytes(GOLDEN_GVCK)
+    params = load_params(path)
+    assert params.config == GOLDEN_CONFIG
+    assert params.digest() == init_params(GOLDEN_CONFIG).digest()
+    save_params(again, params)
+    assert again.read_bytes() == GOLDEN_GVCK
+    save_params(again, init_params(GOLDEN_CONFIG))
+    assert again.read_bytes() == GOLDEN_GVCK
+
+
+@pytest.mark.parametrize("key, value", [
+    ("aligner_layers", 3), ("ln_epsilon", 1e-6), ("shared_projections", False), ("shared_projections", 1),
+    ("aligner_layers", None), ("ln_epsilon", None), ("shared_projections", None),
+])
+def test_a_checkpoint_config_off_the_fixed_shape_is_refused_naming_file_and_key(tmp_path, key, value):
+    """The golden checkpoint with one fixed key set to another value, or removed (None)."""
+    (cfg_len,) = struct.unpack_from("<I", GOLDEN_GVCK, 8)
+    config = json.loads(GOLDEN_GVCK[12 : 12 + cfg_len])
+    if value is None:
+        del config[key]
+    else:
+        config[key] = value
+    block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "edited.gvck"
+    path.write_bytes(GOLDEN_GVCK[:8] + struct.pack("<I", len(block)) + block + GOLDEN_GVCK[12 + cfg_len :])
+    with pytest.raises(FormatError, match=key) as exc:
+        load_params(path)
+    assert str(path) in str(exc.value)
 
 
 def test_loaded_params_are_read_only_and_their_copies_writable(tmp_path):
@@ -603,7 +637,7 @@ def test_checkpoint_preserves_extra_optimizer_tensors(tmp_path):
 
 
 def test_params_tensors_are_views_of_one_flat_vector():
-    params = init_params(tiny_config(aligner_layers=2))
+    params = init_params(tiny_config())
     assert params.flat.size == sum(t.size for t in params.tensors.values())
     for name, t in params.tensors.items():
         assert t.base is params.flat, name
@@ -642,7 +676,7 @@ def test_corrupted_file_raises_only_format_error(kind, data):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"file.{kind}"
         if kind == "gvck":
-            save_params(path, init_params(tiny_config(aligner_layers=2, aligner_hidden=3)))
+            save_params(path, init_params(tiny_config(aligner_hidden=3)))
             load = load_params
         elif kind == "coords":
             refs = [make_ref(f"r{i}", [1.0, float(i)], coord=GeoCoord(10.0 * i, -20.0 * i)) for i in range(3)]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georank import trainer
@@ -148,14 +148,6 @@ def test_gradients_match_finite_differences_logits_mode():
     assert run_gradcheck(4, loss_on="logits") <= 1e-4
 
 
-def test_gradients_match_finite_differences_separate_projections():
-    sample, _, store = make_gradcheck_fixture(5)
-    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2,
-                         aligner_hidden=6, shared_projections=False, init_seed=6)
-    errors = gradient_check([sample], init_params(cfg), store, margin=1.0)
-    assert max(errors.values()) <= 1e-4
-
-
 def test_gradient_shapes_match_parameters():
     sample, params, store = make_gradcheck_fixture(7)
     _, grads = batch_gradients([sample], params, store, TrainConfig(margin=1.0))
@@ -164,14 +156,13 @@ def test_gradient_shapes_match_parameters():
         assert grads[name].shape == params.tensors[name].shape
 
 
-def _mixed_fixture(seed, shared=True, n_refs=8, n_queries=4):
+def _mixed_fixture(seed, n_refs=8, n_queries=4):
     """Queries q0.. and references c0.. with random embeddings and a small scorer."""
     rng = np.random.default_rng(seed)
     refs = [make_ref(f"c{i}", rng.standard_normal(7), text=rng.standard_normal(5)) for i in range(n_refs)]
     queries = [make_query(f"q{j}", rng.standard_normal(7), ["c0"], text=rng.standard_normal(5))
                for j in range(n_queries)]
-    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_layers=2, aligner_hidden=6,
-                         shared_projections=shared, init_seed=seed + 1)
+    cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_hidden=6, init_seed=seed + 1)
     return build_store(refs, queries, image_dim=7, text_dim=5), init_params(cfg)
 
 
@@ -183,10 +174,9 @@ MIXED_BATCH = [
 ]
 
 
-@pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("loss_on", ["scores", "logits"])
-def test_batch_gradients_match_finite_differences(shared, loss_on):
-    store, params = _mixed_fixture(21, shared)
+def test_batch_gradients_match_finite_differences(loss_on):
+    store, params = _mixed_fixture(21)
     for name, err in gradient_check(MIXED_BATCH, params, store, margin=1.0, loss_on=loss_on).items():
         assert err <= 1e-4, f"{name}: max relative error {err:.2e}"
 
@@ -216,8 +206,14 @@ def mixed_batches(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_batches(), st.integers(0, 2**16), st.sampled_from(["scores", "logits"]))
+@example(batch=[TrainingSample("q2", ("c3", "c5", "c4"), 1)] * 2, seed=1479, loss_on="logits")
 def test_batch_gradients_equal_mean_of_sample_gradients_property(batch, seed, loss_on):
+    """In float64. In float32 the batch's sums and the per-sample sums round
+    apart by about an ulp of the largest terms, which exceeds ``atol`` on an
+    element those terms cancel to (the example: 1.7e-6 off on -0.0019, in a
+    gradient whose largest element is 8.5)."""
     store, params = _mixed_fixture(seed)
+    params = params.astype(np.float64)
     loss, grads = batch_gradients(batch, params, store, TrainConfig(loss_on=loss_on))
     per_sample = [batch_gradients([s], params, store, TrainConfig(loss_on=loss_on)) for s in batch]
     assert loss == pytest.approx(np.mean([l for l, _ in per_sample]), rel=1e-6, abs=1e-9)
@@ -247,7 +243,7 @@ def test_candidate_recall_equals_rerank_per_sample(monkeypatch, per_pass):
 # ---------------------------------------------------------------------------
 
 def _scalar_params(theta: float):
-    cfg = RerankerConfig(image_dim=1, text_dim=1, latent_dim=1, aligner_layers=1, aligner_hidden=1)
+    cfg = RerankerConfig(image_dim=1, text_dim=1, latent_dim=1, aligner_hidden=1)
     params = init_params(cfg).astype(np.float64)
     for t in params.tensors.values():
         t[...] = theta
@@ -276,7 +272,7 @@ def test_optimizer_shape_mismatch():
     another tensor order, or a plain mapping, even of the right arrays."""
     params = _scalar_params(0.0)
     shapes = expected_shapes(params.config)
-    wider = RerankerConfig(image_dim=3, text_dim=1, latent_dim=1, aligner_layers=1, aligner_hidden=1)
+    wider = RerankerConfig(image_dim=3, text_dim=1, latent_dim=1, aligner_hidden=1)
     wider_shapes = expected_shapes(wider)
     for grads in (TensorViews(np.zeros(sum(np.prod(s, dtype=int) for s in wider_shapes.values())), wider_shapes),
                   TensorViews(np.zeros_like(params.flat), dict(reversed(shapes.items()))),
@@ -302,7 +298,7 @@ def _per_tensor_step(tensors, grads, state, config):
 
 
 def test_flat_optimizer_bit_exact_against_per_tensor_loop():
-    cfg = RerankerConfig(image_dim=5, text_dim=4, latent_dim=6, aligner_layers=2, aligner_hidden=3, init_seed=2)
+    cfg = RerankerConfig(image_dim=5, text_dim=4, latent_dim=6, aligner_hidden=3, init_seed=2)
     params = init_params(cfg)
     config = TrainConfig(lr=3e-3)
     state = init_optimizer_state(params)
@@ -425,7 +421,7 @@ def _train_fixture(n_locations=40):
     rankings = rank_store_queries(store, 10)
     queries = [store.query(qid) for qid in store.query_ids]
     samples, _ = build_training_samples(queries, rankings)
-    rr = RerankerConfig(image_dim=8, text_dim=8, latent_dim=8, aligner_layers=2, aligner_hidden=8, init_seed=0)
+    rr = RerankerConfig(image_dim=8, text_dim=8, latent_dim=8, aligner_hidden=8, init_seed=0)
     return samples, store, rr
 
 
@@ -516,8 +512,7 @@ def test_loss_and_gradients_missing_text_names_id():
     ]
     query = make_query("q0", rng.standard_normal(3), ["c0"], text=rng.standard_normal(2))
     store = build_store(refs, [query], image_dim=3, text_dim=2)
-    params = init_params(RerankerConfig(image_dim=3, text_dim=2, latent_dim=4,
-                                        aligner_layers=1, aligner_hidden=4))
+    params = init_params(RerankerConfig(image_dim=3, text_dim=2, latent_dim=4, aligner_hidden=4))
     with pytest.raises(ValueError, match="c1_no_text"):
         batch_gradients([TrainingSample("q0", ("c0", "c1_no_text"), 0)], params, store, TrainConfig())
 
