@@ -262,7 +262,7 @@ def cmd_embed(args) -> int:
 def cmd_build_samples(args) -> int:
     store_dir = _require(_settings(args), "store")
     store = Store.load(store_dir)
-    rankings = retriever.load_rankings(args.rankings)
+    rankings = retriever.load_rankings(args.rankings, store)
     semipositives = None
     if args.exclude_semipositives:
         groups_path = args.groups or Path(store_dir) / geostore.GROUPS_FILE
@@ -297,10 +297,10 @@ def cmd_train(args) -> int:
 def cmd_rerank(args) -> int:
     store = Store.load(_require(_settings(args), "store"))
     params = reranker.load_params(args.checkpoint)
-    rankings = retriever.load_rankings(args.rankings)
-    # reranker.rerank per ranking, as a server calls it: its cache aligns each reference row once for the
-    # whole file, so stacking queries would save only their one-row forwards
-    out = [reranker.rerank(store.query(r.query_id), r, params, store) for r in rankings]
+    rankings = retriever.load_rankings(args.rankings, store)
+    # one rerank_many for the file: the rows it names are aligned in full blocks, and its queries four to a
+    # block; the output equals reranker.rerank of each ranking alone, cold or warm, bit for bit
+    out = reranker.rerank_many([store.query(r.query_id) for r in rankings], rankings, params, store)
     retriever.save_rankings(out, args.out)
     print(f"reranked {len(out)} rankings -> {args.out}")
     return 0

@@ -366,12 +366,14 @@ def read_jsonl(path: str | Path):
             yield ln, rec
 
 
-def load_jsonl(path: str | Path, parse, what: str, key=None) -> list:
+def load_jsonl(path: str | Path, parse, what: str, key=None, unknown=None) -> list:
     """``parse(record)`` for each record of a JSONL file, in file order. A
     KeyError, TypeError or ValueError from ``parse`` raises IngestError naming
     the file and line, as a bad line does. Given ``key``, an item whose
     ``key(item)`` an earlier one had raises IngestError naming the file, the
-    line and that id."""
+    line and that id. Given ``unknown``, an item for which ``unknown(item)``
+    returns a (kind, id) pair, an id the caller cannot resolve, raises
+    IngestError naming the file, the line and that id."""
     out, seen = [], set()
     for ln, rec in read_jsonl(path):
         try:
@@ -385,6 +387,9 @@ def load_jsonl(path: str | Path, parse, what: str, key=None) -> list:
             if rid in seen:
                 raise IngestError(f"duplicate {what}", file=str(path), line=ln, record_id=rid)
             seen.add(rid)
+        missing = None if unknown is None else unknown(item)
+        if missing is not None:
+            raise IngestError(f"unknown {missing[0]} id", file=str(path), line=ln, record_id=missing[1])
         out.append(item)
     return out
 

@@ -7,9 +7,10 @@ Parameters are a name -> array mapping so the optimizer, gradient checker,
 and checkpoint format all see the same named tensors; the arrays are views of
 one contiguous vector, so the optimizer updates them all at once.
 
-``rerank`` keeps the aligned rows of the references it has scored, per store
-and per read-only params (``load_params``), and projects and aligns each
-reference row once in a zero-padded block of ``ROW_BLOCK`` rows.
+``rerank_many`` keeps the aligned rows of the references it has scored, per
+store and per read-only params (``load_params``), and projects and aligns each
+reference row once in a zero-padded block of ``ROW_BLOCK`` rows; queries are
+aligned apart from them, in zero-padded blocks of ``QUERY_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -36,11 +37,15 @@ CKPT_VERSION = 1
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
 _SCORE_CEIL = np.nextafter(1.0, 0.0)
 
-# Rows per block in which ``rerank`` projects and aligns references and aligns
-# its query. In float32 a row's result from a zero-padded block of this many
-# rows does not depend on its position, its neighbours or the padding, so a
-# cached row is the row any later block would compute.
+# Rows per block in which ``rerank_many`` projects and aligns references, and
+# rows per block in which it aligns queries; the two never share a block. In
+# float32 a row's result from a zero-padded block of either size does not
+# depend on its position, its neighbours or the padding, so a cached row is
+# the row any later block would compute, and a query's scores do not depend on
+# which queries share its block. A row of a 4-row block need not round like a
+# row of a 16-row block.
 ROW_BLOCK = 16
+QUERY_BLOCK = 4
 
 # The scorer's fixed shape: query and reference share the projections, and
 # the aligner is ALIGNER_LAYERS blocks (latent -> hidden -> latent) whose
@@ -403,11 +408,8 @@ def _gather_rows(store: Store, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _align_block(fused: np.ndarray, params: RerankerParams) -> np.ndarray:
-    """``align`` of at most ROW_BLOCK fused rows, run as one zero-padded block of ROW_BLOCK rows.
-    A query whose candidates are all cached is aligned so too: as one row it
-    would round differently from a row of a block, and its scores would depend
-    on what ran before it (``test_rerank_does_not_depend_on_the_order_rows_enter_the_cache``)."""
-    block = np.zeros((ROW_BLOCK, fused.shape[1]), params.dtype)
+    """``align`` of at most QUERY_BLOCK fused query rows, run as one zero-padded block of QUERY_BLOCK rows."""
+    block = np.zeros((QUERY_BLOCK, fused.shape[1]), params.dtype)
     block[: len(fused)] = fused
     return align(block, params)[: len(fused)]
 
@@ -424,30 +426,21 @@ class ReferenceRows:
         self.aligned = np.empty((min(ROW_BLOCK, len(store.ref_ids)), params.config.latent_dim), params.dtype)
         self.count = 0
 
-    def lookup(self, rows: np.ndarray, fused_q: np.ndarray, store: Store, params: RerankerParams):
-        """Aligned rows of store ``rows``, and the aligned row of the fused
-        query row ``fused_q`` (shape (1, latent)). Rows not yet computed are
-        projected and aligned ROW_BLOCK at a time in zero-padded blocks; the
-        query is aligned in the first free row of the last such block, or in a
-        block of its own when there is none, so a cold lookup runs no more
-        aligner blocks than it must."""
-        missing = np.unique(rows[self.slot[rows] < 0])
-        aligned_q = None
+    def fill(self, rows: np.ndarray, store: Store, params: RerankerParams) -> None:
+        """Compute the store ``rows`` not yet cached, ROW_BLOCK at a time in zero-padded blocks."""
+        missing = rows[self.slot[rows] < 0]
+        if missing.size:  # a warm call has none, and np.unique of nothing costs a few microseconds
+            missing = np.unique(missing)
         for lo in range(0, len(missing), ROW_BLOCK):
             block = missing[lo : lo + ROW_BLOCK]
             n = len(block)
             img, txt = (np.zeros((ROW_BLOCK, col.shape[1]), col.dtype) for col in (store.refs.image, store.refs.text))
             img[:n], txt[:n] = _gather_rows(store, block)
-            fused = project_fuse(img, txt, params)
-            if n < ROW_BLOCK:
-                fused[n] = fused_q[0]
-            aligned = align(fused, params)
-            self._append(block, aligned[:n])
-            if n < ROW_BLOCK:
-                aligned_q = aligned[n : n + 1]
-        if aligned_q is None:
-            aligned_q = _align_block(fused_q, params)
-        return self.aligned[self.slot[rows]], aligned_q
+            self._append(block, align(project_fuse(img, txt, params), params)[:n])
+
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Aligned rows of store ``rows``, all of which ``fill`` has computed."""
+        return self.aligned[self.slot[rows]]
 
     def _append(self, rows: np.ndarray, aligned: np.ndarray) -> None:
         end = self.count + len(rows)
@@ -462,7 +455,7 @@ class ReferenceRows:
 
 
 def reference_rows(store: Store, params: RerankerParams) -> ReferenceRows:
-    """The aligned-row cache ``rerank`` reads for ``store`` under ``params``.
+    """The aligned-row cache ``rerank_many`` reads for ``store`` under ``params``.
     Read-only params (as ``load_params`` returns them) keep one per store,
     held weakly; writable params may change between calls, so each call gets
     a new, empty one."""
@@ -479,20 +472,37 @@ def order_by_score(ids, scores) -> list[tuple[str, float]]:
     return [(ids[i], float(scores[i])) for i in order]
 
 
-def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
-    """Reorder the candidate list by pair score, ties by id; the id set never changes.
+def rerank_many(queries: list[QueryRecord], rankings: list[Ranking], params: RerankerParams,
+                store: Store) -> list[Ranking]:
+    """``rerank`` of each ranking with its query, the i-th of ``queries``.
 
-    The candidates' aligned rows come from ``reference_rows``. The query is
-    projected as one row and aligned in a zero-padded block of ROW_BLOCK
-    rows, with the candidates not yet cached if there are any, and the logits
-    are ``score_logits``'s bilinear tail."""
-    if query.text_emb is None:
-        raise ValueError(f"query '{query.id}' has no text embedding")
-    ids = ranking.ids()
-    fused_q = project_fuse(query.image_emb[None], query.text_emb[None], params)
-    aligned_c, aligned_q = reference_rows(store, params).lookup(store.ref_rows(ids), fused_q, store, params)
-    logits, _ = _bilinear(aligned_q, aligned_c, np.zeros(len(ids), np.intp), params)
-    return Ranking(query_id=query.id, entries=order_by_score(ids, _sigmoid(logits)), k=ranking.k, reranked=True)
+    Every ranking's candidates are resolved first, and the rows not yet in
+    ``reference_rows`` are computed for the whole set in full blocks. Each
+    query is projected as one row, and the queries are aligned QUERY_BLOCK to
+    a block; each ranking's logits are ``score_logits``'s bilinear tail with
+    its own query's aligned row. Queries are walked a block at a time, so
+    memory on their side stays fixed however many there are."""
+    for q in queries:
+        if q.text_emb is None:
+            raise ValueError(f"query '{q.id}' has no text embedding")
+    ids = [r.ids() for r in rankings]
+    rows = [store.ref_rows(i) for i in ids]
+    cache = reference_rows(store, params)
+    cache.fill(np.concatenate(rows) if rows else np.empty(0, np.intp), store, params)
+    out = []
+    for lo in range(0, len(rankings), QUERY_BLOCK):
+        fused_q = np.concatenate([project_fuse(q.image_emb[None], q.text_emb[None], params)
+                                  for q in queries[lo : lo + QUERY_BLOCK]])
+        for i, aligned_q in enumerate(_align_block(fused_q, params), start=lo):
+            logits, _ = _bilinear(aligned_q[None], cache.lookup(rows[i]), np.zeros(len(ids[i]), np.intp), params)
+            out.append(Ranking(query_id=queries[i].id, entries=order_by_score(ids[i], _sigmoid(logits)),
+                               k=rankings[i].k, reranked=True))
+    return out
+
+
+def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
+    """Reorder the candidate list by pair score, ties by id; the id set never changes."""
+    return rerank_many([query], [ranking], params, store)[0]
 
 
 # ---------------------------------------------------------------------------

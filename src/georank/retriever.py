@@ -187,7 +187,17 @@ def _ranking(rec: dict) -> Ranking:
     return Ranking(query_id=rec["query_id"], entries=entries, k=len(entries), reranked=bool(rec.get("reranked", False)))
 
 
-def load_rankings(path: str | Path) -> list[Ranking]:
+def _unknown_id(ranking: Ranking, store: Store) -> tuple[str, str] | None:
+    """("query", id) or ("reference", id) of the first id of ``ranking`` that ``store`` lacks, or None."""
+    if ranking.query_id not in store.queries.pos:
+        return "query", ranking.query_id
+    return next((("reference", rid) for rid, _ in ranking.entries if rid not in store.refs.pos), None)
+
+
+def load_rankings(path: str | Path, store: Store | None = None) -> list[Ranking]:
     """One ranking per line; a non-finite score, a candidate listed twice or
-    a query id seen before raises IngestError naming the file and line."""
-    return load_jsonl(path, _ranking, "ranking record", key=lambda r: r.query_id)
+    a query id seen before raises IngestError naming the file and line. Given
+    ``store``, a query id or candidate id the store lacks raises IngestError
+    naming the file, the line and the id."""
+    unknown = None if store is None else lambda r: _unknown_id(r, store)
+    return load_jsonl(path, _ranking, "ranking record", key=lambda r: r.query_id, unknown=unknown)

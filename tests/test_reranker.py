@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from georank.geostore import FormatError, GeoCoord, Store, read_embedding_matrix, write_embedding_matrix
 from georank import reranker, trainer
 from georank.reranker import (
+    QUERY_BLOCK,
     ROW_BLOCK,
     RerankerConfig,
     RerankerParams,
@@ -25,6 +26,7 @@ from georank.reranker import (
     load_params,
     project_fuse,
     rerank,
+    rerank_many,
     save_checkpoint,
     save_params,
     score_candidates,
@@ -438,15 +440,17 @@ def _block_params(image_dim, text_dim, latent):
 
 
 @settings(max_examples=60, deadline=None)
-@given(dims=st.sampled_from([(7, 5, 6), (64, 64, 64), (256, 256, 512), (1024, 1536, 512)]),
+@given(dims=st.sampled_from([(7, 5, 6), (64, 64, 64), (128, 128, 128), (256, 256, 512), (1024, 1536, 512)]),
        rows=st.integers(1, ROW_BLOCK), seed=st.integers(0, 2**32 - 1))
 def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
     """In float32, a row projected and aligned in a zero-padded block of
     ROW_BLOCK rows comes out the same bit for bit at any position, beside any
-    neighbours and any zero padding, and so does a fused row aligned in such a
-    block, among fused query rows or in the first free row of a reference
-    block. This is a property of the BLAS numpy links, not of georank; it was
-    verified on OpenBLAS 0.3.31 only."""
+    neighbours and any zero padding; and a fused query row aligned in a
+    zero-padded block of QUERY_BLOCK rows comes out the same at any position,
+    beside any other query rows. At 128 wide a row of a 4-row block rounds
+    differently from a row of a 16-row block, which is why queries and
+    references never share a block. This is a property of the BLAS numpy
+    links, not of georank; it was verified on OpenBLAS 0.3.31 only."""
     params = _block_params(*dims)
     rng = np.random.default_rng(seed)
     img, txt = (np.zeros((ROW_BLOCK, d), np.float32) for d in dims[:2])
@@ -457,13 +461,13 @@ def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
     block = align(project_fuse(img, txt, params), params)
     alone = align(project_fuse(alone_img, alone_txt, params), params)
     assert np.array_equal(block[at], alone[alone_at])
-    fused = project_fuse(img[:rows], txt[:rows], params)
-    in_block = reranker._align_block(fused, params)[at]
-    assert np.array_equal(in_block, reranker._align_block(fused[at : at + 1], params)[0])
-    if rows < ROW_BLOCK:  # a query row riding in the first free row of a reference block
-        refs = project_fuse(img, txt, params)
-        refs[rows] = fused[at]
-        assert np.array_equal(align(refs, params)[rows], in_block)
+    queries = project_fuse(img[: min(rows, QUERY_BLOCK)], txt[: min(rows, QUERY_BLOCK)], params)
+    at, alone_at = rng.integers(len(queries)), rng.integers(QUERY_BLOCK)
+    alone = np.zeros((QUERY_BLOCK, queries.shape[1]), np.float32)
+    alone[alone_at] = queries[at]
+    in_block = reranker._align_block(queries, params)[at]
+    assert np.array_equal(in_block, align(alone, params)[alone_at])
+    assert np.array_equal(in_block, reranker._align_block(queries[at : at + 1], params)[0])
 
 
 def _saved_store_and_checkpoint(tmp_path, image_dim, text_dim, latent, n_refs=300, n_queries=40):
@@ -498,7 +502,8 @@ def test_rerank_does_not_depend_on_the_order_rows_enter_the_cache(tmp_path, dims
 
 
 def test_a_warm_pass_aligns_only_its_queries_and_the_cache_holds_the_rows_touched(tmp_path, monkeypatch):
-    store, params = _saved_store_and_checkpoint(tmp_path, 8, 6, 5, n_refs=200, n_queries=12)()
+    fresh = _saved_store_and_checkpoint(tmp_path, 8, 6, 5, n_refs=200, n_queries=12)
+    store, params = fresh()
     rankings = [top_k(store.query(q).image_emb, store, 20, query_id=q) for q in store.query_ids]
     blocks = []
     real_align = reranker.align
@@ -520,13 +525,19 @@ def test_a_warm_pass_aligns_only_its_queries_and_the_cache_holds_the_rows_touche
     for r in rankings:
         new_rows.append(len(set(r.ids()) - seen))
         seen |= set(r.ids())
-    # the query rides in the last reference block when it has a free row
-    assert cold == sum(-(-(m + 1) // ROW_BLOCK) for m in new_rows) < len(rankings) + len(touched) / ROW_BLOCK
+    # a lone cold call: its m new rows in ceil(m/16) 16-row blocks, then its query in a 4-row block of its own
+    assert blocks == [b for m in new_rows for b in [ROW_BLOCK] * -(-m // ROW_BLOCK) + [QUERY_BLOCK]]
 
     second = [rerank(store.query(r.query_id), r, params, store).entries for r in rankings]
-    assert len(blocks) - cold == len(rankings)  # one query block each, no reference block
+    assert blocks[cold:] == [QUERY_BLOCK] * len(rankings)  # one query block each, no reference block
     assert second == first
-    assert set(blocks) == {ROW_BLOCK}
+
+    store, params = fresh()
+    del blocks[:]
+    many = rerank_many([store.query(r.query_id) for r in rankings], rankings, params, store)
+    # the file: every distinct row in full 16-row blocks first, then the queries four to a block
+    assert blocks == [ROW_BLOCK] * -(-len(touched) // ROW_BLOCK) + [QUERY_BLOCK] * -(-len(rankings) // QUERY_BLOCK)
+    assert [r.entries for r in many] == first
 
 
 def test_rerank_with_writable_params_reuses_no_row_after_an_in_place_change():
