@@ -278,7 +278,7 @@ def cmd_build_samples(args) -> int:
 def cmd_train(args) -> int:
     settings = _settings(args)
     store = Store.load(_require(settings, "store"))
-    samples = trainer.load_samples(args.samples)
+    samples = trainer.load_samples(args.samples, store)
     rr_config = _build(RerankerConfig, settings, image_dim=store.manifest.image_dim, text_dim=store.manifest.text_dim)
     tr_config = _build(TrainConfig, settings)
     out = Path(args.out)
@@ -300,7 +300,7 @@ def cmd_rerank(args) -> int:
     rankings = retriever.load_rankings(args.rankings, store)
     # one rerank_many for the file: the rows it names are aligned in full blocks, and its queries four to a
     # block; the output equals reranker.rerank of each ranking alone, cold or warm, bit for bit
-    out = reranker.rerank_many([store.query(r.query_id) for r in rankings], rankings, params, store)
+    out = reranker.rerank_many(rankings, params, store)
     retriever.save_rankings(out, args.out)
     print(f"reranked {len(out)} rankings -> {args.out}")
     return 0
@@ -309,7 +309,7 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     settings = _settings(args)
     store = Store.load(_require(settings, "store"))
-    rankings = retriever.load_rankings(args.rankings)
+    rankings = retriever.load_rankings(args.rankings, store)
     coords = _store_coords(store)
     report = evaluator.evaluate_rankings(rankings, store.ground_truth, _build(evaluator.EvalConfig, settings), coords)
     evaluator.write_report(args.out, *report.parts())
@@ -320,8 +320,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     settings = _settings(args)
     store = Store.load(_require(settings, "store"))
-    baseline = retriever.load_rankings(args.baseline)
-    reranked = retriever.load_rankings(args.reranked)
+    baseline = retriever.load_rankings(args.baseline, store)
+    reranked = retriever.load_rankings(args.reranked, store)
     report = evaluator.compare_rankings(baseline, reranked, store.ground_truth, _build(evaluator.EvalConfig, settings),
                                         _store_coords(store))
     evaluator.write_report(args.out, *report.parts())

@@ -538,6 +538,12 @@ class Store:
         """Row positions of ``query_ids`` in ``query_image``."""
         return _rows(self.queries.pos, query_ids, "query")
 
+    def unknown_id(self, query_id: str, ref_ids) -> tuple[str, str] | None:
+        """("query", id) or ("reference", id) of the first of ``query_id`` and ``ref_ids`` this store lacks, or None."""
+        if query_id not in self.queries.pos:
+            return "query", query_id
+        return next((("reference", rid) for rid in ref_ids if rid not in self.refs.pos), None)
+
     def ref_text_emb(self, ref_id: str) -> np.ndarray | None:
         return self.refs.text_of(ref_id)
 

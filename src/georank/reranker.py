@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geostore import FormatError, Store, QueryRecord, atomic_write
+from .geostore import Columns, FormatError, QueryRecord, Store, atomic_write
 from .retriever import Ranking
 
 CKPT_MAGIC = b"GVCK"
@@ -246,18 +246,15 @@ def row_mean(z: np.ndarray) -> np.ndarray:
 
 
 def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerParams) -> np.ndarray:
-    """Element-wise sum of the projected image and text embeddings; query and
-    reference share the projections."""
+    """Element-wise sum of the projected (rows, image_dim) image and (rows,
+    text_dim) text embeddings; query and reference share the projections."""
     wi, bi, wt, bt = (params.tensors[n] for n in ("proj_img.w", "proj_img.b", "proj_txt.w", "proj_txt.b"))
-    dt = params.dtype
-    img = np.atleast_2d(np.asarray(image_emb, dtype=dt))
-    txt = np.atleast_2d(np.asarray(text_emb, dtype=dt))
+    img, txt = np.asarray(image_emb, dtype=params.dtype), np.asarray(text_emb, dtype=params.dtype)
     if img.shape[1] != wi.shape[1]:
         raise ValueError(f"image dim {img.shape[1]} does not match projection {wi.shape[1]}")
     if txt.shape[1] != wt.shape[1]:
         raise ValueError(f"text dim {txt.shape[1]} does not match projection {wt.shape[1]}")
-    fused = (_linear(img, wi) + bi) + (_linear(txt, wt) + bt)
-    return fused if np.ndim(image_emb) == 2 else fused[0]
+    return (_linear(img, wi) + bi) + (_linear(txt, wt) + bt)
 
 
 def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -273,13 +270,12 @@ def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray,
 
 
 def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) -> np.ndarray:
-    """Linear -> LayerNorm -> ReLU blocks applied to fused vectors.
+    """Linear -> LayerNorm -> ReLU blocks applied to (rows, latent_dim) fused rows.
 
     Given a ``cache`` list, each block appends its (input, normalised,
     1/std, pre-ReLU output) rows, which ``logit_gradients`` reads.
     """
-    dt = params.dtype
-    x = np.atleast_2d(np.asarray(fused, dtype=dt))
+    x = np.asarray(fused, dtype=params.dtype)
     if x.shape[1] != params.config.latent_dim:
         raise ValueError(f"fused dim {x.shape[1]} does not match latent_dim {params.config.latent_dim}")
     for w, b, scale, shift in aligner_blocks(params):
@@ -293,7 +289,7 @@ def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) 
         if cache is not None:
             cache.append((x, xhat, inv, y))
         x = np.maximum(y, 0)
-    return x if np.ndim(fused) == 2 else x[0]
+    return x
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -312,30 +308,26 @@ def score_logits(
     cand_img: np.ndarray,
     cand_txt: np.ndarray,
     params: RerankerParams,
-    counts=None,
+    counts,
     cache: dict | None = None,
 ) -> np.ndarray:
     """Pre-sigmoid pair logits of B queries against one stack of their candidates.
 
-    Queries are (B, dim) rows, or a single 1-D query. Candidates are one
-    (sum(counts), dim) stack: the first ``counts[0]`` rows belong to query 0,
-    the next ``counts[1]`` to query 1, and so on. ``counts`` defaults to every
-    row belonging to a single query. Each candidate's logit is its aligned row
-    dotted with its own query's row of ``u = aligned_q @ score.w.T``, plus
-    ``score.b``.
+    Queries are (B, dim) rows. Candidates are one (sum(counts), dim) stack:
+    the first ``counts[0]`` rows belong to query 0, the next ``counts[1]`` to
+    query 1, and so on. Each candidate's logit is its aligned row dotted with
+    its own query's row of ``u = aligned_q @ score.w.T``, plus ``score.b``.
 
     Both sides share the aligner, so the query rows and then the candidate
     rows go through it in one pass. Given a ``cache`` dict, everything
     ``logit_gradients`` reads is stored in it, among which ``segment`` (each
     candidate row's query index) and ``starts`` (each query's first row).
     """
-    query_img, query_txt = np.atleast_2d(query_img), np.atleast_2d(query_txt)
     cache_align = None if cache is None else cache.setdefault("cache_align", [])
     fused_q = project_fuse(query_img, query_txt, params)
     fused_c = project_fuse(cand_img, cand_txt, params)
     aligned = align(np.concatenate([fused_q, fused_c]), params, cache_align)
     aligned_q, aligned_c = aligned[: len(fused_q)], aligned[len(fused_q) :]
-    counts = [len(aligned_c)] if counts is None else counts
     segment = np.repeat(np.arange(len(aligned_q)), counts)
     if len(segment) != len(aligned_c):
         raise ValueError(f"candidate counts cover {len(segment)} rows, but {len(aligned_c)} candidates were given")
@@ -391,20 +383,16 @@ def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) ->
     return grads
 
 
-def score_candidates(query_img, query_txt, cand_img, cand_txt, params: RerankerParams) -> np.ndarray:
-    return _sigmoid(score_logits(query_img, query_txt, cand_img, cand_txt, params))
-
-
-def gather_candidates(store: Store, ids) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (m, image_dim) image and (m, text_dim) text embeddings of reference ``ids``."""
-    return _gather_rows(store, store.ref_rows(ids))
-
-
-def _gather_rows(store: Store, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    missing = np.flatnonzero(~store.refs.has_text[rows])
-    if missing.size:
-        raise ValueError(f"candidate '{store.ref_ids[rows[missing[0]]]}' has no text embedding")
-    return store.refs.image[rows], store.refs.text[rows]
+def scorer_inputs(side: Columns, rows, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The image and text rows ``rows`` of ``side``, ``store.queries`` or
+    ``store.refs``: gathered copies for an index array, views for a slice.
+    A row without a text embedding raises ValueError naming the ``kind``
+    ("query" or "candidate") and id of the first."""
+    lacking = ~side.has_text[rows]
+    if lacking.any():
+        first = np.arange(len(side.ids))[rows][lacking][0]  # the store row, for an index array or a slice
+        raise ValueError(f"{kind} '{side.ids[first]}' has no text embedding")
+    return side.image[rows], side.text[rows]
 
 
 def _align_block(fused: np.ndarray, params: RerankerParams) -> np.ndarray:
@@ -435,7 +423,7 @@ class ReferenceRows:
             block = missing[lo : lo + ROW_BLOCK]
             n = len(block)
             img, txt = (np.zeros((ROW_BLOCK, col.shape[1]), col.dtype) for col in (store.refs.image, store.refs.text))
-            img[:n], txt[:n] = _gather_rows(store, block)
+            img[:n], txt[:n] = scorer_inputs(store.refs, block, "candidate")
             self._append(block, align(project_fuse(img, txt, params), params)[:n])
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
@@ -472,37 +460,39 @@ def order_by_score(ids, scores) -> list[tuple[str, float]]:
     return [(ids[i], float(scores[i])) for i in order]
 
 
-def rerank_many(queries: list[QueryRecord], rankings: list[Ranking], params: RerankerParams,
-                store: Store) -> list[Ranking]:
-    """``rerank`` of each ranking with its query, the i-th of ``queries``.
+def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -> list[Ranking]:
+    """``rerank`` of each ranking with its query, the store row its ``query_id`` names.
 
     Every ranking's candidates are resolved first, and the rows not yet in
     ``reference_rows`` are computed for the whole set in full blocks. Each
-    query is projected as one row, and the queries are aligned QUERY_BLOCK to
-    a block; each ranking's logits are ``score_logits``'s bilinear tail with
-    its own query's aligned row. Queries are walked a block at a time, so
-    memory on their side stays fixed however many there are."""
-    for q in queries:
-        if q.text_emb is None:
-            raise ValueError(f"query '{q.id}' has no text embedding")
+    query is projected as one row, from a view of its store row, and the
+    queries are aligned QUERY_BLOCK to a block; each ranking's logits are
+    ``score_logits``'s bilinear tail with its own query's aligned row. Queries
+    are walked a block at a time, so memory on their side stays fixed however
+    many there are."""
+    q_rows = store.query_rows([r.query_id for r in rankings])
     ids = [r.ids() for r in rankings]
     rows = [store.ref_rows(i) for i in ids]
     cache = reference_rows(store, params)
     cache.fill(np.concatenate(rows) if rows else np.empty(0, np.intp), store, params)
     out = []
     for lo in range(0, len(rankings), QUERY_BLOCK):
-        fused_q = np.concatenate([project_fuse(q.image_emb[None], q.text_emb[None], params)
-                                  for q in queries[lo : lo + QUERY_BLOCK]])
+        fused_q = np.concatenate([project_fuse(*scorer_inputs(store.queries, slice(r, r + 1), "query"), params)
+                                  for r in q_rows[lo : lo + QUERY_BLOCK]])
         for i, aligned_q in enumerate(_align_block(fused_q, params), start=lo):
             logits, _ = _bilinear(aligned_q[None], cache.lookup(rows[i]), np.zeros(len(ids[i]), np.intp), params)
-            out.append(Ranking(query_id=queries[i].id, entries=order_by_score(ids[i], _sigmoid(logits)),
+            out.append(Ranking(query_id=rankings[i].query_id, entries=order_by_score(ids[i], _sigmoid(logits)),
                                k=rankings[i].k, reranked=True))
     return out
 
 
 def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
-    """Reorder the candidate list by pair score, ties by id; the id set never changes."""
-    return rerank_many([query], [ranking], params, store)[0]
+    """Reorder the candidate list by pair score, ties by id; the id set never
+    changes. ``query`` must be the query ``ranking`` is for; it is scored
+    from its store row."""
+    if query.id != ranking.query_id:
+        raise ValueError(f"query '{query.id}' is not the query of the ranking, '{ranking.query_id}'")
+    return rerank_many([ranking], params, store)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ selection.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,25 +180,22 @@ def save_rankings(rankings: list[Ranking], path: str | Path) -> None:
 def _ranking(rec: dict) -> Ranking:
     if not isinstance(rec["query_id"], str):
         raise TypeError("'query_id' is not a string")
-    entries = [(str(rid), float(s)) for rid, s in rec["entries"]]
+    entries = [(rid, s) for rid, s in rec["entries"]]
     for rid, s in entries:
+        if not isinstance(rid, str) or type(s) not in (int, float):  # bool, an int subclass, is no score
+            raise TypeError(f"entry {json.dumps([rid, s])} is not a [string id, number] pair")
         if not math.isfinite(s):
             raise ValueError(f"candidate '{rid}' has score {s}")
     refuse_repeats((rid for rid, _ in entries), "candidate")
-    return Ranking(query_id=rec["query_id"], entries=entries, k=len(entries), reranked=bool(rec.get("reranked", False)))
-
-
-def _unknown_id(ranking: Ranking, store: Store) -> tuple[str, str] | None:
-    """("query", id) or ("reference", id) of the first id of ``ranking`` that ``store`` lacks, or None."""
-    if ranking.query_id not in store.queries.pos:
-        return "query", ranking.query_id
-    return next((("reference", rid) for rid, _ in ranking.entries if rid not in store.refs.pos), None)
+    return Ranking(query_id=rec["query_id"], entries=[(rid, float(s)) for rid, s in entries], k=len(entries),
+                   reranked=bool(rec.get("reranked", False)))
 
 
 def load_rankings(path: str | Path, store: Store | None = None) -> list[Ranking]:
-    """One ranking per line; a non-finite score, a candidate listed twice or
-    a query id seen before raises IngestError naming the file and line. Given
-    ``store``, a query id or candidate id the store lacks raises IngestError
-    naming the file, the line and the id."""
-    unknown = None if store is None else lambda r: _unknown_id(r, store)
+    """One ranking per line; an id that is not a string, a score that is not
+    a finite JSON number, a candidate listed twice or a query id seen before
+    raises IngestError naming the file and line. Given ``store``, a query id
+    or candidate id the store lacks raises IngestError naming the file, the
+    line and the id."""
+    unknown = None if store is None else lambda r: store.unknown_id(r.query_id, r.ids())
     return load_jsonl(path, _ranking, "ranking record", key=lambda r: r.query_id, unknown=unknown)

@@ -26,12 +26,12 @@ from .reranker import (
     TensorViews,
     _sigmoid,
     expected_shapes,
-    gather_candidates,
     init_params,
     logit_gradients,
     order_by_score,
     save_params,
     score_logits,
+    scorer_inputs,
 )
 
 # validation samples scored per forward pass, which bounds its gathered copies
@@ -105,14 +105,10 @@ def _stacked_logits(samples: list[TrainingSample], params: RerankerParams, store
     """Logits of every sample's candidates, stacked in sample order, from one
     ``score_logits`` pass, which fills ``cache``; returns them with the
     per-sample candidate counts."""
-    q_rows = store.query_rows([s.query_id for s in samples])
-    missing = np.flatnonzero(~store.queries.has_text[q_rows])
-    if missing.size:
-        raise ValueError(f"query '{samples[missing[0]].query_id}' has no text embedding")
-    c_img, c_txt = gather_candidates(store, [rid for s in samples for rid in s.candidate_ids])
+    q_img, q_txt = scorer_inputs(store.queries, store.query_rows([s.query_id for s in samples]), "query")
+    c_img, c_txt = scorer_inputs(store.refs, store.ref_rows([r for s in samples for r in s.candidate_ids]), "candidate")
     counts = np.array([len(s.candidate_ids) for s in samples])
-    return score_logits(store.queries.image[q_rows], store.queries.text[q_rows], c_img, c_txt, params, counts,
-                        cache), counts
+    return score_logits(q_img, q_txt, c_img, c_txt, params, counts, cache), counts
 
 
 def _forward(batch: list[TrainingSample], params: RerankerParams, store: Store, margin: float, loss_on: str):
@@ -259,11 +255,19 @@ def save_samples(samples: list[TrainingSample], path: str | Path) -> None:
 
 
 def _sample(rec: dict) -> TrainingSample:
-    return TrainingSample(rec["query_id"], tuple(rec["candidates"]), int(rec["positive_index"]))
+    query_id, candidates, positive = rec["query_id"], rec["candidates"], rec["positive_index"]
+    if not isinstance(candidates, list) or not all(isinstance(i, str) for i in (query_id, *candidates)):
+        raise TypeError("a sample needs a string 'query_id' and a 'candidates' list of string ids")
+    if type(positive) is not int:  # bool, an int subclass, is no index
+        raise TypeError(f"'positive_index' {json.dumps(positive)} is not an integer")
+    return TrainingSample(query_id, tuple(candidates), positive)
 
 
-def load_samples(path: str | Path) -> list[TrainingSample]:
-    return load_jsonl(path, _sample, "sample")
+def load_samples(path: str | Path, store: Store | None = None) -> list[TrainingSample]:
+    """One sample per line; a malformed one raises IngestError naming the file and line. Given ``store``,
+    so does a query id or candidate id the store lacks, naming the id too."""
+    unknown = None if store is None else lambda s: store.unknown_id(s.query_id, s.candidate_ids)
+    return load_jsonl(path, _sample, "sample", unknown=unknown)
 
 
 # ---------------------------------------------------------------------------

@@ -637,28 +637,57 @@ def test_rerank_command_equals_per_query_rerank(tmp_path, latent, k):
         assert got == [(r.query_id, r.entries) for r in want]
 
 
-@pytest.mark.parametrize("command", ["build-samples", "rerank"])
+def _with_unknown_id(good: Path, bad: Path, kind: str, bad_id: str) -> None:
+    """``good``, a rankings or samples file, written to ``bad`` with line 3's
+    second candidate (kind "reference") or its query id renamed ``bad_id``."""
+    lines = good.read_text().splitlines()
+    rec = json.loads(lines[2])
+    if kind == "query":
+        rec["query_id"] = bad_id
+    elif "entries" in rec:
+        rec["entries"][1][0] = bad_id
+    else:
+        rec["candidates"][1] = bad_id
+    bad.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("build-samples", "--rankings", "{bad}"),
+    ("rerank", "--rankings", "{bad}", "--checkpoint", "{ckpt}"),
+    ("eval", "--rankings", "{bad}"),
+    ("compare", "--baseline", "{bad}", "--reranked", "{good}"),
+    ("compare", "--baseline", "{good}", "--reranked", "{bad}"),
+], ids=["build-samples", "rerank", "eval", "compare-baseline", "compare-reranked"])
 @pytest.mark.parametrize("kind,bad_id", [("reference", "nosuchref"), ("query", "nosuchquery")])
-def test_rankings_naming_an_id_the_store_lacks_exit_1_writing_nothing(tmp_path, mini_store, capsys, command, kind,
+def test_rankings_naming_an_id_the_store_lacks_exit_1_writing_nothing(tmp_path, mini_store, capsys, argv, kind,
                                                                      bad_id):
     good, bad = tmp_path / "rankings.jsonl", tmp_path / "bad.jsonl"
     assert main(["retrieve", "--store", str(mini_store), "--k", "4", "--out", str(good)]) == 0
-    lines = good.read_text().splitlines()
-    rec = json.loads(lines[2])
-    if kind == "reference":
-        rec["entries"][1][0] = bad_id
-    else:
-        rec["query_id"] = bad_id
-    bad.write_text("\n".join(lines[:2] + [json.dumps(rec)] + lines[3:]) + "\n")
+    _with_unknown_id(good, bad, kind, bad_id)
     ckpt = tmp_path / "init.gvck"
     reranker.save_params(ckpt, reranker.init_params(RerankerConfig(image_dim=8, text_dim=8, latent_dim=4,
                                                                    aligner_hidden=4)))
-    out = tmp_path / "out.jsonl"
-    inputs = ["--checkpoint", str(ckpt)] if command == "rerank" else []
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert main([command, "--store", str(mini_store), "--rankings", str(bad), *inputs, "--out", str(out)]) == 1
+    argv = [a.format(bad=bad, good=good, ckpt=ckpt) for a in argv]
+    assert main([argv[0], "--store", str(mini_store), *argv[1:], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"{bad}, line 3, id '{bad_id}': unknown {kind} id" in err
+    assert not out.exists()  # for eval and compare, the report directory and every report.* in it
+
+
+@pytest.mark.parametrize("kind,bad_id", [("reference", "nosuchref"), ("query", "nosuchquery")])
+def test_samples_naming_an_id_the_store_lacks_exit_1_before_train_creates_its_out(tmp_path, mini_store, capsys,
+                                                                                  kind, bad_id):
+    rankings, good, bad = tmp_path / "rankings.jsonl", tmp_path / "samples.jsonl", tmp_path / "bad.jsonl"
+    assert main(["retrieve", "--store", str(mini_store), "--k", "4", "--out", str(rankings)]) == 0
+    assert main(["build-samples", "--store", str(mini_store), "--rankings", str(rankings), "--out", str(good)]) == 0
+    _with_unknown_id(good, bad, kind, bad_id)
+    out = tmp_path / "train"
+    capsys.readouterr()
+    assert main(["train", "--store", str(mini_store), "--samples", str(bad), "--out", str(out), "--epochs", "1",
+                 "--latent-dim", "4", "--aligner-hidden", "4"]) == 1
+    assert f"{bad}, line 3, id '{bad_id}': unknown {kind} id" in capsys.readouterr().err
     assert not out.exists()
 
 

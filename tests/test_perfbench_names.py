@@ -19,7 +19,7 @@ from georank import geostore
 from georank.cli import main
 from georank.evaluator import EvalConfig, compare_rankings
 from georank.geostore import Store, StoreManifest, ingest
-from georank.reranker import RerankerConfig, init_params, load_params, save_params, score_candidates
+from georank.reranker import RerankerConfig, _sigmoid, init_params, load_params, save_params, score_logits
 from georank.retriever import load_rankings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,9 +29,8 @@ CALLED = [
     "cli.main", "evaluator.EvalConfig", "evaluator.compare_rankings", "evaluator.threshold_recall",
     "geostore.Store", "geostore.StoreManifest", "geostore.ingest", "kernels.cosine_scores",
     "kernels.haversine_km", "kernels.top_indices", "reranker.load_params", "reranker.rerank",
-    "reranker.save_params", "reranker.score_candidates", "retriever.load_rankings",
-    "retriever.rank_store_queries", "retriever.top_k", "trainer.batch_gradients",
-    "trainer.optimizer_step", "trainer.save_params",
+    "reranker.save_params", "retriever.load_rankings", "retriever.rank_store_queries", "retriever.top_k",
+    "trainer.batch_gradients", "trainer.optimizer_step", "trainer.save_params",
 ]
 # the ingest keywords perfbench passes
 INGEST_KEYWORDS = ["ref_embeddings", "ref_text_embeddings", "ref_coords", "query_embeddings",
@@ -119,7 +118,7 @@ def test_the_benchmark_scorer_reads_a_saved_checkpoint(tmp_path):
     """perfbench's reference forward reads a checkpoint's tensors and its config
     block, ``aligner_layers``, ``ln_epsilon`` and ``shared_projections``
     included; on a checkpoint ``save_params`` wrote, its scores must be
-    ``score_candidates``'s within the tolerance the benchmark checks rerank by."""
+    the scorer's sigmoid scores within the tolerance the benchmark checks rerank by."""
     checks = _checks()
     params = init_params(RerankerConfig(image_dim=12, text_dim=10, latent_dim=8, aligner_hidden=16, init_seed=4))
     rng = np.random.default_rng(0)
@@ -131,6 +130,6 @@ def test_the_benchmark_scorer_reads_a_saved_checkpoint(tmp_path):
     q_img, q_txt = rng.standard_normal(12).astype(np.float32), rng.standard_normal(10).astype(np.float32)
     c_img, c_txt = rng.standard_normal((10, 12)).astype(np.float32), rng.standard_normal((10, 10)).astype(np.float32)
     want = checks.Scorer(path).scores(q_img, q_txt, c_img, c_txt)
-    got = score_candidates(q_img, q_txt, c_img, c_txt, load_params(path))
+    got = _sigmoid(score_logits(q_img[None], q_txt[None], c_img, c_txt, load_params(path), [len(c_img)]))
     assert np.ptp(want) > 100 * checks.RERANK_SCORE_ATOL  # scores that differ, not one saturated value
     assert np.max(np.abs(got - want)) <= checks.RERANK_SCORE_ATOL

@@ -20,7 +20,6 @@ from georank.reranker import (
     _sigmoid,
     align,
     expected_shapes,
-    gather_candidates,
     init_params,
     load_checkpoint,
     load_params,
@@ -29,8 +28,8 @@ from georank.reranker import (
     rerank_many,
     save_checkpoint,
     save_params,
-    score_candidates,
     score_logits,
+    scorer_inputs,
 )
 from georank.retriever import Ranking, top_k
 
@@ -106,35 +105,35 @@ def test_project_fuse_hand_case():
         tiny_config(),
         **{"proj_img.w": np.eye(2), "proj_txt.w": [[1, 0, 0], [0, 1, 0]]},
     )
-    fused = project_fuse(np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]), params)
-    assert fused == pytest.approx([4.0, 6.0], abs=1e-12)
+    fused = project_fuse(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0, 5.0]]), params)
+    assert fused[0] == pytest.approx([4.0, 6.0], abs=1e-12)
 
 
 def test_project_fuse_zero_text_is_image_projection():
     params = init_params(tiny_config())
-    img = np.array([0.5, -1.5], np.float32)
-    fused = project_fuse(img, np.zeros(3), params)
+    img = np.array([[0.5, -1.5]], np.float32)
+    fused = project_fuse(img, np.zeros((1, 3)), params)
     wi, bi = params.tensors["proj_img.w"], params.tensors["proj_img.b"]
-    assert fused == pytest.approx(img @ wi.T + bi, abs=1e-7)
+    assert fused[0] == pytest.approx((img @ wi.T + bi)[0], abs=1e-7)
 
 
 def test_project_fuse_dim_mismatch():
     params = init_params(tiny_config())
     with pytest.raises(ValueError, match="image dim"):
-        project_fuse(np.ones(3), np.ones(3), params)
+        project_fuse(np.ones((1, 3)), np.ones((1, 3)), params)
     with pytest.raises(ValueError, match="text dim"):
-        project_fuse(np.ones(2), np.ones(2), params)
+        project_fuse(np.ones((1, 2)), np.ones((1, 2)), params)
 
 
 def test_align_hand_case_identity_block():
     params = manual_params(tiny_config(), **{"align0.w": np.eye(2), "align1.w": np.eye(2)})
-    out = align(np.array([1.0, -1.0]), params)
-    assert out == pytest.approx([1.0, 0.0], abs=1e-4)
+    out = align(np.array([[1.0, -1.0]]), params)
+    assert out[0] == pytest.approx([1.0, 0.0], abs=1e-4)
 
 
 def test_align_zero_fixed_point_and_nonnegative():
     params = init_params(tiny_config(latent_dim=4, aligner_hidden=4))
-    zero = align(np.zeros(4), params)
+    zero = align(np.zeros((1, 4)), params)
     assert np.all(zero == 0)
     rng = np.random.default_rng(0)
     out = align(rng.standard_normal((10, 4)), params)
@@ -146,8 +145,9 @@ def test_align_zero_fixed_point_and_nonnegative():
 # ---------------------------------------------------------------------------
 
 def _score_one(query, ref, params):
-    """``score_candidates`` of one (image, text) query against one (image, text) reference."""
-    return float(score_candidates(query[0], query[1], np.atleast_2d(ref[0]), np.atleast_2d(ref[1]), params)[0])
+    """The sigmoid score of one (image, text) query against one (image, text) reference."""
+    rows = [np.atleast_2d(x) for x in (*query, *ref)]
+    return float(_sigmoid(score_logits(*rows, params, [1]))[0])
 
 
 def test_score_zero_weights_gives_half():
@@ -210,12 +210,12 @@ def test_score_trace_consistency():
     params = init_params(tiny_config(init_seed=5))
     rng = np.random.default_rng(3)
     q_img, q_txt, r_img, r_txt = (rng.standard_normal(d) for d in (2, 3, 2, 3))
-    logit = float(score_logits(q_img, q_txt, r_img[None, :], r_txt[None, :], params)[0])
+    logit = float(score_logits(q_img[None, :], q_txt[None, :], r_img[None, :], r_txt[None, :], params, [1])[0])
     score = _score_one((q_img, q_txt), (r_img, r_txt), params)
     assert score == pytest.approx(1.0 / (1.0 + np.exp(-logit)), abs=1e-12)
     assert 0.0 < score < 1.0
-    assert np.all(align(project_fuse(q_img, q_txt, params), params) >= 0)
-    assert np.all(align(project_fuse(r_img, r_txt, params), params) >= 0)
+    assert np.all(align(project_fuse(q_img[None, :], q_txt[None, :], params), params) >= 0)
+    assert np.all(align(project_fuse(r_img[None, :], r_txt[None, :], params), params) >= 0)
 
 
 def test_align_cache_does_not_change_output():
@@ -233,7 +233,9 @@ def test_rerank_scores_the_network_training_optimises():
     cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_hidden=6, init_seed=4)
     params = init_params(cfg)
     q = store.query(sample.query_id)
-    logits = score_logits(q.image_emb, q.text_emb, *gather_candidates(store, sample.candidate_ids), params)
+    logits = score_logits(*scorer_inputs(store.queries, store.query_rows([q.id]), "query"),
+                          *scorer_inputs(store.refs, store.ref_rows(sample.candidate_ids), "candidate"), params,
+                          [len(sample.candidate_ids)])
     _, ctx = trainer._forward([sample], params, store, 1.0, "scores")
     assert np.array_equal(ctx["logits"], logits)
     assert np.array_equal(ctx["scores"], _sigmoid(logits))
@@ -250,9 +252,9 @@ def test_stacked_score_logits_match_per_query_calls():
     c_img, c_txt = rng.standard_normal((8, 2)), rng.standard_normal((8, 3))
     stacked = score_logits(q_img, q_txt, c_img, c_txt, params, counts=[4, 1, 3])
     for b, (lo, hi) in enumerate([(0, 4), (4, 5), (5, 8)]):
-        one = score_logits(q_img[b], q_txt[b], c_img[lo:hi], c_txt[lo:hi], params)
+        one = score_logits(q_img[b : b + 1], q_txt[b : b + 1], c_img[lo:hi], c_txt[lo:hi], params, [hi - lo])
         np.testing.assert_allclose(stacked[lo:hi], one, rtol=1e-5, atol=1e-6)
-    for counts in ([4, 1, 2], None):
+    for counts in ([4, 1, 2], [4, 1, 4]):
         with pytest.raises(ValueError, match="counts cover"):
             score_logits(q_img, q_txt, c_img, c_txt, params, counts=counts)
 
@@ -260,10 +262,10 @@ def test_stacked_score_logits_match_per_query_calls():
 def test_score_deterministic_bitwise():
     params = init_params(tiny_config(init_seed=7))
     rng = np.random.default_rng(4)
-    q_img, q_txt = rng.standard_normal(2), rng.standard_normal(3)
+    q_img, q_txt = rng.standard_normal((1, 2)), rng.standard_normal((1, 3))
     c_img, c_txt = rng.standard_normal((6, 2)), rng.standard_normal((6, 3))
-    a = score_candidates(q_img, q_txt, c_img, c_txt, params)
-    b = score_candidates(q_img, q_txt, c_img, c_txt, params)
+    a = _sigmoid(score_logits(q_img, q_txt, c_img, c_txt, params, [6]))
+    b = _sigmoid(score_logits(q_img, q_txt, c_img, c_txt, params, [6]))
     assert np.array_equal(a, b)
 
 
@@ -329,9 +331,9 @@ def test_score_logits_bitwise_equal_to_reference_forward(latent):
         assert np.array_equal(score_logits(q_img[:b], q_txt[:b], c_img, c_txt, params, counts, cache), want[0])
         for name, value in zip(("aligned_q", "aligned_c", "u_c"), want[1:]):
             assert np.array_equal(cache[name], value), name
-    # no counts: every candidate belongs to the one query, as rerank passes it
+    # one query with all ten candidates
     want = _reference_logits(q_img[:1], q_txt[:1], c_img[:10], c_txt[:10], params, [10])[0]
-    assert np.array_equal(score_logits(q_img[0], q_txt[0], c_img[:10], c_txt[:10], params), want)
+    assert np.array_equal(score_logits(q_img[:1], q_txt[:1], c_img[:10], c_txt[:10], params, [10]), want)
 
 
 @pytest.mark.parametrize("loss_on", ["scores", "logits"])
@@ -420,6 +422,28 @@ def test_rerank_missing_query_text_rejected():
     ranking = top_k(store.query("q0").image_emb, store, 1, query_id="q0")
     with pytest.raises(ValueError, match="q0"):
         rerank(store.query("q0"), ranking, init_params(tiny_config()), store)
+
+
+def test_rerank_refuses_a_query_that_is_not_the_rankings():
+    store = random_store(np.random.default_rng(16), 6, 2, 2, 3, with_text=True)
+    ranking = top_k(store.query("q00000").image_emb, store, 3, query_id="q00000")
+    with pytest.raises(ValueError, match="query 'q00001' is not the query of the ranking, 'q00000'"):
+        rerank(store.query("q00001"), ranking, init_params(tiny_config()), store)
+
+
+def test_a_query_without_text_is_refused_alike_by_rerank_many_and_train():
+    rng = np.random.default_rng(17)
+    refs = [make_ref(f"r{i}", rng.standard_normal(2), text=rng.standard_normal(3)) for i in range(3)]
+    queries = [make_query("q0", rng.standard_normal(2), ["r0"], text=rng.standard_normal(3)),
+               make_query("q1", rng.standard_normal(2), ["r1"])]
+    store = build_store(refs, queries, image_dim=2, text_dim=3)
+    rankings = [Ranking(q, [(r, 0.0) for r in ("r0", "r1", "r2")], k=3) for q in ("q0", "q1")]
+    with pytest.raises(ValueError) as by_rerank:
+        rerank_many(rankings, init_params(tiny_config()), store)
+    samples = [trainer.TrainingSample(q, ("r0", "r1", "r2"), 1) for q in ("q0", "q1")]
+    with pytest.raises(ValueError) as by_train:
+        trainer.train(samples, store, tiny_config(), trainer.TrainConfig(epochs=1), val_split=0.0)
+    assert str(by_rerank.value) == str(by_train.value) == "query 'q1' has no text embedding"
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +558,24 @@ def test_a_warm_pass_aligns_only_its_queries_and_the_cache_holds_the_rows_touche
 
     store, params = fresh()
     del blocks[:]
-    many = rerank_many([store.query(r.query_id) for r in rankings], rankings, params, store)
+    many = rerank_many(rankings, params, store)
     # the file: every distinct row in full 16-row blocks first, then the queries four to a block
     assert blocks == [ROW_BLOCK] * -(-len(touched) // ROW_BLOCK) + [QUERY_BLOCK] * -(-len(rankings) // QUERY_BLOCK)
     assert [r.entries for r in many] == first
+
+
+@pytest.mark.parametrize("dims", [(8, 6, 5), (64, 64, 64)])
+def test_rerank_many_of_shuffled_rankings_equals_lone_reranks(tmp_path, dims):
+    """Each ranking is scored with the query its ``query_id`` names, whatever
+    the order of the list, and the output keeps the list's order."""
+    fresh = _saved_store_and_checkpoint(tmp_path, *dims, n_refs=200, n_queries=13)
+    store, params = fresh()
+    rankings = [top_k(store.query(q).image_emb, store, 1 + i % 12, query_id=q) for i, q in enumerate(store.query_ids)]
+    shuffled = [rankings[i] for i in np.random.default_rng(sum(dims)).permutation(len(rankings))]
+    many = rerank_many(shuffled, params, store)
+    store, params = fresh()
+    assert [(r.query_id, r.entries, r.k) for r in many] == [
+        (r.query_id, r.entries, r.k) for r in (rerank(store.query(s.query_id), s, params, store) for s in shuffled)]
 
 
 def test_rerank_with_writable_params_reuses_no_row_after_an_in_place_change():

@@ -322,6 +322,26 @@ def test_load_rankings_refuses_nonfinite_score_or_repeated_id(tmp_path, lines, w
         load_rankings(path)
 
 
+@pytest.mark.parametrize("entries,problem", [
+    ('[[123, "0.5"]]', 'entry [123, "0.5"]'),
+    ('[["r0", 0.5], [null, 0.4]]', "entry [null, 0.4]"),
+    ('[["r0", "0.5"]]', 'entry ["r0", "0.5"]'),
+    ('[["r0", 0.5], ["r1", true]]', 'entry ["r1", true]'),
+    ('[["r0", false]]', 'entry ["r0", false]'),
+    ('[["r0", null]]', 'entry ["r0", null]'),
+    ('[["r0", [0.5]]]', 'entry ["r0", [0.5]]'),
+], ids=["int-id", "null-id", "string-score", "true-score", "false-score", "null-score", "list-score"])
+def test_load_rankings_refuses_a_non_string_id_or_a_score_that_is_not_a_number(tmp_path, entries, problem):
+    """Nothing is coerced: ``str(123)`` or ``float(True)`` would load a ranking the file does not hold."""
+    path = tmp_path / "rankings.jsonl"
+    path.write_text('{"query_id": "q0", "entries": [["r9", 1]]}\n{"query_id": "q1", "entries": %s}\n' % entries)
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line 2: ") + ".*" + re.escape(
+            f"{problem} is not a [string id, number] pair")):
+        load_rankings(path)
+    path.write_text('{"query_id": "q0", "entries": [["r9", 1], ["r8", 0.5]]}\n')
+    assert [r.entries for r in load_rankings(path)] == [[("r9", 1.0), ("r8", 0.5)]]  # a JSON integer is a number
+
+
 def test_ranking_validate_rejects_bad_order():
     with pytest.raises(ValueError, match="order"):
         Ranking("q", [("a", 0.1), ("b", 0.9)], k=2).validate()

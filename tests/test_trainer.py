@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from georank import trainer
+from georank.geostore import IngestError
 from georank.reranker import (
     RerankerConfig,
     TensorViews,
+    _sigmoid,
     expected_shapes,
-    gather_candidates,
     init_params,
     load_checkpoint,
     load_params,
     rerank,
-    score_candidates,
+    score_logits,
+    scorer_inputs,
 )
 from georank.retriever import Ranking
 from georank.trainer import (
@@ -128,8 +131,9 @@ def test_margin_loss_monotone_in_margin():
 
 def test_all_margins_satisfied_gives_exact_zero_gradients():
     sample, params, store = make_gradcheck_fixture(0)
-    q = store.query("q0")
-    scores = score_candidates(q.image_emb, q.text_emb, *gather_candidates(store, sample.candidate_ids), params)
+    scores = _sigmoid(score_logits(*scorer_inputs(store.queries, store.query_rows(["q0"]), "query"),
+                                   *scorer_inputs(store.refs, store.ref_rows(sample.candidate_ids), "candidate"),
+                                   params, [len(sample.candidate_ids)]))
     best = int(np.argmax(scores))
     gap = float(np.sort(scores)[-1] - np.sort(scores)[-2])
     winning = TrainingSample("q0", sample.candidate_ids, best)
@@ -397,6 +401,25 @@ def test_samples_jsonl_rejects_invalid(tmp_path):
     path = tmp_path / "samples.jsonl"
     path.write_text('{"query_id": "q", "candidates": ["a", "b"], "positive_index": 7}\n')
     with pytest.raises(ValueError, match="line 1"):
+        load_samples(path)
+
+
+_IDS = "a sample needs a string 'query_id' and a 'candidates' list of string ids"
+
+
+@pytest.mark.parametrize("record,problem", [
+    ('"query_id": 7, "candidates": ["r00", "r01"], "positive_index": 0', _IDS),
+    ('"query_id": "q", "candidates": ["r01", 2], "positive_index": 0', _IDS),
+    ('"query_id": "q", "candidates": "r0r1", "positive_index": 0', _IDS),
+    ('"query_id": "q", "candidates": ["r00", "r01"], "positive_index": "1"', """'positive_index' "1" is not"""),
+    ('"query_id": "q", "candidates": ["r00", "r01"], "positive_index": true', "'positive_index' true is not"),
+    ('"query_id": "q", "candidates": ["r00", "r01"], "positive_index": 1.0', "'positive_index' 1.0 is not"),
+], ids=["int-query", "int-candidate", "string-candidates", "string-index", "true-index", "float-index"])
+def test_samples_jsonl_refuses_a_non_string_id_or_a_non_integer_index(tmp_path, record, problem):
+    """Nothing is coerced: ``["r01", 2]`` once loaded, and ``train`` then failed on reference id '2'."""
+    path = tmp_path / "samples.jsonl"
+    path.write_text('{"query_id": "p", "candidates": ["r00", "r01"], "positive_index": 1}\n{%s}\n' % record)
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line 2: ") + ".*" + re.escape(problem)):
         load_samples(path)
 
 
