@@ -266,7 +266,7 @@ def cmd_build_samples(args) -> int:
     semipositives = None
     if args.exclude_semipositives:
         groups_path = args.groups or Path(store_dir) / geostore.GROUPS_FILE
-        groups = geostore.load_groups(groups_path)
+        groups = geostore.load_groups(groups_path, store)
         semipositives = geostore.semipositive_map(groups, store)
     queries = [store.query(qid) for qid in store.query_ids]
     samples, skipped = trainer.build_training_samples(queries, rankings, semipositives)

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .geostore import load_jsonl
-from .retriever import cosine
+from . import kernels
+from .geostore import IngestError, load_jsonl
 
 EMBED_TOKEN_ENV = "GEOVLM_EMBED_TOKEN"
 
@@ -55,15 +55,25 @@ class QuestionBank:
         self.by_id = {q.id: q for q in self.questions}
 
 
+def _question(q: dict) -> Question:
+    options = q["options"]
+    if not isinstance(q["text"], str) or not isinstance(options, list) or not all(isinstance(o, str) for o in options):
+        raise TypeError(f"question {json.dumps(q['id'])} needs a 'text' string and an 'options' list of strings")
+    return Question(q["id"], q["text"], tuple(options))
+
+
 def load_question_bank(path: str | Path | None = None) -> QuestionBank:
-    """Load the packaged bank, or a user-supplied JSON with the same schema."""
-    if path is None:
-        raw = resources.files("georank.data").joinpath("cross_view_mcq.json").read_text(encoding="utf-8")
-    else:
-        raw = Path(path).read_text(encoding="utf-8")
-    data = json.loads(raw)
-    questions = [Question(q["id"], q["text"], tuple(q["options"])) for q in data["questions"]]
-    return QuestionBank(questions, data["template"])
+    """Load the packaged bank, or a user-supplied JSON with the same schema.
+    A user bank that is not UTF-8 JSON of that schema, or that breaks a rule
+    of ``QuestionBank``, raises IngestError naming the file."""
+    source = resources.files("georank.data").joinpath("cross_view_mcq.json") if path is None else Path(path)
+    try:
+        data = json.loads(source.read_text(encoding="utf-8"))
+        return QuestionBank([_question(q) for q in data["questions"]], data["template"])
+    except KeyError as exc:
+        raise IngestError(f"question bank missing field {exc}", file=str(source)) from None
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"malformed question bank ({exc})", file=str(source)) from None
 
 
 @dataclass
@@ -98,8 +108,20 @@ def render_description(sheet: MCQAnswerSheet, bank: QuestionBank) -> str:
     return _SLOT_RE.sub(lambda m: sheet.answers[m.group(1)], bank.template)
 
 
+def _sheet(rec: dict) -> MCQAnswerSheet:
+    image_id, answers = rec["image_id"], rec["answers"]
+    if not isinstance(image_id, str):
+        raise TypeError(f"'image_id' {json.dumps(image_id)} is not a string")
+    if not isinstance(answers, dict):
+        raise TypeError("'answers' is not an object of question id -> answer")
+    return MCQAnswerSheet(image_id, answers)
+
+
 def sheets_from_jsonl(path: str | Path) -> list[MCQAnswerSheet]:
-    return load_jsonl(path, lambda rec: MCQAnswerSheet(rec["image_id"], dict(rec["answers"])), "answer sheet")
+    """One answer sheet per line; a sheet without a string ``image_id`` and an
+    ``answers`` object, or an ``image_id`` seen before, raises IngestError
+    naming the file and line."""
+    return load_jsonl(path, _sheet, "answer sheet", key=lambda sheet: sheet.image_id)
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +164,24 @@ def stability_report(
     embeddings_a: dict[str, np.ndarray],
     embeddings_b: dict[str, np.ndarray],
 ) -> StabilityReport:
-    """Agreement between two description runs aligned by image id."""
+    """Agreement between two description runs aligned by image id. Each
+    pair's cosine is phase 1's float64 arithmetic (``kernels.row_norms`` and
+    an einsum dot, clipped to [-1, 1]), so it is exactly symmetric."""
     ids = sorted(corpus_a)
     for name, other in (("corpus_b", corpus_b), ("embeddings_a", embeddings_a), ("embeddings_b", embeddings_b)):
         if sorted(other) != ids:
             raise ValueError(f"id misalignment between corpus_a and {name}")
     if not ids:
         raise ValueError("empty corpora")
-    cos_vals = [cosine(embeddings_a[i], embeddings_b[i]) for i in ids]
+    a, b = ([np.asarray(emb[i]) for i in ids] for emb in (embeddings_a, embeddings_b))
+    for v in a + b:
+        if v.ndim != 1 or v.shape != a[0].shape:
+            raise ValueError(f"dimension mismatch: {a[0].shape} vs {v.shape}")
+    a, b = np.stack(a), np.stack(b)
+    if not (a.any(axis=1).all() and b.any(axis=1).all()):
+        raise ValueError("cosine undefined for zero-norm vector")
+    dots = np.einsum("ij,ij->i", a, b, dtype=np.float64)
+    cos_vals = np.clip(dots / (kernels.row_norms(a) * kernels.row_norms(b)), -1.0, 1.0)
     jac_vals = [jaccard(corpus_a[i], corpus_b[i]) for i in ids]
     lengths = [len(corpus_a[i].split()) for i in ids] + [len(corpus_b[i].split()) for i in ids]
     return StabilityReport(

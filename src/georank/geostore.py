@@ -368,10 +368,11 @@ def read_jsonl(path: str | Path):
 
 def load_jsonl(path: str | Path, parse, what: str, key=None, unknown=None) -> list:
     """``parse(record)`` for each record of a JSONL file, in file order. A
-    KeyError, TypeError or ValueError from ``parse`` raises IngestError naming
-    the file and line, as a bad line does. Given ``key``, an item whose
-    ``key(item)`` an earlier one had raises IngestError naming the file, the
-    line and that id. Given ``unknown``, an item for which ``unknown(item)``
+    KeyError, TypeError, ValueError or OverflowError (a JSON integer too
+    large for a float) from ``parse`` raises IngestError naming the file and
+    line, as a bad line does. Given ``key``, an item whose ``key(item)`` an
+    earlier one had raises IngestError naming the file, the line and that
+    id. Given ``unknown``, an item for which ``unknown(item)``
     returns a (kind, id) pair, an id the caller cannot resolve, raises
     IngestError naming the file, the line and that id."""
     out, seen = [], set()
@@ -380,7 +381,7 @@ def load_jsonl(path: str | Path, parse, what: str, key=None, unknown=None) -> li
             item = parse(rec)
         except KeyError as exc:
             raise IngestError(f"malformed {what}: missing field {exc}", file=str(path), line=ln) from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise IngestError(f"malformed {what} ({exc})", file=str(path), line=ln) from None
         if key is not None:
             rid = key(item)
@@ -716,9 +717,9 @@ def read_rows(path: str | Path, label: str, put, pos: dict[str, int] | None = No
     record)`` for each record: with ``pos`` (id -> row) into its id's row, or
     else into rows 0, 1, ... in file order, of which there are ``size``. A
     record without a string id, an id seen before, an id ``pos`` lacks, a row
-    past ``size``, and a KeyError, TypeError or ValueError from ``put`` raise
-    IngestError naming the file, the line and the id. Returns the line that
-    filled each row (0 for none)."""
+    past ``size``, and a KeyError, TypeError, ValueError or OverflowError from
+    ``put`` raise IngestError naming the file, the line and the id. Returns
+    the line that filled each row (0 for none)."""
     lines, seen = np.zeros(size if pos is None else len(pos), np.int64), set()
     with np.errstate(over="ignore"):  # an embedding value past float32's range casts to inf, unwarned
         for ln, rec in read_jsonl(path):
@@ -736,7 +737,7 @@ def read_rows(path: str | Path, label: str, put, pos: dict[str, int] | None = No
                 put(row, rec)
             except KeyError as exc:
                 raise IngestError(f"missing field {exc}", file=str(path), line=ln, record_id=rid) from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise IngestError(str(exc), file=str(path), line=ln, record_id=rid) from None
             seen.add(rid)
             lines[row] = ln
@@ -744,11 +745,13 @@ def read_rows(path: str | Path, label: str, put, pos: dict[str, int] | None = No
 
 
 def embedding_of(rec: dict, dim: int | None) -> np.ndarray:
-    """The ``"embedding"`` of a JSONL record as a float32 vector of ``dim``
-    numbers (of any width, given None); anything else raises ValueError."""
-    vec = np.asarray(rec["embedding"], np.float32)  # a value past float32's range becomes inf, which callers refuse
-    if vec.ndim != 1:
-        raise ValueError("embedding is not a list of numbers")
+    """The ``"embedding"`` of a JSONL record, a list of ``dim`` JSON numbers
+    (of any width, given None), as a float32 vector; anything else, a string
+    or a boolean among the values too, raises TypeError or ValueError."""
+    values = rec["embedding"]
+    if not isinstance(values, list) or not {int, float}.issuperset(map(type, values)):
+        raise TypeError("embedding is not a list of numbers")
+    vec = np.asarray(values, np.float32)  # a value past float32's range becomes inf, which callers refuse
     if len(vec) != (dim or len(vec)):
         raise ValueError(f"embedding has {len(vec)} values, expected {dim}")
     return vec
@@ -815,7 +818,10 @@ def _ingest_side(side: str, count: int, manifest: StoreManifest, sources: dict, 
         cols.coords = np.zeros((len(ids), 2))
 
         def put(row: int, rec: dict) -> None:
-            cols.coords[row] = float(rec["lat"]), float(rec["lon"])
+            lat, lon = rec["lat"], rec["lon"]
+            if type(lat) not in (int, float) or type(lon) not in (int, float):  # bool, an int subclass, is no degree
+                raise TypeError(f"'lat' {json.dumps(lat)} and 'lon' {json.dumps(lon)} are not both numbers")
+            cols.coords[row] = lat, lon
 
         lines = read_rows(coords, "coordinate", put, cols.pos)
         cols.has_coord = lines > 0
@@ -967,24 +973,34 @@ def save_groups(groups: dict[str, int], path: str | Path) -> None:
 
 
 def _group_entry(rec: dict) -> tuple[str, int]:
-    if not isinstance(rec["id"], str):
+    rid, group = rec["id"], rec["group"]
+    if not isinstance(rid, str):
         raise TypeError("'id' is not a string")
-    return rec["id"], int(rec["group"])
+    if type(group) is not int:  # bool, an int subclass, is no group
+        raise TypeError(f"id '{rid}' has group {json.dumps(group)}, not an integer")
+    return rid, group
 
 
-def load_groups(path: str | Path) -> dict[str, int]:
-    return dict(load_jsonl(path, _group_entry, "group record", key=lambda entry: entry[0]))
+def load_groups(path: str | Path, store: Store | None = None) -> dict[str, int]:
+    """id -> confusion group, one ``{"id", "group"}`` record per line. A
+    malformed record, a group that is not a JSON integer or an id listed
+    twice raises IngestError naming the file and line. Given ``store``, so
+    does a store reference or query that the file gives no group, naming
+    the file and the id."""
+    groups = dict(load_jsonl(path, _group_entry, "group record", key=lambda entry: entry[0]))
+    if store is not None:
+        for kind, ids in (("reference", store.ref_ids), ("query", store.query_ids)):
+            missing = next((i for i in ids if i not in groups), None)
+            if missing is not None:
+                raise IngestError(f"no group for store {kind}", file=str(path), record_id=missing)
+    return groups
 
 
 def semipositive_map(groups: dict[str, int], store: Store) -> dict[str, set[str]]:
-    """Per query: same-group reference ids that are not the ground truth."""
+    """Per query: same-group reference ids that are not the ground truth.
+    ``groups`` gives every store id a group, as ``load_groups`` given the
+    store makes sure."""
     by_group: dict[int, set[str]] = {}
     for rid in store.ref_ids:
         by_group.setdefault(groups[rid], set()).add(rid)
-    out: dict[str, set[str]] = {}
-    for qid in store.query_ids:
-        gi = groups.get(qid)
-        if gi is None:
-            continue
-        out[qid] = by_group.get(gi, set()) - set(store.ground_truth[qid])
-    return out
+    return {qid: by_group.get(groups[qid], set()) - set(store.ground_truth[qid]) for qid in store.query_ids}

@@ -214,7 +214,7 @@ def init_params(config: RerankerConfig) -> RerankerParams:
     tensors: dict[str, np.ndarray] = {}
     for name, shape in expected_shapes(config).items():
         if name.endswith(".w"):
-            fan_out, fan_in = (shape[0], shape[1]) if len(shape) == 2 else (shape[0], shape[0])
+            fan_out, fan_in = shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
         elif name.endswith(".ln_scale"):
@@ -383,23 +383,22 @@ def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) ->
     return grads
 
 
-def scorer_inputs(side: Columns, rows, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The image and text rows ``rows`` of ``side``, ``store.queries`` or
-    ``store.refs``: gathered copies for an index array, views for a slice.
-    A row without a text embedding raises ValueError naming the ``kind``
-    ("query" or "candidate") and id of the first."""
+def scorer_inputs(side: Columns, rows: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Copies of the image and text rows of ``side``, ``store.queries`` or
+    ``store.refs``, at the store row indices ``rows``. A row without a text
+    embedding raises ValueError naming the ``kind`` ("query" or
+    "candidate") and id of the first."""
     lacking = ~side.has_text[rows]
     if lacking.any():
-        first = np.arange(len(side.ids))[rows][lacking][0]  # the store row, for an index array or a slice
-        raise ValueError(f"{kind} '{side.ids[first]}' has no text embedding")
+        raise ValueError(f"{kind} '{side.ids[rows[lacking][0]]}' has no text embedding")
     return side.image[rows], side.text[rows]
 
 
-def _align_block(fused: np.ndarray, params: RerankerParams) -> np.ndarray:
-    """``align`` of at most QUERY_BLOCK fused query rows, run as one zero-padded block of QUERY_BLOCK rows."""
-    block = np.zeros((QUERY_BLOCK, fused.shape[1]), params.dtype)
-    block[: len(fused)] = fused
-    return align(block, params)[: len(fused)]
+def _padded(rows: np.ndarray, size: int) -> np.ndarray:
+    """``rows`` followed by zero rows, ``size`` rows in all."""
+    block = np.zeros((size, rows.shape[1]), rows.dtype)
+    block[: len(rows)] = rows
+    return block
 
 
 class ReferenceRows:
@@ -421,10 +420,8 @@ class ReferenceRows:
             missing = np.unique(missing)
         for lo in range(0, len(missing), ROW_BLOCK):
             block = missing[lo : lo + ROW_BLOCK]
-            n = len(block)
-            img, txt = (np.zeros((ROW_BLOCK, col.shape[1]), col.dtype) for col in (store.refs.image, store.refs.text))
-            img[:n], txt[:n] = scorer_inputs(store.refs, block, "candidate")
-            self._append(block, align(project_fuse(img, txt, params), params)[:n])
+            img, txt = (_padded(x, ROW_BLOCK) for x in scorer_inputs(store.refs, block, "candidate"))
+            self._append(block, align(project_fuse(img, txt, params), params)[: len(block)])
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Aligned rows of store ``rows``, all of which ``fill`` has computed."""
@@ -464,9 +461,9 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
     """``rerank`` of each ranking with its query, the store row its ``query_id`` names.
 
     Every ranking's candidates are resolved first, and the rows not yet in
-    ``reference_rows`` are computed for the whole set in full blocks. Each
-    query is projected as one row, from a view of its store row, and the
-    queries are aligned QUERY_BLOCK to a block; each ranking's logits are
+    ``reference_rows`` are computed for the whole set in full blocks. The
+    queries are gathered QUERY_BLOCK at a time, each projected as one row,
+    and aligned as one zero-padded block; each ranking's logits are
     ``score_logits``'s bilinear tail with its own query's aligned row. Queries
     are walked a block at a time, so memory on their side stays fixed however
     many there are."""
@@ -477,9 +474,9 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
     cache.fill(np.concatenate(rows) if rows else np.empty(0, np.intp), store, params)
     out = []
     for lo in range(0, len(rankings), QUERY_BLOCK):
-        fused_q = np.concatenate([project_fuse(*scorer_inputs(store.queries, slice(r, r + 1), "query"), params)
-                                  for r in q_rows[lo : lo + QUERY_BLOCK]])
-        for i, aligned_q in enumerate(_align_block(fused_q, params), start=lo):
+        img, txt = scorer_inputs(store.queries, q_rows[lo : lo + QUERY_BLOCK], "query")
+        fused_q = np.concatenate([project_fuse(img[j : j + 1], txt[j : j + 1], params) for j in range(len(img))])
+        for i, aligned_q in enumerate(align(_padded(fused_q, QUERY_BLOCK), params)[: len(fused_q)], start=lo):
             logits, _ = _bilinear(aligned_q[None], cache.lookup(rows[i]), np.zeros(len(ids[i]), np.intp), params)
             out.append(Ranking(query_id=rankings[i].query_id, entries=order_by_score(ids[i], _sigmoid(logits)),
                                k=rankings[i].k, reranked=True))

@@ -54,24 +54,6 @@ class Ranking:
                 raise ValueError(f"ranking for '{self.query_id}' violates (score desc, id asc) order")
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity of two equal-dim vectors, clipped to [-1, 1].
-
-    Both norms use the same accumulation, so the result is exactly symmetric
-    in its arguments.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.ndim != 1 or v.ndim != 1 or u.shape[0] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not np.any(u) or not np.any(v):
-        raise ValueError("cosine undefined for zero-norm vector")
-    a = u.astype(np.float64, copy=False)
-    b = v.astype(np.float64, copy=False)
-    score = np.dot(a, b) / (np.sqrt(np.dot(a, a)) * np.sqrt(np.dot(b, b)))
-    return float(np.clip(score, -1.0, 1.0))
-
-
 def _check_query(query_emb: np.ndarray, store: Store) -> np.ndarray:
     """``query_emb`` as float64, after the checks every phase-1 entry point makes."""
     query_emb = np.asarray(query_emb)
@@ -187,15 +169,19 @@ def _ranking(rec: dict) -> Ranking:
         if not math.isfinite(s):
             raise ValueError(f"candidate '{rid}' has score {s}")
     refuse_repeats((rid for rid, _ in entries), "candidate")
+    reranked = rec.get("reranked", False)
+    if type(reranked) is not bool:
+        raise TypeError(f"'reranked' {json.dumps(reranked)} is not true or false")
     return Ranking(query_id=rec["query_id"], entries=[(rid, float(s)) for rid, s in entries], k=len(entries),
-                   reranked=bool(rec.get("reranked", False)))
+                   reranked=reranked)
 
 
 def load_rankings(path: str | Path, store: Store | None = None) -> list[Ranking]:
     """One ranking per line; an id that is not a string, a score that is not
-    a finite JSON number, a candidate listed twice or a query id seen before
-    raises IngestError naming the file and line. Given ``store``, a query id
-    or candidate id the store lacks raises IngestError naming the file, the
-    line and the id."""
+    a finite JSON number, a ``reranked`` that is not a JSON boolean, a
+    candidate listed twice or a query id seen before raises IngestError
+    naming the file and line. Given ``store``, a query id or candidate id
+    the store lacks raises IngestError naming the file, the line and the
+    id."""
     unknown = None if store is None else lambda r: store.unknown_id(r.query_id, r.ids())
     return load_jsonl(path, _ranking, "ranking record", key=lambda r: r.query_id, unknown=unknown)

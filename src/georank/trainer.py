@@ -421,8 +421,8 @@ def gradient_check(
     return errors
 
 
-def make_gradcheck_fixture(seed: int, n_candidates: int = 5) -> tuple[TrainingSample, RerankerParams, Store]:
-    """Small random store/sample/params for gradient verification."""
+def make_gradcheck_fixture(seed: int) -> tuple[TrainingSample, RerankerParams, Store]:
+    """Small random store/sample/params for gradient verification: one query and five candidates."""
     from .geostore import Columns, StoreManifest
 
     if seed < 0:
@@ -430,11 +430,11 @@ def make_gradcheck_fixture(seed: int, n_candidates: int = 5) -> tuple[TrainingSa
     rng = np.random.default_rng(seed)
     cfg = RerankerConfig(image_dim=7, text_dim=5, latent_dim=6, aligner_hidden=6, init_seed=seed + 1)
     # one image then one text draw per row, candidates first, then the query
-    rows = rng.standard_normal((n_candidates + 1, cfg.image_dim + cfg.text_dim)).astype(np.float32)
-    ids = [f"c{i}" for i in range(n_candidates)]
+    ids = [f"c{i}" for i in range(5)]
+    rows = rng.standard_normal((len(ids) + 1, cfg.image_dim + cfg.text_dim)).astype(np.float32)
     refs = Columns(ids, rows[:-1, :cfg.image_dim], rows[:-1, cfg.image_dim:])
     query = Columns(["q0"], rows[-1:, :cfg.image_dim], rows[-1:, cfg.image_dim:])
-    store = Store(StoreManifest(cfg.image_dim, cfg.text_dim, n_candidates, 1), refs, query, {"q0": ("c1",)})
+    store = Store(StoreManifest(cfg.image_dim, cfg.text_dim, len(ids), 1), refs, query, {"q0": ("c1",)})
     sample = TrainingSample("q0", tuple(ids), 1)
     return sample, init_params(cfg), store
 

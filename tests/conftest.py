@@ -138,7 +138,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         status, payload = self.server.script[step]
         if callable(payload):
             payload = payload(body)
-        blob = json.dumps(payload).encode()
+        blob = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(blob)))

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,71 @@ def test_caption_invalid_sheet_exits_1(tmp_path, capsys):
     assert "img9" in err and "Q2" in err
 
 
+def _golden_answers():
+    return json.loads((GOLDEN / "sheet_first_options.json").read_text())["answers"]
+
+
+@pytest.mark.parametrize("record, where, problem", [
+    ({"image_id": 5}, "line 2", "'image_id' 5 is not a string"),
+    ({"image_id": None}, "line 2", "'image_id' null is not a string"),
+    ({"answers": [["Q1", "urban"]]}, "line 2", "'answers' is not an object"),
+    ({"answers": "urban"}, "line 2", "'answers' is not an object"),
+    ({"image_id": "img0"}, "line 2, id 'img0'", "duplicate answer sheet"),
+], ids=["int-id", "null-id", "answers-pairs", "answers-string", "repeated-id"])
+def test_caption_refuses_a_malformed_sheet_naming_file_and_line(tmp_path, capsys, record, where, problem):
+    """``"image_id": 5`` would be written as ``"id": 5``, which ``embed --texts`` refuses, and ``dict()``
+    would read a list of pairs as answers: both are refused before anything is written."""
+    sheets, out = tmp_path / "sheets.jsonl", tmp_path / "d.jsonl"
+    first = {"image_id": "img0", "answers": _golden_answers()}
+    sheets.write_text(json.dumps(first) + "\n" + json.dumps(first | record) + "\n")
+    assert main(["caption", "--sheets", str(sheets), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {sheets}, {where}: " in err and problem in err, err
+    assert not out.exists()
+
+
+def _bank_data():
+    return json.loads(resources.files("georank.data").joinpath("cross_view_mcq.json").read_text())
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda b: b.update(questions=b["questions"][:29]), "question bank must have exactly 30 questions, got 29"),
+    (lambda b: b.pop("questions"), "question bank missing field 'questions'"),
+    (lambda b: b.pop("template"), "question bank missing field 'template'"),
+    (lambda b: b["questions"][2].update(options="abc"), """question "Q3" needs a 'text' string and an 'options'"""),
+    (lambda b: b["questions"][2].update(options=[]), "Q3 has an empty option list"),
+    (lambda b: b["questions"][2].update(id="Q33"), "question ids must be Q1..Q30 in order"),
+    (lambda b: b.update(template=b["template"].replace("[Q7]", "")), "template slots must cover Q1..Q30 exactly"),
+    (lambda b: b.update(template=7), "malformed question bank"),
+    ("{'questions': []}", "malformed question bank (Expecting property name"),
+    ("[]", "malformed question bank"),
+    (b"\xff", "malformed question bank ('utf-8' codec can't decode"),
+], ids=["29-questions", "no-questions", "no-template", "string-options", "no-options", "bad-id", "missing-slot",
+        "template-not-string", "not-json", "not-object", "not-utf8"])
+def test_caption_bank_errors_name_the_bank_file(tmp_path, capsys, edit, problem):
+    sheets, out, bank = tmp_path / "sheets.jsonl", tmp_path / "d.jsonl", tmp_path / "bank.json"
+    sheets.write_text(json.dumps({"image_id": "img0", "answers": _golden_answers()}) + "\n")
+    if callable(edit):
+        data = _bank_data()
+        edit(data)
+        bank.write_text(json.dumps(data))
+    else:
+        (bank.write_bytes if isinstance(edit, bytes) else bank.write_text)(edit)
+    assert main(["caption", "--sheets", str(sheets), "--bank", str(bank), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bank}: " in err and problem in err, err
+    assert not out.exists()
+
+
+def test_caption_with_a_user_bank_renders_as_the_packaged_bank_does(tmp_path):
+    sheets, bank = tmp_path / "sheets.jsonl", tmp_path / "bank.json"
+    sheets.write_text(json.dumps({"image_id": "img0", "answers": _golden_answers()}) + "\n")
+    bank.write_text(json.dumps(_bank_data()))
+    assert main(["caption", "--sheets", str(sheets), "--out", str(tmp_path / "packaged.jsonl")]) == 0
+    assert main(["caption", "--sheets", str(sheets), "--bank", str(bank), "--out", str(tmp_path / "user.jsonl")]) == 0
+    assert (tmp_path / "user.jsonl").read_bytes() == (tmp_path / "packaged.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("given, named", [([], ["--out", "--attach"]),
                                           (["--side", "queries", "--out", "out.jsonl"], ["--side", "--attach"])],
                          ids=["no-out-no-attach", "side-without-attach"])
@@ -494,13 +560,29 @@ def test_stability_embedding_width_mismatch_names_file_line_and_id(tmp_path, cap
     assert not (tmp_path / "stab").exists()
 
 
-@pytest.mark.parametrize("bad", [[float("nan"), 1.0], [1e39, 0.0], [0.0, 0.0]], ids=["nan", "overflow", "zero"])
+@pytest.mark.parametrize("bad", [[float("nan"), 1.0], [1e39, 0.0], [0.0, 0.0], ["1.5", True], [1.0, True], "1.5"],
+                         ids=["nan", "overflow", "zero", "string-and-true", "true", "string"])
 def test_stability_refuses_nonfinite_or_zero_embedding_naming_file_line_and_id(tmp_path, capsys, bad):
     good = [{"id": "i0", "embedding": [1.0, 0.0]}, {"id": "i1", "embedding": [0.0, 1.0]}]
     args, (emb_a, _) = _stability_inputs(tmp_path, [good[0], {"id": "i1", "embedding": bad}], good)
     assert main(args) == 1
     assert f"error: {emb_a}, line 2, id 'i1': embedding" in capsys.readouterr().err
     assert not (tmp_path / "stab").exists()
+
+
+@pytest.mark.parametrize("record", [{"id": "i1"}, {"description": "street"}, {"id": 5, "text": "street"},
+                                    {"image_id": "i1", "caption": ["street"]}],
+                         ids=["no-text", "no-id", "int-id", "list-caption"])
+@pytest.mark.parametrize("command", ["stability", "embed"])
+def test_text_corpus_refuses_a_record_without_a_string_id_and_text(tmp_path, capsys, command, record):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "i0", "description": "scene"}) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "out"
+    args = {"stability": ["--corpus-a", str(corpus), "--corpus-b", str(corpus)], "embed": ["--texts", str(corpus)]}
+    assert main([command, *args[command], "--text-dim", "8", "--out", str(out)]) == 1
+    assert (f"error: {corpus}, line 2: malformed text record (need 'id' (or 'image_id') and one of "
+            "description/caption/text)") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["stability", "embed"])
@@ -531,6 +613,28 @@ def test_semipositive_exclusion_pipeline(tmp_path):
         for i, rid in enumerate(s.candidate_ids):
             if i != s.positive_index:
                 assert groups[rid] != gq  # same-group mates were excluded
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda lines: lines[:5], "id 'r00': no group for store reference"),
+    (lambda lines: [ln for ln in lines if '"q07"' not in ln], "id 'q07': no group for store query"),
+    (lambda lines: lines[:1] + [lines[1].replace('"group":0', '"group":"0"')] + lines[2:],
+     "line 2: malformed group record (id 'q01' has group \"0\", not an integer)"),
+    (lambda lines: lines[:1] + [lines[1].replace('"group":0', '"group":true')] + lines[2:],
+     "line 2: malformed group record (id 'q01' has group true, not an integer)"),
+], ids=["first-5-lines", "query-without-group", "string-group", "true-group"])
+def test_build_samples_refuses_a_groups_file_that_does_not_group_every_store_id(tmp_path, capsys, edit, where):
+    """A query the groups file lacked kept its group-mates as negatives, and a reference it lacked
+    ended the command with ``error: 'r00'``; both are now refused naming the file and the id."""
+    store_dir, rankings, samples = tmp_path / "store", tmp_path / "rankings.jsonl", tmp_path / "samples.jsonl"
+    assert main(synth_args(store_dir, locations=12, group_size=4)) == 0
+    assert main(["retrieve", "--store", str(store_dir), "--k", "6", "--out", str(rankings)]) == 0
+    groups = tmp_path / "groups.jsonl"
+    groups.write_text("\n".join(edit((store_dir / "groups.jsonl").read_text().splitlines())) + "\n")
+    assert main(["build-samples", "--store", str(store_dir), "--rankings", str(rankings), "--out", str(samples),
+                 "--exclude-semipositives", "--groups", str(groups)]) == 1
+    assert f"error: {groups}, {where}" in capsys.readouterr().err
+    assert not samples.exists()
 
 
 # ---------------------------------------------------------------------------

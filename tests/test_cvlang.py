@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import socket
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import georank
-from georank import cvlang
+from georank import cvlang, kernels
 from georank.cli import main
 from georank.cvlang import (
     EMBED_TOKEN_ENV,
@@ -229,6 +230,56 @@ def test_stability_length_statistics():
 def test_stability_misalignment_rejected():
     with pytest.raises(ValueError, match="misalignment"):
         stability_report({"a": "x"}, {"b": "x"}, {"a": np.ones(2)}, {"b": np.ones(2)})
+    with pytest.raises(ValueError, match="empty corpora"):
+        stability_report({}, {}, {}, {})
+
+
+def _pair_cosine(u, v) -> float:
+    """The mean cosine of a one-pair corpus: the cosine of ``u`` and ``v``."""
+    return stability_report({"i": "x"}, {"i": "x"}, {"i": u}, {"i": v}).mean_cosine
+
+
+@pytest.mark.parametrize("u, v, expected", [
+    ([1.0, 0.0], [1.0, 0.0], 1.0),
+    ([1.0, 0.0], [0.0, 1.0], 0.0),
+    ([1.0, 1.0], [1.0, 0.0], math.sqrt(2) / 2),
+])
+def test_stability_cosine_hand_cases(u, v, expected):
+    assert _pair_cosine(np.array(u), np.array(v)) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("u, v", [(np.ones(3), np.ones(4)), (np.ones((1, 3)), np.ones((1, 3)))])
+def test_stability_dimension_mismatch_rejected(u, v):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        _pair_cosine(u, v)
+
+
+def test_stability_pairs_of_different_widths_rejected():
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(3,\) vs \(4,\)"):
+        stability_report({"a": "x", "b": "x"}, {"a": "x", "b": "x"}, {"a": np.ones(3), "b": np.ones(4)},
+                         {"a": np.ones(3), "b": np.ones(4)})
+
+
+@pytest.mark.parametrize("u, v", [(np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))])
+def test_stability_zero_norm_rejected(u, v):
+    with pytest.raises(ValueError, match="cosine undefined for zero-norm vector"):
+        _pair_cosine(u, v)
+
+
+def test_stability_cosine_is_phase_one_arithmetic_symmetric_and_scale_invariant():
+    rng = np.random.default_rng(0)
+    for dim in (2, 16, 257, 1536):
+        for dtype in (np.float32, np.float64):
+            u, v = rng.standard_normal((2, dim)).astype(dtype)
+            alpha = float(rng.uniform(0.01, 100.0))
+            cos = _pair_cosine(u, v)
+            q = v.astype(np.float64)
+            norms = kernels.row_norms(q[None])[0], kernels.row_norms(u[None])
+            assert cos == kernels.exact_cosines(u[None], q, *norms)[0]  # phase 1's score of the pair
+            assert cos == _pair_cosine(v, u)
+            # scaling a float32 vector rounds it, by up to float32's unit roundoff per value
+            assert _pair_cosine(alpha * u, v) == pytest.approx(cos, abs=1e-12 if dtype is np.float64 else 1e-6)
+    assert -1.0 <= _pair_cosine(u, -u) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +353,12 @@ def test_live_endpoint_dim_mismatch(stub_server):
         embed_texts(["x"], _endpoint(stub_server))
 
 
+def test_live_endpoint_wrong_embedding_count(stub_server):
+    stub_server.script = [(200, {"embeddings": [[1.0] * 4] * 2})]
+    with pytest.raises(EmbedServiceError, match="endpoint returned 2 embeddings for 1 inputs"):
+        embed_texts(["x"], _endpoint(stub_server))
+
+
 def test_live_endpoint_retries_then_fails(stub_server):
     stub_server.script = [(500, {"error": "boom"})]
     with pytest.raises(EmbedServiceError, match="unreachable"):
@@ -325,7 +382,7 @@ def test_live_endpoint_hard_error_surfaces_body(stub_server):
 
 
 @pytest.mark.parametrize("body", [[1, 2], {"embeddings": 5}, {"embeddings": [1.0]},
-                                  {"embeddings": [["a", "b", "c", "d"]]}])
+                                  {"embeddings": [["a", "b", "c", "d"]]}, b"<html>busy</html>"])
 def test_live_endpoint_malformed_body_is_embed_service_error(stub_server, tmp_path, capsys, body):
     stub_server.script = [(200, body)]
     with pytest.raises(EmbedServiceError, match="malformed response"):

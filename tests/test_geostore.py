@@ -148,11 +148,30 @@ def test_ingest_duplicate_id(tmp_path):
         ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
 
 
+@pytest.mark.parametrize("values", [["1.5", True], [1.5, True], [False, 0.0], [1.5, None], [1.5, [2.0]],
+                                    "1.5,2.0", 1.5, {"0": 1.5}, [1.5, 10 ** 400]],
+                         ids=["string-and-true", "true", "false", "null", "nested", "string", "number", "object",
+                              "huge-integer"])
+@pytest.mark.parametrize("table", ["ref_embeddings", "ref_text_embeddings"])
+def test_ingest_refuses_an_embedding_that_is_not_a_list_of_numbers(tmp_path, table, values):
+    """Nothing is coerced: ``float("1.5")`` or ``float(True)`` would load a vector the file does not hold."""
+    good = {"id": "r0", "embedding": [1.0, 0.0]}
+    path = _ref_file(tmp_path, [good, {"id": "r1", "embedding": values}])
+    files = {"ref_embeddings": path, "ref_text_embeddings": path}
+    if table == "ref_text_embeddings":
+        files["ref_embeddings"] = _ref_file(tmp_path, [good, {"id": "r1", "embedding": [0.0, 1.0]}], "img.jsonl")
+    problem = "int too large" if values == [1.5, 10 ** 400] else "embedding is not a list of numbers"
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line 2, id 'r1': {problem}")):
+        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), files.pop("ref_embeddings"), **files)
+    assert not (tmp_path / "store").exists()
+
+
 def test_ingest_malformed_row_names_file_and_line(tmp_path):
     path = tmp_path / "refs.jsonl"
-    path.write_text('{"id": "ok", "embedding": [1, 0]}\nnot json\n')
-    with pytest.raises(IngestError, match="line 2"):
-        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), path)
+    for line, problem in (("not json", "malformed JSON"), ('["r1", [0, 1]]', "record is not an object")):
+        path.write_text('{"id": "ok", "embedding": [1, 0]}\n' + line + "\n")
+        with pytest.raises(IngestError, match=re.escape(f"{path}, line 2: {problem}")):
+            ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), path)
 
 
 def test_ingest_rejects_nonfinite_and_zero_norm(tmp_path):
@@ -182,6 +201,10 @@ def test_ingest_count_mismatch(tmp_path):
     emb = _ref_file(tmp_path, [{"id": "a", "embedding": [1, 0]}])
     with pytest.raises(IngestError, match="manifest"):
         ingest(tmp_path / "store", StoreManifest(2, 2, 5, 0), emb)
+    emb = _ref_file(tmp_path, [{"id": i, "embedding": [1, 0]} for i in "abc"])
+    with pytest.raises(IngestError, match=re.escape(f"{emb}, line 3, id 'c': more than 2 refs rows")):
+        ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb)
+    assert not (tmp_path / "store").exists()
 
 
 def test_ingest_idempotent_digest(tmp_path):
@@ -203,14 +226,23 @@ def test_ingest_bad_coordinate_names_id(tmp_path):
         ingest(tmp_path / "store", StoreManifest(2, 2, 1, 0), emb, ref_coords=coords)
 
 
-@pytest.mark.parametrize("record", [{"id": "r1", "lat": "x", "lon": 4.0}, {"id": "r1", "lon": 4.0}],
-                         ids=["lat-not-number", "lon-missing"])
-def test_ingest_bad_coordinate_row_names_file_line_and_id(tmp_path, record):
+@pytest.mark.parametrize("record,problem", [
+    ({"id": "r1", "lat": "x", "lon": 4.0}, "not both numbers"),
+    ({"id": "r1", "lon": 4.0}, "missing field 'lat'"),
+    ({"id": "r1", "lat": "12.5", "lon": True}, """'lat' "12.5" and 'lon' true are not both numbers"""),
+    ({"id": "r1", "lat": 12.5, "lon": False}, "not both numbers"),
+    ({"id": "r1", "lat": None, "lon": 4.0}, "not both numbers"),
+    ({"id": "r1", "lat": [1.0], "lon": 4.0}, "not both numbers"),
+    ({"id": "r1", "lat": 10 ** 400, "lon": 4.0}, "int too large to convert to float"),
+], ids=["lat-not-number", "lon-missing", "string-and-true", "false", "null", "list", "huge-integer"])
+def test_ingest_bad_coordinate_row_names_file_line_and_id(tmp_path, record, problem):
+    """Nothing is coerced: ``float("12.5")`` or ``float(True)`` would load a coordinate the file does not hold."""
     emb = _ref_file(tmp_path, [{"id": "r0", "embedding": [1, 0]}, {"id": "r1", "embedding": [0, 1]}])
     coords = tmp_path / "coords.jsonl"
-    _write_jsonl(coords, [{"id": "r0", "lat": 1.0, "lon": 2.0}, record])
-    with pytest.raises(IngestError, match=re.escape(f"{coords}, line 2, id 'r1'")):
+    _write_jsonl(coords, [{"id": "r0", "lat": 1.0, "lon": 2}, record])
+    with pytest.raises(IngestError, match=re.escape(f"{coords}, line 2, id 'r1': ") + ".*" + re.escape(problem)):
         ingest(tmp_path / "store", StoreManifest(2, 2, 2, 0), emb, ref_coords=coords)
+    assert not (tmp_path / "store").exists()
 
 
 def test_non_utf8_ingest_line_is_ingest_error_naming_file_and_line(tmp_path):
@@ -388,9 +420,14 @@ def test_coordinate_column_is_float64_matrix_and_reads_back_bit_exact(tmp_path):
 @pytest.mark.parametrize("stem,dtype", [("txt", "<f4"), ("coords", "<f8")])
 def test_load_rejects_repeated_sidecar_id(tmp_path, stem, dtype):
     _full_store(tmp_path / "s")
-    geostore._write_rows(np.ones((2, 3 if stem == "txt" else 2)), ["r0", "r0"], tmp_path / "s" / f"refs.{stem}", dtype)
-    with pytest.raises(FormatError, match=re.escape(f"refs.{stem}.ids: repeated id 'r0'")):
-        Store.load(tmp_path / "s")
+    column = {"txt": "text", "coords": "coords"}[stem]
+    for ids, problem in ((["r0", "r0"], "repeated id 'r0'"), (["r0"], f"1 ids for 2 {column} rows"),
+                         (["r0", "r9"], f"unknown {column} id 'r9'")):
+        geostore._write_rows(np.ones((2, 3 if stem == "txt" else 2)), ["r0", "r1"], tmp_path / "s" / f"refs.{stem}",
+                             dtype)
+        (tmp_path / "s" / f"refs.{stem}.ids").write_text("".join(i + "\n" for i in ids))
+        with pytest.raises(FormatError, match=re.escape(f"refs.{stem}.ids: {problem}")):
+            Store.load(tmp_path / "s")
 
 
 def test_save_over_a_fuller_store_leaves_no_stale_column(tmp_path):
@@ -435,6 +472,11 @@ def test_synthetic_deterministic_digest(tmp_path):
 def test_synthetic_config_validation():
     with pytest.raises(ValueError, match="group_size"):
         generate_synthetic(SynthConfig(n_locations=3, group_size=4), 0)
+    with pytest.raises(ValueError, match="group_size must be >= 2"):
+        generate_synthetic(SynthConfig(n_locations=8, group_size=1), 0)
+    for value in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=re.escape("text_margin must be in (0, 1]")):
+            generate_synthetic(SynthConfig(n_locations=8, group_size=2, text_margin=value), 0)
     with pytest.raises(ValueError, match="dims"):
         generate_synthetic(SynthConfig(n_locations=8, group_size=2, image_dim=0), 0)
     for name in ("image_noise", "group_spread"):
@@ -504,7 +546,9 @@ def test_groups_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("record,problem", [({"id": "r1"}, "missing field 'group'"),
-                                            ({"id": "r1", "group": "x"}, "invalid literal for int()")])
+                                            ({"id": 5, "group": 1}, "'id' is not a string")] + [
+    ({"id": "r1", "group": group}, f"id 'r1' has group {json.dumps(group)}, not an integer")
+    for group in ("x", True, "7", 2.9, 2.0, None, [1])])
 def test_load_groups_bad_record_names_file_and_line(tmp_path, record, problem):
     path = tmp_path / "groups.jsonl"
     path.write_text(json.dumps({"id": "r0", "group": 0}) + "\n" + json.dumps(record) + "\n")
@@ -820,10 +864,12 @@ def test_ingest_of_an_exported_store_gives_back_its_columns_and_files(data):
             assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
 
 
-@pytest.mark.parametrize("fault", ["missing", "repeated", "unknown"])
+@pytest.mark.parametrize("fault", ["missing", "repeated", "unknown", "uncoerced-value"])
 @pytest.mark.parametrize("table", ["ref_text_embeddings", "ref_captions", "ref_coords", "query_text_embeddings",
                                    "query_captions", "query_coords", "query_truth"])
 def test_keyed_table_refuses_missing_repeated_or_unknown_id(tmp_path, table, fault):
+    """So does a table whose value is not of its JSON type ("uncoerced-value"): a number for a
+    caption, a string for a coordinate or the ground truth, a string and a boolean in an embedding."""
     refs = [make_ref(f"r{i}", [1.0, i], text=[i, 1.0], caption=f"c{i}", coord=GeoCoord(i, 0.0)) for i in range(2)]
     queries = [make_query(f"q{i}", [i, 1.0], ["r0"], text=[1.0, i], coord=GeoCoord(0.0, i)) for i in range(2)]
     for q in queries:
@@ -832,8 +878,11 @@ def test_keyed_table_refuses_missing_repeated_or_unknown_id(tmp_path, table, fau
     files = _ingest_inputs(store, tmp_path, list)
     records = [json.loads(line) for line in files[table].read_text().splitlines()]
     second = records[1]
-    rid = {"missing": None, "repeated": records[0]["id"], "unknown": "nowhere"}[fault]
-    if rid is None:
+    rid = {"missing": None, "repeated": records[0]["id"], "unknown": "nowhere", "uncoerced-value": second["id"]}[fault]
+    if fault == "uncoerced-value":
+        field = next(key for key in second if key != "id")
+        second[field] = {"embedding": ["1.5", True], "caption": 5, "lat": "12.5", "refs": "r0"}[field]
+    elif rid is None:
         del second["id"]
     else:
         second["id"] = rid
@@ -841,6 +890,15 @@ def test_keyed_table_refuses_missing_repeated_or_unknown_id(tmp_path, table, fau
     with pytest.raises(IngestError, match=re.escape(f"{files[table]}, line 2")) as exc:
         ingest(tmp_path / "store", store.manifest, files.pop("ref_embeddings"), **files)
     assert exc.value.record_id == rid and (rid is None or f"id '{rid}'" in str(exc.value))
+
+
+@pytest.mark.parametrize("key", ["image_dim", "query_count"])
+def test_manifest_missing_key_names_file(tmp_path, key):
+    path = tmp_path / "manifest.txt"
+    StoreManifest(2, 3, 1, 0).write(path)
+    path.write_text("".join(line + "\n" for line in path.read_text().splitlines() if not line.startswith(key + "=")))
+    with pytest.raises(IngestError, match=re.escape(f"{path}: manifest missing key '{key}'")):
+        StoreManifest.read(path)
 
 
 @pytest.mark.parametrize("line,problem", [
@@ -874,6 +932,20 @@ def test_synthetic_and_ingest_run_the_store_check(tmp_path, monkeypatch):
     ingest(tmp_path / "s", StoreManifest(2, 2, 1, 0), _ref_file(tmp_path, [{"id": "r0", "embedding": [1.0, 0.0]}]))
     Store.load(tmp_path / "s")
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("side, ids, problem", [
+    ("both", ["r0"], "side must be refs or queries, got 'both'"),
+    ("refs", [], "no text embeddings to attach"),
+    ("queries", ["r0"], "text embeddings: unknown text id 'r0' among store queries"),
+])
+def test_attach_text_refuses_a_bad_side_no_ids_or_an_unknown_id_before_writing(tmp_path, side, ids, problem):
+    store, _ = generate_synthetic(SynthConfig(n_locations=8, group_size=2, image_dim=4, text_dim=3), seed=0)
+    store.save(tmp_path / "s")
+    before = store_digest(tmp_path / "s")
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        geostore.attach_text(tmp_path / "s", side, ids, np.ones((len(ids), 3)))
+    assert store_digest(tmp_path / "s") == before
 
 
 def test_attach_text_refuses_nonfinite_vector_before_writing(tmp_path):

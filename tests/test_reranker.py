@@ -489,9 +489,9 @@ def test_a_rows_result_does_not_depend_on_its_row_block(dims, rows, seed):
     at, alone_at = rng.integers(len(queries)), rng.integers(QUERY_BLOCK)
     alone = np.zeros((QUERY_BLOCK, queries.shape[1]), np.float32)
     alone[alone_at] = queries[at]
-    in_block = reranker._align_block(queries, params)[at]
+    in_block = align(reranker._padded(queries, QUERY_BLOCK), params)[at]
     assert np.array_equal(in_block, align(alone, params)[alone_at])
-    assert np.array_equal(in_block, reranker._align_block(queries[at : at + 1], params)[0])
+    assert np.array_equal(in_block, align(reranker._padded(queries[at : at + 1], QUERY_BLOCK), params)[0])
 
 
 def _saved_store_and_checkpoint(tmp_path, image_dim, text_dim, latent, n_refs=300, n_queries=40):
@@ -641,14 +641,17 @@ def test_golden_checkpoint_loads_and_saves_back_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("aligner_layers", 3), ("ln_epsilon", 1e-6), ("shared_projections", False), ("shared_projections", 1),
-    ("aligner_layers", None), ("ln_epsilon", None), ("shared_projections", None),
+    ("aligner_layers", None), ("ln_epsilon", None), ("shared_projections", None), ("not a JSON object", []),
 ])
 def test_a_checkpoint_config_off_the_fixed_shape_is_refused_naming_file_and_key(tmp_path, key, value):
-    """The golden checkpoint with one fixed key set to another value, or removed (None)."""
+    """The golden checkpoint with one fixed key set to another value, or removed (None); or with a
+    config block that is a JSON array, not an object."""
     (cfg_len,) = struct.unpack_from("<I", GOLDEN_GVCK, 8)
     config = json.loads(GOLDEN_GVCK[12 : 12 + cfg_len])
     if value is None:
         del config[key]
+    elif value == []:
+        config = list(config.items())
     else:
         config[key] = value
     block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -783,6 +786,15 @@ def test_checkpoint_repeated_tensor_name_rejected(tmp_path):
     save_params(path, init_params(tiny_config()))
     path.write_bytes(path.read_bytes() + _tensor_frame("score.b", (), struct.pack("<f", 5.0)))
     with pytest.raises(FormatError, match="score.b") as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_impossible_tensor_shape_rejected(tmp_path):
+    path = tmp_path / "model.gvck"
+    save_params(path, init_params(tiny_config()))
+    path.write_bytes(path.read_bytes() + _tensor_frame("empty", (0,) * 70, b""))  # more dims than numpy allows
+    with pytest.raises(FormatError, match="tensor 'empty' has an impossible shape") as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)
 

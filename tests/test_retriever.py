@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -11,7 +10,6 @@ from georank.geostore import IngestError
 from georank.retriever import (
     Ranking,
     brute_force_rank,
-    cosine,
     load_rankings,
     rank_store_queries,
     save_rankings,
@@ -19,43 +17,6 @@ from georank.retriever import (
 )
 
 from conftest import build_store, fill_disk_after_first_write, make_ref, random_store
-
-
-# ---------------------------------------------------------------------------
-# cosine
-# ---------------------------------------------------------------------------
-
-def test_cosine_identical_direction():
-    assert cosine(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-
-def test_cosine_orthogonal():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-
-def test_cosine_45_degrees():
-    assert cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-
-
-def test_cosine_dim_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        cosine(np.ones(3), np.ones(4))
-
-
-def test_cosine_zero_norm_rejected():
-    with pytest.raises(ValueError, match="zero-norm"):
-        cosine(np.zeros(3), np.ones(3))
-
-
-def test_cosine_symmetry_and_scale_invariance():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        u = rng.standard_normal(16)
-        v = rng.standard_normal(16)
-        alpha = float(rng.uniform(0.01, 100.0))
-        assert cosine(u, v) == cosine(v, u)
-        assert cosine(alpha * u, v) == pytest.approx(cosine(u, v), abs=1e-12)
-    assert -1.0 <= cosine(u, -u) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +46,8 @@ def test_top_k_tie_break_by_id():
 def test_top_k_validations(simple_store):
     with pytest.raises(ValueError, match="k must be"):
         top_k(np.array([1.0, 0.0]), simple_store, 0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        rank_store_queries(simple_store, 0)
     with pytest.raises(ValueError, match="dim"):
         top_k(np.ones(5), simple_store, 1)
     with pytest.raises(ValueError, match="zero-norm"):
@@ -314,7 +277,9 @@ def test_rankings_non_utf8_line_names_file_and_line(tmp_path):
     (['{"query_id": "q", "entries": [["a", Infinity]]}'], "line 1", "candidate 'a' has score inf"),
     (['{"query_id": "q", "entries": [["a", 0.5], ["a", 0.4]]}'], "line 1", "candidate 'a' is listed twice"),
     (['{"query_id": "q", "entries": [["a", 0.5]]}'] * 2, "line 2, id 'q'", "duplicate ranking record"),
-], ids=["nan", "inf", "repeated-candidate", "repeated-query"])
+    (['{"query_id": "q", "entries": [["a", 1%s]]}' % ("0" * 400)], "line 1", "int too large to convert to float"),
+    (['{"query_id": "q", "entries": []}', '{"query_id": 5, "entries": []}'], "line 2", "'query_id' is not a string"),
+], ids=["nan", "inf", "repeated-candidate", "repeated-query", "huge-integer", "int-query-id"])
 def test_load_rankings_refuses_nonfinite_score_or_repeated_id(tmp_path, lines, where, problem):
     path = tmp_path / "rankings.jsonl"
     path.write_text("\n".join(lines) + "\n")
@@ -347,3 +312,14 @@ def test_ranking_validate_rejects_bad_order():
         Ranking("q", [("a", 0.1), ("b", 0.9)], k=2).validate()
     with pytest.raises(ValueError, match="order"):
         Ranking("q", [("b", 0.5), ("a", 0.5)], k=2).validate()
+
+
+@pytest.mark.parametrize("reranked", ['"no"', '"true"', "1", "0", "null", "[true]"])
+def test_load_rankings_refuses_a_reranked_flag_that_is_not_a_boolean(tmp_path, reranked):
+    """``bool("no")`` is True: a flag that is not a JSON boolean is refused, not coerced."""
+    path = tmp_path / "rankings.jsonl"
+    path.write_text('{"query_id": "q0", "entries": [], "reranked": true}\n'
+                    '{"query_id": "q1", "entries": [["r0", 0.5]], "reranked": %s}\n' % reranked)
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line 2: ") + ".*" + re.escape(
+            f"'reranked' {reranked} is not true or false")):
+        load_rankings(path)

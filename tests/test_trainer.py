@@ -64,6 +64,7 @@ def test_margin_loss_empty_negatives():
 
 @pytest.mark.parametrize("setting,value", [
     ("lr", -1.0), ("lr", math.nan), ("lr", math.inf), ("margin", -1.0), ("margin", math.nan), ("margin", math.inf),
+    ("loss_on", "hinge"), ("batch_size", 0), ("epochs", -1),
 ])
 def test_train_config_refuses_a_setting_out_of_range_naming_it(setting, value):
     with pytest.raises(ValueError, match=setting):
@@ -511,6 +512,16 @@ def test_train_requires_samples():
     _, store, rr = _train_fixture(16)
     with pytest.raises(ValueError, match="no training samples"):
         train([], store, rr, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("val_split, problem", [(1.0, "val_split must be in"), (-0.1, "val_split must be in"),
+                                                (float("nan"), "val_split must be in"),
+                                                (0.99, "val_split leaves no training samples")])
+def test_train_refuses_a_val_split_that_leaves_nothing_to_train_on(tmp_path, val_split, problem):
+    samples, store, rr = _train_fixture(16)
+    with pytest.raises(ValueError, match=problem):
+        train(samples, store, rr, TrainConfig(epochs=1), val_split=val_split, checkpoint_dir=tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_train_report_csv_and_jsonl(tmp_path):
