@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 from collections.abc import Mapping
@@ -233,6 +234,8 @@ def _text_entry(rec: dict) -> tuple[str, str]:
     rid = rec.get("id", rec.get("image_id"))
     if not isinstance(rid, str) or not isinstance(text, str):
         raise ValueError("need 'id' (or 'image_id') and one of description/caption/text")
+    if not geostore.valid_id(rid):
+        raise ValueError(f"id {json.dumps(rid)} is not a valid id: {geostore.INVALID_ID}")
     return rid, text
 
 

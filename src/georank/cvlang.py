@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .geostore import IngestError, load_jsonl
+from .geostore import INVALID_ID, IngestError, load_jsonl, valid_id
 
 EMBED_TOKEN_ENV = "GEOVLM_EMBED_TOKEN"
 
@@ -112,15 +112,17 @@ def _sheet(rec: dict) -> MCQAnswerSheet:
     image_id, answers = rec["image_id"], rec["answers"]
     if not isinstance(image_id, str):
         raise TypeError(f"'image_id' {json.dumps(image_id)} is not a string")
+    if not valid_id(image_id):
+        raise ValueError(f"'image_id' {json.dumps(image_id)} is not a valid id: {INVALID_ID}")
     if not isinstance(answers, dict):
         raise TypeError("'answers' is not an object of question id -> answer")
     return MCQAnswerSheet(image_id, answers)
 
 
 def sheets_from_jsonl(path: str | Path) -> list[MCQAnswerSheet]:
-    """One answer sheet per line; a sheet without a string ``image_id`` and an
-    ``answers`` object, or an ``image_id`` seen before, raises IngestError
-    naming the file and line."""
+    """One answer sheet per line; a sheet without an ``image_id`` that
+    ``geostore.valid_id`` accepts and an ``answers`` object, or an
+    ``image_id`` seen before, raises IngestError naming the file and line."""
     return load_jsonl(path, _sheet, "answer sheet", key=lambda sheet: sheet.image_id)
 
 

@@ -258,6 +258,10 @@ def read_embedding_matrix(path: str | Path, dtype: str = "<f4") -> np.ndarray:
     return rows
 
 
+# what ``valid_id`` refuses, for the errors that name a refused id
+INVALID_ID = "empty, or holding a line break or a lone surrogate"
+
+
 def valid_id(record_id: str) -> bool:
     """Ids are non-empty strings, encodable as UTF-8 (no lone surrogates) and
     hold no line boundary, so an ``.ids`` file (one id per line, split with
@@ -467,8 +471,7 @@ class Store:
                 raise InvalidStore(side, "ids", None, None, f"{n} rows, but the manifest's {key} is {getattr(m, key)}")
             if not _all_valid_ids(cols.ids):
                 row = next(r for r, i in enumerate(cols.ids) if not valid_id(i))
-                raise InvalidStore(side, "ids", row, cols.ids[row], "is an invalid id: empty, or holding a line "
-                                                                    "break or a lone surrogate")
+                raise InvalidStore(side, "ids", row, cols.ids[row], f"is an invalid id: {INVALID_ID}")
             if len(cols.pos) != n:
                 # pos keeps an id's last row: report the repeat of the first id that has one
                 first = next(r for r, i in enumerate(cols.ids) if cols.pos[i] != r)

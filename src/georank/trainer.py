@@ -63,6 +63,9 @@ LOSS_ON = ("scores", "logits")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements an Adam step updates at a time: the block's slices of the four vectors and its two
+# scratch buffers (about 1.5 MB in float32) stay in a core's L2 cache between the step's operations
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -185,30 +188,41 @@ def optimizer_step(
 ) -> tuple[RerankerParams, dict]:
     """One Adam update of ``params`` and ``state``, in place; returns both.
 
-    ``grads`` is laid out like ``params`` (as ``batch_gradients`` returns
-    it), and the update is a few whole-vector operations on ``params.flat``
-    and ``grads.flat``. Each element sees the operations of the per-tensor
+    ``grads`` is laid out like ``params``, in its dtype (as
+    ``batch_gradients`` returns it). The update walks ``params.flat``,
+    ``grads.flat`` and the moments ``ADAM_BLOCK`` elements at a time,
+    running every operation on a block, in place or into two block-sized
+    buffers, before the next block, so no temporary is as large as the
+    parameter vector. Each element sees the operations of the per-tensor
     update in the same order, so the result is the same bit for bit.
     """
-    if not isinstance(grads, TensorViews) or [(n, g.shape) for n, g in grads.items()] != [
-            (n, t.shape) for n, t in params.tensors.items()]:
-        raise ValueError("gradients are not laid out like the parameters (names, order and shapes)")
-    g = grads.flat
-    theta = params.flat
+    if not isinstance(grads, TensorViews) or grads.flat.dtype != params.dtype or [
+            (n, g.shape) for n, g in grads.items()] != [(n, t.shape) for n, t in params.tensors.items()]:
+        raise ValueError("gradients are not laid out like the parameters (names, order, shapes and dtype)")
+    g, theta, m, v = grads.flat, params.flat, state["m"], state["v"]
     t_step = state["t"] + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    m, v = state["m"], state["v"]
-    m *= b1
-    m += (1.0 - b1) * g
-    v *= b2
-    v += (1.0 - b2) * g * g
-    step = m / (1.0 - b1 ** t_step)
-    step *= config.lr
-    denom = v / (1.0 - b2 ** t_step)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    step /= denom
-    theta -= step
+    c1, c2 = 1.0 - b1 ** t_step, 1.0 - b2 ** t_step
+    step = np.empty(min(theta.size, ADAM_BLOCK), theta.dtype)
+    denom = np.empty_like(step)
+    for lo in range(0, theta.size, ADAM_BLOCK):
+        block = slice(lo, lo + ADAM_BLOCK)
+        gb, mb, vb = g[block], m[block], v[block]
+        s, d = step[: len(gb)], denom[: len(gb)]
+        mb *= b1
+        np.multiply(gb, 1.0 - b1, out=s)
+        mb += s
+        vb *= b2
+        np.multiply(gb, 1.0 - b2, out=s)
+        s *= gb
+        vb += s
+        np.divide(mb, c1, out=s)
+        s *= config.lr
+        np.divide(vb, c2, out=d)
+        np.sqrt(d, out=d)
+        d += ADAM_EPS
+        s /= d
+        theta[block] -= s
     state["t"] = t_step
     return params, state
 

@@ -424,7 +424,9 @@ def _golden_answers():
     ({"answers": [["Q1", "urban"]]}, "line 2", "'answers' is not an object"),
     ({"answers": "urban"}, "line 2", "'answers' is not an object"),
     ({"image_id": "img0"}, "line 2, id 'img0'", "duplicate answer sheet"),
-], ids=["int-id", "null-id", "answers-pairs", "answers-string", "repeated-id"])
+    ({"image_id": ""}, "line 2", "'image_id' \"\" is not a valid id"),
+    ({"image_id": "a\nb"}, "line 2", "'image_id' \"a\\nb\" is not a valid id"),
+], ids=["int-id", "null-id", "answers-pairs", "answers-string", "repeated-id", "empty-id", "line-break-id"])
 def test_caption_refuses_a_malformed_sheet_naming_file_and_line(tmp_path, capsys, record, where, problem):
     """``"image_id": 5`` would be written as ``"id": 5``, which ``embed --texts`` refuses, and ``dict()``
     would read a list of pairs as answers: both are refused before anything is written."""
@@ -495,6 +497,21 @@ def test_embed_refuses_nowhere_to_write_and_a_side_without_attach_before_any_req
     assert stub_server.seen == [] and sorted(p.name for p in tmp_path.iterdir()) == ["texts.jsonl"]
     assert main(argv + ["--out", "out.jsonl"]) == 0  # the same endpoint, given somewhere to write
     assert len(stub_server.seen) == 1 and Path("out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "stability"])
+@pytest.mark.parametrize("rid, shown", [("", '""'), ("a\nb", '"a\\nb"'), ("a\ud800", '"a\\ud800"')],
+                         ids=["empty", "line-break", "lone-surrogate"])
+def test_text_records_refuse_an_id_no_store_can_hold(tmp_path, capsys, command, rid, shown):
+    """An id ``geostore.valid_id`` refuses is an error naming the file, the line and
+    the id, before anything is written, whether the texts are embedded or compared."""
+    texts, out = tmp_path / "texts.jsonl", tmp_path / "out"
+    texts.write_text(json.dumps({"id": "a", "text": "a road"}) + "\n" + json.dumps({"id": rid, "text": "a field"}) + "\n")
+    given = {"embed": ["--texts", str(texts)], "stability": ["--corpus-a", str(texts), "--corpus-b", str(texts)]}
+    assert main([command, *given[command], "--endpoint", "mock:", "--text-dim", "8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {texts}, line 2: malformed text record (id {shown} is not a valid id" in err, err
+    assert not out.exists()
 
 
 def test_embed_dim_mismatch_on_attach_exits_1(tmp_path, mini_store, capsys):

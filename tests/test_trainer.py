@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,13 +275,15 @@ def test_adam_first_step_closed_form():
 
 def test_optimizer_shape_mismatch():
     """Gradients not laid out like the parameters are refused: other shapes,
-    another tensor order, or a plain mapping, even of the right arrays."""
+    another tensor order, another dtype (the step's scratch buffers hold the
+    parameters' dtype), or a plain mapping, even of the right arrays."""
     params = _scalar_params(0.0)
     shapes = expected_shapes(params.config)
     wider = RerankerConfig(image_dim=3, text_dim=1, latent_dim=1, aligner_hidden=1)
     wider_shapes = expected_shapes(wider)
     for grads in (TensorViews(np.zeros(sum(np.prod(s, dtype=int) for s in wider_shapes.values())), wider_shapes),
                   TensorViews(np.zeros_like(params.flat), dict(reversed(shapes.items()))),
+                  TensorViews(np.zeros(params.flat.size, np.float32), shapes),
                   {name: np.zeros_like(t) for name, t in params.tensors.items()}):
         with pytest.raises(ValueError, match="shape"):
             optimizer_step(params, grads, init_optimizer_state(params), TrainConfig())
@@ -302,28 +305,65 @@ def _per_tensor_step(tensors, grads, state, config):
     return new, {"t": t_step, "m": new_m, "v": new_v}
 
 
-def test_flat_optimizer_bit_exact_against_per_tensor_loop():
-    cfg = RerankerConfig(image_dim=5, text_dim=4, latent_dim=6, aligner_hidden=3, init_seed=2)
-    params = init_params(cfg)
-    config = TrainConfig(lr=3e-3)
-    state = init_optimizer_state(params)
+def _assert_steps_match_per_tensor_loop(params, config):
+    """Four flat Adam steps on ``params`` equal ``_per_tensor_step`` bit
+    for bit, on seeded gradients of ``params``' dtype; returns the reference."""
     ref = {name: t.copy() for name, t in params.tensors.items()}
     ref_state = {"t": 0, "m": {n: np.zeros_like(t) for n, t in ref.items()},
                  "v": {n: np.zeros_like(t) for n, t in ref.items()}}
+    state = init_optimizer_state(params)
     rng = np.random.default_rng(0)
     for _ in range(4):
         # magnitudes from 1e-9 to 10, so eps matters for some elements and not for others
-        grads = {name: np.asarray(rng.standard_normal(t.shape) * 10.0 ** rng.uniform(-9, 1, t.shape), np.float32)
+        grads = {name: np.asarray(rng.standard_normal(t.shape) * 10.0 ** rng.uniform(-9, 1, t.shape), params.dtype)
                  for name, t in ref.items()}
-        given = TensorViews(np.zeros_like(params.flat), expected_shapes(cfg))
+        given = TensorViews(np.zeros_like(params.flat), expected_shapes(params.config))
         for name, g in grads.items():
             given[name][...] = g
         params, state = optimizer_step(params, given, state, config)
         ref, ref_state = _per_tensor_step(ref, grads, ref_state, config)
         for name, t in ref.items():
-            assert params.tensors[name].dtype == np.float32
+            assert params.tensors[name].dtype == t.dtype == params.dtype
             assert np.array_equal(params.tensors[name], t), name
+        for key in ("m", "v"):
+            assert np.array_equal(state[key], np.concatenate([t.ravel() for t in ref_state[key].values()])), key
+    return ref
+
+
+def test_flat_optimizer_bit_exact_against_per_tensor_loop():
+    cfg = RerankerConfig(image_dim=5, text_dim=4, latent_dim=6, aligner_hidden=3, init_seed=2)
+    ref = _assert_steps_match_per_tensor_loop(init_params(cfg), TrainConfig(lr=3e-3))
     assert ref["score.b"] != 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blockwise_optimizer_bit_exact_across_blocks(dtype):
+    """A vector of several ``ADAM_BLOCK``-element blocks ending in a partial
+    one steps exactly as the per-tensor loop does, in float32 and in
+    gradcheck's float64."""
+    cfg = RerankerConfig(image_dim=96, text_dim=64, latent_dim=256, aligner_hidden=192, init_seed=3)
+    params = init_params(cfg).astype(dtype)
+    assert params.flat.size > 3 * trainer.ADAM_BLOCK and params.flat.size % trainer.ADAM_BLOCK
+    _assert_steps_match_per_tensor_loop(params, TrainConfig(lr=3e-3))
+
+
+def test_optimizer_step_allocates_no_full_size_temporary():
+    """One step on a vector of over a million elements allocates (as numpy
+    reports to tracemalloc) less than half the parameter vector's bytes."""
+    cfg = RerankerConfig(image_dim=512, text_dim=512, latent_dim=512, aligner_hidden=512)
+    params = init_params(cfg)
+    assert params.flat.size >= 1_000_000
+    grads = TensorViews(np.random.default_rng(0).standard_normal(params.flat.size).astype(params.dtype),
+                        expected_shapes(cfg))
+    state = init_optimizer_state(params)
+    tracemalloc.start()
+    try:
+        optimizer_step(params, grads, state, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes / 2, (peak, params.flat.nbytes)
+    assert state["t"] == 1 and np.any(state["m"])
 
 
 # ---------------------------------------------------------------------------
