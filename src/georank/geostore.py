@@ -4,8 +4,15 @@ A store is a directory holding binary matrices (magic ``GVLM``: float32
 image and text embeddings, float64 coordinates), line-delimited JSON
 caption/ground-truth tables, and a plain-text ``key=value`` manifest. In
 memory it is a ``Store`` of row-aligned columns, checked by
-``Store.validate`` however it was built. Loaded stores are immutable;
-ingestion, synthesis and ``attach_text`` are the only writers.
+``Store.validate`` however it was built. Loaded stores are immutable:
+``Store.load`` maps each matrix file read-only, so its columns are
+read-only arrays whose pages the page cache shares between processes that
+load the same store. Ingestion, synthesis, ``Store.save`` and
+``attach_text`` are the only writers, and they replace files by rename,
+so a loaded store keeps its rows while its directory is rewritten. A file
+truncated in place by another program under a live mapping can kill the
+process with SIGBUS. A float64 coordinate payload starts at byte 20, so its
+mapped array is not 8-byte aligned, which numpy accepts.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import contextlib
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
@@ -230,9 +238,10 @@ def write_embedding_matrix(rows: np.ndarray, path: str | Path) -> None:
 
 
 def read_embedding_matrix(path: str | Path, dtype: str = "<f4") -> np.ndarray:
-    """Read a GVLM matrix of ``dtype`` rows (float32, version 1, or float64,
-    version 2) back bit-exactly; raises FormatError on corruption or on a
-    file of another payload type."""
+    """Map a GVLM matrix of ``dtype`` rows (float32, version 1, or float64,
+    version 2) read-only and return its payload, uncopied, as a read-only
+    array; raises FormatError naming the file on corruption or on a file of
+    another payload type."""
     dtype = np.dtype(dtype)
     want = EMB_VERSIONS[dtype]
     header = struct.calcsize("<IIQ") + 4
@@ -251,11 +260,13 @@ def read_embedding_matrix(path: str | Path, dtype: str = "<f4") -> np.ndarray:
             raise FormatError(f"{path}: truncated payload ({payload} of {expected} bytes)")
         if payload > expected:
             raise FormatError(f"{path}: {payload - expected} trailing bytes after payload")
-        # read straight into the matrix: no intermediate copy of the payload
-        rows = np.empty((count, dim), dtype)
-        if fh.readinto(rows) != expected:
-            raise FormatError(f"{path}: truncated payload (file shrank while reading)")
-    return rows
+        if count > np.iinfo(np.intp).max:  # passes the size check only at dim 0
+            raise FormatError(f"{path}: impossible header ({count} rows of dim {dim})")
+        try:
+            mapped = mmap.mmap(fh.fileno(), header + expected, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap refuses a length past the file's size now
+            raise FormatError(f"{path}: truncated payload (file shrank while reading)") from None
+    return np.frombuffer(mapped, dtype, count * dim, header).reshape(count, dim)
 
 
 # what ``valid_id`` refuses, for the errors that name a refused id
@@ -294,9 +305,10 @@ def _all_utf8_text(values) -> bool:
     return True
 
 
-def _read_utf8(path: Path) -> str:
-    """The text of ``path``; a byte that is not UTF-8 raises IngestError naming its line."""
-    data = path.read_bytes()
+def _read_utf8(path: Path, data: bytes | None = None) -> str:
+    """The text of ``path``, or of ``data`` read from it; a byte that is not
+    UTF-8 raises IngestError naming its line."""
+    data = path.read_bytes() if data is None else data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -414,6 +426,17 @@ def store_digest(store_dir: str | Path) -> str:
 # store
 # ---------------------------------------------------------------------------
 
+def _finite_rows(m: np.ndarray) -> np.ndarray:
+    """Whether each row of ``m`` is finite. One row sum in ``m``'s own dtype
+    is finite for every finite row but one whose sum overflows, so only rows
+    whose sum is not finite are checked element by element."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(np.add.reduce(m, axis=1))
+    suspect = np.flatnonzero(~ok)
+    ok[suspect] = np.isfinite(m[suspect]).all(axis=1)
+    return ok
+
+
 def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
     try:
         return np.array([positions[i] for i in ids], np.intp)
@@ -499,7 +522,7 @@ class Store:
             for column, ok, problem in (
                 ("image", np.isfinite(norms), "has a NaN/Inf embedding"),
                 ("image", norms > 0, "has a zero-norm embedding"),
-                ("text", np.isfinite(kernels.row_norms(cols.text)), "has a non-finite text embedding"),
+                ("text", _finite_rows(cols.text), "has a non-finite text embedding"),
                 ("coords", ~cols.has_coord | ((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)),
                  "has a coordinate outside [-90, 90] x [-180, 180]"),
             ):
@@ -604,10 +627,15 @@ class Store:
         except IngestError as exc:
             raise FormatError(str(exc)) from None
         try:
-            return cls(manifest, refs, queries, truth)
+            store = cls(manifest, refs, queries, truth)
         except InvalidStore as exc:
             path, line = _where(sources, exc)
             raise FormatError(f"{path or root}{'' if line is None else f', line {line}'}: {exc.detail}") from None
+        # mapped matrices are read-only; so are the columns filled or scattered beside them
+        for cols in (store.refs, store.queries):
+            for array in (cols.image, cols.text, cols.has_text, cols.coords, cols.has_coord):
+                array.flags.writeable = False
+        return store
 
 
 def _where(sources: dict, exc: InvalidStore) -> tuple[str | None, int | None]:
@@ -674,14 +702,18 @@ def _load_side(root: Path, prefix: str, sources: dict) -> Columns:
         raise FormatError(f"{legacy}: coordinates stored as JSON lines are no longer read; "
                           "re-ingest or re-synth the store to write them as a binary column")
     emb, ids = root / f"{prefix}.img.emb", root / f"{prefix}.img.ids"
-    cols = Columns(_read_utf8(ids).splitlines(), read_embedding_matrix(emb))
+    id_bytes = ids.read_bytes()
+    cols = Columns(_read_utf8(ids, id_bytes).splitlines(), read_embedding_matrix(emb))
     sources[prefix, "ids"] = (ids, np.arange(1, len(cols.ids) + 1))
     sources[prefix, "image"] = (emb, None)
     for column, (_, stem, dtype) in _COLUMNS.items():
         path = root / f"{prefix}.{stem}.emb"
         if path.exists():
             sidecar = path.with_suffix(".ids")
-            _set_rows(cols, column, _read_utf8(sidecar).splitlines(), read_embedding_matrix(path, dtype), sidecar)
+            data = sidecar.read_bytes()
+            # a column every row has lists the image ids again: no need to split them
+            col_ids = cols.ids if data == id_bytes else _read_utf8(sidecar, data).splitlines()
+            _set_rows(cols, column, col_ids, read_embedding_matrix(path, dtype), sidecar)
             sources[prefix, column] = (path, None)
     captions = root / f"{prefix}.captions.jsonl"
     if captions.exists():

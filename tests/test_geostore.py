@@ -1,15 +1,20 @@
 import dataclasses
 import json
+import os
 import re
+import struct
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from georank import geostore
+from georank import geostore, kernels
+from georank.cli import main
 from georank.evaluator import haversine
 from georank.retriever import Ranking, load_rankings, rank_store_queries, save_rankings
 from georank.trainer import TrainingSample, load_samples, save_samples
@@ -67,43 +72,68 @@ def test_matrix_empty_roundtrip(tmp_path):
     write_embedding_matrix(np.empty((0, 5), np.float32), path)
     back = read_embedding_matrix(path)
     assert back.shape == (0, 5)
+    Store(StoreManifest(4, 3, 0, 0), Columns([], np.empty((0, 4), np.float32))).save(tmp_path / "s")
+    back = Store.load(tmp_path / "s")
+    assert back.ref_ids == [] and back.ref_image.shape == (0, 4) and back.refs.text.shape == (0, 3)
 
 
-def test_matrix_truncation_detected(tmp_path):
+@pytest.mark.parametrize("corrupt, problem", [
+    (lambda b: b[:10], "truncated header (10 bytes)"),
+    (lambda b: b"XXXX" + b[4:], "bad magic b'XXXX', expected b'GVLM'"),
+    (lambda b: b[:4] + b"\x09" + b[5:], "format version 9, expected 1 (float32 rows)"),
+    (lambda b: b[:-1], "truncated payload (15 of 16 bytes)"),
+    (lambda b: b + b"\x00", "1 trailing bytes after payload"),
+    # the size check passes (width 0 needs no payload), but no array has 2**63 rows
+    (lambda b: b[:4] + struct.pack("<IIQ", 1, 0, 2**63), f"impossible header ({2**63} rows of dim 0)"),
+], ids=["short-header", "magic", "version", "short-payload", "trailing", "impossible-shape"])
+def test_matrix_refusal_is_format_error_naming_the_file(tmp_path, corrupt, problem):
+    path = tmp_path / "m.emb"
+    write_embedding_matrix(np.ones((2, 2), np.float32), path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {problem}")):
+        read_embedding_matrix(path)
+
+
+def test_matrix_that_shrinks_after_its_size_check_is_format_error_naming_it(tmp_path, monkeypatch):
     path = tmp_path / "m.emb"
     write_embedding_matrix(np.ones((4, 3), np.float32), path)
-    data = path.read_bytes()
-    path.write_bytes(data[:-1])
-    with pytest.raises(FormatError, match="truncated"):
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-8])
+    # the size check sees the whole file; the mapping then finds it 8 bytes shorter
+    monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=size))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: truncated payload (file shrank while reading)")):
         read_embedding_matrix(path)
 
 
-def test_matrix_bad_magic(tmp_path):
-    path = tmp_path / "m.emb"
-    write_embedding_matrix(np.ones((2, 2), np.float32), path)
-    data = bytearray(path.read_bytes())
-    data[:4] = b"XXXX"
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="magic"):
-        read_embedding_matrix(path)
+def test_loaded_columns_are_read_only(tmp_path):
+    _full_store(tmp_path / "s")
+    store = Store.load(tmp_path / "s")
+    # refs map every column from its file; q1 has no text or coordinate, so the queries' are scattered copies
+    for cols in (store.refs, store.queries):
+        for name in ("image", "text", "coords", "has_text", "has_coord"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cols, name)[0] = 0
 
 
-def test_matrix_version_mismatch(tmp_path):
-    path = tmp_path / "m.emb"
-    write_embedding_matrix(np.ones((2, 2), np.float32), path)
-    data = bytearray(path.read_bytes())
-    data[4] = 9
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError, match="version"):
-        read_embedding_matrix(path)
+def test_loaded_store_keeps_its_rows_while_its_directory_is_rewritten(tmp_path):
+    d = tmp_path / "s"
 
+    def synth(seed):
+        assert main(["synth", "--out", str(d), "--locations", "8", "--group-size", "4", "--image-dim", "4",
+                     "--text-dim", "3", "--seed", str(seed)]) == 0
 
-def test_matrix_trailing_bytes_rejected(tmp_path):
-    path = tmp_path / "m.emb"
-    write_embedding_matrix(np.ones((2, 2), np.float32), path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(FormatError, match="trailing"):
-        read_embedding_matrix(path)
+    synth(1)
+    store = Store.load(d)
+    columns = lambda: [c for cols in (store.refs, store.queries) for c in (cols.image, cols.text, cols.coords)]
+    before = [c.copy() for c in columns()]
+    config = SynthConfig(n_locations=8, group_size=4, image_dim=4, text_dim=3)
+    for rewrite in (lambda: synth(2), lambda: generate_synthetic(config, seed=3)[0].save(d),
+                    lambda: geostore.attach_text(d, "refs", ["r0"], [[5.0, 5.0, 5.0]])):
+        digest = store_digest(d)
+        rewrite()
+        assert store_digest(d) != digest
+        assert all(np.array_equal(a, b) for a, b in zip(columns(), before))
+    assert Store.load(d).ref_text_emb("r0").tolist() == [5.0, 5.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +399,26 @@ def test_load_rejects_nonfinite_text_rows(tmp_path, bad):
     write_embedding_matrix([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]], tmp_path / "s" / "refs.txt.emb")
     with pytest.raises(FormatError, match="refs.txt.emb: id 'b' has a non-finite text embedding"):
         Store.load(tmp_path / "s")
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                  elements=st.sampled_from([0.0, 1.5, -2.0, 3.4e38, -3.4e38, np.nan, np.inf, -np.inf])))
+@example(np.array([[3.4e38, 3.4e38, 1.0], [-3.4e38, -3.4e38, 1.0], [1.0, np.inf, -np.inf]], np.float32))
+def test_store_refuses_exactly_the_nonfinite_text_rows_naming_the_first(text):
+    n, dim = text.shape
+    ids = [f"r{i}" for i in range(n)]
+    # the float64-norm check the float32 row sum replaced, as the reference
+    bad = np.flatnonzero(~np.isfinite(kernels.row_norms(text)))
+    assert bad.tolist() == np.flatnonzero(~np.isfinite(text).all(axis=1)).tolist()
+    build = lambda: Store(StoreManifest(2, dim, n, 0), Columns(ids, np.ones((n, 2), np.float32), text))
+    if not bad.size:
+        build()  # a finite row whose float32 sum overflows is accepted
+        return
+    with pytest.raises(InvalidStore) as exc:
+        build()
+    assert (exc.value.column, exc.value.row, exc.value.record_id) == ("text", bad[0], ids[bad[0]])
+    assert str(exc.value) == f"refs: id '{ids[bad[0]]}' has a non-finite text embedding"
 
 
 def test_load_rejects_text_dim_other_than_manifest(tmp_path):
