@@ -18,6 +18,7 @@ mapped array is not 8-byte aligned, which numpy accepts.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -426,15 +427,18 @@ def store_digest(store_dir: str | Path) -> str:
 # store
 # ---------------------------------------------------------------------------
 
-def _finite_rows(m: np.ndarray) -> np.ndarray:
-    """Whether each row of ``m`` is finite. One row sum in ``m``'s own dtype
-    is finite for every finite row but one whose sum overflows, so only rows
-    whose sum is not finite are checked element by element."""
+def _screen_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's sum in ``m``'s dtype, from one BLAS product ``m @ ones``, and
+    whether the row is finite. A NaN or infinity in a row makes its sum NaN or infinite, so
+    only a row whose sum is not finite (a NaN or infinity in it, or finite
+    values whose sum overflows) is checked value by value. A row with a finite,
+    non-zero sum is finite and has a non-zero value."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(np.add.reduce(m, axis=1))
-    suspect = np.flatnonzero(~ok)
-    ok[suspect] = np.isfinite(m[suspect]).all(axis=1)
-    return ok
+        sums = m @ np.ones(m.shape[1], m.dtype)
+    finite = np.isfinite(sums)
+    suspect = np.flatnonzero(~finite)
+    finite[suspect] = np.isfinite(m[suspect]).all(axis=1)
+    return sums, finite
 
 
 def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
@@ -468,7 +472,6 @@ class Store:
         self.refs = refs._fill(manifest.text_dim)
         self.queries = queries._fill(manifest.text_dim)
         self.ground_truth = {q: tuple(g) for q, g in (ground_truth or {}).items()}
-        self._tie_rank = None
         self.validate()
 
     ref_ids = property(lambda self: self.refs.ids)
@@ -477,12 +480,14 @@ class Store:
     query_image = property(lambda self: self.queries.image)
 
     def validate(self) -> None:
-        """Check every store invariant, and build the retrieval index on the way.
+        """Check every store invariant.
 
         Manifest values lie in ``MANIFEST_RANGES``, ids are valid and unique, matrices have
         the manifest's widths, captions are strings encodable as UTF-8, image rows are finite
         and non-zero, text rows are finite, coordinates lie in range, and every query's
         ground truth is non-empty and names references. The first failure raises ``InvalidStore``.
+        Image and text rows are screened by one row sum per matrix (``_screen_rows``); an image
+        row whose sum is zero (all zeros, or values that cancel) is checked value by value.
         """
         m = self.manifest
         for key, (lo, hi) in MANIFEST_RANGES.items():
@@ -513,16 +518,15 @@ class Store:
                 raise InvalidStore(side, "captions", row, cols.ids[row], "has a caption that is not a string "
                                                                         "encodable as UTF-8")
             # a zero or non-finite image row could only score NaN
-            if side == "refs":
-                self.cosine_index = kernels.build_cosine_index(cols.image)
-                norms = self.cosine_index.norms
-            else:
-                norms = kernels.row_norms(cols.image)
+            sums, finite = _screen_rows(cols.image)
+            nonzero = sums != 0
+            zero = np.flatnonzero(~nonzero)
+            nonzero[zero] = cols.image[zero].any(axis=1)
             lat, lon = cols.coords.T
             for column, ok, problem in (
-                ("image", np.isfinite(norms), "has a NaN/Inf embedding"),
-                ("image", norms > 0, "has a zero-norm embedding"),
-                ("text", _finite_rows(cols.text), "has a non-finite text embedding"),
+                ("image", finite, "has a NaN/Inf embedding"),
+                ("image", nonzero, "has a zero-norm embedding"),
+                ("text", _screen_rows(cols.text)[1], "has a non-finite text embedding"),
                 ("coords", ~cols.has_coord | ((np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)),
                  "has a coordinate outside [-90, 90] x [-180, 180]"),
             ):
@@ -539,14 +543,18 @@ class Store:
 
     # -- lookups ------------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def ref_tie_rank(self) -> np.ndarray:
         """Lexicographic rank of each reference row's id, for deterministic tie-breaks."""
-        if self._tie_rank is None:
-            n = len(self.ref_ids)
-            self._tie_rank = np.empty(n, np.int64)
-            self._tie_rank[sorted(range(n), key=self.ref_ids.__getitem__)] = np.arange(n)
-        return self._tie_rank
+        n = len(self.ref_ids)
+        rank = np.empty(n, np.int64)
+        rank[sorted(range(n), key=self.ref_ids.__getitem__)] = np.arange(n)
+        return rank
+
+    @functools.cached_property
+    def cosine_index(self) -> kernels.CosineIndex:
+        """Phase 1's index of ``ref_image`` (float32 row norms), built on first use."""
+        return kernels.build_cosine_index(self.ref_image)
 
     def reference(self, ref_id: str) -> ReferenceRecord:
         row, c = self.ref_rows([ref_id])[0], self.refs

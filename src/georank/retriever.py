@@ -1,16 +1,23 @@
 """Phase-1 ranking: cosine similarity and top-k candidate selection.
 
-``top_k`` and ``rank_store_queries`` score queries in blocks against the
-store's cached ``CosineIndex`` (float64 row norms, 8 bytes per reference):
+Every query is first scaled by the power of two that brings its largest
+|component| into [0.5, 1), which leaves its cosines' float64 arithmetic
+bit for bit as it was and keeps its squared norm from over- or underflowing;
+a query with a NaN or infinite component, or none non-zero, is refused.
+``top_k`` and ``rank_store_queries`` then score queries in blocks against
+the store's ``CosineIndex`` (float32 row norms, 4 bytes per reference, built
+on first use):
 
-1. one float32 BLAS product over ``ref_image`` gives approximate cosines for a
-   block of queries, the block sized so its score tile stays within
-   ``SCORE_TILE_BYTES``;
+1. one float32 BLAS product over ``ref_image``, divided in place by the
+   index's norms, gives a float32 tile of approximate cosines for a block of
+   queries, the block sized so its tile stays within ``SCORE_TILE_BYTES``;
 2. per query, the k-th best approximate score is found by partition;
-3. every row within twice ``kernels.cosine_error_bound(d)`` of it survives, so
-   every row that can be in the exact top k does;
+3. every row within ``kernels.survivor_margin(d)`` (twice
+   ``kernels.cosine_error_bound(d)``, rounded so it can only widen) of it
+   survives, so every row that can be in the exact top k does;
 4. the survivors are re-scored with the float64 formula
-   ``(r·q)/(‖q‖·‖r‖)``, clipped to [-1, 1], and ordered by (score desc, id asc).
+   ``(r·q)/(‖q‖·‖r‖)``, from the float64 norms of those rows alone, clipped
+   to [-1, 1], and ordered by (score desc, id asc).
 
 The float64 score of a row does not depend on which other rows survive, so a
 query gets the same ids and scores from ``top_k``, ``rank_store_queries`` and
@@ -30,10 +37,10 @@ import numpy as np
 from . import kernels
 from .geostore import Store, load_jsonl, write_jsonl
 
-# Upper bound on the memory of one block's approximate scores: 4 bytes of
-# float32 product plus 8 of float64 cosine per (query, reference) pair.
+# Upper bound on the memory of one block's approximate scores: the float32
+# tile, 4 bytes per (query, reference) pair.
 SCORE_TILE_BYTES = 64 << 20
-_TILE_BYTES_PER_SCORE = 12
+_TILE_BYTES_PER_SCORE = 4
 
 
 @dataclass
@@ -55,7 +62,11 @@ class Ranking:
 
 
 def _check_query(query_emb: np.ndarray, store: Store) -> np.ndarray:
-    """``query_emb`` as float64, after the checks every phase-1 entry point makes."""
+    """``query_emb`` as float64, scaled by the power of two that brings its largest
+    |component| into [0.5, 1), after the checks every phase-1 entry point makes.
+    The scaling is exact unless a component falls below float64's normal range,
+    and it moves no cosine: the products and norms of ``kernels.exact_cosines``
+    scale by the same power of two."""
     query_emb = np.asarray(query_emb)
     if store.ref_image.shape[0] == 0:
         raise ValueError("store holds no references")
@@ -63,22 +74,25 @@ def _check_query(query_emb: np.ndarray, store: Store) -> np.ndarray:
         raise ValueError(
             f"query dim {query_emb.shape} does not match store image_dim {store.manifest.image_dim}"
         )
-    if not np.any(query_emb):
+    largest = float(np.abs(query_emb).max())
+    if not math.isfinite(largest):
+        raise ValueError("query has a NaN or infinite component")
+    if largest == 0.0:
         raise ValueError("cosine undefined for zero-norm query")
-    return query_emb.astype(np.float64)
+    return np.ldexp(query_emb.astype(np.float64), -math.frexp(largest)[1])
 
 
-def _survivors(approx: np.ndarray, k: int, margin: float, unswept: np.ndarray) -> np.ndarray | slice:
+def _survivors(approx: np.ndarray, k: int, margin: np.float32, unswept: np.ndarray) -> np.ndarray | slice:
     """Rows of one query's approximate scores that can be in its exact top k:
-    those within ``margin`` of the k-th best, plus the unswept rows (whose
-    approximate score is -inf). All rows when the k-th best is not finite."""
+    those at or above the k-th best minus ``margin``, plus the unswept rows
+    (whose approximate score is -inf). All rows when that threshold is -inf."""
     n = approx.shape[0]
     if k >= n:
         return slice(None)
-    kth = np.partition(approx, n - k)[n - k]
-    if not np.isfinite(kth):
+    threshold = np.partition(approx, n - k)[n - k] - margin
+    if not threshold > -np.inf:
         return slice(None)
-    rows = np.flatnonzero(approx >= kth - margin)
+    rows = np.flatnonzero(approx >= threshold)
     return np.concatenate([rows, unswept]) if unswept.size else rows
 
 
@@ -86,18 +100,15 @@ def _rank_block(queries: np.ndarray, store: Store, k: int, query_ids: list[str])
     """top_k for each row of ``queries`` (b, d), float64 rows that passed ``_check_query``."""
     index = store.cosine_index
     qnorms = kernels.row_norms(queries)
-    regular = kernels.regular_queries(qnorms)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        unit = queries / qnorms[:, None]
-    approx = kernels.cosine_scores(unit, store.ref_image, index.norms)
+    approx = kernels.cosine_scores(queries / qnorms[:, None], store.ref_image, index.norms)
     if index.unswept.size:
         approx[:, index.unswept] = -np.inf
-    approx[~regular] = np.nan  # scored exactly against every row
-    margin = 2.0 * kernels.cosine_error_bound(queries.shape[1])
+    margin = kernels.survivor_margin(queries.shape[1])
     out = []
     for i, qid in enumerate(query_ids):
         rows = _survivors(approx[i], k, margin, index.unswept)
-        scores = kernels.exact_cosines(store.ref_image[rows], queries[i], qnorms[i], index.norms[rows])
+        refs = store.ref_image[rows]
+        scores = kernels.exact_cosines(refs, queries[i], qnorms[i], kernels.row_norms(refs))
         best = kernels.top_indices(scores, store.ref_tie_rank[rows], k)
         ref_rows = best if isinstance(rows, slice) else rows[best]
         entries = [(store.ref_ids[r], float(s)) for r, s in zip(ref_rows, scores[best])]

@@ -421,6 +421,67 @@ def test_store_refuses_exactly_the_nonfinite_text_rows_naming_the_first(text):
     assert str(exc.value) == f"refs: id '{ids[bad[0]]}' has a non-finite text embedding"
 
 
+def _norm_and_sum_refusal(image: np.ndarray, text: np.ndarray):
+    """The checks the row-sum screen replaced, as the reference: image rows by
+    their float64 norms, text rows by one float32 sum per row, re-checked value
+    by value where it is not finite. (column, first row, problem) or None."""
+    norms = kernels.row_norms(image)
+    with np.errstate(over="ignore", invalid="ignore"):
+        text_ok = np.isfinite(np.add.reduce(text, axis=1))
+    suspect = np.flatnonzero(~text_ok)
+    text_ok[suspect] = np.isfinite(text[suspect]).all(axis=1)
+    for column, ok, problem in (("image", np.isfinite(norms), "has a NaN/Inf embedding"),
+                                ("image", norms > 0, "has a zero-norm embedding"),
+                                ("text", text_ok, "has a non-finite text embedding")):
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            return column, int(bad[0]), problem
+    return None
+
+
+def _assert_same_refusal(image, text):
+    n = image.shape[0]
+    ids = [f"r{i}" for i in range(n)]
+    want = _norm_and_sum_refusal(image, text)
+    build = lambda: Store(StoreManifest(image.shape[1], text.shape[1], n, 0), Columns(ids, image, text))
+    if want is None:
+        build()
+        return
+    with pytest.raises(InvalidStore) as exc:
+        build()
+    column, row, problem = want
+    assert (exc.value.column, exc.value.row, exc.value.record_id) == (column, row, ids[row])
+    assert str(exc.value) == f"refs: id '{ids[row]}' {problem}"
+
+
+_SCREEN_VALUES = [0.0, -0.0, 1.5, -1.5, 3.4e38, -3.4e38, float(np.float32(1e-45)), float(np.float32(-1e-45)),
+                  float(np.float32(1e-40)), np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_store_screen_refuses_exactly_the_rows_the_norm_and_sum_checks_refused(data):
+    n, image_dim, text_dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    image, text = (data.draw(hnp.arrays(np.float32, (n, dim), elements=st.sampled_from(_SCREEN_VALUES)))
+                   for dim in (image_dim, text_dim))
+    if data.draw(st.booleans()):  # rows whose sum is 0: [x, -x, 0, ...]
+        row, x = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from([1.5, 3.4e38, 1e-45]))
+        image[row] = 0.0
+        image[row, 0], image[row, -1] = x, -x
+    _assert_same_refusal(image, text)
+
+
+@pytest.mark.parametrize("image,text", [
+    ([[1.5, -1.5], [2.0, 1.0]], [[1.0], [1.0]]),  # values that cancel: a non-zero row whose sum is 0
+    ([[1e-45, -1e-45], [1e-45, 1e-45], [0.0, 0.0]], [[1.0], [1.0], [1.0]]),  # subnormals only, then a zero row
+    ([[3.4e38, 3.4e38], [1.0, 0.0]], [[3.4e38], [np.inf]]),  # finite rows whose sum overflows, then an infinity
+    ([[0.0, 0.0], [np.nan, 1.0]], [[1.0], [1.0]]),  # a non-finite row is named before an earlier zero row
+    ([[1.0, 0.0]], [[3.4e38, 3.4e38]]),  # a finite text row whose float32 sum overflows
+], ids=["cancelling", "subnormal", "overflowing-sum", "nan-before-zero", "text-overflow"])
+def test_store_screen_matches_the_norm_and_sum_checks_on_edge_rows(image, text):
+    _assert_same_refusal(np.array(image, np.float32), np.array(text, np.float32))
+
+
 def test_load_rejects_text_dim_other_than_manifest(tmp_path):
     refs = [make_ref("a", [1.0, 0.0], text=[1.0, 2.0, 3.0])]
     build_store(refs, [], image_dim=2, text_dim=3).save(tmp_path / "s")

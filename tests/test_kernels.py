@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from georank import kernels
 
@@ -27,6 +29,52 @@ def test_cosine_scores_within_error_bound():
     assert kernels.cosine_error_bound(1 << 24) == np.inf
 
 
+@st.composite
+def swept_cases(draw):
+    """Float32 rows of one width whose values span up to 2**100 within a row,
+    a third of them with norms around 2**-32 (the float32 sum of squares
+    straddles 2**-64, the bottom of the swept range), a third around 2**64
+    (it straddles FLT_MAX, the top) and a third around 1; and a float64 query,
+    random or a row negated or not, scaled as phase 1 scales every query."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n = draw(st.integers(1, 4096)), 24
+    spread = draw(st.sampled_from([0.0, 20.0, 100.0]))
+    rows = rng.standard_normal((n, dim)) * 2.0 ** rng.uniform(-spread, 0.0, (n, dim))
+    target = np.array([-32.0, 0.0, 64.0])[np.arange(n) % 3] + rng.uniform(-0.5, 0.5, n)
+    refs = (rows * (2.0 ** target / np.linalg.norm(rows, axis=1))[:, None]).astype(np.float32)
+    kind = draw(st.sampled_from(["random", "row", "negated row"]))
+    if kind == "random":
+        q = rng.standard_normal(dim) * 2.0 ** rng.uniform(-spread, 0.0, dim)
+    else:
+        q = refs[int(rng.integers(n))].astype(np.float64) * (1.0 if kind == "row" else -1.0)
+    if not np.any(q):
+        q[0] = 1.0
+    return refs, np.ldexp(q, -np.frexp(np.abs(q).max())[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(swept_cases())
+def test_sweep_with_the_index_norms_is_within_the_bound_of_the_exact_score(case):
+    refs, q = case
+    index = kernels.build_cosine_index(refs)
+    swept = np.setdiff1d(np.arange(refs.shape[0]), index.unswept)
+    assert swept.size
+    qn = kernels.row_norms(q[None, :])[0]
+    approx = kernels.cosine_scores((q / qn)[None, :], refs, index.norms)[0]
+    assert approx.dtype == np.float32
+    exact = kernels.exact_cosines(refs, q, qn, kernels.row_norms(refs))
+    assert np.max(np.abs(approx[swept] - exact[swept])) <= kernels.cosine_error_bound(refs.shape[1])
+
+
+def test_survivor_margin_covers_twice_the_bound_and_the_threshold_rounding():
+    for dim in (1, 64, 256, 4096, 1 << 20, (1 << 21) - 1):
+        margin = kernels.survivor_margin(dim)
+        assert margin.dtype == np.float32
+        assert float(margin) >= 2.0 * kernels.cosine_error_bound(dim) + 2.0**-24
+        assert kernels.cosine_error_bound(dim) < 0.25
+    assert kernels.survivor_margin(1 << 21) == np.inf
+
+
 def test_exact_cosines_independent_of_other_rows():
     rng = np.random.default_rng(9)
     refs = rng.standard_normal((301, 37)).astype(np.float32)
@@ -39,10 +87,13 @@ def test_exact_cosines_independent_of_other_rows():
 
 
 def test_cosine_index_flags_rows_the_sweep_cannot_bound():
-    refs = np.array([[1.0, 2.0], [0.0, 0.0], [1e-30, 0.0], [np.inf, 1.0], [1e30, 1e30], [np.nan, 0.0]], np.float32)
+    # swept: a float32 sum of squares in [2**-64, FLT_MAX]; the last four rows sit at either end of it
+    below, above = np.nextafter(np.float32(2.0**-32), np.float32(0)), np.nextafter(np.float32(2.0**64), np.float32(0))
+    refs = np.array([[1.0, 2.0], [0.0, 0.0], [1e-30, 0.0], [np.inf, 1.0], [1e30, 1e30], [np.nan, 0.0],
+                     [2.0**-32, 0.0], [below, 0.0], [above, 0.0], [2.0**64, 0.0]], np.float32)
     index = kernels.build_cosine_index(refs)
-    assert index.norms.dtype == np.float64
-    np.testing.assert_array_equal(index.unswept, [1, 2, 3, 4, 5])
+    assert index.norms.dtype == np.float32
+    np.testing.assert_array_equal(index.unswept, [1, 2, 3, 4, 5, 7, 9])
 
 
 def test_top_indices_orders_by_score_then_tie_rank():

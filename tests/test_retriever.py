@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from georank import kernels, retriever
-from georank.geostore import IngestError
+from georank.geostore import Columns, IngestError, Store, StoreManifest
 from georank.retriever import (
     Ranking,
     brute_force_rank,
@@ -16,7 +18,7 @@ from georank.retriever import (
     top_k,
 )
 
-from conftest import build_store, fill_disk_after_first_write, make_ref, random_store
+from conftest import build_store, fill_disk_after_first_write, make_query, make_ref, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,16 @@ def test_top_k_validations(simple_store):
     empty = build_store([], [], image_dim=2)
     with pytest.raises(ValueError, match="no references"):
         top_k(np.ones(2), empty, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phase1_refuses_a_non_finite_query(simple_store, bad, dtype):
+    q = np.array([1.0, bad], dtype)
+    with pytest.raises(ValueError, match="query has a NaN or infinite component"):
+        top_k(q, simple_store, 2)
+    with pytest.raises(ValueError, match="query has a NaN or infinite component"):
+        brute_force_rank(q, simple_store)
 
 
 def test_self_similarity_ranks_first():
@@ -121,14 +133,17 @@ def test_top_k_unswept_rows_rank_like_oracle():
 
 
 def test_top_k_extreme_queries_rank_like_oracle():
-    # float64 queries whose squared norm over- or underflows are scored exactly against every row
+    # float64 queries whose squared norm would over- or underflow are scaled by a power of two first
     rng = np.random.default_rng(15)
     v = np.random.default_rng(2572).standard_normal(4)
     rows = [v + 1.5e-3 * rng.standard_normal(4) for _ in range(60)] + list(rng.standard_normal((10, 4)))
     store = build_store([make_ref(f"r{i:02d}", r) for i, r in enumerate(rows)], [], image_dim=4)
-    # at 1e-159 the squared norm is subnormal and comes out ~2e-5 low, so the
-    # rows nearest v score 1.0 after clipping and tie, far beyond the sweep's margin
-    assert [s for _, s in brute_force_rank(1e-159 * v, store).entries[:8]] == [1.0] * 8
+    # a power-of-two scaling of v, however far its squared norm leaves float64's range, ranks as v does
+    for e in (-1000, -600, -520, -40, 3, 60, 520, 1000):
+        assert brute_force_rank(2.0**e * v, store).entries == brute_force_rank(v, store).entries
+    for c in (1e-200, 1e200):  # rounded when scaled, so equal to v's scores to within rounding
+        np.testing.assert_allclose([s for _, s in brute_force_rank(c * v, store).entries],
+                                   [s for _, s in brute_force_rank(v, store).entries], rtol=0, atol=1e-12)
     for q in (1e-159 * v, 1e200 * v, 2.0**-600 * v, np.array([1e300, 1.0, 0.0, 0.0])):
         oracle = brute_force_rank(q, store).ids()
         for k in (1, 5, 10, 70):
@@ -156,11 +171,25 @@ def _nudged(row: np.ndarray, component: int, ulps: int) -> np.ndarray:
     return out
 
 
+def _at_swept_end(row: np.ndarray, top: bool, inside: bool) -> np.ndarray:
+    """``row`` scaled by a power of two so that its float32 sum of squares lies
+    just inside or just outside the bottom (2**-64) or the top (FLT_MAX) of the
+    float32 sweep's range."""
+    squares = float(np.einsum("i,i->", row, row))
+    if top:
+        e = math.floor((128 - math.log2(squares)) / 2) - (0 if inside else -1)
+    else:
+        e = math.ceil((-64 - math.log2(squares)) / 2) - (0 if inside else 1)
+    return np.ldexp(row, e).astype(np.float32)
+
+
 @st.composite
 def sweep_cases(draw):
-    """A store with exact duplicates, 2x-scaled rows and a cluster of rows a few
-    float32 ulps away from an anchor row, and a query at or near the anchor (so
-    the k-th place falls among near-ties) or anywhere."""
+    """A store with exact duplicates, 2x-scaled rows, a cluster of rows a few
+    float32 ulps away from an anchor row, and copies of the anchor scaled to
+    either end of the sweep's range, just inside or outside it; and a query at
+    or near the anchor (so the k-th place falls among near-ties) or anywhere,
+    which the store also holds as its one query."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 40))
     rows = list(rng.standard_normal((draw(st.integers(1, 40)), dim)).astype(np.float32))
@@ -171,6 +200,9 @@ def sweep_cases(draw):
         rows.append(rows[int(rng.integers(len(rows)))].copy())
     for _ in range(draw(st.integers(0, 6))):
         rows.append(np.float32(2.0) * rows[int(rng.integers(len(rows)))])
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(_at_swept_end(_nudged(anchor, int(rng.integers(dim)), int(rng.integers(-3, 4))),
+                                  top=draw(st.booleans()), inside=draw(st.booleans())))
     order = rng.permutation(len(rows))
     ids = [f"r{i:03d}" for i in rng.permutation(len(rows))]
     refs = [make_ref(ids[i], rows[j]) for i, j in enumerate(order)]
@@ -184,7 +216,7 @@ def sweep_cases(draw):
     if draw(st.booleans()):
         q = q.astype(np.float32)
     k = draw(st.integers(1, len(rows) + 3))
-    return build_store(refs, [], image_dim=dim), q, k
+    return build_store(refs, [make_query("q0", q, [ids[0]])], image_dim=dim), q, k
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,6 +228,8 @@ def test_top_k_equals_brute_force_prefix_property(case):
     assert ranking.ids() == oracle.ids()[:k]
     assert ranking.entries == oracle.entries[:k]
     ranking.validate()
+    # the store's copy of q is float32
+    assert rank_store_queries(store, k)[0].entries == top_k(store.query_image[0], store, k).entries
 
 
 @settings(max_examples=100, deadline=None)
@@ -214,6 +248,23 @@ def test_rank_store_queries_equals_top_k_property(seed, n_refs, n_queries, k, bl
         single = top_k(q, store, k, query_id=qid)
         assert ranking.ids() == single.ids()
         assert ranking.entries == single.entries
+
+
+def test_rank_store_queries_allocates_one_float32_tile_and_no_more():
+    rng = np.random.default_rng(21)
+    n, b, d = 20_000, 64, 8
+    refs = Columns([f"r{i:05d}" for i in range(n)], rng.standard_normal((n, d)).astype(np.float32))
+    queries = Columns([f"q{i:02d}" for i in range(b)], rng.standard_normal((b, d)).astype(np.float32))
+    store = Store(StoreManifest(d, 4, n, b), refs, queries, {q: ("r00000",) for q in queries.ids})
+    rank_store_queries(store, 10)  # builds the store's index and tie ranks
+    tracemalloc.start()
+    try:
+        rank_store_queries(store, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a float64 tile would add 8·b·n bytes
+    assert peak <= 4 * b * n + 64 * (n + b * d)
 
 
 # ---------------------------------------------------------------------------
