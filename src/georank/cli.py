@@ -4,8 +4,9 @@ Subcommands cover the full flow: synth/ingest -> retrieve -> caption/embed ->
 build-samples -> train -> rerank -> eval/compare, plus stability and
 gradcheck. Values resolve as: command-line flag, then config file
 (``--config`` or ``GEOVLM_CONFIG``), then the default of the config dataclass
-that takes the value. Exit codes: 0 success, 1 validation/usage error, 2 I/O
-error.
+that takes the value, or, for the three values no dataclass holds, the
+default this module gives: ``k`` 10, and ``seed`` 0 for synth and 1 for
+gradcheck. Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ def _int_list(text: str) -> tuple[int, ...]:
 # Every setting: its config-file key and how its value parses. A tuple is the
 # values the setting may take. Each subcommand reads the keys COMMAND_KEYS
 # lists and has one flag per key ("--" + key, "_" as "-"); a setting given by
-# neither flag nor file keeps the default its config dataclass declares.
+# neither flag nor file keeps the default its config dataclass declares, except
+# the three no dataclass holds, whose defaults the subcommands give: k 10
+# (retrieve), seed 0 (synth) and seed 1 (gradcheck).
 CONFIG_SCHEMA = {
     "store": str,
     "k": int,
@@ -89,6 +92,14 @@ COMMAND_KEYS = {
 # keys whose config-dataclass field is named otherwise
 _FIELD_NAMES = {"locations": "n_locations", "thresholds": "thresholds_km", "endpoint": "url"}
 
+# ingest's input flags, each stored under the keyword of ``geostore.ingest`` that takes it
+INGEST_INPUTS = {
+    "--refs-emb": "ref_embeddings", "--refs-captions": "ref_captions", "--refs-coords": "ref_coords",
+    "--refs-text-emb": "ref_text_embeddings", "--queries-emb": "query_embeddings",
+    "--queries-captions": "query_captions", "--queries-coords": "query_coords",
+    "--queries-text-emb": "query_text_embeddings", "--truth": "query_truth",
+}
+
 
 def load_config_file(path: str | Path) -> dict:
     """The settings of a key=value config file, parsed; an unknown key or a bad
@@ -132,10 +143,6 @@ def _build(cls, settings: dict, **fixed):
     names = {f.name for f in dataclasses.fields(cls)}
     given = {_FIELD_NAMES.get(k, k): v for k, v in settings.items()}
     return cls(**{n: v for n, v in given.items() if n in names} | fixed)
-
-
-def _pick(settings: dict, *keys) -> dict:
-    return {k: settings[k] for k in keys if k in settings}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,19 +191,7 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     manifest = StoreManifest.read(Path(args.manifest))
-    store = geostore.ingest(
-        args.out,
-        manifest,
-        args.refs_emb,
-        ref_captions=args.refs_captions,
-        ref_coords=args.refs_coords,
-        ref_text_embeddings=args.refs_text_emb,
-        query_embeddings=args.queries_emb,
-        query_captions=args.queries_captions,
-        query_coords=args.queries_coords,
-        query_text_embeddings=args.queries_text_emb,
-        query_truth=args.truth,
-    )
+    store = geostore.ingest(args.out, manifest, **{dest: getattr(args, dest) for dest in INGEST_INPUTS.values()})
     print(f"ingested {len(store.ref_ids)} references, {len(store.query_ids)} queries -> {args.out}")
     return 0
 
@@ -271,8 +266,7 @@ def cmd_build_samples(args) -> int:
         groups_path = args.groups or Path(store_dir) / geostore.GROUPS_FILE
         groups = geostore.load_groups(groups_path, store)
         semipositives = geostore.semipositive_map(groups, store)
-    queries = [store.query(qid) for qid in store.query_ids]
-    samples, skipped = trainer.build_training_samples(queries, rankings, semipositives)
+    samples, skipped = trainer.build_training_samples(store, rankings, semipositives)
     trainer.save_samples(samples, args.out)
     print(f"built {len(samples)} training samples ({skipped} skipped: positive outside candidates) -> {args.out}")
     return 0
@@ -285,8 +279,7 @@ def cmd_train(args) -> int:
     rr_config = _build(RerankerConfig, settings, image_dim=store.manifest.image_dim, text_dim=store.manifest.text_dim)
     tr_config = _build(TrainConfig, settings)
     out = Path(args.out)
-    params, report = trainer.train(samples, store, rr_config, tr_config, checkpoint_dir=out,
-                                   **_pick(settings, "val_split"))
+    _, report = trainer.train(samples, store, rr_config, tr_config, out)
     report.write_csv(out / "train_report.csv")
     report.write_jsonl(out / "train_report.jsonl")
     last = report.epochs[-1] if report.epochs else None
@@ -374,7 +367,7 @@ def cmd_stability(args) -> int:
 def cmd_gradcheck(args) -> int:
     settings = _settings(args)
     seed = settings.get("seed", 1)
-    err = trainer.run_gradcheck(seed, **_pick(settings, "margin", "loss_on"))
+    err = trainer.run_gradcheck(seed, _build(TrainConfig, settings))
     print(f"gradcheck seed={seed}: max relative error = {err:.3e} (tolerance 1e-4)")
     return 0 if err <= 1e-4 else 1
 
@@ -406,15 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ingest", cmd_ingest, "validate raw JSONL inputs and build a store")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--refs-emb", dest="refs_emb", required=True)
-    p.add_argument("--refs-captions", dest="refs_captions")
-    p.add_argument("--refs-coords", dest="refs_coords")
-    p.add_argument("--refs-text-emb", dest="refs_text_emb")
-    p.add_argument("--queries-emb", dest="queries_emb")
-    p.add_argument("--queries-captions", dest="queries_captions")
-    p.add_argument("--queries-coords", dest="queries_coords")
-    p.add_argument("--queries-text-emb", dest="queries_text_emb")
-    p.add_argument("--truth")
+    for flag, dest in INGEST_INPUTS.items():
+        p.add_argument(flag, dest=dest, required=dest == "ref_embeddings")
 
     p = add("retrieve", cmd_retrieve, "rank top-k references for every store query")
     p.add_argument("--out", required=True)

@@ -33,9 +33,6 @@ REFERENCE_CONTEXT = {
 }
 
 
-EARTH_RADIUS_KM = 6371.0
-
-
 @dataclass
 class EvalConfig:
     ks: tuple[int, ...] = (1, 5, 10)
@@ -55,7 +52,7 @@ class EvalConfig:
 
 def haversine(p: GeoCoord, q: GeoCoord) -> float:
     """Great-circle distance between two coordinates in km."""
-    return kernels.haversine_km(p.lat, p.lon, q.lat, q.lon, EARTH_RADIUS_KM)
+    return kernels.haversine_km(p.lat, p.lon, q.lat, q.lon)
 
 
 def _walk(rankings: list[Ranking], ground_truth: dict, coords: Mapping[str, GeoCoord] | None = None,
@@ -120,7 +117,7 @@ def _near_ranks(pairs: tuple, count: int, thresholds_km) -> list[np.ndarray]:
     pair is measured once, in one vectorised haversine call."""
     owner, rank, near, truth, latlon = pairs
     lat, lon = latlon[:, 0], latlon[:, 1]
-    dist = kernels.haversine_km(lat[near], lon[near], lat[truth], lon[truth], EARTH_RADIUS_KM)
+    dist = kernels.haversine_km(lat[near], lon[near], lat[truth], lon[truth])
     out = []
     for t in thresholds_km:
         out.append(np.full(count, np.inf))

@@ -41,8 +41,9 @@ MANIFEST_FILE = "manifest.txt"
 GROUPS_FILE = "groups.jsonl"
 TRUTH_FILE = "queries.truth.jsonl"
 # every file a store directory can hold, with the coordinate tables of stores
-# written before the binary coordinate column; ``Store.save`` removes those it does not write
-STORE_FILES = frozenset([MANIFEST_FILE, TRUTH_FILE] + [
+# written before the binary coordinate column; ``Store.save`` removes those it does not write,
+# groups included: ``synth`` writes its groups after saving, and another store keeps none
+STORE_FILES = frozenset([MANIFEST_FILE, TRUTH_FILE, GROUPS_FILE] + [
     f"{side}.{name}" for side in ("refs", "queries")
     for name in ("img.emb", "img.ids", "txt.emb", "txt.ids", "coords.emb", "coords.ids", "captions.jsonl",
                  "coords.jsonl")])
@@ -1024,25 +1025,23 @@ def _group_entry(rec: dict) -> tuple[str, int]:
     return rid, group
 
 
-def load_groups(path: str | Path, store: Store | None = None) -> dict[str, int]:
+def load_groups(path: str | Path, store: Store) -> dict[str, int]:
     """id -> confusion group, one ``{"id", "group"}`` record per line. A
     malformed record, a group that is not a JSON integer or an id listed
-    twice raises IngestError naming the file and line. Given ``store``, so
-    does a store reference or query that the file gives no group, naming
-    the file and the id."""
+    twice raises IngestError naming the file and line; so does a reference
+    or query of ``store`` that the file gives no group, naming the file and
+    the id."""
     groups = dict(load_jsonl(path, _group_entry, "group record", key=lambda entry: entry[0]))
-    if store is not None:
-        for kind, ids in (("reference", store.ref_ids), ("query", store.query_ids)):
-            missing = next((i for i in ids if i not in groups), None)
-            if missing is not None:
-                raise IngestError(f"no group for store {kind}", file=str(path), record_id=missing)
+    for kind, ids in (("reference", store.ref_ids), ("query", store.query_ids)):
+        missing = next((i for i in ids if i not in groups), None)
+        if missing is not None:
+            raise IngestError(f"no group for store {kind}", file=str(path), record_id=missing)
     return groups
 
 
 def semipositive_map(groups: dict[str, int], store: Store) -> dict[str, set[str]]:
     """Per query: same-group reference ids that are not the ground truth.
-    ``groups`` gives every store id a group, as ``load_groups`` given the
-    store makes sure."""
+    ``groups`` gives every store id a group, as ``load_groups`` makes sure."""
     by_group: dict[int, set[str]] = {}
     for rid in store.ref_ids:
         by_group.setdefault(groups[rid], set()).add(rid)

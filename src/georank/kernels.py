@@ -146,8 +146,12 @@ def top_indices(scores: np.ndarray, tie_rank: np.ndarray, k: int) -> np.ndarray:
     return order[: min(k, scores.shape[0])].astype(np.int64)
 
 
-def haversine_km(lat1, lon1, lat2, lon2, radius_km):
-    """Great-circle distance in km; scalar in, scalar out; arrays elementwise."""
+EARTH_RADIUS_KM = 6371.0
+
+
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle distance in km on a sphere of radius ``EARTH_RADIUS_KM``;
+    scalar in, scalar out; arrays elementwise."""
     p1 = np.radians(np.atleast_1d(np.asarray(lat1, dtype=np.float64)))
     l1 = np.radians(np.atleast_1d(np.asarray(lon1, dtype=np.float64)))
     p2 = np.radians(np.atleast_1d(np.asarray(lat2, dtype=np.float64)))
@@ -155,5 +159,5 @@ def haversine_km(lat1, lon1, lat2, lon2, radius_km):
     sdlat = np.sin((p2 - p1) / 2.0)
     sdlon = np.sin((l2 - l1) / 2.0)
     a = sdlat * sdlat + np.cos(p1) * np.cos(p2) * sdlon * sdlon
-    out = 2.0 * radius_km * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
+    out = 2.0 * EARTH_RADIUS_KM * np.arctan2(np.sqrt(a), np.sqrt(1.0 - a))
     return float(out[0]) if np.ndim(lat1) == 0 else out

@@ -479,7 +479,7 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
         for i, aligned_q in enumerate(align(_padded(fused_q, QUERY_BLOCK), params)[: len(fused_q)], start=lo):
             logits, _ = _bilinear(aligned_q[None], cache.lookup(rows[i]), np.zeros(len(ids[i]), np.intp), params)
             out.append(Ranking(query_id=rankings[i].query_id, entries=order_by_score(ids[i], _sigmoid(logits)),
-                               k=rankings[i].k, reranked=True))
+                               reranked=True))
     return out
 
 

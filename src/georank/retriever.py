@@ -49,7 +49,6 @@ class Ranking:
 
     query_id: str
     entries: list[tuple[str, float]] = field(default_factory=list)
-    k: int = 0
     reranked: bool = False
 
     def ids(self) -> list[str]:
@@ -112,7 +111,7 @@ def _rank_block(queries: np.ndarray, store: Store, k: int, query_ids: list[str])
         best = kernels.top_indices(scores, store.ref_tie_rank[rows], k)
         ref_rows = best if isinstance(rows, slice) else rows[best]
         entries = [(store.ref_ids[r], float(s)) for r, s in zip(ref_rows, scores[best])]
-        out.append(Ranking(query_id=qid, entries=entries, k=k))
+        out.append(Ranking(query_id=qid, entries=entries))
     return out
 
 
@@ -134,7 +133,7 @@ def brute_force_rank(query_emb: np.ndarray, store: Store, query_id: str = "") ->
     scores = kernels.exact_cosines(refs, q, kernels.row_norms(q[None, :])[0], kernels.row_norms(refs))
     order = np.lexsort((store.ref_tie_rank, -scores))
     entries = [(store.ref_ids[i], float(scores[i])) for i in order]
-    return Ranking(query_id=query_id, entries=entries, k=len(entries))
+    return Ranking(query_id=query_id, entries=entries)
 
 
 def rank_store_queries(store: Store, k: int) -> list[Ranking]:
@@ -183,8 +182,7 @@ def _ranking(rec: dict) -> Ranking:
     reranked = rec.get("reranked", False)
     if type(reranked) is not bool:
         raise TypeError(f"'reranked' {json.dumps(reranked)} is not true or false")
-    return Ranking(query_id=rec["query_id"], entries=[(rid, float(s)) for rid, s in entries], k=len(entries),
-                   reranked=reranked)
+    return Ranking(query_id=rec["query_id"], entries=[(rid, float(s)) for rid, s in entries], reranked=reranked)
 
 
 def load_rankings(path: str | Path, store: Store | None = None) -> list[Ranking]:

@@ -66,6 +66,8 @@ ADAM_EPS = 1e-8
 # elements an Adam step updates at a time: the block's slices of the four vectors and its two
 # scratch buffers (about 1.5 MB in float32) stay in a core's L2 cache between the step's operations
 ADAM_BLOCK = 1 << 16
+# the step of gradient_check's central differences, taken in float64
+GRADCHECK_EPSILON = 1e-4
 
 
 @dataclass
@@ -76,6 +78,7 @@ class TrainConfig:
     epochs: int = 10
     shuffle_seed: int = 0
     loss_on: str = "scores"
+    val_split: float = 0.2
 
     def validate(self) -> None:
         for name, value in (("margin", self.margin), ("lr", self.lr)):
@@ -87,6 +90,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if self.shuffle_seed < 0:
             raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
+        if not (0.0 <= self.val_split < 1.0):
+            raise ValueError("val_split must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +119,18 @@ def _stacked_logits(samples: list[TrainingSample], params: RerankerParams, store
     return score_logits(q_img, q_txt, c_img, c_txt, params, counts, cache), counts
 
 
-def _forward(batch: list[TrainingSample], params: RerankerParams, store: Store, margin: float, loss_on: str):
+def _forward(batch: list[TrainingSample], params: RerankerParams, store: Store, config: TrainConfig):
     """Mean loss over ``batch`` from one stacked forward pass, and what ``_backward`` reads."""
     scorer: dict = {}
     logits, counts = _stacked_logits(batch, params, store, scorer)
     scores = _sigmoid(logits)
 
-    basis = logits if loss_on == "logits" else scores
+    basis = logits if config.loss_on == "logits" else scores
     starts, segment = scorer["starts"], scorer["segment"]
     pos = starts + np.array([s.positive_index for s in batch])
     is_neg = np.ones(len(logits), bool)
     is_neg[pos] = False
-    hinge = margin - (basis[pos][segment] - basis)
+    hinge = config.margin - (basis[pos][segment] - basis)
     active = is_neg & (hinge > 0)
     n_neg = counts - 1
     # np.maximum propagates NaN so a poisoned loss is caught by the train loop
@@ -166,7 +171,7 @@ def batch_gradients(
     if not batch:
         raise ValueError("empty batch")
     ordered = sorted(batch, key=lambda s: (s.query_id, s.positive_index, s.candidate_ids))
-    loss, ctx = _forward(ordered, params, store, config.margin, config.loss_on)
+    loss, ctx = _forward(ordered, params, store, config)
     return loss, _backward(ctx, params, config.loss_on)
 
 
@@ -232,32 +237,31 @@ def optimizer_step(
 # ---------------------------------------------------------------------------
 
 def build_training_samples(
-    queries,
+    store: Store,
     rankings: list[Ranking],
     semipositives: dict[str, set[str]] | None = None,
 ) -> tuple[list[TrainingSample], int]:
-    """One sample per query (per positive, for multi-positive queries) whose
-    positive landed in the phase-1 candidate list; the rest are counted as
-    skipped. ``semipositives`` maps query ids to reference ids to drop from
-    the negative side."""
+    """One sample per store query (per positive, for multi-positive queries)
+    whose positive landed in the phase-1 candidate list; the rest are
+    counted as skipped. Positives are the store's ground truth, which is
+    never empty. ``semipositives`` maps query ids to reference ids to drop
+    from the negative side."""
     by_id = {r.query_id: r for r in rankings}
     samples: list[TrainingSample] = []
     skipped = 0
-    for q in queries:
-        ranking = by_id.get(q.id)
+    for qid in store.query_ids:
+        ranking = by_id.get(qid)
         if ranking is None:
-            raise ValueError(f"no ranking for query '{q.id}'")
-        positives = set(q.ground_truth)
-        if not positives:
-            raise ValueError(f"query '{q.id}' has an empty ground-truth set")
+            raise ValueError(f"no ranking for query '{qid}'")
+        positives = set(store.ground_truth[qid])
         all_ids = ranking.ids()
         for pos in sorted(positives):
             ids = [rid for rid in all_ids if rid == pos or rid not in positives]
             if semipositives is not None:
-                drop = semipositives.get(q.id, set())
+                drop = semipositives.get(qid, set())
                 ids = [rid for rid in ids if rid == pos or rid not in drop]
             if pos in ids and len(ids) >= 2:
-                samples.append(TrainingSample(q.id, tuple(ids), ids.index(pos)))
+                samples.append(TrainingSample(qid, tuple(ids), ids.index(pos)))
             else:
                 skipped += 1
     return samples, skipped
@@ -277,11 +281,10 @@ def _sample(rec: dict) -> TrainingSample:
     return TrainingSample(query_id, tuple(candidates), positive)
 
 
-def load_samples(path: str | Path, store: Store | None = None) -> list[TrainingSample]:
-    """One sample per line; a malformed one raises IngestError naming the file and line. Given ``store``,
-    so does a query id or candidate id the store lacks, naming the id too."""
-    unknown = None if store is None else lambda s: store.unknown_id(s.query_id, s.candidate_ids)
-    return load_jsonl(path, _sample, "sample", unknown=unknown)
+def load_samples(path: str | Path, store: Store) -> list[TrainingSample]:
+    """One sample per line; a malformed one, or a query id or candidate id ``store`` lacks, raises
+    IngestError naming the file and line, and the id where there is one."""
+    return load_jsonl(path, _sample, "sample", unknown=lambda s: store.unknown_id(s.query_id, s.candidate_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +355,22 @@ def train(
     store: Store,
     reranker_config: RerankerConfig,
     config: TrainConfig,
-    val_split: float = 0.2,
-    checkpoint_dir: str | Path | None = None,
+    checkpoint_dir: str | Path,
 ) -> tuple[RerankerParams, TrainReport]:
-    """Shuffled mini-batch training; deterministic given seeds; checkpoints each epoch."""
+    """Shuffled mini-batch training; deterministic given seeds; checkpoints each epoch into
+    ``checkpoint_dir``. A directory already holding a ``.gvck`` is refused before anything is
+    written, so no checkpoint of another run stays beside this run's."""
     config.validate()
     if not samples:
         raise ValueError("no training samples")
-    if not (0.0 <= val_split < 1.0):
-        raise ValueError("val_split must be in [0, 1)")
+    ckpt = Path(checkpoint_dir)
+    if any(ckpt.glob("*.gvck")):
+        raise ValueError(f"{ckpt} already holds .gvck checkpoints; train into a directory without any")
 
     params = init_params(reranker_config)
     rng = np.random.default_rng(config.shuffle_seed)
     perm = rng.permutation(len(samples))
-    n_val = int(round(len(samples) * val_split))
+    n_val = int(round(len(samples) * config.val_split))
     val_set = [samples[i] for i in perm[:n_val]]
     train_set = [samples[i] for i in perm[n_val:]]
     if not train_set:
@@ -373,9 +378,7 @@ def train(
 
     state = init_optimizer_state(params)
     report = TrainReport(train_count=len(train_set), val_count=len(val_set))
-    ckpt = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt is not None:
-        ckpt.mkdir(parents=True, exist_ok=True)
+    ckpt.mkdir(parents=True, exist_ok=True)
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -392,10 +395,8 @@ def train(
         mean_loss = loss_sum / len(train_set)
         val_r1, val_r5 = _candidate_recall(val_set, params, store) if val_set else (None, None)
         report.epochs.append(EpochStats(epoch, mean_loss, val_r1, val_r5, time.perf_counter() - started))
-        if ckpt is not None:
-            save_params(ckpt / f"epoch_{epoch:03d}.gvck", params)
-    if ckpt is not None:
-        save_params(ckpt / "final.gvck", params)
+        save_params(ckpt / f"epoch_{epoch:03d}.gvck", params)
+    save_params(ckpt / "final.gvck", params)
     return params, report
 
 
@@ -407,26 +408,24 @@ def gradient_check(
     batch: list[TrainingSample],
     params: RerankerParams,
     store: Store,
-    margin: float,
-    loss_on: str = "scores",
-    epsilon: float = 1e-4,
+    config: TrainConfig,
 ) -> dict[str, float]:
     """Per-tensor max relative error of ``batch_gradients`` against central
     differences of ``_forward``'s loss, both in float64, stepping each
-    element of a float64 copy of ``params.flat`` in place. ``margin`` and
-    ``loss_on`` are checked as ``train`` checks them."""
-    config = TrainConfig(margin=margin, loss_on=loss_on)
+    element of a float64 copy of ``params.flat`` in place by
+    ``GRADCHECK_EPSILON``. ``config`` is checked as ``train`` checks it;
+    its ``margin`` and ``loss_on`` define the loss."""
     config.validate()
     p = params.astype(np.float64)
     _, analytic = batch_gradients(batch, p, store, config)
     numeric = TensorViews(np.zeros_like(p.flat), expected_shapes(p.config))
     for i, orig in enumerate(p.flat.tolist()):
-        p.flat[i] = orig + epsilon
-        up = _forward(batch, p, store, margin, loss_on)[0]
-        p.flat[i] = orig - epsilon
-        down = _forward(batch, p, store, margin, loss_on)[0]
+        p.flat[i] = orig + GRADCHECK_EPSILON
+        up = _forward(batch, p, store, config)[0]
+        p.flat[i] = orig - GRADCHECK_EPSILON
+        down = _forward(batch, p, store, config)[0]
         p.flat[i] = orig
-        numeric.flat[i] = (up - down) / (2.0 * epsilon)
+        numeric.flat[i] = (up - down) / (2.0 * GRADCHECK_EPSILON)
     errors: dict[str, float] = {}
     for name in analytic:
         a, n = analytic[name], numeric[name]
@@ -453,8 +452,7 @@ def make_gradcheck_fixture(seed: int) -> tuple[TrainingSample, RerankerParams, S
     return sample, init_params(cfg), store
 
 
-def run_gradcheck(seed: int, margin: float = 1.0, loss_on: str = "scores", epsilon: float = 1e-4) -> float:
+def run_gradcheck(seed: int, config: TrainConfig) -> float:
     """Max relative error over all tensors for one seeded fixture."""
     sample, params, store = make_gradcheck_fixture(seed)
-    errors = gradient_check([sample], params, store, margin, loss_on, epsilon)
-    return max(errors.values())
+    return max(gradient_check([sample], params, store, config).values())

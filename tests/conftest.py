@@ -32,6 +32,14 @@ def build_store(refs, queries, image_dim, text_dim=8):
     return Store(manifest, _columns(refs, image_dim, text_dim), _columns(queries, image_dim, text_dim), truth)
 
 
+def store_of(ref_ids, truth=None):
+    """A store holding exactly ``ref_ids`` and one query per key of ``truth``
+    (query id -> its ground-truth ids), every row the one-wide image [1.0]."""
+    truth = truth or {}
+    return build_store([make_ref(r, [1.0]) for r in ref_ids], [make_query(q, [1.0], t) for q, t in truth.items()],
+                       image_dim=1)
+
+
 def make_ref(rid, image, text=None, caption=None, coord=None):
     return ReferenceRecord(
         id=rid,

@@ -33,7 +33,7 @@ from georank.reranker import RerankerConfig, load_checkpoint, rerank, save_check
 from georank.retriever import Ranking, brute_force_rank, rank_store_queries, top_k
 from georank.evaluator import average_precision, haversine, recall_at_k, threshold_recall
 from georank.geostore import GeoCoord
-from georank.trainer import TrainConfig, build_training_samples, margin_loss, run_gradcheck, train
+from georank.trainer import GRADCHECK_EPSILON, TrainConfig, build_training_samples, margin_loss, run_gradcheck, train
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -77,8 +77,9 @@ def test_a1_retrieval_oracle_equivalence():
 def test_a2_gradient_correctness():
     started = time.perf_counter()
     worst = 0.0
+    assert GRADCHECK_EPSILON == 1e-4
     for seed in range(1, 11):
-        err = run_gradcheck(seed, margin=1.0, loss_on="scores", epsilon=1e-4)
+        err = run_gradcheck(seed, TrainConfig(margin=1.0, loss_on="scores"))
         assert err <= 1e-4, f"seed {seed}: max relative error {err:.3e} > 1e-4"
         worst = max(worst, err)
     elapsed = time.perf_counter() - started
@@ -86,7 +87,7 @@ def test_a2_gradient_correctness():
     _report(f"A2 PASS — analytic vs central differences over 10 seeds, worst {worst:.2e} <= 1e-4, {elapsed:.1f}s")
 
 
-def test_a3_synthetic_disambiguation_experiment():
+def test_a3_synthetic_disambiguation_experiment(tmp_path):
     started = time.perf_counter()
     synth = SynthConfig(
         n_locations=1000, group_size=4, image_dim=64, text_dim=64,
@@ -97,11 +98,10 @@ def test_a3_synthetic_disambiguation_experiment():
     base_r1 = recall_at_k(baseline, store.ground_truth, 1)
     assert 0.25 <= base_r1 <= 0.40, f"baseline R@1 {base_r1:.3f} outside [0.25, 0.40]"
 
-    queries = [store.query(qid) for qid in store.query_ids]
-    samples, skipped = build_training_samples(queries, baseline)
+    samples, skipped = build_training_samples(store, baseline)
     rr_config = RerankerConfig(image_dim=64, text_dim=64, latent_dim=64, aligner_hidden=64, init_seed=0)
-    tr_config = TrainConfig(lr=3e-3, epochs=20, batch_size=8, shuffle_seed=0, loss_on="scores")
-    params, report = train(samples, store, rr_config, tr_config, val_split=0.2)
+    tr_config = TrainConfig(lr=3e-3, epochs=20, batch_size=8, shuffle_seed=0, loss_on="scores", val_split=0.2)
+    params, report = train(samples, store, rr_config, tr_config, tmp_path)
     val_r1 = report.epochs[-1].val_r1
     assert len(report.epochs) <= 20
     assert val_r1 >= 0.90, f"held-out R@1 {val_r1:.3f} < 0.90 after {len(report.epochs)} epochs"
@@ -169,7 +169,7 @@ def test_a6_metric_monotonicity():
         ids = [f"c{i}" for i in range(n)]
         scores = sorted(rng.uniform(0, 1, n).tolist(), reverse=True)
         truth_id = ids[int(rng.integers(0, n))]
-        rankings = [Ranking("q", list(zip(ids, scores)), k=n)]
+        rankings = [Ranking("q", list(zip(ids, scores)))]
         truth = {"q": {truth_id}}
         recalls = [recall_at_k(rankings, truth, k) for k in range(1, n + 1)]
         assert recalls == sorted(recalls)
@@ -181,7 +181,7 @@ def test_a6_metric_monotonicity():
     for r in range(1, 11):
         ids = [f"c{i}" for i in range(12)]
         ids[r - 1] = "pos"
-        ranking = Ranking("q", [(rid, 1.0 - 0.05 * i) for i, rid in enumerate(ids)], k=12)
+        ranking = Ranking("q", [(rid, 1.0 - 0.05 * i) for i, rid in enumerate(ids)])
         assert average_precision(ranking, {"pos"}) == pytest.approx(1.0 / r, abs=0)
     _report("A6 PASS — recall/threshold monotonicity on 100 fixtures; AP == 1/r exactly for r in 1..10")
 

@@ -252,6 +252,7 @@ def test_settings_left_unset_keep_the_config_dataclass_defaults(settings_inputs,
         "compare": [evaluator.EvalConfig()],
         "embed": [cvlang.EmbedEndpointConfig()],
         "stability": [cvlang.EmbedEndpointConfig()],
+        "gradcheck": [trainer.TrainConfig()],
     }
     for command, configs in expected.items():
         argv = [command] + settings_inputs[command]
@@ -299,6 +300,21 @@ def test_train_refuses_a_setting_out_of_range_exits_1_naming_it(flag, value, tmp
                  flag, value]) == 1
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_refuses_an_out_holding_checkpoints_naming_it_and_writes_nothing(tmp_path, mini_store, capsys):
+    """A second run into the same --out would leave the first run's later epochs beside its own final.gvck."""
+    rankings, samples, out = tmp_path / "r.jsonl", tmp_path / "s.jsonl", tmp_path / "train"
+    assert main(["retrieve", "--store", str(mini_store), "--out", str(rankings)]) == 0
+    assert main(["build-samples", "--store", str(mini_store), "--rankings", str(rankings), "--out", str(samples)]) == 0
+    argv = ["train", "--store", str(mini_store), "--samples", str(samples), "--out", str(out)]
+    assert main(argv + ["--epochs", "3", "--latent-dim", "8"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "epoch_003.gvck" in before
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "1", "--latent-dim", "4"]) == 1
+    assert f"error: {out} already holds .gvck checkpoints" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -378,6 +394,15 @@ def test_ingest_cli_roundtrip(tmp_path):
     assert main(["ingest", "--out", str(out), "--manifest", str(manifest), "--refs-emb", str(refs)]) == 0
     store = Store.load(out)
     assert store.ref_ids == ["a0", "a1", "a2"]
+
+
+def test_ingest_flags_keep_their_names_and_store_geostore_ingest_keywords():
+    """``ingest`` hands its parsed inputs to ``geostore.ingest`` by the names they are stored under."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices["ingest"]
+    stored = {a.option_strings[0]: a.dest for a in sub._actions if a.dest not in ("help", "config", "out", "manifest")}
+    assert list(stored) == ["--refs-emb", "--refs-captions", "--refs-coords", "--refs-text-emb", "--queries-emb",
+                            "--queries-captions", "--queries-coords", "--queries-text-emb", "--truth"]
+    assert set(stored.values()) == set(inspect.signature(geostore.ingest).parameters) - {"out_dir", "manifest"}
 
 
 def test_caption_and_embed_attach_flow(tmp_path, mini_store):
@@ -624,12 +649,38 @@ def test_semipositive_exclusion_pipeline(tmp_path):
     from georank.trainer import load_samples
     from georank.geostore import load_groups
 
-    groups = load_groups(store_dir / "groups.jsonl")
-    for s in load_samples(samples):
+    store = Store.load(store_dir)
+    groups = load_groups(store_dir / "groups.jsonl", store)
+    for s in load_samples(samples, store):
         gq = groups[s.query_id]
         for i, rid in enumerate(s.candidate_ids):
             if i != s.positive_index:
                 assert groups[rid] != gq  # same-group mates were excluded
+
+
+def test_ingest_over_a_synth_store_leaves_no_groups_to_exclude_by(tmp_path, capsys):
+    """synth's groups.jsonl named the same ids as the ingested store, and build-samples applied it."""
+    store = tmp_path / "store"
+    assert main(synth_args(store, locations=8, group_size=2)) == 0
+    assert (store / "groups.jsonl").exists()
+    for name, prefix in (("refs.jsonl", "r"), ("queries.jsonl", "q")):
+        (tmp_path / name).write_text("".join(json.dumps({"embedding": [1.0, float(i)], "id": f"{prefix}{i}"}) + "\n"
+                                             for i in range(8)))
+    (tmp_path / "truth.jsonl").write_text("".join(json.dumps({"id": f"q{i}", "refs": [f"r{i}"]}) + "\n"
+                                                  for i in range(8)))
+    (tmp_path / "manifest.txt").write_text("format_version=1\nimage_dim=2\ntext_dim=4\nreference_count=8\n"
+                                           "query_count=8\n")
+    assert main(["ingest", "--out", str(store), "--manifest", str(tmp_path / "manifest.txt"),
+                 "--refs-emb", str(tmp_path / "refs.jsonl"), "--queries-emb", str(tmp_path / "queries.jsonl"),
+                 "--truth", str(tmp_path / "truth.jsonl")]) == 0
+    assert not (store / "groups.jsonl").exists()
+    rankings, samples = tmp_path / "rankings.jsonl", tmp_path / "samples.jsonl"
+    assert main(["retrieve", "--store", str(store), "--k", "4", "--out", str(rankings)]) == 0
+    capsys.readouterr()
+    assert main(["build-samples", "--store", str(store), "--rankings", str(rankings), "--out", str(samples),
+                 "--exclude-semipositives"]) == 2
+    assert str(store / "groups.jsonl") in capsys.readouterr().err
+    assert not samples.exists()
 
 
 @pytest.mark.parametrize("edit, where", [
@@ -865,6 +916,6 @@ def test_store_coords_reads_the_column_or_is_none():
     coords = cli._store_coords(store)
     assert dict(coords) == {"r0": GeoCoord(1.0, 2.0), "r1": GeoCoord(3.0, 4.0)} and "q0" not in coords
     with pytest.raises(ValueError, match="missing coordinate for id 'q0'"):
-        threshold_recall([Ranking("q0", [("q0", 1.0)], k=1)], coords, {"q0": ("r0",)}, 0.5, 1)
+        threshold_recall([Ranking("q0", [("q0", 1.0)])], coords, {"q0": ("r0",)}, 0.5, 1)
     refs[1].coord = None
     assert cli._store_coords(build_store(refs, [], image_dim=2)) is None

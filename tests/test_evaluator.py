@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from georank import evaluator
+from georank import evaluator, kernels
 from georank.evaluator import (
     EvalConfig,
     Report,
@@ -26,7 +26,7 @@ from georank.retriever import Ranking
 def ranking_with_truth_at(qid, rank, n=10, truth="pos"):
     ids = [f"{qid}_n{i}" for i in range(n)]
     ids[rank - 1] = truth
-    return Ranking(qid, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(ids)], k=n)
+    return Ranking(qid, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(ids)])
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_ap_single_positive_closed_form():
 
 def test_ap_two_positives_hand_case():
     ids = ["a", "x", "b", "y"]
-    ranking = Ranking("q", [(i, 1.0 - 0.1 * n) for n, i in enumerate(ids)], k=4)
+    ranking = Ranking("q", [(i, 1.0 - 0.1 * n) for n, i in enumerate(ids)])
     assert average_precision(ranking, {"a", "b"}) == pytest.approx(5 / 6, abs=1e-12)
 
 
@@ -132,11 +132,11 @@ def test_haversine_triangle_inequality():
 
 
 def test_haversine_custom_radius(monkeypatch):
-    # both distance paths read the module constant: on a unit sphere a quarter arc is pi/2 km
-    assert evaluator.EARTH_RADIUS_KM == 6371.0
-    monkeypatch.setattr(evaluator, "EARTH_RADIUS_KM", 1.0)
+    # both distance paths read the constant beside haversine_km: on a unit sphere a quarter arc is pi/2 km
+    assert kernels.EARTH_RADIUS_KM == 6371.0
+    monkeypatch.setattr(kernels, "EARTH_RADIUS_KM", 1.0)
     assert haversine(GeoCoord(0, 0), GeoCoord(90, 0)) == pytest.approx(math.pi / 2, rel=1e-9)
-    rankings, coords = [Ranking("q", [("near", 0.9)], k=1)], {"near": GeoCoord(0, 0), "truth": GeoCoord(90, 0)}
+    rankings, coords = [Ranking("q", [("near", 0.9)])], {"near": GeoCoord(0, 0), "truth": GeoCoord(90, 0)}
     assert threshold_recall(rankings, coords, {"q": {"truth"}}, 1.571, 1) == 1.0
     assert threshold_recall(rankings, coords, {"q": {"truth"}}, 1.570, 1) == 0.0
 
@@ -150,15 +150,15 @@ def _spaced_fixture():
     coords = {f"r{i}": GeoCoord(0.02 * i, 0.0) for i in range(20)}
     truth = {"q1": {"r3"}, "q2": {"r7"}}
     rankings = [
-        Ranking("q1", [(f"r{i}", 1.0 - 0.01 * i) for i in (3, 1, 2)], k=3),
-        Ranking("q2", [(f"r{i}", 1.0 - 0.01 * i) for i in (1, 2, 4)], k=3),
+        Ranking("q1", [(f"r{i}", 1.0 - 0.01 * i) for i in (3, 1, 2)]),
+        Ranking("q2", [(f"r{i}", 1.0 - 0.01 * i) for i in (1, 2, 4)]),
     ]
     return rankings, coords, truth
 
 
 def test_threshold_recall_within_threshold_counts():
     coords = {"near": GeoCoord(0.0, 0.0), "truth": GeoCoord(0.0027, 0.0)}  # ~0.3 km apart
-    rankings = [Ranking("q", [("near", 0.9)], k=1)]
+    rankings = [Ranking("q", [("near", 0.9)])]
     ground_truth = {"q": {"truth"}}
     assert threshold_recall(rankings, coords, ground_truth, 0.5, 1) == 1.0
     assert threshold_recall(rankings, coords, ground_truth, 0.2, 1) == 0.0
@@ -185,9 +185,9 @@ def test_threshold_recall_matches_per_pair_loop():
     coords["r40"] = coords["r0"]  # a distinct id at the same place
     ids = sorted(coords)
     truth = {f"q{j}": set(rng.choice(ids, size=int(rng.integers(1, 4)), replace=False)) for j in range(25)}
-    rankings = [Ranking(q, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(rng.choice(ids, 8, replace=False))], k=8)
+    rankings = [Ranking(q, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(rng.choice(ids, 8, replace=False))])
                 for q in truth]
-    rankings.append(Ranking("q_empty", [], k=0))
+    rankings.append(Ranking("q_empty", []))
     truth["q_empty"] = {"r1"}
 
     def loop(threshold, k):
@@ -229,7 +229,7 @@ def _permutation_pair(n_queries=5):
         ids = base.ids()
         promoted = [ids[2]] + ids[:2] + ids[3:]  # truth moves rank 3 -> 1
         scores = sorted((s for _, s in base.entries), reverse=True)
-        reranked.append(Ranking(qid, list(zip(promoted, scores)), k=base.k, reranked=True))
+        reranked.append(Ranking(qid, list(zip(promoted, scores)), reranked=True))
         baseline.append(base)
         truth[qid] = {f"p{i}"}
     return baseline, reranked, truth
@@ -262,7 +262,7 @@ def test_compare_rejects_query_set_mismatch():
 def test_compare_rejects_changed_candidate_set():
     # replacing the positive with an intruder changes recall@k_max: must be rejected
     base = ranking_with_truth_at("q", 1)
-    tampered = Ranking("q", [("intruder", 1.0)] + base.entries[1:], k=10)
+    tampered = Ranking("q", [("intruder", 1.0)] + base.entries[1:])
     with pytest.raises(ValueError, match="permute"):
         compare_rankings([base], [tampered], {"q": {"pos"}}, EvalConfig())
 
@@ -270,7 +270,7 @@ def test_compare_rejects_changed_candidate_set():
 def test_compare_rejects_intruder_in_place_of_a_negative():
     # the positive stays, so recall@k_max does not move, but the candidate set changed
     base = ranking_with_truth_at("q", 1)
-    tampered = Ranking("q", base.entries[:-1] + [("intruder", 0.0)], k=10)
+    tampered = Ranking("q", base.entries[:-1] + [("intruder", 0.0)])
     with pytest.raises(ValueError, match="query 'q'.*permute"):
         compare_rankings([base], [tampered], {"q": {"pos"}}, EvalConfig())
 
@@ -366,7 +366,7 @@ def ranking_sets(draw):
         ids = draw(st.lists(st.sampled_from(POOL), max_size=8, unique=True))
         truth[f"q{q}"] = tuple(draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True)))
         for out, order in ((baseline, ids), (reranked, draw(st.permutations(ids)))):
-            out.append(Ranking(f"q{q}", [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(order)], k=len(ids)))
+            out.append(Ranking(f"q{q}", [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(order)]))
     ks = tuple(sorted(draw(st.sets(st.integers(1, 8), min_size=1))))
     thresholds = tuple(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, 6.0]), min_size=1, max_size=3, unique=True)))
     return baseline, reranked, truth, coords, EvalConfig(ks=ks, thresholds_km=thresholds)

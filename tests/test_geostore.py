@@ -35,7 +35,7 @@ from georank.geostore import (
     write_embedding_matrix,
 )
 
-from conftest import build_store, fill_disk_after_first_write, make_query, make_ref
+from conftest import build_store, fill_disk_after_first_write, make_query, make_ref, store_of
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def test_save_over_a_fuller_store_leaves_no_stale_column(tmp_path):
     assert back.reference("r0").caption is None and back.query_ids == [] and back.ground_truth == {}
     bare.save(tmp_path / "bare")
     names = sorted(p.name for p in (tmp_path / "bare").iterdir())
-    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(names + [geostore.GROUPS_FILE])
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == names
 
 
 @pytest.mark.parametrize("name", ["refs.img.ids", "refs.txt.ids", "manifest.txt"])
@@ -651,9 +651,9 @@ def test_semipositive_map_covers_group_mates():
 
 def test_groups_roundtrip(tmp_path):
     cfg = SynthConfig(n_locations=8, group_size=2, image_dim=4, text_dim=4)
-    _, groups = generate_synthetic(cfg, seed=0)
+    store, groups = generate_synthetic(cfg, seed=0)
     geostore.save_groups(groups, tmp_path / "g.jsonl")
-    assert geostore.load_groups(tmp_path / "g.jsonl") == groups
+    assert geostore.load_groups(tmp_path / "g.jsonl", store) == groups
 
 
 @pytest.mark.parametrize("record,problem", [({"id": "r1"}, "missing field 'group'"),
@@ -664,14 +664,14 @@ def test_load_groups_bad_record_names_file_and_line(tmp_path, record, problem):
     path = tmp_path / "groups.jsonl"
     path.write_text(json.dumps({"id": "r0", "group": 0}) + "\n" + json.dumps(record) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: ") + ".*" + re.escape(problem)):
-        geostore.load_groups(path)
+        geostore.load_groups(path, store_of(["r0", "r1"]))
 
 
 def test_load_groups_refuses_repeated_id_naming_file_line_and_id(tmp_path):
     path = tmp_path / "groups.jsonl"
     path.write_text(json.dumps({"id": "r0", "group": 0}) + "\n" + json.dumps({"id": "r0", "group": 1}) + "\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}, line 2, id 'r0': duplicate group record")):
-        geostore.load_groups(path)
+        geostore.load_groups(path, store_of(["r0"]))
 
 
 # ids as a store accepts them, with non-ASCII ones drawn on purpose as well as by chance
@@ -691,13 +691,13 @@ def _each_once(rankings):
         entries = {}
         for rid, s in r.entries:
             entries.setdefault(rid, s)
-        out.setdefault(r.query_id, Ranking(r.query_id, list(entries.items()), k=len(entries), reranked=r.reranked))
+        out.setdefault(r.query_id, Ranking(r.query_id, list(entries.items()), reranked=r.reranked))
     return list(out.values())
 
 
 @settings(max_examples=60, deadline=None)
 @given(rankings=st.lists(st.builds(
-           lambda qid, entries, reranked: Ranking(qid, entries, k=len(entries), reranked=reranked),
+           lambda qid, entries, reranked: Ranking(qid, entries, reranked=reranked),
            _IDS, st.lists(st.tuples(_IDS, st.floats(allow_nan=False, allow_infinity=False)), max_size=4),
            st.booleans()), max_size=4),
        samples=st.lists(_samples(), max_size=4),
@@ -711,16 +711,19 @@ def test_jsonl_tables_round_trip_through_one_writer_and_reader(rankings, samples
         save_samples(samples, tmp / "samples.jsonl")
         geostore.save_groups(groups, tmp / "groups.jsonl")
         assert load_rankings(tmp / "rankings.jsonl") == once
-        assert load_samples(tmp / "samples.jsonl") == samples
-        assert geostore.load_groups(tmp / "groups.jsonl") == groups
+        # samples and groups are read against a store holding exactly the ids they name
+        candidates = list(dict.fromkeys(c for s in samples for c in s.candidate_ids))
+        sample_store = store_of(candidates, {s.query_id: candidates[:1] for s in samples})
+        assert load_samples(tmp / "samples.jsonl", sample_store) == samples
+        assert geostore.load_groups(tmp / "groups.jsonl", store_of(list(groups))) == groups
 
         # a score JSON cannot hold, and a query or a candidate listed twice, which the reader
         # would refuse, are refused, and the file there stays as it was
         before = (tmp / "rankings.jsonl").read_bytes()
         new = "q" * 9  # longer than any id drawn
-        for bad, problem in (([Ranking(new, [("r", poison)], k=1)], "JSON"),
-                             ([Ranking(new, [("r", 0.0), ("r", 1.0)], k=2)], f"query '{new}': candidate 'r' is listed twice"),
-                             ([Ranking(new, [], k=0)] * 2, f"query '{new}' is listed twice")):
+        for bad, problem in (([Ranking(new, [("r", poison)])], "JSON"),
+                             ([Ranking(new, [("r", 0.0), ("r", 1.0)])], f"query '{new}': candidate 'r' is listed twice"),
+                             ([Ranking(new, [])] * 2, f"query '{new}' is listed twice")):
             with pytest.raises(ValueError, match=problem):
                 save_rankings(once + bad, tmp / "rankings.jsonl")
         if once != rankings:

@@ -103,7 +103,7 @@ def test_top_indices_orders_by_score_then_tie_rank():
 
 
 def test_haversine_scalar_roundtrip():
-    d = kernels.haversine_km(0.0, 0.0, 0.0, 1.0, 6371.0)
+    d = kernels.haversine_km(0.0, 0.0, 0.0, 1.0)
     assert isinstance(d, float)
     assert d == pytest.approx(6371.0 * np.pi / 180.0, rel=1e-9)
 
@@ -112,7 +112,7 @@ def test_haversine_arrays_match_scalar_calls():
     rng = np.random.default_rng(7)
     lat1, lat2 = rng.uniform(-90, 90, 200), rng.uniform(-90, 90, 200)
     lon1, lon2 = rng.uniform(-180, 180, 200), rng.uniform(-180, 180, 200)
-    batch = kernels.haversine_km(lat1, lon1, lat2, lon2, 6371.0)
-    scalar = [kernels.haversine_km(float(a), float(b), float(c), float(d), 6371.0)
+    batch = kernels.haversine_km(lat1, lon1, lat2, lon2)
+    scalar = [kernels.haversine_km(float(a), float(b), float(c), float(d))
               for a, b, c, d in zip(lat1, lon1, lat2, lon2)]
     np.testing.assert_array_equal(batch, scalar)

@@ -236,10 +236,10 @@ def test_rerank_scores_the_network_training_optimises():
     logits = score_logits(*scorer_inputs(store.queries, store.query_rows([q.id]), "query"),
                           *scorer_inputs(store.refs, store.ref_rows(sample.candidate_ids), "candidate"), params,
                           [len(sample.candidate_ids)])
-    _, ctx = trainer._forward([sample], params, store, 1.0, "scores")
+    _, ctx = trainer._forward([sample], params, store, trainer.TrainConfig(margin=1.0, loss_on="scores"))
     assert np.array_equal(ctx["logits"], logits)
     assert np.array_equal(ctx["scores"], _sigmoid(logits))
-    candidates = Ranking(q.id, [(rid, 0.0) for rid in sample.candidate_ids], k=len(sample.candidate_ids))
+    candidates = Ranking(q.id, [(rid, 0.0) for rid in sample.candidate_ids])
     ranked = rerank(q, candidates, params, store)
     by_id = dict(zip(sample.candidate_ids, _sigmoid(logits)))
     assert all(score == by_id[rid] for rid, score in ranked.entries)
@@ -388,8 +388,8 @@ def test_rerank_singleton_is_identity():
 
 def test_rerank_empty_ranking_comes_back_empty_and_reranked():
     store = _store_with_text()
-    out = rerank(store.query("q0"), Ranking("q0", [], k=5), init_params(tiny_config(init_seed=11)), store)
-    assert (out.query_id, out.entries, out.k, out.reranked) == ("q0", [], 5, True)
+    out = rerank(store.query("q0"), Ranking("q0", []), init_params(tiny_config(init_seed=11)), store)
+    assert (out.query_id, out.entries, out.reranked) == ("q0", [], True)
 
 
 def test_rerank_zero_weights_falls_back_to_id_order():
@@ -431,18 +431,18 @@ def test_rerank_refuses_a_query_that_is_not_the_rankings():
         rerank(store.query("q00001"), ranking, init_params(tiny_config()), store)
 
 
-def test_a_query_without_text_is_refused_alike_by_rerank_many_and_train():
+def test_a_query_without_text_is_refused_alike_by_rerank_many_and_train(tmp_path):
     rng = np.random.default_rng(17)
     refs = [make_ref(f"r{i}", rng.standard_normal(2), text=rng.standard_normal(3)) for i in range(3)]
     queries = [make_query("q0", rng.standard_normal(2), ["r0"], text=rng.standard_normal(3)),
                make_query("q1", rng.standard_normal(2), ["r1"])]
     store = build_store(refs, queries, image_dim=2, text_dim=3)
-    rankings = [Ranking(q, [(r, 0.0) for r in ("r0", "r1", "r2")], k=3) for q in ("q0", "q1")]
+    rankings = [Ranking(q, [(r, 0.0) for r in ("r0", "r1", "r2")]) for q in ("q0", "q1")]
     with pytest.raises(ValueError) as by_rerank:
         rerank_many(rankings, init_params(tiny_config()), store)
     samples = [trainer.TrainingSample(q, ("r0", "r1", "r2"), 1) for q in ("q0", "q1")]
     with pytest.raises(ValueError) as by_train:
-        trainer.train(samples, store, tiny_config(), trainer.TrainConfig(epochs=1), val_split=0.0)
+        trainer.train(samples, store, tiny_config(), trainer.TrainConfig(epochs=1, val_split=0.0), tmp_path)
     assert str(by_rerank.value) == str(by_train.value) == "query 'q1' has no text embedding"
 
 
@@ -574,8 +574,8 @@ def test_rerank_many_of_shuffled_rankings_equals_lone_reranks(tmp_path, dims):
     shuffled = [rankings[i] for i in np.random.default_rng(sum(dims)).permutation(len(rankings))]
     many = rerank_many(shuffled, params, store)
     store, params = fresh()
-    assert [(r.query_id, r.entries, r.k) for r in many] == [
-        (r.query_id, r.entries, r.k) for r in (rerank(store.query(s.query_id), s, params, store) for s in shuffled)]
+    assert [(r.query_id, r.entries) for r in many] == [
+        (r.query_id, r.entries) for r in (rerank(store.query(s.query_id), s, params, store) for s in shuffled)]
 
 
 def test_rerank_with_writable_params_reuses_no_row_after_an_in_place_change():

@@ -273,8 +273,8 @@ def test_rank_store_queries_allocates_one_float32_tile_and_no_more():
 
 def test_rankings_roundtrip(tmp_path):
     rankings = [
-        Ranking("q1", [("a", 0.75), ("b", 0.25)], k=2),
-        Ranking("q2", [("c", 1.0)], k=1, reranked=True),
+        Ranking("q1", [("a", 0.75), ("b", 0.25)]),
+        Ranking("q2", [("c", 1.0)], reranked=True),
     ]
     path = tmp_path / "rankings.jsonl"
     save_rankings(rankings, path)
@@ -288,16 +288,16 @@ def test_rankings_roundtrip(tmp_path):
 def test_save_rankings_rejects_nan_and_writes_nothing(tmp_path):
     path = tmp_path / "rankings.jsonl"
     with pytest.raises(ValueError, match="JSON"):
-        save_rankings([Ranking("q1", [("a", 1.0)], k=1), Ranking("q2", [("z", float("nan"))], k=1)], path)
+        save_rankings([Ranking("q1", [("a", 1.0)]), Ranking("q2", [("z", float("nan"))])], path)
     assert not path.exists()
 
 
 @pytest.mark.parametrize("failure", ["nan score", "disk full"])
 def test_failed_save_rankings_keeps_previous_file(tmp_path, monkeypatch, failure):
     path = tmp_path / "rankings.jsonl"
-    save_rankings([Ranking("q0", [("a", 0.5)], k=1)], path)
+    save_rankings([Ranking("q0", [("a", 0.5)])], path)
     before = path.read_bytes()
-    new = [Ranking("q1", [("a", 1.0)], k=1), Ranking("q2", [("z", 0.25)], k=1)]
+    new = [Ranking("q1", [("a", 1.0)]), Ranking("q2", [("z", 0.25)])]
     if failure == "nan score":
         new[1].entries[0] = ("z", float("nan"))
     else:
@@ -360,9 +360,9 @@ def test_load_rankings_refuses_a_non_string_id_or_a_score_that_is_not_a_number(t
 
 def test_ranking_validate_rejects_bad_order():
     with pytest.raises(ValueError, match="order"):
-        Ranking("q", [("a", 0.1), ("b", 0.9)], k=2).validate()
+        Ranking("q", [("a", 0.1), ("b", 0.9)]).validate()
     with pytest.raises(ValueError, match="order"):
-        Ranking("q", [("b", 0.5), ("a", 0.5)], k=2).validate()
+        Ranking("q", [("b", 0.5), ("a", 0.5)]).validate()
 
 
 @pytest.mark.parametrize("reranked", ['"no"', '"true"', "1", "0", "null", "[true]"])

@@ -39,7 +39,7 @@ from georank.trainer import (
     train,
 )
 
-from conftest import build_store, make_query, make_ref
+from conftest import build_store, make_query, make_ref, store_of
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +147,11 @@ def test_all_margins_satisfied_gives_exact_zero_gradients():
 
 def test_gradients_match_finite_differences():
     for seed in (1, 2, 3):
-        assert run_gradcheck(seed) <= 1e-4
+        assert run_gradcheck(seed, TrainConfig()) <= 1e-4
 
 
 def test_gradients_match_finite_differences_logits_mode():
-    assert run_gradcheck(4, loss_on="logits") <= 1e-4
+    assert run_gradcheck(4, TrainConfig(loss_on="logits")) <= 1e-4
 
 
 def test_gradient_shapes_match_parameters():
@@ -183,7 +183,7 @@ MIXED_BATCH = [
 @pytest.mark.parametrize("loss_on", ["scores", "logits"])
 def test_batch_gradients_match_finite_differences(loss_on):
     store, params = _mixed_fixture(21)
-    for name, err in gradient_check(MIXED_BATCH, params, store, margin=1.0, loss_on=loss_on).items():
+    for name, err in gradient_check(MIXED_BATCH, params, store, TrainConfig(margin=1.0, loss_on=loss_on)).items():
         assert err <= 1e-4, f"{name}: max relative error {err:.2e}"
 
 
@@ -229,12 +229,12 @@ def test_batch_gradients_equal_mean_of_sample_gradients_property(batch, seed, lo
 
 
 @pytest.mark.parametrize("per_pass", [7, trainer.VALIDATION_PASS])
-def test_candidate_recall_equals_rerank_per_sample(monkeypatch, per_pass):
+def test_candidate_recall_equals_rerank_per_sample(tmp_path, monkeypatch, per_pass):
     samples, store, rr = _train_fixture()
-    params, _ = train(samples, store, rr, TrainConfig(epochs=2, lr=3e-3, batch_size=8), val_split=0.0)
+    params, _ = train(samples, store, rr, TrainConfig(epochs=2, lr=3e-3, batch_size=8, val_split=0.0), tmp_path)
     ranks = []
     for s in samples:
-        candidates = Ranking(s.query_id, [(rid, 0.0) for rid in s.candidate_ids], k=len(s.candidate_ids))
+        candidates = Ranking(s.query_id, [(rid, 0.0) for rid in s.candidate_ids])
         ranks.append(rerank(store.query(s.query_id), candidates, params, store).ids()
                      .index(s.candidate_ids[s.positive_index]))
     monkeypatch.setattr(trainer, "VALIDATION_PASS", per_pass)
@@ -371,13 +371,12 @@ def test_optimizer_step_allocates_no_full_size_temporary():
 # ---------------------------------------------------------------------------
 
 def _ranking(qid, ids):
-    return Ranking(qid, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(ids)], k=len(ids))
+    return Ranking(qid, [(rid, 1.0 - 0.01 * i) for i, rid in enumerate(ids)])
 
 
 def test_build_samples_positive_at_rank_3():
-    q = make_query("q", [1.0], ["p"])
     ids = ["n0", "n1", "p"] + [f"x{i}" for i in range(7)]
-    samples, skipped = build_training_samples([q], [_ranking("q", ids)])
+    samples, skipped = build_training_samples(store_of(["p"], {"q": ["p"]}), [_ranking("q", ids)])
     assert skipped == 0
     (s,) = samples
     assert s.positive_index == 2
@@ -386,26 +385,25 @@ def test_build_samples_positive_at_rank_3():
 
 
 def test_build_samples_skips_when_positive_missing():
-    q = make_query("q", [1.0], ["p"])
-    samples, skipped = build_training_samples([q], [_ranking("q", [f"x{i}" for i in range(10)])])
+    store = store_of(["p"], {"q": ["p"]})
+    samples, skipped = build_training_samples(store, [_ranking("q", [f"x{i}" for i in range(10)])])
     assert samples == [] and skipped == 1
 
 
 def test_build_samples_counting():
-    queries, rankings = [], []
+    truth, rankings = {}, []
     for i in range(100):
         qid = f"q{i:03d}"
-        queries.append(make_query(qid, [1.0], [f"p{i}"]))
+        truth[qid] = [f"p{i}"]
         ids = [f"p{i}"] + [f"n{i}_{j}" for j in range(9)] if i < 80 else [f"n{i}_{j}" for j in range(10)]
         rankings.append(_ranking(qid, ids))
-    samples, skipped = build_training_samples(queries, rankings)
+    samples, skipped = build_training_samples(store_of([f"p{i}" for i in range(100)], truth), rankings)
     assert len(samples) == 80 and skipped == 20
 
 
 def test_build_samples_multi_positive_expansion():
-    q = make_query("q", [1.0], ["p1", "p2"])
     ids = ["p1", "n0", "p2", "n1", "n2"]
-    samples, skipped = build_training_samples([q], [_ranking("q", ids)])
+    samples, skipped = build_training_samples(store_of(["p1", "p2"], {"q": ["p1", "p2"]}), [_ranking("q", ids)])
     assert skipped == 0
     assert len(samples) == 2
     by_positive = {s.candidate_ids[s.positive_index]: s for s in samples}
@@ -415,10 +413,9 @@ def test_build_samples_multi_positive_expansion():
 
 
 def test_build_samples_semipositive_exclusion():
-    q = make_query("q", [1.0], ["p"])
     ids = ["semi1", "p", "semi2", "n0", "n1"]
     samples, skipped = build_training_samples(
-        [q], [_ranking("q", ids)], semipositives={"q": {"semi1", "semi2"}}
+        store_of(["p"], {"q": ["p"]}), [_ranking("q", ids)], semipositives={"q": {"semi1", "semi2"}}
     )
     (s,) = samples
     assert s.candidate_ids == ("p", "n0", "n1")
@@ -426,23 +423,22 @@ def test_build_samples_semipositive_exclusion():
 
 
 def test_build_samples_missing_ranking():
-    q = make_query("q", [1.0], ["p"])
-    with pytest.raises(ValueError, match="no ranking"):
-        build_training_samples([q], [])
+    with pytest.raises(ValueError, match="no ranking for query 'q'"):
+        build_training_samples(store_of(["p"], {"q": ["p"]}), [])
 
 
 def test_samples_jsonl_roundtrip(tmp_path):
     samples = [TrainingSample("q1", ("a", "b", "c"), 1), TrainingSample("q2", ("d", "e"), 0)]
     path = tmp_path / "samples.jsonl"
     save_samples(samples, path)
-    assert load_samples(path) == samples
+    assert load_samples(path, store_of(["a", "b", "c", "d", "e"], {"q1": ["b"], "q2": ["d"]})) == samples
 
 
 def test_samples_jsonl_rejects_invalid(tmp_path):
     path = tmp_path / "samples.jsonl"
     path.write_text('{"query_id": "q", "candidates": ["a", "b"], "positive_index": 7}\n')
     with pytest.raises(ValueError, match="line 1"):
-        load_samples(path)
+        load_samples(path, store_of(["a", "b"], {"q": ["a"]}))
 
 
 _IDS = "a sample needs a string 'query_id' and a 'candidates' list of string ids"
@@ -461,14 +457,14 @@ def test_samples_jsonl_refuses_a_non_string_id_or_a_non_integer_index(tmp_path, 
     path = tmp_path / "samples.jsonl"
     path.write_text('{"query_id": "p", "candidates": ["r00", "r01"], "positive_index": 1}\n{%s}\n' % record)
     with pytest.raises(IngestError, match=re.escape(f"{path}, line 2: ") + ".*" + re.escape(problem)):
-        load_samples(path)
+        load_samples(path, store_of(["r00", "r01"], {"p": ["r00"], "q": ["r00"]}))
 
 
 def test_samples_non_utf8_line_names_file_and_line(tmp_path):
     path = tmp_path / "samples.jsonl"
     path.write_bytes(b'{"query_id": "q", "candidates": ["a", "b"], "positive_index": 0}\n\xff\n')
     with pytest.raises(ValueError, match="line 2") as exc:
-        load_samples(path)
+        load_samples(path, store_of(["a", "b"], {"q": ["a"]}))
     assert str(path) in str(exc.value) and not isinstance(exc.value, UnicodeDecodeError)
 
 
@@ -482,18 +478,16 @@ def _train_fixture(n_locations=40):
 
     cfg = SynthConfig(n_locations=n_locations, group_size=4, image_dim=8, text_dim=8, text_margin=0.95)
     store, _ = generate_synthetic(cfg, seed=1)
-    rankings = rank_store_queries(store, 10)
-    queries = [store.query(qid) for qid in store.query_ids]
-    samples, _ = build_training_samples(queries, rankings)
+    samples, _ = build_training_samples(store, rank_store_queries(store, 10))
     rr = RerankerConfig(image_dim=8, text_dim=8, latent_dim=8, aligner_hidden=8, init_seed=0)
     return samples, store, rr
 
 
 def test_train_deterministic_given_seeds(tmp_path):
     samples, store, rr = _train_fixture()
-    config = TrainConfig(epochs=3, lr=1e-3, batch_size=8, shuffle_seed=5)
-    p1, r1 = train(samples, store, rr, config, val_split=0.25, checkpoint_dir=tmp_path / "a")
-    p2, r2 = train(samples, store, rr, config, val_split=0.25, checkpoint_dir=tmp_path / "b")
+    config = TrainConfig(epochs=3, lr=1e-3, batch_size=8, shuffle_seed=5, val_split=0.25)
+    p1, r1 = train(samples, store, rr, config, tmp_path / "a")
+    p2, r2 = train(samples, store, rr, config, tmp_path / "b")
     assert p1.digest() == p2.digest()
     assert r1.digest() == r2.digest()
     assert (tmp_path / "a" / "epoch_003.gvck").exists()
@@ -507,33 +501,32 @@ def test_train_deterministic_given_seeds(tmp_path):
         load_params(path)
 
 
-def test_logits_loss_leaves_score_bias_at_zero():
+def test_logits_loss_leaves_score_bias_at_zero(tmp_path):
     # the README recipe, 3 epochs: the hinge on logits is shift-invariant, so
     # score.b gets an exact zero gradient and Adam never moves it
     from georank.geostore import SynthConfig, generate_synthetic
     from georank.retriever import rank_store_queries
 
     store, _ = generate_synthetic(SynthConfig(n_locations=1000, group_size=4), seed=7)
-    queries = [store.query(qid) for qid in store.query_ids]
-    samples, _ = build_training_samples(queries, rank_store_queries(store, 10))
+    samples, _ = build_training_samples(store, rank_store_queries(store, 10))
     rr = RerankerConfig(image_dim=64, text_dim=64, latent_dim=64, aligner_hidden=64)
     config = TrainConfig(lr=3e-3, epochs=3, batch_size=8, loss_on="logits")
-    params, _ = train(samples, store, rr, config)
+    params, _ = train(samples, store, rr, config, tmp_path)
     assert params.tensors["score.b"] == 0
     assert not np.array_equal(params.tensors["score.w"], init_params(rr).tensors["score.w"])
 
 
-def test_train_zero_lr_leaves_params_unchanged():
+def test_train_zero_lr_leaves_params_unchanged(tmp_path):
     samples, store, rr = _train_fixture(16)
-    config = TrainConfig(epochs=2, lr=0.0, shuffle_seed=0)
-    params, _ = train(samples, store, rr, config, val_split=0.0)
+    config = TrainConfig(epochs=2, lr=0.0, shuffle_seed=0, val_split=0.0)
+    params, _ = train(samples, store, rr, config, tmp_path)
     assert params.digest() == init_params(rr).digest()
 
 
-def test_train_loss_decreases_and_reports():
+def test_train_loss_decreases_and_reports(tmp_path):
     samples, store, rr = _train_fixture()
-    config = TrainConfig(epochs=4, lr=3e-3, batch_size=8, shuffle_seed=0)
-    params, report = train(samples, store, rr, config, val_split=0.25)
+    config = TrainConfig(epochs=4, lr=3e-3, batch_size=8, shuffle_seed=0, val_split=0.25)
+    params, report = train(samples, store, rr, config, tmp_path)
     assert report.train_count + report.val_count == len(samples)
     assert len(report.epochs) == 4
     assert report.epochs[-1].mean_loss < report.epochs[0].mean_loss
@@ -541,17 +534,18 @@ def test_train_loss_decreases_and_reports():
     assert 0.0 <= report.epochs[-1].val_r1 <= 1.0
 
 
-def test_train_nan_loss_aborts_with_batch_diagnostic():
+def test_train_nan_loss_aborts_with_batch_diagnostic(tmp_path):
     samples, store, rr = _train_fixture(16)
     store.refs.image[:] = float("nan")  # a NaN margin or lr would be refused by TrainConfig.validate
     with pytest.raises(RuntimeError, match="epoch 1"):
-        train(samples, store, rr, TrainConfig(epochs=1), val_split=0.0)
+        train(samples, store, rr, TrainConfig(epochs=1, val_split=0.0), tmp_path)
 
 
-def test_train_requires_samples():
+def test_train_requires_samples(tmp_path):
     _, store, rr = _train_fixture(16)
     with pytest.raises(ValueError, match="no training samples"):
-        train([], store, rr, TrainConfig(epochs=1))
+        train([], store, rr, TrainConfig(epochs=1), tmp_path / "ckpt")
+    assert not (tmp_path / "ckpt").exists()
 
 
 @pytest.mark.parametrize("val_split, problem", [(1.0, "val_split must be in"), (-0.1, "val_split must be in"),
@@ -560,13 +554,13 @@ def test_train_requires_samples():
 def test_train_refuses_a_val_split_that_leaves_nothing_to_train_on(tmp_path, val_split, problem):
     samples, store, rr = _train_fixture(16)
     with pytest.raises(ValueError, match=problem):
-        train(samples, store, rr, TrainConfig(epochs=1), val_split=val_split, checkpoint_dir=tmp_path / "ckpt")
+        train(samples, store, rr, TrainConfig(epochs=1, val_split=val_split), tmp_path / "ckpt")
     assert not (tmp_path / "ckpt").exists()
 
 
 def test_train_report_csv_and_jsonl(tmp_path):
     samples, store, rr = _train_fixture(16)
-    _, report = train(samples, store, rr, TrainConfig(epochs=2, lr=1e-3), val_split=0.25)
+    _, report = train(samples, store, rr, TrainConfig(epochs=2, lr=1e-3, val_split=0.25), tmp_path / "ckpt")
     report.write_csv(tmp_path / "r.csv")
     report.write_jsonl(tmp_path / "r.jsonl")
     lines = (tmp_path / "r.csv").read_text().splitlines()
@@ -602,7 +596,7 @@ def test_gradients_match_finite_differences_with_randomized_layernorm():
     for name, t in params.tensors.items():
         if name.endswith((".ln_scale", ".ln_shift", ".b")):
             t[...] = t + rng.uniform(-0.5, 0.5, t.shape)
-    errors = gradient_check([sample], params, store, margin=1.0)
+    errors = gradient_check([sample], params, store, TrainConfig(margin=1.0))
     assert max(errors.values()) <= 1e-4
 
 
@@ -617,5 +611,5 @@ def test_gradcheck_after_optimizer_step():
     _, grads = batch_gradients([sample], params, store, config)
     stepped, _ = optimizer_step(params, grads, init_optimizer_state(params), config)
     assert isinstance(stepped.tensors["score.b"], np.ndarray)
-    errors = gradient_check([sample], stepped, store, margin=1.0)
+    errors = gradient_check([sample], stepped, store, TrainConfig(margin=1.0))
     assert max(errors.values()) <= 1e-4
