@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import weakref
 from collections.abc import Mapping
@@ -32,6 +33,12 @@ from .retriever import Ranking
 
 CKPT_MAGIC = b"GVCK"
 CKPT_VERSION = 1
+
+# elements per isfinite pass of a loaded flat vector, so its mask stays small
+FINITE_CHUNK = 1 << 16
+# one float32 element, a zero-stride view of which stands in for a payload
+# whose header's dims are tested before the payload is read
+_ZERO = np.zeros((), "<f4")
 
 # sigmoid outputs clamped to the open interval so scores are strictly in (0,1)
 _SCORE_FLOOR = np.nextafter(0.0, 1.0)
@@ -87,6 +94,9 @@ class RerankerConfig:
             value = values.pop(key)
             if type(value) is not type(fixed) or value != fixed:
                 raise ValueError(f"'{key}' is {json.dumps(value)}; this scorer has {json.dumps(fixed)}")
+        for field in dataclasses.fields(cls):  # all five are integers; a bool or a float is refused
+            if field.name in values and type(values[field.name]) is not int:
+                raise ValueError(f"'{field.name}' {json.dumps(values[field.name])} is not an integer")
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -146,6 +156,17 @@ class TensorViews(Mapping):
         return len(self._views)
 
 
+def _all_finite(flat: np.ndarray) -> bool:
+    """Whether every element of ``flat`` is finite, tested FINITE_CHUNK
+    elements at a time so the mask stays small."""
+    mask = np.empty(min(flat.size, FINITE_CHUNK), bool)
+    for lo in range(0, flat.size, FINITE_CHUNK):
+        part = flat[lo : lo + FINITE_CHUNK]
+        if not np.isfinite(part, out=mask[: part.size]).all():
+            return False
+    return True
+
+
 class RerankerParams:
     """Named parameter tensors plus the config they were built for.
 
@@ -185,9 +206,11 @@ class RerankerParams:
         return self.tensors.flat
 
     def validate(self) -> None:
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"tensor '{name}' contains NaN/Inf")
+        """Raise ValueError naming the first tensor, in ``expected_shapes``
+        order, that holds a NaN or an Inf, after one pass over ``flat``."""
+        if not _all_finite(self.flat):
+            bad = next(name for name, t in self.tensors.items() if not np.isfinite(t).all())
+            raise ValueError(f"tensor '{bad}' contains NaN/Inf")
 
     @property
     def dtype(self):
@@ -496,8 +519,10 @@ def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: 
 # checkpoint format
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(path: str | Path, config: RerankerConfig, tensors: dict[str, np.ndarray]) -> None:
-    """GVCK file: magic, version, config JSON, then framed named f32 tensors."""
+def save_checkpoint(path: str | Path, config: RerankerConfig, tensors: Mapping[str, np.ndarray]) -> None:
+    """GVCK file: magic, version, config JSON, then framed named f32 tensors.
+    Each payload is written from the array's own buffer, copied only if the
+    array is not already C-contiguous little-endian float32."""
     cfg = config.to_json().encode("utf-8")
     with atomic_write(path) as fh:
         fh.write(CKPT_MAGIC)
@@ -506,59 +531,78 @@ def save_checkpoint(path: str | Path, config: RerankerConfig, tensors: dict[str,
         for name, tensor in tensors.items():
             arr = np.asarray(tensor, dtype="<f4")  # ascontiguousarray would promote 0-d to 1-d
             nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(arr.tobytes())
+            fh.write(struct.pack(f"<I{len(nb)}sI{arr.ndim}Q", len(nb), nb, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = 0
-        self.path = path
+def _read_frames(fh, path) -> tuple[RerankerConfig, dict[str, tuple[tuple[int, ...], int]]]:
+    """The config and, in file order, each tensor's shape and payload offset
+    of the checkpoint open as ``fh``, read header by header: payloads are
+    sought past, not read. Refusals come in file order, a frame's before the
+    next one's; truncation is checked against the file's size."""
+    size = os.fstat(fh.fileno()).st_size
+    off = 0
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError(f"{self.path}: truncated checkpoint")
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
+    def take(n: int, skip: bool = False) -> bytes:
+        nonlocal off
+        if off + n > size:
+            raise FormatError(f"{path}: truncated checkpoint")
+        off += n
+        if skip:
+            fh.seek(off)
+            return b""
+        chunk = fh.read(n)
+        if len(chunk) != n:  # the file shrank after it was measured
+            raise FormatError(f"{path}: truncated checkpoint")
         return chunk
 
-    def done(self) -> bool:
-        return self.off == len(self.data)
-
-
-def load_checkpoint(path: str | Path) -> tuple[RerankerConfig, dict[str, np.ndarray]]:
-    rd = _Reader(Path(path).read_bytes(), path)
-    if rd.take(4) != CKPT_MAGIC:
+    if take(4) != CKPT_MAGIC:
         raise FormatError(f"{path}: bad magic, expected {CKPT_MAGIC!r}")
-    version, cfg_len = struct.unpack("<II", rd.take(8))
+    version, cfg_len = struct.unpack("<II", take(8))
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: checkpoint version {version}, expected {CKPT_VERSION}")
     try:
-        config = RerankerConfig.from_json(rd.take(cfg_len).decode("utf-8"))
+        config = RerankerConfig.from_json(take(cfg_len).decode("utf-8"))
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: unreadable config block ({exc})") from None
-    tensors: dict[str, np.ndarray] = {}
-    while not rd.done():
-        (name_len,) = struct.unpack("<I", rd.take(4))
+    frames: dict[str, tuple[tuple[int, ...], int]] = {}
+    while off < size:
+        (name_len,) = struct.unpack("<I", take(4))
         try:
-            name = rd.take(name_len).decode("utf-8")
+            name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
-        if name in tensors:
+        if name in frames:
             raise FormatError(f"{path}: tensor '{name}' appears twice")
-        (rank,) = struct.unpack("<I", rd.take(4))
-        dims = struct.unpack(f"<{rank}Q", rd.take(8 * rank)) if rank else ()
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         # math.prod on Python ints cannot wrap, so huge dims fail as truncation
-        payload = rd.take(math.prod(dims) * 4)
+        count = math.prod(dims)
+        frames[name] = dims, off
+        take(4 * count, skip=True)
         try:
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-        except ValueError as exc:  # zero-size, but more or larger dims than numpy allows
+            np.ndarray(dims, "<f4", buffer=_ZERO, strides=(0,) * rank)
+        except ValueError as exc:  # more dims than numpy allows, or zero-size but too big
             raise FormatError(f"{path}: tensor '{name}' has an impossible shape ({exc})") from None
+    return config, frames
+
+
+def _read_payload(fh, offset: int, out: np.ndarray, path) -> None:
+    """Read the payload at ``offset`` straight into the C-contiguous ``out``."""
+    fh.seek(offset)
+    raw = out.reshape(-1).view(np.uint8)
+    if fh.readinto(raw) != raw.size:  # the file shrank after it was measured
+        raise FormatError(f"{path}: truncated checkpoint")
+
+
+def load_checkpoint(path: str | Path) -> tuple[RerankerConfig, dict[str, np.ndarray]]:
+    """The config and every tensor of a checkpoint, ``opt.*`` included, in file order."""
+    with open(path, "rb") as fh:
+        config, frames = _read_frames(fh, path)
+        tensors: dict[str, np.ndarray] = {}
+        for name, (dims, offset) in frames.items():
+            tensors[name] = np.empty(dims, "<f4")
+            _read_payload(fh, offset, tensors[name], path)
     return config, tensors
 
 
@@ -567,15 +611,29 @@ def save_params(path: str | Path, params: RerankerParams) -> None:
 
 
 def load_params(path: str | Path) -> RerankerParams:
-    """Load model tensors, read-only; optimizer-state tensors ('opt.*') are ignored.
-    A missing, extra, misshapen or non-finite tensor is a ``FormatError``."""
-    config, tensors = load_checkpoint(path)
+    """Model tensors, read-only, as views of one flat vector that each
+    payload is read into once; optimizer-state tensors ('opt.*') are sought
+    past unread. A missing, extra, misshapen or non-finite tensor is a
+    ``FormatError``, in that order, after every frame's header is read."""
+    with open(path, "rb") as fh:
+        config, frames = _read_frames(fh, path)
+        model = {name: frame for name, frame in frames.items() if not name.startswith("opt.")}
+        shapes = expected_shapes(config)
+        if model.keys() != shapes.keys():
+            missing, extra = sorted(shapes.keys() - model.keys()), sorted(model.keys() - shapes.keys())
+            raise FormatError(f"{path}: parameter names mismatch (missing {missing}, extra {extra})")
+        for name, shape in shapes.items():
+            if model[name][0] != shape:
+                raise FormatError(f"{path}: tensor '{name}' has shape {model[name][0]}, expected {shape}")
+        flat = np.empty(sum(math.prod(s) for s in shapes.values()), "<f4")
+        params = RerankerParams.from_flat(config, flat)
+        for name, view in params.tensors.items():
+            _read_payload(fh, model[name][1], view, path)
     try:
-        params = RerankerParams(config, {k: v for k, v in tensors.items() if not k.startswith("opt.")})
         params.validate()
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     # read-only, so rerank can keep aligned reference rows across calls; the
     # views are taken again, because views taken before the flag stay writable
-    params.flat.flags.writeable = False
-    return RerankerParams.from_flat(config, params.flat)
+    flat.flags.writeable = False
+    return RerankerParams.from_flat(config, flat)

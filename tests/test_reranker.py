@@ -832,3 +832,139 @@ def test_checkpoint_random_tensor_roundtrip(tmp_path):
     for name, t in tensors.items():
         assert np.array_equal(back[name], t)
         assert back[name].shape == t.shape
+
+
+@pytest.mark.parametrize("key, value", [
+    ("latent_dim", True), ("init_seed", False), ("latent_dim", 2.5), ("image_dim", 1.0), ("text_dim", "1"),
+    ("aligner_hidden", None),
+])
+def test_a_checkpoint_config_integer_field_that_is_not_a_json_integer_is_refused_naming_file_and_key(
+        tmp_path, key, value):
+    """The golden checkpoint with one of the five integer fields set to a bool, a float, a string or null."""
+    (cfg_len,) = struct.unpack_from("<I", GOLDEN_GVCK, 8)
+    config = json.loads(GOLDEN_GVCK[12 : 12 + cfg_len])
+    config[key] = value
+    block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "edited.gvck"
+    path.write_bytes(GOLDEN_GVCK[:8] + struct.pack("<I", len(block)) + block + GOLDEN_GVCK[12 + cfg_len :])
+    for load in (load_checkpoint, load_params):
+        with pytest.raises(FormatError, match=f"unreadable config block \\('{key}' .* is not an integer\\)") as exc:
+            load(path)
+        assert str(path) in str(exc.value)
+
+
+def test_save_checkpoint_writes_any_layout_and_dtype_as_little_endian_f4(tmp_path):
+    base = np.arange(12, dtype=np.float32).reshape(3, 4)
+    tensors = {
+        "transposed": base.T,  # not C-contiguous
+        "strided": base[:, ::2],
+        "f64": base.astype(np.float64),
+        "big_endian": base.astype(">f4"),
+        "scalar": np.float32(2.5),
+        "empty": np.zeros((0, 3), np.float32),
+    }
+    path = tmp_path / "layouts.gvck"
+    save_checkpoint(path, tiny_config(), tensors)
+    again = tmp_path / "again.gvck"
+    save_checkpoint(again, tiny_config(), {name: np.array(t, "<f4", order="C") for name, t in tensors.items()})
+    assert path.read_bytes() == again.read_bytes()
+    _, back = load_checkpoint(path)
+    for name, t in tensors.items():
+        assert back[name].dtype == np.dtype("<f4") and back[name].shape == np.shape(t), name
+        assert np.array_equal(back[name], t), name
+
+
+def test_tensors_out_of_canonical_order_between_optimizer_state_load_bit_equal(tmp_path):
+    params = init_params(tiny_config(latent_dim=3, aligner_hidden=4, init_seed=9))
+    canonical = tmp_path / "canonical.gvck"
+    save_params(canonical, params)
+    names = list(params.tensors)
+    rng = np.random.default_rng(3)
+    shuffled: dict[str, np.ndarray] = {}
+    for i, name in enumerate(rng.permutation(names)):
+        shuffled[name] = params.tensors[name]
+        shuffled[f"opt.m.{i}"] = np.full((i + 1, 2), np.nan, np.float32)  # never read by load_params
+    assert list(shuffled)[0] != names[0]
+    mixed = tmp_path / "mixed.gvck"
+    save_checkpoint(mixed, params.config, shuffled)
+    want, got = load_params(canonical), load_params(mixed)
+    assert got.config == want.config
+    assert list(got.tensors) == names
+    assert got.flat.tobytes() == want.flat.tobytes()
+    assert not got.flat.flags.writeable
+    for name, view in got.tensors.items():
+        assert view.base is got.flat and not view.flags.writeable, name
+    _, tensors = load_checkpoint(mixed)
+    assert list(tensors) == list(shuffled)
+    for name, t in shuffled.items():
+        assert np.array_equal(tensors[name], t, equal_nan=True), name
+
+
+def _faulty(tmp_path, params, edits: dict, extra: dict | None = None) -> Path:
+    """``params``' tensors in canonical order with ``edits`` applied (name -> array, or name -> None to
+    drop it), then the ``extra`` frames, raw, at the end."""
+    tensors = {name: t for name, t in (dict(params.tensors) | edits).items() if t is not None}
+    path = tmp_path / "faulty.gvck"
+    save_checkpoint(path, params.config, tensors)
+    path.write_bytes(path.read_bytes() + b"".join(_tensor_frame(n, d, p) for n, (d, p) in (extra or {}).items()))
+    return path
+
+
+@pytest.mark.parametrize("fault", ["misnamed+misshapen", "misshapen+nan", "two nans", "impossible extra",
+                                   "impossible opt", "impossible after duplicate"])
+def test_a_checkpoint_with_two_faults_raises_the_first_in_refusal_order(tmp_path, fault):
+    params = init_params(tiny_config())
+    nan = np.array(np.nan, np.float32)
+    impossible = {"opt.zero": ((0,) * 70, b"")}
+    if fault == "misnamed+misshapen":
+        path = _faulty(tmp_path, params, {"score.w": np.zeros((2, 3), np.float32), "score.b": None,
+                                          "score.x": nan})
+        match = r"parameter names mismatch \(missing \['score.b'\], extra \['score.x'\]\)"
+    elif fault == "misshapen+nan":
+        path = _faulty(tmp_path, params, {"proj_img.w": np.full((2, 2), np.nan, np.float32),
+                                          "score.w": np.zeros((3, 2), np.float32)})
+        match = r"tensor 'score.w' has shape \(3, 2\), expected \(2, 2\)"
+    elif fault == "two nans":  # the file holds score.b first; the canonical order names proj_img.b first
+        tensors = dict(params.tensors) | {"proj_img.b": np.full(2, np.inf, np.float32), "score.b": nan}
+        path = tmp_path / "faulty.gvck"
+        save_checkpoint(path, params.config, {"score.b": tensors.pop("score.b")} | tensors)
+        match = "tensor 'proj_img.b' contains NaN/Inf"
+    elif fault == "impossible extra":
+        path = _faulty(tmp_path, params, {"score.b": None, "score.w": nan},
+                       {"extra": ((0,) * 70, b"")})
+        match = "tensor 'extra' has an impossible shape"
+    elif fault == "impossible opt":
+        path = _faulty(tmp_path, params, {"score.w": np.zeros((3, 2), np.float32), "score.b": nan}, impossible)
+        match = "tensor 'opt.zero' has an impossible shape"
+    else:  # a duplicate frame before the impossible one is refused first
+        path = _faulty(tmp_path, params, {}, {"score.b": ((), struct.pack("<f", 1.0))} | impossible)
+        match = "tensor 'score.b' appears twice"
+    with pytest.raises(FormatError, match=match) as exc:
+        load_params(path)
+    assert str(path) in str(exc.value)
+    if fault.startswith("impossible"):
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+
+
+def test_load_params_reads_each_payload_once_into_the_flat_vector(tmp_path):
+    """The traced peak of a load is the flat vector plus a fixed slack (the finiteness mask, the file
+    buffer and the headers); a load that held the file's bytes or a copy of any tensor beside it
+    would exceed it by that tensor's size."""
+    import tracemalloc
+
+    cfg = RerankerConfig(image_dim=1024, text_dim=1536, latent_dim=128, aligner_hidden=128)
+    params = init_params(cfg)
+    path = tmp_path / "model.gvck"
+    save_checkpoint(path, cfg, dict(params.tensors) | {"opt.m.proj_txt.w": params.tensors["proj_txt.w"]})
+    load_params(path)  # first use of every code path outside the trace
+    tracemalloc.start()
+    try:
+        back = load_params(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.flat.tobytes() == params.flat.tobytes()
+    payload = back.flat.nbytes
+    assert payload > 10 * reranker.FINITE_CHUNK
+    assert peak <= payload + 2 * reranker.FINITE_CHUNK, (peak, payload)
