@@ -545,14 +545,6 @@ class Store:
     # -- lookups ------------------------------------------------------------
 
     @functools.cached_property
-    def ref_tie_rank(self) -> np.ndarray:
-        """Lexicographic rank of each reference row's id, for deterministic tie-breaks."""
-        n = len(self.ref_ids)
-        rank = np.empty(n, np.int64)
-        rank[sorted(range(n), key=self.ref_ids.__getitem__)] = np.arange(n)
-        return rank
-
-    @functools.cached_property
     def cosine_index(self) -> kernels.CosineIndex:
         """Phase 1's index of ``ref_image`` (float32 row norms), built on first use."""
         return kernels.build_cosine_index(self.ref_image)

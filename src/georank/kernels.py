@@ -12,7 +12,8 @@ einsum reductions, so a row's score depends on that row and the query alone,
 not on which other rows are scored with it: exact duplicates and power-of-two
 scalings of a row score bit-equal, and a query scores a row identically
 whether it is re-scored alone, among a few survivors or over the whole
-matrix. ``top_indices`` orders scores by (score desc, tie rank asc).
+matrix. ``top_indices`` is the one ordering rule of every ranking georank
+makes: score descending, then id ascending, NaN last.
 """
 
 from __future__ import annotations
@@ -140,10 +141,14 @@ def exact_cosines(refs: np.ndarray, query: np.ndarray, query_norm: float, ref_no
         return np.clip(dots / (query_norm * ref_norms), -1.0, 1.0)
 
 
-def top_indices(scores: np.ndarray, tie_rank: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best entries by (score desc, tie_rank asc); NaN ranks last."""
-    order = np.lexsort((tie_rank, -scores))
-    return order[: min(k, scores.shape[0])].astype(np.int64)
+def top_indices(scores: np.ndarray, ids, k: int) -> np.ndarray:
+    """Indices of the k best entries of ``scores`` by (score desc, id asc), ``ids``
+    the entries' own ids compared as Python ``str``; NaN ranks last. The
+    indices are put in id order first, by Python's sort (numpy ``<U`` arrays
+    would drop trailing NULs), and a stable sort by descending score keeps
+    that order among equal scores and among NaNs."""
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64)
+    return by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
 
 
 EARTH_RADIUS_KM = 6371.0

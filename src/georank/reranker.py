@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .geostore import Columns, FormatError, QueryRecord, Store, atomic_write
-from .retriever import Ranking
+from .retriever import Ranking, ordered_entries
 
 CKPT_MAGIC = b"GVCK"
 CKPT_VERSION = 1
@@ -95,7 +95,9 @@ class RerankerConfig:
             if type(value) is not type(fixed) or value != fixed:
                 raise ValueError(f"'{key}' is {json.dumps(value)}; this scorer has {json.dumps(fixed)}")
         for field in dataclasses.fields(cls):  # all five are integers; a bool or a float is refused
-            if field.name in values and type(values[field.name]) is not int:
+            if field.name not in values:
+                raise ValueError(f"no '{field.name}' key")
+            if type(values[field.name]) is not int:
                 raise ValueError(f"'{field.name}' {json.dumps(values[field.name])} is not an integer")
         cfg = cls(**values)
         cfg.validate()
@@ -170,36 +172,15 @@ def _all_finite(flat: np.ndarray) -> bool:
 class RerankerParams:
     """Named parameter tensors plus the config they were built for.
 
-    ``tensors`` is a ``TensorViews`` over one contiguous vector, ``flat``,
-    in ``expected_shapes`` order. Construction copies the given arrays into
-    it and rejects missing, extra or misshapen tensors. ``copy`` and
-    ``astype`` give writable params, whatever ``flat``'s flags.
+    ``tensors`` is a ``TensorViews`` over ``flat`` itself, not a copy, in
+    ``expected_shapes`` order, which must cover ``flat`` exactly. ``copy``
+    and ``astype`` give writable params, whatever ``flat``'s flags.
     """
 
-    def __init__(self, config: RerankerConfig, tensors: Mapping[str, np.ndarray]):
-        shapes = expected_shapes(config)
-        if set(tensors) != set(shapes):
-            missing = set(shapes) - set(tensors)
-            extra = set(tensors) - set(shapes)
-            raise ValueError(f"parameter names mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
-        for name, shape in shapes.items():
-            if np.shape(tensors[name]) != shape:
-                raise ValueError(f"tensor '{name}' has shape {np.shape(tensors[name])}, expected {shape}")
-        flat = np.empty(sum(math.prod(s) for s in shapes.values()), np.result_type(*tensors.values()))
+    def __init__(self, config: RerankerConfig, flat: np.ndarray):
         self.config = config
-        self.tensors = TensorViews(flat, shapes)
+        self.tensors = TensorViews(flat, expected_shapes(config))
         self._reference_rows = weakref.WeakKeyDictionary()
-        for name, view in self.tensors.items():
-            view[...] = tensors[name]
-
-    @classmethod
-    def from_flat(cls, config: RerankerConfig, flat: np.ndarray) -> "RerankerParams":
-        """Params whose tensors are views of ``flat`` itself, not a copy."""
-        params = cls.__new__(cls)
-        params.config = config
-        params.tensors = TensorViews(flat, expected_shapes(config))
-        params._reference_rows = weakref.WeakKeyDictionary()
-        return params
 
     @property
     def flat(self) -> np.ndarray:
@@ -217,10 +198,10 @@ class RerankerParams:
         return self.flat.dtype
 
     def astype(self, dtype) -> "RerankerParams":
-        return RerankerParams.from_flat(self.config, self.flat.astype(dtype))
+        return RerankerParams(self.config, self.flat.astype(dtype))
 
     def copy(self) -> "RerankerParams":
-        return RerankerParams.from_flat(self.config, self.flat.copy())
+        return RerankerParams(self.config, self.flat.copy())
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -231,20 +212,20 @@ class RerankerParams:
 
 
 def init_params(config: RerankerConfig) -> RerankerParams:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, identity LayerNorm."""
+    """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases, identity LayerNorm,
+    each weight drawn in ``expected_shapes`` order into its view of one float32 vector."""
     config.validate()
     rng = np.random.default_rng(config.init_seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in expected_shapes(config).items():
+    size = sum(math.prod(s) for s in expected_shapes(config).values())
+    params = RerankerParams(config, np.zeros(size, np.float32))
+    for name, view in params.tensors.items():
         if name.endswith(".w"):
-            fan_out, fan_in = shape
+            fan_out, fan_in = view.shape
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
         elif name.endswith(".ln_scale"):
-            tensors[name] = np.ones(shape, np.float32)
-        else:
-            tensors[name] = np.zeros(shape, np.float32)
-    return RerankerParams(config, tensors)
+            view[...] = 1
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +455,6 @@ def reference_rows(store: Store, params: RerankerParams) -> ReferenceRows:
     return params._reference_rows[store]
 
 
-def order_by_score(ids, scores) -> list[tuple[str, float]]:
-    """(id, score) pairs by score descending, ties by ascending id."""
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    return [(ids[i], float(scores[i])) for i in order]
-
-
 def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -> list[Ranking]:
     """``rerank`` of each ranking with its query, the store row its ``query_id`` names.
 
@@ -489,7 +464,8 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
     and aligned as one zero-padded block; each ranking's logits are
     ``score_logits``'s bilinear tail with its own query's aligned row. Queries
     are walked a block at a time, so memory on their side stays fixed however
-    many there are."""
+    many there are. Each ranking's candidates are ordered by
+    ``kernels.top_indices``."""
     q_rows = store.query_rows([r.query_id for r in rankings])
     ids = [r.ids() for r in rankings]
     rows = [store.ref_rows(i) for i in ids]
@@ -501,8 +477,8 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
         fused_q = np.concatenate([project_fuse(img[j : j + 1], txt[j : j + 1], params) for j in range(len(img))])
         for i, aligned_q in enumerate(align(_padded(fused_q, QUERY_BLOCK), params)[: len(fused_q)], start=lo):
             logits, _ = _bilinear(aligned_q[None], cache.lookup(rows[i]), np.zeros(len(ids[i]), np.intp), params)
-            out.append(Ranking(query_id=rankings[i].query_id, entries=order_by_score(ids[i], _sigmoid(logits)),
-                               reranked=True))
+            entries = ordered_entries(ids[i], _sigmoid(logits), len(ids[i]))
+            out.append(Ranking(query_id=rankings[i].query_id, entries=entries, reranked=True))
     return out
 
 
@@ -626,7 +602,7 @@ def load_params(path: str | Path) -> RerankerParams:
             if model[name][0] != shape:
                 raise FormatError(f"{path}: tensor '{name}' has shape {model[name][0]}, expected {shape}")
         flat = np.empty(sum(math.prod(s) for s in shapes.values()), "<f4")
-        params = RerankerParams.from_flat(config, flat)
+        params = RerankerParams(config, flat)
         for name, view in params.tensors.items():
             _read_payload(fh, model[name][1], view, path)
     try:
@@ -636,4 +612,4 @@ def load_params(path: str | Path) -> RerankerParams:
     # read-only, so rerank can keep aligned reference rows across calls; the
     # views are taken again, because views taken before the flag stay writable
     flat.flags.writeable = False
-    return RerankerParams.from_flat(config, flat)
+    return RerankerParams(config, flat)

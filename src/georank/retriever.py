@@ -17,7 +17,8 @@ on first use):
    survives, so every row that can be in the exact top k does;
 4. the survivors are re-scored with the float64 formula
    ``(r·q)/(‖q‖·‖r‖)``, from the float64 norms of those rows alone, clipped
-   to [-1, 1], and ordered by (score desc, id asc).
+   to [-1, 1], and ordered by ``kernels.top_indices``: score descending,
+   then id ascending.
 
 The float64 score of a row does not depend on which other rows survive, so a
 query gets the same ids and scores from ``top_k``, ``rank_store_queries`` and
@@ -95,6 +96,13 @@ def _survivors(approx: np.ndarray, k: int, margin: np.float32, unswept: np.ndarr
     return np.concatenate([rows, unswept]) if unswept.size else rows
 
 
+def ordered_entries(ids, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """The k best (id, score) entries by ``kernels.top_indices``."""
+    best = kernels.top_indices(scores, ids, k).tolist()
+    values = scores.tolist()
+    return [(ids[i], values[i]) for i in best]
+
+
 def _rank_block(queries: np.ndarray, store: Store, k: int, query_ids: list[str]) -> list[Ranking]:
     """top_k for each row of ``queries`` (b, d), float64 rows that passed ``_check_query``."""
     index = store.cosine_index
@@ -108,10 +116,8 @@ def _rank_block(queries: np.ndarray, store: Store, k: int, query_ids: list[str])
         rows = _survivors(approx[i], k, margin, index.unswept)
         refs = store.ref_image[rows]
         scores = kernels.exact_cosines(refs, queries[i], qnorms[i], kernels.row_norms(refs))
-        best = kernels.top_indices(scores, store.ref_tie_rank[rows], k)
-        ref_rows = best if isinstance(rows, slice) else rows[best]
-        entries = [(store.ref_ids[r], float(s)) for r, s in zip(ref_rows, scores[best])]
-        out.append(Ranking(query_id=qid, entries=entries))
+        ids = store.ref_ids if isinstance(rows, slice) else [store.ref_ids[r] for r in rows.tolist()]
+        out.append(Ranking(query_id=qid, entries=ordered_entries(ids, scores, k)))
     return out
 
 
@@ -125,15 +131,13 @@ def top_k(query_emb: np.ndarray, store: Store, k: int, query_id: str = "") -> Ra
 def brute_force_rank(query_emb: np.ndarray, store: Store, query_id: str = "") -> Ranking:
     """Exhaustive exact ordering of every reference; oracle for top_k.
 
-    Every row is scored with the float64 formula and the whole list sorted by
-    (score desc, id asc): no sweep, no selection, no cached index.
+    Every row is scored with the float64 formula and the whole list ordered
+    by ``kernels.top_indices``: no sweep, no selection, no cached index.
     """
     q = _check_query(query_emb, store)
     refs = store.ref_image
     scores = kernels.exact_cosines(refs, q, kernels.row_norms(q[None, :])[0], kernels.row_norms(refs))
-    order = np.lexsort((store.ref_tie_rank, -scores))
-    entries = [(store.ref_ids[i], float(scores[i])) for i in order]
-    return Ranking(query_id=query_id, entries=entries)
+    return Ranking(query_id=query_id, entries=ordered_entries(store.ref_ids, scores, len(scores)))
 
 
 def rank_store_queries(store: Store, k: int) -> list[Ranking]:

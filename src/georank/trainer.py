@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import kernels
 from .geostore import Store, load_jsonl, write_jsonl, write_lines
 from .retriever import Ranking
 from .reranker import (
@@ -28,7 +29,6 @@ from .reranker import (
     expected_shapes,
     init_params,
     logit_gradients,
-    order_by_score,
     save_params,
     score_logits,
     scorer_inputs,
@@ -336,16 +336,16 @@ class TrainReport:
 
 def _candidate_recall(samples: list[TrainingSample], params: RerankerParams, store: Store) -> tuple[float, float]:
     """R@1 / R@5 of the positive within each sample's candidate list after
-    reranking; every VALIDATION_PASS samples are scored in one stacked forward."""
+    reranking, from the positive's index among the first 5 by ``kernels.top_indices``;
+    every VALIDATION_PASS samples are scored in one stacked forward."""
     hits1 = hits5 = 0
     for b0 in range(0, len(samples), VALIDATION_PASS):
         block = samples[b0 : b0 + VALIDATION_PASS]
         logits, counts = _stacked_logits(block, params, store)
         for s, scores in zip(block, np.split(_sigmoid(logits), np.cumsum(counts)[:-1])):
-            ranked = [rid for rid, _ in order_by_score(s.candidate_ids, scores)]
-            rank = ranked.index(s.candidate_ids[s.positive_index])
-            hits1 += rank == 0
-            hits5 += rank < 5
+            top5 = kernels.top_indices(scores, s.candidate_ids, 5).tolist()
+            hits1 += top5[0] == s.positive_index
+            hits5 += s.positive_index in top5
     n = len(samples)
     return hits1 / n, hits5 / n
 

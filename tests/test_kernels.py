@@ -98,8 +98,25 @@ def test_cosine_index_flags_rows_the_sweep_cannot_bound():
 
 def test_top_indices_orders_by_score_then_tie_rank():
     scores = np.array([0.5, 0.9, 0.5, 0.1])
-    tie_rank = np.array([3, 0, 1, 2], np.int64)
-    np.testing.assert_array_equal(kernels.top_indices(scores, tie_rank, 4), [1, 2, 0, 3])
+    ids = ["d", "a", "b", "c"]
+    np.testing.assert_array_equal(kernels.top_indices(scores, ids, 4), [1, 2, 0, 3])
+
+
+# ids whose Python order differs from a numpy "<U" array's: "<U" drops trailing NULs
+TIE_IDS = ["a", "a\x00", "ab", "b", "\u00e9", "\U0001f600", "a\x00b", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.5, -0.25, 0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+                          st.sampled_from(TIE_IDS)), max_size=12),
+       st.integers(0, 14))
+def test_top_indices_is_score_desc_then_python_str_id_asc_with_nan_last(entries, k):
+    s = np.array([e[0] for e in entries], np.float64)
+    ids = [e[1] for e in entries]
+    want = sorted(range(len(ids)), key=lambda i: (np.isnan(s[i]), 0.0 if np.isnan(s[i]) else -s[i], ids[i]))[:k]
+    got = kernels.top_indices(s, ids, k)
+    assert got.tolist() == want
+    assert got.dtype == np.int64
 
 
 def test_haversine_scalar_roundtrip():

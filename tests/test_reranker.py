@@ -43,16 +43,15 @@ def tiny_config(**overrides):
 
 
 def manual_params(config, **tensors):
-    """Zero-initialized tensors (identity LayerNorm) with selective overrides."""
-    full = {}
-    for name, shape in expected_shapes(config).items():
+    """Zero-initialized tensors (identity LayerNorm) with selective overrides,
+    filled into views of one float32 vector."""
+    shapes = expected_shapes(config)
+    p = RerankerParams(config, np.zeros(sum(int(np.prod(s)) for s in shapes.values()), np.float32))
+    for name, view in p.tensors.items():
         if name.endswith(".ln_scale"):
-            full[name] = np.ones(shape, np.float32)
-        else:
-            full[name] = np.zeros(shape, np.float32)
+            view[...] = 1
     for name, value in tensors.items():
-        full[name] = np.asarray(value, np.float32).reshape(expected_shapes(config)[name])
-    p = RerankerParams(config, full)
+        p.tensors[name][...] = np.asarray(value, np.float32).reshape(shapes[name])
     p.validate()
     return p
 
@@ -586,7 +585,7 @@ def test_rerank_with_writable_params_reuses_no_row_after_an_in_place_change():
     before = rerank(q, ranking, params, store).entries
     params.tensors["proj_img.w"][0, 0] += 1.0
     after = rerank(q, ranking, params, store).entries
-    assert after == rerank(q, ranking, RerankerParams(params.config, params.tensors), store).entries
+    assert after == rerank(q, ranking, params.copy(), store).entries
     assert after != before
 
 
@@ -849,6 +848,21 @@ def test_a_checkpoint_config_integer_field_that_is_not_a_json_integer_is_refused
     path.write_bytes(GOLDEN_GVCK[:8] + struct.pack("<I", len(block)) + block + GOLDEN_GVCK[12 + cfg_len :])
     for load in (load_checkpoint, load_params):
         with pytest.raises(FormatError, match=f"unreadable config block \\('{key}' .* is not an integer\\)") as exc:
+            load(path)
+        assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("key", ["image_dim", "text_dim", "latent_dim", "aligner_hidden", "init_seed"])
+def test_a_checkpoint_config_lacking_an_integer_field_is_refused_naming_file_and_key(tmp_path, key):
+    """The golden checkpoint with one of the five integer fields removed: no field takes its default."""
+    (cfg_len,) = struct.unpack_from("<I", GOLDEN_GVCK, 8)
+    config = json.loads(GOLDEN_GVCK[12 : 12 + cfg_len])
+    del config[key]
+    block = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path = tmp_path / "edited.gvck"
+    path.write_bytes(GOLDEN_GVCK[:8] + struct.pack("<I", len(block)) + block + GOLDEN_GVCK[12 + cfg_len :])
+    for load in (load_checkpoint, load_params):
+        with pytest.raises(FormatError, match=f"unreadable config block \\(no '{key}' key\\)") as exc:
             load(path)
         assert str(path) in str(exc.value)
 

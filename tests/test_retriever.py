@@ -256,7 +256,7 @@ def test_rank_store_queries_allocates_one_float32_tile_and_no_more():
     refs = Columns([f"r{i:05d}" for i in range(n)], rng.standard_normal((n, d)).astype(np.float32))
     queries = Columns([f"q{i:02d}" for i in range(b)], rng.standard_normal((b, d)).astype(np.float32))
     store = Store(StoreManifest(d, 4, n, b), refs, queries, {q: ("r00000",) for q in queries.ids})
-    rank_store_queries(store, 10)  # builds the store's index and tie ranks
+    rank_store_queries(store, 10)  # builds the store's index
     tracemalloc.start()
     try:
         rank_store_queries(store, 10)
@@ -265,6 +265,37 @@ def test_rank_store_queries_allocates_one_float32_tile_and_no_more():
         tracemalloc.stop()
     # a float64 tile would add 8·b·n bytes
     assert peak <= 4 * b * n + 64 * (n + b * d)
+
+
+def test_duplicate_rows_tie_by_python_str_id_in_every_phase_1_path():
+    # "a\x00" sorts after "a" as a Python str; a numpy "<U" array would see both as "a"
+    rng = np.random.default_rng(22)
+    dup = rng.standard_normal(6)
+    refs = [make_ref("a\x00", dup), make_ref("b", rng.standard_normal(6)), make_ref("a", dup),
+            make_ref("ab", rng.standard_normal(6))]
+    store = build_store(refs, [make_query("q", dup, ["a"])], image_dim=6)
+    for k in (1, 2, 4):
+        assert top_k(dup, store, k).ids()[:2] == ["a", "a\x00"][:k]
+        assert rank_store_queries(store, k)[0].ids()[:2] == ["a", "a\x00"][:k]
+    assert brute_force_rank(dup, store).ids()[:2] == ["a", "a\x00"]
+
+
+def test_first_top_k_retains_no_more_than_the_cosine_index():
+    rng = np.random.default_rng(23)
+    n, d = 20_000, 8
+    refs = Columns([f"r{i:05d}" for i in range(n)], rng.standard_normal((n, d)).astype(np.float32))
+    queries = Columns(["q0"], rng.standard_normal((1, d)).astype(np.float32))
+    store = Store(StoreManifest(d, 4, n, 1), refs, queries, {"q0": ("r00000",)})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ranking = top_k(store.query_image[0], store, 10)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ranking.entries) == 10
+    # the index's float32 norms, 4 bytes per reference, and a few objects; the store keeps no ranking state
+    assert retained <= 4 * n + 16384
 
 
 # ---------------------------------------------------------------------------

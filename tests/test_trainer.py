@@ -12,6 +12,7 @@ from georank import trainer
 from georank.geostore import IngestError
 from georank.reranker import (
     RerankerConfig,
+    RerankerParams,
     TensorViews,
     _sigmoid,
     expected_shapes,
@@ -242,6 +243,17 @@ def test_candidate_recall_equals_rerank_per_sample(tmp_path, monkeypatch, per_pa
     assert r1 == sum(r == 0 for r in ranks) / len(samples)
     assert r5 == sum(r < 5 for r in ranks) / len(samples)
     assert 0 < r1 < 1
+
+
+def test_candidate_recall_breaks_tied_scores_by_ascending_id():
+    samples, store, rr = _train_fixture()
+    # zeroed params score every pair sigmoid(0), so the order is the candidates' id order alone
+    params = RerankerParams(rr, np.zeros(sum(math.prod(s) for s in expected_shapes(rr).values()), np.float32))
+    positives = [s.candidate_ids[s.positive_index] for s in samples]
+    r1, r5 = trainer._candidate_recall(samples, params, store)
+    assert r1 == sum(p == min(s.candidate_ids) for p, s in zip(positives, samples)) / len(samples)
+    assert r5 == sum(p in sorted(s.candidate_ids)[:5] for p, s in zip(positives, samples)) / len(samples)
+    assert 0 < r1 < r5 < 1
 
 
 # ---------------------------------------------------------------------------
