@@ -354,13 +354,17 @@ def _write_rows(rows: np.ndarray, ids: list[str], stem: Path, dtype: str = "<f4"
         write_lines(ids, Path(f"{stem}.ids"))
 
 
+# the one encoder of every JSONL line georank writes; ``json.dumps`` with these
+# arguments would build a new one per record
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def write_jsonl(records, path: str | Path) -> None:
     """Each record as one line of JSON (UTF-8, sorted keys, compact separators)
     through ``write_lines``. A NaN or infinite number raises ValueError, since
     JSON has no token for it, and like any failure part way leaves the file
     at ``path`` as it was."""
-    write_lines((json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-                 for rec in records), path)
+    write_lines(map(_JSONL_ENCODER.encode, records), path)
 
 
 def read_jsonl(path: str | Path):
@@ -947,6 +951,11 @@ def _unit_rows(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+# locations synthesised at a time, so one block's float64 noise, 128 x 2(image_dim +
+# text_dim) x 8 bytes (5.2 MB at 1024/1536-d), is the same however many locations there are
+SYNTH_BLOCK = 128
+
+
 def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str, int]]:
     """Deterministic synthetic store; returns it with an id -> confusion-group map.
 
@@ -964,44 +973,46 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[Store, dict[str,
     g = config.group_size
     n_groups = (n + g - 1) // g
     grid_cols = max(1, math.ceil(math.sqrt(n_groups)))
+    di, dt = config.image_dim, config.text_dim
 
-    group_centroids = _unit_rows(rng, n_groups, config.image_dim)
+    group_centroids = _unit_rows(rng, n_groups, di)
     loc_group = np.arange(n) // g
     # location image centroids drawn around the shared group centroid
-    loc_img = (
-        group_centroids[loc_group]
-        + config.group_spread * rng.standard_normal((n, config.image_dim)) / math.sqrt(config.image_dim)
-    )
-    loc_txt = _unit_rows(rng, n, config.text_dim)
+    loc_img = group_centroids[loc_group] + config.group_spread * rng.standard_normal((n, di)) / math.sqrt(di)
+    loc_txt = _unit_rows(rng, n, dt)
     # two views of tau at noise sigma have expected cosine ~= 1/(1+sigma^2)
     text_sigma = math.sqrt(max(0.0, 1.0 / config.text_margin - 1.0))
 
-    def img_view(row: int) -> np.ndarray:
-        return loc_img[row] + config.image_noise * rng.standard_normal(config.image_dim) / math.sqrt(config.image_dim)
-
-    def txt_view(row: int) -> np.ndarray:
-        return loc_txt[row] + text_sigma * rng.standard_normal(config.text_dim) / math.sqrt(config.text_dim)
-
-    def side(count: int, ids: list[str]) -> Columns:
-        return Columns(ids, np.empty((count, config.image_dim), np.float32),
-                       np.empty((count, config.text_dim), np.float32), coords=np.empty((count, 2)))
+    def side(ids: list[str]) -> Columns:
+        return Columns(ids, np.empty((n, di), np.float32), np.empty((n, dt), np.float32), coords=np.empty((n, 2)))
 
     width = len(str(max(n - 1, 1)))
-    refs = side(n, [f"r{i:0{width}d}" for i in range(n)])
-    queries = side(n, [f"q{i:0{width}d}" for i in range(n)])
-    truth: dict[str, tuple[str, ...]] = {}
-    groups: dict[str, int] = {}
-    for i, (rid, qid) in enumerate(zip(refs.ids, queries.ids)):
-        gi = int(loc_group[i])
-        lat = 0.1 * (gi // grid_cols) + float(rng.uniform(-0.001, 0.001))
-        lon = 0.1 * (gi % grid_cols) + float(rng.uniform(-0.001, 0.001))
-        refs.image[i], refs.text[i], refs.coords[i] = img_view(i), txt_view(i), (lat, lon)
-        queries.image[i], queries.text[i], queries.coords[i] = img_view(i), txt_view(i), (lat, lon)
-        truth[qid] = (rid,)
-        groups[rid] = groups[qid] = gi
+    refs = side([f"r{i:0{width}d}" for i in range(n)])
+    queries = side([f"q{i:0{width}d}" for i in range(n)])
+    # Each location draws two coordinate jitters, then one normal vector holding the
+    # noise of its reference image, reference text, query image and query text views,
+    # in that order; each view is its centroid plus noise x scale / sqrt(dim).
+    views = ((refs.image, loc_img, config.image_noise, 0), (refs.text, loc_txt, text_sigma, di),
+             (queries.image, loc_img, config.image_noise, di + dt), (queries.text, loc_txt, text_sigma, 2 * di + dt))
+    jitter = np.empty((SYNTH_BLOCK, 2))
+    noise = np.empty((SYNTH_BLOCK, 2 * (di + dt)))
+    for lo in range(0, n, SYNTH_BLOCK):
+        hi = min(n, lo + SYNTH_BLOCK)
+        for j in range(hi - lo):
+            rng.random(out=jitter[j])
+            rng.standard_normal(out=noise[j])
+        for out, centroids, scale, at in views:
+            dim = out.shape[1]
+            out[lo:hi] = centroids[lo:hi] + scale * noise[: hi - lo, at : at + dim] / math.sqrt(dim)
+        cell = np.stack(np.divmod(loc_group[lo:hi], grid_cols), axis=1)
+        # uniform(-0.001, 0.001) is -0.001 + 0.002 * random(), bit for bit
+        refs.coords[lo:hi] = 0.1 * cell + (-0.001 + 0.002 * jitter[: hi - lo])
+    queries.coords[:] = refs.coords
+    truth = {qid: (rid,) for rid, qid in zip(refs.ids, queries.ids)}
+    group_of = loc_group.tolist()
+    groups = dict(zip(refs.ids, group_of)) | dict(zip(queries.ids, group_of))
 
-    manifest = StoreManifest(config.image_dim, config.text_dim, n, n)
-    return Store(manifest, refs, queries, truth), groups
+    return Store(StoreManifest(di, dt, n, n), refs, queries, truth), groups
 
 
 def save_groups(groups: dict[str, int], path: str | Path) -> None:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .geostore import Columns, FormatError, QueryRecord, Store, atomic_write
-from .retriever import Ranking, ordered_entries
+from .retriever import Ranking, ordered_entries, refuse_repeats
 
 CKPT_MAGIC = b"GVCK"
 CKPT_VERSION = 1
@@ -465,9 +465,12 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
     ``score_logits``'s bilinear tail with its own query's aligned row. Queries
     are walked a block at a time, so memory on their side stays fixed however
     many there are. Each ranking's candidates are ordered by
-    ``kernels.top_indices``."""
-    q_rows = store.query_rows([r.query_id for r in rankings])
+    ``kernels.top_indices``. A ranking that lists a candidate twice raises
+    ValueError naming its query and that id before any row is aligned."""
     ids = [r.ids() for r in rankings]
+    for r, candidates in zip(rankings, ids):
+        refuse_repeats(candidates, f"query '{r.query_id}': candidate")
+    q_rows = store.query_rows([r.query_id for r in rankings])
     rows = [store.ref_rows(i) for i in ids]
     cache = reference_rows(store, params)
     cache.fill(np.concatenate(rows) if rows else np.empty(0, np.intp), store, params)
@@ -484,7 +487,8 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
 
 def rerank(query: QueryRecord, ranking: Ranking, params: RerankerParams, store: Store) -> Ranking:
     """Reorder the candidate list by pair score, ties by id; the id set never
-    changes. ``query`` must be the query ``ranking`` is for; it is scored
+    changes, and a candidate listed twice is refused as ``rerank_many``
+    refuses it. ``query`` must be the query ``ranking`` is for; it is scored
     from its store row."""
     if query.id != ranking.query_id:
         raise ValueError(f"query '{query.id}' is not the query of the ranking, '{ranking.query_id}'")

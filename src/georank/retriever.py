@@ -56,6 +56,13 @@ class Ranking:
         return [rid for rid, _ in self.entries]
 
     def validate(self) -> None:
+        """Raise ValueError, naming the query and the id, at a candidate listed
+        twice or a NaN or infinite score (what ``load_rankings`` refuses), and
+        at an entry out of (score desc, id asc) order."""
+        refuse_repeats(self.ids(), f"query '{self.query_id}': candidate")
+        for rid, score in self.entries:
+            if not math.isfinite(score):
+                raise ValueError(f"query '{self.query_id}': candidate '{rid}' has score {score}")
         for (a_id, a_s), (b_id, b_s) in zip(self.entries, self.entries[1:]):
             if a_s < b_s or (a_s == b_s and a_id >= b_id):
                 raise ValueError(f"ranking for '{self.query_id}' violates (score desc, id asc) order")

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import struct
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -580,6 +582,93 @@ def test_synthetic_deterministic_digest(tmp_path):
     assert store_digest(tmp_path / "a") != store_digest(tmp_path / "c")
 
 
+def _synthetic_by_location(config: SynthConfig, seed: int):
+    """``generate_synthetic`` as one draw and one row copy per view per location:
+    the oracle the array form must match byte for byte."""
+    rng = np.random.default_rng(seed)
+    n = config.n_locations
+    g = config.group_size
+    n_groups = (n + g - 1) // g
+    grid_cols = max(1, math.ceil(math.sqrt(n_groups)))
+
+    group_centroids = geostore._unit_rows(rng, n_groups, config.image_dim)
+    loc_group = np.arange(n) // g
+    loc_img = (
+        group_centroids[loc_group]
+        + config.group_spread * rng.standard_normal((n, config.image_dim)) / math.sqrt(config.image_dim)
+    )
+    loc_txt = geostore._unit_rows(rng, n, config.text_dim)
+    text_sigma = math.sqrt(max(0.0, 1.0 / config.text_margin - 1.0))
+
+    def img_view(row: int) -> np.ndarray:
+        return loc_img[row] + config.image_noise * rng.standard_normal(config.image_dim) / math.sqrt(config.image_dim)
+
+    def txt_view(row: int) -> np.ndarray:
+        return loc_txt[row] + text_sigma * rng.standard_normal(config.text_dim) / math.sqrt(config.text_dim)
+
+    def side(count: int, ids: list[str]) -> Columns:
+        return Columns(ids, np.empty((count, config.image_dim), np.float32),
+                       np.empty((count, config.text_dim), np.float32), coords=np.empty((count, 2)))
+
+    width = len(str(max(n - 1, 1)))
+    refs = side(n, [f"r{i:0{width}d}" for i in range(n)])
+    queries = side(n, [f"q{i:0{width}d}" for i in range(n)])
+    truth, groups = {}, {}
+    for i, (rid, qid) in enumerate(zip(refs.ids, queries.ids)):
+        gi = int(loc_group[i])
+        lat = 0.1 * (gi // grid_cols) + float(rng.uniform(-0.001, 0.001))
+        lon = 0.1 * (gi % grid_cols) + float(rng.uniform(-0.001, 0.001))
+        refs.image[i], refs.text[i], refs.coords[i] = img_view(i), txt_view(i), (lat, lon)
+        queries.image[i], queries.text[i], queries.coords[i] = img_view(i), txt_view(i), (lat, lon)
+        truth[qid] = (rid,)
+        groups[rid] = groups[qid] = gi
+    return Store(StoreManifest(config.image_dim, config.text_dim, n, n), refs, queries, truth), groups
+
+
+@st.composite
+def _synth_configs(draw):
+    group_size = draw(st.integers(2, 6))
+    return SynthConfig(n_locations=draw(st.integers(group_size, 2 * geostore.SYNTH_BLOCK + 10)), group_size=group_size,
+                       image_dim=draw(st.integers(1, 9)), text_dim=draw(st.integers(1, 9)),
+                       image_noise=draw(st.floats(0, 3)), group_spread=draw(st.floats(0, 1)),
+                       text_margin=draw(st.floats(0.05, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_synth_configs(), seed=st.integers(0, 2**32))
+@example(config=SynthConfig(n_locations=10, group_size=4, image_dim=3, text_dim=7), seed=0)
+@example(config=SynthConfig(n_locations=5, group_size=5, image_dim=6, text_dim=2), seed=1)
+@example(config=SynthConfig(n_locations=9, group_size=2, text_margin=1.0, image_noise=0.0, group_spread=0.0), seed=2)
+@example(config=SynthConfig(n_locations=2 * geostore.SYNTH_BLOCK + 3, group_size=4, image_dim=5, text_dim=4), seed=7)
+def test_synthetic_store_equals_the_per_location_oracle_byte_for_byte(config, seed):
+    built = {"array": generate_synthetic(config, seed), "oracle": _synthetic_by_location(config, seed)}
+    assert built["array"][1] == built["oracle"][1]
+    with tempfile.TemporaryDirectory() as d:
+        for name, (store, groups) in built.items():
+            store.save(Path(d, name))
+            geostore.save_groups(groups, Path(d, name, geostore.GROUPS_FILE))
+        names = sorted(p.name for p in Path(d, "oracle").iterdir())
+        assert sorted(p.name for p in Path(d, "array").iterdir()) == names
+        for name in names:
+            assert Path(d, "array", name).read_bytes() == Path(d, "oracle", name).read_bytes(), name
+
+
+def test_synthetic_memory_stays_below_an_all_at_once_noise_matrix():
+    """The four output matrices (float32) and the location centroids (float64)
+    together take as many bytes as an n x 2(image_dim + text_dim) float64 noise
+    matrix; drawn all at once, that matrix alone would double the peak."""
+    config = SynthConfig(n_locations=2000, group_size=4, image_dim=64, text_dim=64)
+    noise_bytes = config.n_locations * 2 * (config.image_dim + config.text_dim) * 8
+    generate_synthetic(SynthConfig(n_locations=8, group_size=4), 0)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        generate_synthetic(config, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * noise_bytes, f"peak {peak} bytes"
+
+
 def test_synthetic_config_validation():
     with pytest.raises(ValueError, match="group_size"):
         generate_synthetic(SynthConfig(n_locations=3, group_size=4), 0)
@@ -760,6 +849,36 @@ def test_ingest_full_dual_side_store(tmp_path):
     for i in range(2):
         assert back.query_text_emb(f"q{i}") is not None
     assert store_digest(tmp_path / "store") == store_digest(tmp_path / "store")
+
+
+_JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["é", "東京", "🙂", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r", "\u2028", "a\u0085b"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | _JSON_TEXT
+    | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=5), max_size=5))
+def test_write_jsonl_writes_what_json_dumps_gives_line_for_line(records):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "m.jsonl")
+        geostore.write_jsonl(records, path)
+        lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines == [json.dumps(rec, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+                     for rec in records] + [""]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_jsonl_refuses_a_nan_or_infinity_and_keeps_the_previous_file(tmp_path, value):
+    path = tmp_path / "m.jsonl"
+    geostore.write_jsonl([{"id": "r0"}], path)
+    for record in ({"x": value}, {"x": [1, {"y": value}]}):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            geostore.write_jsonl([{"id": "r1"}, record], path)
+        assert path.read_bytes() == b'{"id":"r0"}\n'
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize("kind", ["emb", "gvck", "ids", "jsonl", "manifest"])

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -398,6 +399,20 @@ def test_rerank_zero_weights_falls_back_to_id_order():
     out = rerank(store.query("q0"), baseline, params, store)
     assert out.ids() == sorted(baseline.ids())
     assert all(s == 0.5 for _, s in out.entries)
+
+
+def test_rerank_refuses_a_candidate_listed_twice_before_aligning_a_row(monkeypatch):
+    """``save_rankings`` refuses a repeated candidate, so reranking one would write nothing."""
+    store = _store_with_text()
+    params = init_params(tiny_config(init_seed=11))
+    baseline = top_k(store.query("q0").image_emb, store, 5, query_id="q0")
+    twice = Ranking("q0", baseline.entries + baseline.entries[:1])
+    monkeypatch.setattr(reranker, "align", lambda *args: pytest.fail("a row was aligned"))
+    problem = re.escape(f"query 'q0': candidate '{baseline.ids()[0]}' is listed twice")
+    with pytest.raises(ValueError, match=problem):
+        rerank(store.query("q0"), twice, params, store)
+    with pytest.raises(ValueError, match=problem):
+        rerank_many([baseline, twice], params, store)
 
 
 def test_rerank_missing_candidate_text_names_id():

@@ -396,6 +396,21 @@ def test_ranking_validate_rejects_bad_order():
         Ranking("q", [("b", 0.5), ("a", 0.5)]).validate()
 
 
+@pytest.mark.parametrize("entries, line, problem", [
+    ([("a", math.nan), ("b", 0.5)], '[["a", NaN], ["b", 0.5]]', "candidate 'a' has score nan"),
+    ([("b", 0.5), ("a", -math.inf)], '[["b", 0.5], ["a", -Infinity]]', "candidate 'a' has score -inf"),
+    ([("a", 0.5), ("a", 0.4)], '[["a", 0.5], ["a", 0.4]]', "candidate 'a' is listed twice"),
+], ids=["nan", "infinite", "repeat"])
+def test_ranking_validate_refuses_what_load_rankings_refuses(tmp_path, entries, line, problem):
+    """NaN compares false both ways, and a repeat in descending order is in order: neither passes."""
+    with pytest.raises(ValueError, match=re.escape(f"query 'q': {problem}")):
+        Ranking("q", entries).validate()
+    path = tmp_path / "rankings.jsonl"
+    path.write_text('{"query_id": "q", "entries": %s}\n' % line)
+    with pytest.raises(IngestError, match=re.escape(f"{path}, line 1: ") + ".*" + re.escape(problem)):
+        load_rankings(path)
+
+
 @pytest.mark.parametrize("reranked", ['"no"', '"true"', "1", "0", "null", "[true]"])
 def test_load_rankings_refuses_a_reranked_flag_that_is_not_a_boolean(tmp_path, reranked):
     """``bool("no")`` is True: a flag that is not a JSON boolean is refused, not coerced."""
