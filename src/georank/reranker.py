@@ -127,22 +127,34 @@ class TensorViews(Mapping):
     """Read-only name -> array mapping whose arrays are views of one flat
     vector, ``flat``, laid out in the order of ``shapes``.
 
-    Writing into a view writes into ``flat``, and ``views[name] += x`` works
-    because the in-place result is the view itself; binding a name to any
-    other array raises ``TypeError``, since that array would not be in
-    ``flat``.
+    ``layout`` holds each tensor's name, first and end offsets in ``flat``
+    and shape; two mappings with equal layouts have the same names, order and
+    shapes, and ``zeros_like`` makes another one in the same layout without
+    working it out again. Writing into a view writes into ``flat``, and
+    ``views[name] += x`` works because the in-place result is the view
+    itself; binding a name to any other array raises ``TypeError``, since
+    that array would not be in ``flat``.
     """
 
     def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
-        self.flat = flat
-        self._views: dict[str, np.ndarray] = {}
-        offset = 0
+        layout, offset = [], 0
         for name, shape in shapes.items():
             size = math.prod(shape)
-            self._views[name] = flat[offset : offset + size].reshape(shape)
+            layout.append((name, offset, offset + size, tuple(shape)))
             offset += size
         if offset != flat.size:
             raise ValueError(f"layout covers {offset} elements, flat vector has {flat.size}")
+        self._take(flat, tuple(layout))
+
+    def _take(self, flat: np.ndarray, layout: tuple) -> None:
+        self.flat, self.layout = flat, layout
+        self._views = {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in layout}
+
+    def zeros_like(self) -> "TensorViews":
+        """Views, in this mapping's layout, of a new zeroed vector like ``flat``."""
+        views = object.__new__(TensorViews)
+        views._take(np.zeros_like(self.flat), self.layout)
+        return views
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -175,11 +187,15 @@ class RerankerParams:
     ``tensors`` is a ``TensorViews`` over ``flat`` itself, not a copy, in
     ``expected_shapes`` order, which must cover ``flat`` exactly. ``copy``
     and ``astype`` give writable params, whatever ``flat``'s flags.
+    ``aligner`` holds each aligner block's (w, b, ln_scale, ln_shift) views,
+    in block order.
     """
 
     def __init__(self, config: RerankerConfig, flat: np.ndarray):
         self.config = config
         self.tensors = TensorViews(flat, expected_shapes(config))
+        self.aligner = tuple(tuple(self.tensors[f"align{i}.{part}"] for part in ("w", "b", "ln_scale", "ln_shift"))
+                             for i in range(ALIGNER_LAYERS))
         self._reference_rows = weakref.WeakKeyDictionary()
 
     @property
@@ -249,61 +265,72 @@ def row_mean(z: np.ndarray) -> np.ndarray:
     return np.add.reduce(z, axis=-1, keepdims=True) / z.shape[-1]
 
 
+def _check_widths(img: np.ndarray, txt: np.ndarray, wi: np.ndarray, wt: np.ndarray) -> None:
+    """Refuse image or text rows whose width is not their projection's."""
+    if img.shape[1] != wi.shape[1]:
+        raise ValueError(f"image dim {img.shape[1]} does not match projection {wi.shape[1]}")
+    if txt.shape[1] != wt.shape[1]:
+        raise ValueError(f"text dim {txt.shape[1]} does not match projection {wt.shape[1]}")
+
+
+def _fused(img: np.ndarray, txt: np.ndarray, wi: np.ndarray, bi: np.ndarray, wt: np.ndarray, bt: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``(img·Wᵢᵀ + bᵢ) + (txt·Wₜᵀ + bₜ)``, into ``out`` when one is given."""
+    a = _linear(img, wi)
+    a += bi
+    t = _linear(txt, wt)
+    t += bt
+    return np.add(a, t, out=out)
+
+
 def project_fuse(image_emb: np.ndarray, text_emb: np.ndarray, params: RerankerParams) -> np.ndarray:
     """Element-wise sum of the projected (rows, image_dim) image and (rows,
     text_dim) text embeddings; query and reference share the projections."""
     wi, bi, wt, bt = (params.tensors[n] for n in ("proj_img.w", "proj_img.b", "proj_txt.w", "proj_txt.b"))
     img, txt = np.asarray(image_emb, dtype=params.dtype), np.asarray(text_emb, dtype=params.dtype)
-    if img.shape[1] != wi.shape[1]:
-        raise ValueError(f"image dim {img.shape[1]} does not match projection {wi.shape[1]}")
-    if txt.shape[1] != wt.shape[1]:
-        raise ValueError(f"text dim {txt.shape[1]} does not match projection {wt.shape[1]}")
-    return (_linear(img, wi) + bi) + (_linear(txt, wt) + bt)
-
-
-def aligner_blocks(params: RerankerParams) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    return [
-        (
-            params.tensors[f"align{i}.w"],
-            params.tensors[f"align{i}.b"],
-            params.tensors[f"align{i}.ln_scale"],
-            params.tensors[f"align{i}.ln_shift"],
-        )
-        for i in range(ALIGNER_LAYERS)
-    ]
+    _check_widths(img, txt, wi, wt)
+    return _fused(img, txt, wi, bi, wt, bt)
 
 
 def align(fused: np.ndarray, params: RerankerParams, cache: list | None = None) -> np.ndarray:
     """Linear -> LayerNorm -> ReLU blocks applied to (rows, latent_dim) fused rows.
 
+    Each block runs its LayerNorm and ReLU in place, in the product's array
+    and one more of its size, element for element with the operations of
+    ``z - mean``, ``(z - mean)·inv`` and ``scale·x̂ + shift`` in that order.
     Given a ``cache`` list, each block appends its (input, normalised,
-    1/std, pre-ReLU output) rows, which ``logit_gradients`` reads.
+    1/std, pre-ReLU output) rows, which ``logit_gradients`` reads; no block
+    writes into them afterwards.
     """
     x = np.asarray(fused, dtype=params.dtype)
     if x.shape[1] != params.config.latent_dim:
         raise ValueError(f"fused dim {x.shape[1]} does not match latent_dim {params.config.latent_dim}")
-    for w, b, scale, shift in aligner_blocks(params):
-        z = _linear(x, w) + b
-        mu = row_mean(z)
-        zc = z - mu
-        var = row_mean(zc * zc)
-        inv = 1.0 / np.sqrt(var + LN_EPSILON)
-        xhat = zc * inv
-        y = scale * xhat + shift
-        if cache is not None:
-            cache.append((x, xhat, inv, y))
-        x = np.maximum(y, 0)
+    for w, b, scale, shift in params.aligner:
+        z = _linear(x, w)
+        z += b
+        z -= row_mean(z)
+        y = z * z
+        inv = 1.0 / np.sqrt(row_mean(y) + LN_EPSILON)
+        z *= inv
+        np.multiply(scale, z, out=y)
+        y += shift
+        if cache is None:
+            x = np.maximum(y, 0, out=y)
+        else:
+            cache.append((x, z, inv, y))
+            x = np.maximum(y, 0)
     return x
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function in float64, ``1/(1+e)`` where ``x >= 0`` and
+    ``e/(1+e)`` elsewhere, ``e = exp(-|x|)`` (a NaN keeps its sign), clamped
+    to the open interval (0, 1)."""
     x = np.asarray(x, np.float64)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _SCORE_FLOOR, _SCORE_CEIL)
+    e = np.exp(np.where(pos, -x, x))
+    d = 1.0 + e
+    return np.minimum(np.maximum(np.where(pos, 1.0 / d, e / d), _SCORE_FLOOR), _SCORE_CEIL)
 
 
 def score_logits(
@@ -335,19 +362,19 @@ def score_logits(
     segment = np.repeat(np.arange(len(aligned_q)), counts)
     if len(segment) != len(aligned_c):
         raise ValueError(f"candidate counts cover {len(segment)} rows, but {len(aligned_c)} candidates were given")
-    logits, u_c = _bilinear(aligned_q, aligned_c, segment, params)
+    u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
+    logits = _bilinear(aligned_c, u_c, params.tensors["score.b"])
     if cache is not None:
         cache.update(inputs=(query_img, query_txt, cand_img, cand_txt), aligned_q=aligned_q, aligned_c=aligned_c,
                      segment=segment, starts=np.cumsum(counts) - counts, u_c=u_c)
     return logits
 
 
-def _bilinear(aligned_q: np.ndarray, aligned_c: np.ndarray, segment: np.ndarray, params: RerankerParams):
-    """Float64 logits ``a_r·u + b`` of aligned candidate rows, each with the
-    ``u = a_q·Wᵀ`` of its own query (``segment`` holds its query's row), and
-    those ``u`` rows."""
-    u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
-    return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64), u_c
+def _bilinear(aligned_c: np.ndarray, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Float64 logits ``a_r·u + b`` of aligned candidate rows ``a_r``, with
+    ``u = a_q·Wᵀ`` one row per candidate (that of its own query), or one row
+    for them all."""
+    return np.asarray(np.einsum("ij,ij->i" if u.ndim == 2 else "ij,j->i", aligned_c, u) + b, np.float64)
 
 
 def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) -> TensorViews:
@@ -355,16 +382,15 @@ def logit_gradients(cache: dict, g_logit: np.ndarray, params: RerankerParams) ->
     filled ``cache``, as views of one zeroed vector laid out like
     ``params.flat``. Per-query sums are segment reductions over the stacked
     candidate rows, so each weight gradient is one product over every row."""
-    grads = TensorViews(np.zeros_like(params.flat), expected_shapes(params.config))
+    grads = params.tensors.zeros_like()
     aligned_q, aligned_c = cache["aligned_q"], cache["aligned_c"]
     grads["score.b"] += np.asarray(g_logit.sum(), params.dtype)
     s_q = np.add.reduceat(g_logit[:, None] * aligned_c, cache["starts"], axis=0)
     grads["score.w"] += s_q.T @ aligned_q
     dout = np.concatenate([s_q @ params.tensors["score.w"], g_logit[:, None] * cache["u_c"]])
 
-    blocks = aligner_blocks(params)
-    for i in reversed(range(len(blocks))):
-        w, b, scale, shift = blocks[i]
+    for i in reversed(range(ALIGNER_LAYERS)):
+        w, b, scale, shift = params.aligner[i]
         x_in, xhat, inv, y = cache["cache_align"][i]
         dy = dout * (y > 0)
         grads[f"align{i}.ln_scale"] += (dy * xhat).sum(axis=0)
@@ -460,13 +486,16 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
 
     Every ranking's candidates are resolved first, and the rows not yet in
     ``reference_rows`` are computed for the whole set in full blocks. The
-    queries are gathered QUERY_BLOCK at a time, each projected as one row,
-    and aligned as one zero-padded block; each ranking's logits are
-    ``score_logits``'s bilinear tail with its own query's aligned row. Queries
-    are walked a block at a time, so memory on their side stays fixed however
-    many there are. Each ranking's candidates are ordered by
-    ``kernels.top_indices``. A ranking that lists a candidate twice raises
-    ValueError naming its query and that id before any row is aligned."""
+    tensors are looked up once per call. The queries are gathered
+    QUERY_BLOCK at a time, their widths checked with ``project_fuse``'s
+    messages, each projected as one row straight into its row of a
+    zero-padded block, and the block aligned at once; each ranking's logits
+    are ``score_logits``'s bilinear tail, its candidates' cached rows against
+    its own query's one ``u`` row. Queries are walked a block at a time, so
+    memory on their side stays fixed however many there are. Each ranking's
+    candidates are ordered by ``kernels.top_indices``. A ranking that lists a
+    candidate twice raises ValueError naming its query and that id before
+    any row is aligned."""
     ids = [r.ids() for r in rankings]
     for r, candidates in zip(rankings, ids):
         refuse_repeats(candidates, f"query '{r.query_id}': candidate")
@@ -474,12 +503,18 @@ def rerank_many(rankings: list[Ranking], params: RerankerParams, store: Store) -
     rows = [store.ref_rows(i) for i in ids]
     cache = reference_rows(store, params)
     cache.fill(np.concatenate(rows) if rows else np.empty(0, np.intp), store, params)
+    wi, bi, wt, bt, ws, bs = [params.tensors[n] for n in ("proj_img.w", "proj_img.b", "proj_txt.w", "proj_txt.b",
+                                                           "score.w", "score.b")]
     out = []
     for lo in range(0, len(rankings), QUERY_BLOCK):
         img, txt = scorer_inputs(store.queries, q_rows[lo : lo + QUERY_BLOCK], "query")
-        fused_q = np.concatenate([project_fuse(img[j : j + 1], txt[j : j + 1], params) for j in range(len(img))])
-        for i, aligned_q in enumerate(align(_padded(fused_q, QUERY_BLOCK), params)[: len(fused_q)], start=lo):
-            logits, _ = _bilinear(aligned_q[None], cache.lookup(rows[i]), np.zeros(len(ids[i]), np.intp), params)
+        img, txt = np.asarray(img, params.dtype), np.asarray(txt, params.dtype)
+        _check_widths(img, txt, wi, wt)
+        block = np.zeros((QUERY_BLOCK, params.config.latent_dim), params.dtype)
+        for j in range(len(img)):
+            _fused(img[j : j + 1], txt[j : j + 1], wi, bi, wt, bt, out=block[j : j + 1])
+        for i, aligned_q in enumerate(align(block, params)[: len(img)], start=lo):
+            logits = _bilinear(cache.lookup(rows[i]), _linear(aligned_q[None], ws)[0], bs)
             entries = ordered_entries(ids[i], _sigmoid(logits), len(ids[i]))
             out.append(Ranking(query_id=rankings[i].query_id, entries=entries, reranked=True))
     return out

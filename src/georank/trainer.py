@@ -26,7 +26,6 @@ from .reranker import (
     RerankerParams,
     TensorViews,
     _sigmoid,
-    expected_shapes,
     init_params,
     logit_gradients,
     save_params,
@@ -201,8 +200,7 @@ def optimizer_step(
     parameter vector. Each element sees the operations of the per-tensor
     update in the same order, so the result is the same bit for bit.
     """
-    if not isinstance(grads, TensorViews) or grads.flat.dtype != params.dtype or [
-            (n, g.shape) for n, g in grads.items()] != [(n, t.shape) for n, t in params.tensors.items()]:
+    if not isinstance(grads, TensorViews) or grads.flat.dtype != params.dtype or grads.layout != params.tensors.layout:
         raise ValueError("gradients are not laid out like the parameters (names, order, shapes and dtype)")
     g, theta, m, v = grads.flat, params.flat, state["m"], state["v"]
     t_step = state["t"] + 1
@@ -350,6 +348,24 @@ def _candidate_recall(samples: list[TrainingSample], params: RerankerParams, sto
     return hits1 / n, hits5 / n
 
 
+def validation_split(samples: list[TrainingSample], val_split: float,
+                     rng: np.random.Generator) -> tuple[list[TrainingSample], list[TrainingSample]]:
+    """(train, validation) samples, split by query: the distinct query ids, in
+    the order their first sample comes, are permuted by ``rng``, and the first
+    ``round(n_queries · val_split)`` of them are held out with all their
+    samples, so no query's samples (one per positive) fall on both sides.
+    Each side lists its queries in permuted order, a query's samples in their
+    order in ``samples``. With one sample per query this is a permutation of
+    the samples themselves."""
+    by_query: dict[str, list[TrainingSample]] = {}
+    for s in samples:
+        by_query.setdefault(s.query_id, []).append(s)
+    groups = list(by_query.values())
+    perm = rng.permutation(len(groups))
+    n_val = int(round(len(groups) * val_split))
+    return [s for i in perm[n_val:] for s in groups[i]], [s for i in perm[:n_val] for s in groups[i]]
+
+
 def train(
     samples: list[TrainingSample],
     store: Store,
@@ -369,10 +385,7 @@ def train(
 
     params = init_params(reranker_config)
     rng = np.random.default_rng(config.shuffle_seed)
-    perm = rng.permutation(len(samples))
-    n_val = int(round(len(samples) * config.val_split))
-    val_set = [samples[i] for i in perm[:n_val]]
-    train_set = [samples[i] for i in perm[n_val:]]
+    train_set, val_set = validation_split(samples, config.val_split, rng)
     if not train_set:
         raise ValueError("val_split leaves no training samples")
 
@@ -418,7 +431,7 @@ def gradient_check(
     config.validate()
     p = params.astype(np.float64)
     _, analytic = batch_gradients(batch, p, store, config)
-    numeric = TensorViews(np.zeros_like(p.flat), expected_shapes(p.config))
+    numeric = p.tensors.zeros_like()
     for i, orig in enumerate(p.flat.tolist()):
         p.flat[i] = orig + GRADCHECK_EPSILON
         up = _forward(batch, p, store, config)[0]

@@ -7,6 +7,8 @@ constants, the others are listed here as perfbench uses them.
 """
 
 import ast
+import collections
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -15,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from georank import geostore
+from georank import geostore, reranker, trainer
 from georank.cli import main
 from georank.evaluator import EvalConfig, compare_rankings
-from georank.geostore import Store, StoreManifest, ingest
+from georank.geostore import Store, StoreManifest, SynthConfig, generate_synthetic, ingest
 from georank.reranker import RerankerConfig, _sigmoid, init_params, load_params, save_params, score_logits
-from georank.retriever import load_rankings
+from georank.retriever import load_rankings, rank_store_queries, save_rankings
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -133,3 +135,48 @@ def test_the_benchmark_scorer_reads_a_saved_checkpoint(tmp_path):
     got = _sigmoid(score_logits(q_img[None], q_txt[None], c_img, c_txt, load_params(path), [len(c_img)]))
     assert np.ptp(want) > 100 * checks.RERANK_SCORE_ATOL  # scores that differ, not one saturated value
     assert np.max(np.abs(got - want)) <= checks.RERANK_SCORE_ATOL
+
+
+def test_the_calls_perfbench_laps_and_times_go_through_module_attributes(tmp_path, monkeypatch):
+    """perfbench laps and times georank by replacing module attributes, so a
+    call inlined or made through another name would drop out of what
+    ``train_samples_per_s`` laps and ``reranker.rerank_ms`` covers. ``train``
+    calls ``trainer.batch_gradients`` and ``trainer.optimizer_step`` once per
+    batch and ``trainer.save_params`` once per epoch and once for
+    ``final.gvck``; ``reranker.rerank`` and ``georank rerank`` go through
+    ``reranker.rerank_many``; it and ``ReferenceRows.fill`` align through
+    ``reranker.align``."""
+    calls = collections.Counter()
+
+    def counted(key, real, *args, **kwargs):
+        calls[key] += 1
+        return real(*args, **kwargs)
+
+    for mod, name in ((trainer, "batch_gradients"), (trainer, "optimizer_step"), (trainer, "save_params"),
+                      (reranker, "rerank_many"), (reranker, "align")):
+        monkeypatch.setattr(mod, name, functools.partial(counted, f"{mod.__name__}.{name}", getattr(mod, name)))
+    store, _ = generate_synthetic(SynthConfig(n_locations=24, group_size=4, image_dim=8, text_dim=8), seed=2)
+    store.save(tmp_path / "store")
+    samples, _ = trainer.build_training_samples(store, rank_store_queries(store, 10))
+    config = trainer.TrainConfig(epochs=3, batch_size=5, val_split=0.25)
+    _, report = trainer.train(samples, store, RerankerConfig(image_dim=8, text_dim=8, latent_dim=4, aligner_hidden=4),
+                              config, tmp_path / "train")
+    batches = config.epochs * -(-report.train_count // config.batch_size)
+    assert calls["georank.trainer.batch_gradients"] == calls["georank.trainer.optimizer_step"] == batches
+    assert calls["georank.trainer.save_params"] == config.epochs + 1
+
+    params = load_params(tmp_path / "train" / "final.gvck")
+    rankings = rank_store_queries(store, 20)
+    calls.clear()
+    cache = reranker.ReferenceRows(store, params)
+    cache.fill(store.ref_rows(rankings[0].ids()), store, params)
+    assert calls["georank.reranker.align"] == -(-20 // reranker.ROW_BLOCK)
+    calls.clear()
+    reranker.rerank(store.query(rankings[1].query_id), rankings[1], params, store)
+    # the ranking's rows not yet cached, 16 to a block, then its query's block
+    assert calls == {"georank.reranker.rerank_many": 1, "georank.reranker.align": -(-20 // reranker.ROW_BLOCK) + 1}
+    save_rankings(rankings, tmp_path / "baseline.jsonl")
+    calls.clear()
+    assert main(["rerank", "--store", str(tmp_path / "store"), "--rankings", str(tmp_path / "baseline.jsonl"),
+                 "--checkpoint", str(tmp_path / "train" / "final.gvck"), "--out", str(tmp_path / "out.jsonl")]) == 0
+    assert calls["georank.reranker.rerank_many"] == 1 and calls["georank.reranker.align"] > 0

@@ -27,12 +27,13 @@ from georank.reranker import (
     project_fuse,
     rerank,
     rerank_many,
+    row_mean,
     save_checkpoint,
     save_params,
     score_logits,
     scorer_inputs,
 )
-from georank.retriever import Ranking, top_k
+from georank.retriever import Ranking, ordered_entries, top_k
 
 from conftest import build_store, make_query, make_ref, random_store
 
@@ -354,6 +355,213 @@ def test_batch_gradients_bitwise_equal_to_reference_forward(latent, loss_on, mon
     want_loss, want = trainer.batch_gradients(samples, params, store, config)
     assert loss == want_loss
     assert np.array_equal(grads.flat, want.flat)
+
+
+# ---------------------------------------------------------------------------
+# frozen oracle: the scorer's forward, backward and rerank loop with a new
+# array for every operation, which the lean code must match byte for byte
+# ---------------------------------------------------------------------------
+
+def _frozen_project_fuse(image_emb, text_emb, params):
+    t = params.tensors
+    img, txt = np.asarray(image_emb, dtype=params.dtype), np.asarray(text_emb, dtype=params.dtype)
+    return (_linear(img, t["proj_img.w"]) + t["proj_img.b"]) + (_linear(txt, t["proj_txt.w"]) + t["proj_txt.b"])
+
+
+def _frozen_blocks(params):
+    return [tuple(params.tensors[f"align{i}.{part}"] for part in ("w", "b", "ln_scale", "ln_shift"))
+            for i in range(reranker.ALIGNER_LAYERS)]
+
+
+def _frozen_align(fused, params, cache=None):
+    x = np.asarray(fused, dtype=params.dtype)
+    for w, b, scale, shift in _frozen_blocks(params):
+        z = _linear(x, w) + b
+        mu = row_mean(z)
+        zc = z - mu
+        var = row_mean(zc * zc)
+        inv = 1.0 / np.sqrt(var + reranker.LN_EPSILON)
+        xhat = zc * inv
+        y = scale * xhat + shift
+        if cache is not None:
+            cache.append((x, xhat, inv, y))
+        x = np.maximum(y, 0)
+    return x
+
+
+def _frozen_sigmoid(x):
+    x = np.asarray(x, np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def _frozen_bilinear(aligned_q, aligned_c, segment, params):
+    u_c = _linear(aligned_q, params.tensors["score.w"])[segment]
+    return np.asarray(np.einsum("ij,ij->i", aligned_c, u_c) + params.tensors["score.b"], np.float64), u_c
+
+
+def _frozen_score_logits(query_img, query_txt, cand_img, cand_txt, params, counts, cache=None):
+    cache_align = None if cache is None else cache.setdefault("cache_align", [])
+    fused_q = _frozen_project_fuse(query_img, query_txt, params)
+    fused_c = _frozen_project_fuse(cand_img, cand_txt, params)
+    aligned = _frozen_align(np.concatenate([fused_q, fused_c]), params, cache_align)
+    aligned_q, aligned_c = aligned[: len(fused_q)], aligned[len(fused_q) :]
+    segment = np.repeat(np.arange(len(aligned_q)), counts)
+    logits, u_c = _frozen_bilinear(aligned_q, aligned_c, segment, params)
+    if cache is not None:
+        cache.update(inputs=(query_img, query_txt, cand_img, cand_txt), aligned_q=aligned_q, aligned_c=aligned_c,
+                     segment=segment, starts=np.cumsum(counts) - counts, u_c=u_c)
+    return logits
+
+
+def _frozen_logit_gradients(cache, g_logit, params):
+    grads = reranker.TensorViews(np.zeros_like(params.flat), expected_shapes(params.config))
+    aligned_q, aligned_c = cache["aligned_q"], cache["aligned_c"]
+    grads["score.b"] += np.asarray(g_logit.sum(), params.dtype)
+    s_q = np.add.reduceat(g_logit[:, None] * aligned_c, cache["starts"], axis=0)
+    grads["score.w"] += s_q.T @ aligned_q
+    dout = np.concatenate([s_q @ params.tensors["score.w"], g_logit[:, None] * cache["u_c"]])
+    blocks = _frozen_blocks(params)
+    for i in reversed(range(len(blocks))):
+        w, b, scale, shift = blocks[i]
+        x_in, xhat, inv, y = cache["cache_align"][i]
+        dy = dout * (y > 0)
+        grads[f"align{i}.ln_scale"] += (dy * xhat).sum(axis=0)
+        grads[f"align{i}.ln_shift"] += dy.sum(axis=0)
+        dxhat = dy * scale
+        m1 = row_mean(dxhat)
+        m2 = row_mean(dxhat * xhat)
+        dz = inv * (dxhat - m1 - xhat * m2)
+        grads[f"align{i}.w"] += dz.T @ x_in
+        grads[f"align{i}.b"] += dz.sum(axis=0)
+        dout = dz @ w
+    q_img, q_txt, c_img, c_txt = cache["inputs"]
+    for d_fused, img, txt in ((dout[: len(aligned_q)], q_img, q_txt), (dout[len(aligned_q) :], c_img, c_txt)):
+        grads["proj_img.w"] += d_fused.T @ img
+        grads["proj_img.b"] += d_fused.sum(axis=0)
+        grads["proj_txt.w"] += d_fused.T @ txt
+        grads["proj_txt.b"] += d_fused.sum(axis=0)
+    return grads
+
+
+def _frozen_rerank_many(rankings, params, store):
+    """The rerank loop over a new reference-row cache: the set's distinct rows
+    in ascending row order, ROW_BLOCK to a zero-padded block, then the
+    queries, each projected as one row, QUERY_BLOCK to a zero-padded block."""
+    ids = [r.ids() for r in rankings]
+    rows = [store.ref_rows(i) for i in ids]
+    distinct = np.unique(np.concatenate(rows)) if rows else np.empty(0, np.intp)
+    aligned = np.zeros((len(store.ref_ids), params.config.latent_dim), params.dtype)
+    for lo in range(0, len(distinct), ROW_BLOCK):
+        block = distinct[lo : lo + ROW_BLOCK]
+        img, txt = (reranker._padded(x, ROW_BLOCK) for x in scorer_inputs(store.refs, block, "candidate"))
+        aligned[block] = _frozen_align(_frozen_project_fuse(img, txt, params), params)[: len(block)]
+    q_rows = store.query_rows([r.query_id for r in rankings])
+    out = []
+    for lo in range(0, len(rankings), QUERY_BLOCK):
+        img, txt = scorer_inputs(store.queries, q_rows[lo : lo + QUERY_BLOCK], "query")
+        fused_q = np.concatenate([_frozen_project_fuse(img[j : j + 1], txt[j : j + 1], params) for j in range(len(img))])
+        for i, aligned_q in enumerate(_frozen_align(reranker._padded(fused_q, QUERY_BLOCK), params)[: len(fused_q)],
+                                      start=lo):
+            logits, _ = _frozen_bilinear(aligned_q[None], aligned[rows[i]], np.zeros(len(ids[i]), np.intp), params)
+            out.append(ordered_entries(ids[i], _frozen_sigmoid(logits), len(ids[i])))
+    return out
+
+
+def _entry_bytes(entries):
+    """A ranking's ids, and its scores as float64 bytes, so -0.0 and NaN payloads count."""
+    return [rid for rid, _ in entries], np.array([s for _, s in entries], np.float64).tobytes()
+
+
+@st.composite
+def _scorer_cases(draw):
+    """A random store with text, random params (float32 or float64, every
+    tensor random) and 1-9 rankings of 0-12 distinct candidates each."""
+    width = st.one_of(st.integers(1, 64), st.just(512))
+    image_dim, text_dim, latent, hidden = (draw(width) for _ in range(4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_refs, n_queries = draw(st.integers(1, 30)), draw(st.integers(1, 9))
+    store = random_store(rng, n_refs, n_queries, image_dim, text_dim, with_text=True)
+    params = init_params(RerankerConfig(image_dim=image_dim, text_dim=text_dim, latent_dim=latent,
+                                        aligner_hidden=hidden, init_seed=seed % 1000))
+    for name, t in params.tensors.items():
+        if not name.endswith(".w"):
+            t[...] = 0.5 * rng.standard_normal(t.shape) + name.endswith(".ln_scale")
+    params = params.astype(draw(st.sampled_from([np.float32, np.float64])))
+    rankings = []
+    for qid in rng.choice(store.query_ids, draw(st.integers(1, n_queries)), replace=False).tolist():
+        picked = rng.choice(n_refs, min(n_refs, draw(st.integers(0, 12))), replace=False)
+        rankings.append(Ranking(qid, [(store.ref_ids[r], float(rng.standard_normal())) for r in picked]))
+    return store, params, rankings
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_scorer_cases())
+def test_rerank_many_and_lone_rerank_equal_the_frozen_loop_byte_for_byte(case):
+    store, params, rankings = case
+    want = [_entry_bytes(e) for e in _frozen_rerank_many(rankings, params, store)]
+    assert [_entry_bytes(r.entries) for r in rerank_many(rankings, params, store)] == want
+    lone = [rerank(store.query(r.query_id), r, params, store).entries for r in rankings]
+    assert [_entry_bytes(e) for e in lone] == [_entry_bytes(_frozen_rerank_many([r], params, store)[0])
+                                               for r in rankings]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_scorer_cases(), loss_on=st.sampled_from(trainer.LOSS_ON), margin=st.sampled_from([0.05, 1.0]))
+def test_score_logits_gradients_and_adam_step_equal_the_frozen_scorer_byte_for_byte(case, loss_on, margin):
+    """``score_logits`` and every array it caches, ``batch_gradients``' loss
+    and gradients (signed zeros included) and the flat vector after one Adam
+    step on them, each against the frozen forward and backward."""
+    store, params, rankings = case
+    inputs = (*scorer_inputs(store.queries, store.query_rows([r.query_id for r in rankings]), "query"),
+              *scorer_inputs(store.refs, store.ref_rows([rid for r in rankings for rid in r.ids()]), "candidate"))
+    counts = np.array([len(r.entries) for r in rankings])
+    got_cache, want_cache = {}, {}
+    got = score_logits(*inputs, params, counts, got_cache)
+    assert got.tobytes() == _frozen_score_logits(*inputs, params, counts, want_cache).tobytes()
+    assert got_cache.keys() == want_cache.keys()
+    for key in ("aligned_q", "aligned_c", "segment", "starts", "u_c"):
+        assert got_cache[key].tobytes() == want_cache[key].tobytes(), key
+    for got_block, want_block in zip(got_cache["cache_align"], want_cache["cache_align"], strict=True):
+        assert [a.tobytes() for a in got_block] == [a.tobytes() for a in want_block]
+
+    samples = [trainer.TrainingSample(r.query_id, tuple(r.ids()), len(r.entries) // 2)
+               for r in rankings if len(r.entries) >= 2]
+    if not samples:
+        return
+    config = trainer.TrainConfig(margin=margin, loss_on=loss_on, lr=3e-3)
+    loss, grads = trainer.batch_gradients(samples, params, store, config)
+    with pytest.MonkeyPatch.context() as frozen:
+        frozen.setattr(trainer, "score_logits", _frozen_score_logits)
+        frozen.setattr(trainer, "_sigmoid", _frozen_sigmoid)
+        frozen.setattr(trainer, "logit_gradients", _frozen_logit_gradients)
+        want_loss, want = trainer.batch_gradients(samples, params, store, config)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grads.flat.tobytes() == want.flat.tobytes()
+    stepped = [trainer.optimizer_step(params.copy(), g, trainer.init_optimizer_state(params), config)[0].flat
+               for g in (grads, want)]
+    assert stepped[0].tobytes() == stepped[1].tobytes()
+
+
+def test_sigmoid_equals_the_frozen_one_on_zeros_subnormals_overflow_infinities_and_nans():
+    """Both signs of zero, of the smallest subnormal and of a NaN (with a
+    payload too), exp's overflow edges and the infinities, at every position
+    of arrays short and long enough for numpy's vector loops."""
+    nan_payload = np.array([0x7FF8000000000123], np.uint64).view(np.float64)[0]
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 700.0, -700.0, 745.2, -745.2, 710.0, -710.0,
+                        np.inf, -np.inf, np.nan, -np.nan, nan_payload, -nan_payload, 36.8, -36.8, 1e-17, -1e-17])
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 7, 8, 9, 16, 17, 64, 100):
+        for _ in range(20):
+            x = np.where(rng.random(n) < 0.5, rng.choice(special, n), 30.0 * rng.standard_normal(n))
+            assert _sigmoid(x).tobytes() == _frozen_sigmoid(x).tobytes(), x
+    assert _sigmoid(special).tobytes() == _frozen_sigmoid(special).tobytes()
+    assert _sigmoid(np.float32(3.0)).tobytes() == _frozen_sigmoid(np.float32(3.0)).tobytes()
 
 
 # ---------------------------------------------------------------------------

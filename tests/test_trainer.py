@@ -553,6 +553,58 @@ def test_train_nan_loss_aborts_with_batch_diagnostic(tmp_path):
         train(samples, store, rr, TrainConfig(epochs=1, val_split=0.0), tmp_path)
 
 
+def _per_sample_split(samples, val_split, rng):
+    """The split by sample that ``validation_split`` replaced, as (train, validation)."""
+    perm = rng.permutation(len(samples))
+    n_val = int(round(len(samples) * val_split))
+    return [samples[i] for i in perm[n_val:]], [samples[i] for i in perm[:n_val]]
+
+
+def _two_positive_store(n_queries=12, n_refs=30):
+    """A store whose every query has two positives, and one ranking per query
+    listing both positives among eight candidates."""
+    rng = np.random.default_rng(4)
+    refs = [make_ref(f"r{i:02d}", rng.standard_normal(3), text=rng.standard_normal(2)) for i in range(n_refs)]
+    queries, rankings = [], []
+    for q in range(n_queries):
+        candidates = [f"r{i:02d}" for i in rng.choice(n_refs, 8, replace=False)]
+        queries.append(make_query(f"q{q:02d}", rng.standard_normal(3), candidates[2:4], text=rng.standard_normal(2)))
+        rankings.append(Ranking(f"q{q:02d}", [(rid, 0.0) for rid in candidates]))
+    return build_store(refs, queries, image_dim=3, text_dim=2), rankings
+
+
+def test_validation_split_keeps_every_sample_of_a_query_on_one_side(tmp_path):
+    store, rankings = _two_positive_store()
+    samples, skipped = build_training_samples(store, rankings)
+    assert skipped == 0 and len(samples) == 2 * len(store.query_ids)
+    straddled = False
+    for seed, val_split in itertools.product(range(10), (0.2, 0.5)):
+        train_set, val_set = trainer.validation_split(samples, val_split, np.random.default_rng(seed))
+        train_ids, val_ids = {s.query_id for s in train_set}, {s.query_id for s in val_set}
+        assert not train_ids & val_ids
+        assert len(val_ids) == round(len(store.query_ids) * val_split)
+        assert sorted(train_set + val_set, key=samples.index) == samples
+        old_train, old_val = _per_sample_split(samples, val_split, np.random.default_rng(seed))
+        straddled |= bool({s.query_id for s in old_train} & {s.query_id for s in old_val})
+    assert straddled  # a split by sample puts some query on both sides
+    rr = RerankerConfig(image_dim=3, text_dim=2, latent_dim=4, aligner_hidden=4)
+    # 4 of 12 queries held out: 8 samples, where a split by sample would hold out round(24 * 0.3) = 7
+    _, report = train(samples, store, rr, TrainConfig(epochs=1, val_split=0.3, shuffle_seed=3), tmp_path)
+    assert (report.train_count, report.val_count) == (16, 8)
+
+
+@pytest.mark.parametrize("val_split", [0.0, 0.2, 0.25, 0.5])
+def test_validation_split_of_one_sample_per_query_is_the_split_by_sample(val_split):
+    """Same sides, same order, and the generator left in the same state, so
+    every epoch's shuffle, and so every checkpoint, stays as it was."""
+    samples, _, _ = _train_fixture()
+    assert len({s.query_id for s in samples}) == len(samples)
+    for seed in range(5):
+        rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert trainer.validation_split(samples, val_split, rng) == _per_sample_split(samples, val_split, old_rng)
+        assert rng.bit_generator.state == old_rng.bit_generator.state
+
+
 def test_train_requires_samples(tmp_path):
     _, store, rr = _train_fixture(16)
     with pytest.raises(ValueError, match="no training samples"):
