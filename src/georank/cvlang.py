@@ -167,8 +167,9 @@ def stability_report(
     embeddings_b: dict[str, np.ndarray],
 ) -> StabilityReport:
     """Agreement between two description runs aligned by image id. Each
-    pair's cosine is phase 1's float64 arithmetic (``kernels.row_norms`` and
-    an einsum dot, clipped to [-1, 1]), so it is exactly symmetric."""
+    pair's cosine is phase 1's float64 arithmetic (``kernels.exact_cosines``
+    of each row of one run against its own row of the other), so it is
+    exactly symmetric."""
     ids = sorted(corpus_a)
     for name, other in (("corpus_b", corpus_b), ("embeddings_a", embeddings_a), ("embeddings_b", embeddings_b)):
         if sorted(other) != ids:
@@ -182,8 +183,7 @@ def stability_report(
     a, b = np.stack(a), np.stack(b)
     if not (a.any(axis=1).all() and b.any(axis=1).all()):
         raise ValueError("cosine undefined for zero-norm vector")
-    dots = np.einsum("ij,ij->i", a, b, dtype=np.float64)
-    cos_vals = np.clip(dots / (kernels.row_norms(a) * kernels.row_norms(b)), -1.0, 1.0)
+    cos_vals = kernels.exact_cosines(a, b, kernels.row_norms(b), kernels.row_norms(a))
     jac_vals = [jaccard(corpus_a[i], corpus_b[i]) for i in ids]
     lengths = [len(corpus_a[i].split()) for i in ids] + [len(corpus_b[i].split()) for i in ids]
     return StabilityReport(

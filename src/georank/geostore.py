@@ -160,11 +160,15 @@ class Columns:
         return self
 
     def text_of(self, rid: str) -> np.ndarray | None:
-        row = self.pos.get(rid)
-        return None if row is None or not self.has_text[row] else self.text[row]
+        return self.text_at(self.pos.get(rid))
 
     def coord_of(self, rid: str) -> GeoCoord | None:
-        row = self.pos.get(rid)
+        return self.coord_at(self.pos.get(rid))
+
+    def text_at(self, row: int | None) -> np.ndarray | None:
+        return None if row is None or not self.has_text[row] else self.text[row]
+
+    def coord_at(self, row: int | None) -> GeoCoord | None:
         return None if row is None or not self.has_coord[row] else GeoCoord(*self.coords[row].tolist())
 
 
@@ -453,6 +457,13 @@ def _rows(positions: dict[str, int], ids, kind: str) -> np.ndarray:
         raise KeyError(f"unknown {kind} id '{exc.args[0]}'") from None
 
 
+def _row(positions: dict[str, int], one_id: str, kind: str) -> int:
+    try:
+        return positions[one_id]
+    except KeyError:
+        raise KeyError(f"unknown {kind} id '{one_id}'") from None
+
+
 class Store:
     """Immutable in-memory view of a reference/query store, held as columns.
 
@@ -554,13 +565,15 @@ class Store:
         return kernels.build_cosine_index(self.ref_image)
 
     def reference(self, ref_id: str) -> ReferenceRecord:
-        row, c = self.ref_rows([ref_id])[0], self.refs
-        return ReferenceRecord(ref_id, c.image[row], c.text_of(ref_id), c.captions[row], c.coord_of(ref_id))
+        c = self.refs
+        row = _row(c.pos, ref_id, "reference")
+        return ReferenceRecord(ref_id, c.image[row], c.text_at(row), c.captions[row], c.coord_at(row))
 
     def query(self, query_id: str) -> QueryRecord:
-        row, c = self.query_rows([query_id])[0], self.queries
-        return QueryRecord(query_id, c.image[row], self.ground_truth[query_id], c.text_of(query_id),
-                           c.captions[row], c.coord_of(query_id))
+        c = self.queries
+        row = _row(c.pos, query_id, "query")
+        return QueryRecord(query_id, c.image[row], self.ground_truth[query_id], c.text_at(row),
+                           c.captions[row], c.coord_at(row))
 
     def ref_rows(self, ref_ids) -> np.ndarray:
         """Row positions of ``ref_ids`` in ``ref_image``."""

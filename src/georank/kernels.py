@@ -6,22 +6,33 @@ norms of a ``CosineIndex``, and gives a float32 tile of approximate cosines
 whose error is at most ``cosine_error_bound(dim)``; ``survivor_margin`` turns
 that bound into the float32 margin below the k-th best score within which a
 row can still be in the exact top k. ``exact_cosines`` re-scores those few rows
-with the float64 formula ``(r·q)/(‖q‖·‖r‖)``, given the float64 norms of those
-rows alone (``row_norms``). The float64 dot products and norms are per-row
-einsum reductions, so a row's score depends on that row and the query alone,
-not on which other rows are scored with it: exact duplicates and power-of-two
-scalings of a row score bit-equal, and a query scores a row identically
-whether it is re-scored alone, among a few survivors or over the whole
-matrix. ``top_indices`` is the one ordering rule of every ranking georank
-makes: score descending, then id ascending, NaN last.
+with the float64 formula ``(r·q)/(‖q‖·‖r‖)``, each row against its own query's
+row, given the float64 norms of those rows alone (``row_norms``); it is the
+one exact-cosine path, serving one query's rows, the survivors of many queries
+at once, and the pairs of ``cvlang.stability_report``. The float64 dot products
+and norms are per-row einsum reductions, so a row's score depends on that row
+and its query alone, not on which other rows are scored with it: exact
+duplicates and power-of-two scalings of a row score bit-equal, and a query
+scores a float32 row identically whether it is re-scored alone, among a few
+survivors, among other queries' survivors or over the whole matrix. (A float64
+row longer than numpy's 8192-element einsum buffer is summed in one piece when
+it is alone and in pieces among other rows, so phase 1 takes the norms of such
+queries one at a time.) ``top_indices`` is the one ordering rule of every
+ranking georank makes: score descending, then id ascending, NaN last.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+try:  # the ufunc behind np.clip, without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 _U32 = 2.0 ** -24  # unit roundoff of float32
 
@@ -104,6 +115,7 @@ def cosine_error_bound(dim: int) -> float:
     return ((1.0 + _U32) * e1 + _U32 + rho) / (1.0 - rho) + 2.0 * tau + (dim + 3) * 2.0 ** -52
 
 
+@functools.cache
 def survivor_margin(dim: int) -> np.float32:
     """The float32 margin M such that, for the k-th best float32 score kth of a
     swept row, the float32 threshold ``kth - M`` is at most kth - 2B, B =
@@ -133,12 +145,16 @@ def cosine_scores(queries: np.ndarray, refs: np.ndarray, ref_norms: np.ndarray) 
     return dots
 
 
-def exact_cosines(refs: np.ndarray, query: np.ndarray, query_norm: float, ref_norms: np.ndarray) -> np.ndarray:
-    """``(r·q)/(‖q‖·‖r‖)`` in float64 for each row of ``refs``, clipped to [-1, 1].
-    ``query`` is float64; the norms come from ``row_norms``."""
-    dots = np.einsum("ij,j->i", refs, query, dtype=np.float64)
+def exact_cosines(refs: np.ndarray, queries: np.ndarray, query_norms: np.ndarray, ref_norms: np.ndarray) -> np.ndarray:
+    """``(r·q)/(‖q‖·‖r‖)`` in float64 for each row r of ``refs`` against its own
+    row q of ``queries`` (phase 1's are float64), clipped to [-1, 1]; one row of
+    ``queries`` (shape (1, d)) scores every row of ``refs`` against that one
+    query. The norms come from ``row_norms``, ``query_norms`` one per row of
+    ``queries``."""
+    dots = np.einsum("ij,ij->i", refs, queries, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.clip(dots / (query_norm * ref_norms), -1.0, 1.0)
+        dots /= query_norms * ref_norms
+        return _clip(dots, -1.0, 1.0, out=dots)
 
 
 def top_indices(scores: np.ndarray, ids, k: int) -> np.ndarray:
@@ -148,7 +164,7 @@ def top_indices(scores: np.ndarray, ids, k: int) -> np.ndarray:
     would drop trailing NULs), and a stable sort by descending score keeps
     that order among equal scores and among NaNs."""
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), np.int64)
-    return by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
+    return by_id[(-scores[by_id]).argsort(kind="stable")[:k]]
 
 
 EARTH_RADIUS_KM = 6371.0

@@ -3,27 +3,35 @@
 Every query is first scaled by the power of two that brings its largest
 |component| into [0.5, 1), which leaves its cosines' float64 arithmetic
 bit for bit as it was and keeps its squared norm from over- or underflowing;
-a query with a NaN or infinite component, or none non-zero, is refused.
-``top_k`` and ``rank_store_queries`` then score queries in blocks against
-the store's ``CosineIndex`` (float32 row norms, 4 bytes per reference, built
-on first use):
+a query with a NaN or infinite component, or none non-zero, is refused, a
+block of queries by array operations that refuse its first bad query as a
+lone query is refused. ``top_k`` (a block of one) and ``rank_store_queries``
+then score queries in blocks against the store's ``CosineIndex`` (float32
+row norms, 4 bytes per reference, built on first use):
 
-1. one float32 BLAS product over ``ref_image``, divided in place by the
-   index's norms, gives a float32 tile of approximate cosines for a block of
-   queries, the block sized so its tile stays within ``SCORE_TILE_BYTES``;
-2. per query, the k-th best approximate score is found by partition;
-3. every row within ``kernels.survivor_margin(d)`` (twice
+1. per block, one float32 BLAS product over ``ref_image``, divided in place
+   by the index's norms, gives a float32 tile of approximate cosines, the
+   block sized so its tile stays within ``SCORE_TILE_BYTES``;
+2. per query, the k-th best approximate score is found by partition, and
+   every row within ``kernels.survivor_margin(d)`` (twice
    ``kernels.cosine_error_bound(d)``, rounded so it can only widen) of it
    survives, so every row that can be in the exact top k does;
-4. the survivors are re-scored with the float64 formula
-   ``(r·q)/(‖q‖·‖r‖)``, from the float64 norms of those rows alone, clipped
-   to [-1, 1], and ordered by ``kernels.top_indices``: score descending,
-   then id ascending.
+3. per block, the survivors of all its queries are gathered at once and
+   re-scored by ``kernels.exact_cosines``, each against its own query's
+   row, with the float64 formula ``(r·q)/(‖q‖·‖r‖)``, from the float64 norms
+   of those rows alone, clipped to [-1, 1]; the gathered rows (12·d bytes a
+   survivor) stay within the block's tile, so within ``SCORE_TILE_BYTES``, in
+   several passes over consecutive runs of whole queries when they would not.
+   A query whose survivors are every row is scored from the matrix itself;
+4. per query, its survivors are ordered by ``kernels.top_indices``: score
+   descending, then id ascending.
 
-The float64 score of a row does not depend on which other rows survive, so a
-query gets the same ids and scores from ``top_k``, ``rank_store_queries`` and
-``brute_force_rank``, the exhaustive sort kept as the oracle for the sweep and
-selection.
+The float64 score of a row does not depend on which other rows, or which
+other queries' rows, are re-scored with it, so a query gets the same ids and
+scores from ``top_k``, ``rank_store_queries`` and ``brute_force_rank``, the
+exhaustive sort kept as the oracle for the sweep and selection. All three,
+and ``cvlang.stability_report``, score through the one pairwise kernel
+``kernels.exact_cosines``.
 """
 
 from __future__ import annotations
@@ -68,38 +76,41 @@ class Ranking:
                 raise ValueError(f"ranking for '{self.query_id}' violates (score desc, id asc) order")
 
 
-def _check_query(query_emb: np.ndarray, store: Store) -> np.ndarray:
-    """``query_emb`` as float64, scaled by the power of two that brings its largest
-    |component| into [0.5, 1), after the checks every phase-1 entry point makes.
-    The scaling is exact unless a component falls below float64's normal range,
-    and it moves no cosine: the products and norms of ``kernels.exact_cosines``
-    scale by the same power of two."""
-    query_emb = np.asarray(query_emb)
+def _check_queries(queries: np.ndarray, store: Store) -> np.ndarray:
+    """The rows of ``queries`` as float64, each scaled by the power of two that brings
+    its largest |component| into [0.5, 1), after the checks every phase-1 entry point
+    makes: a store with no references, then rows that are not ``image_dim`` wide, then
+    the first row with a NaN or infinite component or none non-zero. The scaling is
+    exact unless a component falls below float64's normal range, and it moves no
+    cosine: the products and norms of ``kernels.exact_cosines`` scale by the same
+    power of two."""
     if store.ref_image.shape[0] == 0:
         raise ValueError("store holds no references")
-    if query_emb.ndim != 1 or query_emb.shape[0] != store.manifest.image_dim:
+    if queries.ndim != 2 or queries.shape[1] != store.manifest.image_dim:
         raise ValueError(
-            f"query dim {query_emb.shape} does not match store image_dim {store.manifest.image_dim}"
+            f"query dim {queries.shape[1:]} does not match store image_dim {store.manifest.image_dim}"
         )
-    largest = float(np.abs(query_emb).max())
-    if not math.isfinite(largest):
-        raise ValueError("query has a NaN or infinite component")
-    if largest == 0.0:
+    largest = np.maximum.reduce(np.abs(queries), axis=1)
+    if not (0 < np.minimum.reduce(largest) and np.maximum.reduce(largest) < np.inf):  # NaN fails both
+        first = largest[~((largest > 0) & (largest < np.inf))][0]
+        if not math.isfinite(first):
+            raise ValueError("query has a NaN or infinite component")
         raise ValueError("cosine undefined for zero-norm query")
-    return np.ldexp(query_emb.astype(np.float64), -math.frexp(largest)[1])
+    return np.ldexp(queries, -np.frexp(largest)[1][:, None], dtype=np.float64)
 
 
-def _survivors(approx: np.ndarray, k: int, margin: np.float32, unswept: np.ndarray) -> np.ndarray | slice:
+def _survivors(approx: np.ndarray, k: int, margin: np.float32, unswept: np.ndarray) -> np.ndarray | None:
     """Rows of one query's approximate scores that can be in its exact top k:
     those at or above the k-th best minus ``margin``, plus the unswept rows
-    (whose approximate score is -inf). All rows when that threshold is -inf."""
+    (whose approximate score is -inf). None, for every row, when that
+    threshold is -inf or k covers every row."""
     n = approx.shape[0]
     if k >= n:
-        return slice(None)
+        return None
     threshold = np.partition(approx, n - k)[n - k] - margin
     if not threshold > -np.inf:
-        return slice(None)
-    rows = np.flatnonzero(approx >= threshold)
+        return None
+    rows = (approx >= threshold).nonzero()[0]
     return np.concatenate([rows, unswept]) if unswept.size else rows
 
 
@@ -111,20 +122,63 @@ def ordered_entries(ids, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
 
 
 def _rank_block(queries: np.ndarray, store: Store, k: int, query_ids: list[str]) -> list[Ranking]:
-    """top_k for each row of ``queries`` (b, d), float64 rows that passed ``_check_query``."""
-    index = store.cosine_index
-    qnorms = kernels.row_norms(queries)
-    approx = kernels.cosine_scores(queries / qnorms[:, None], store.ref_image, index.norms)
+    """top_k for each row of ``queries`` (b, d), float64 rows from ``_check_queries``.
+
+    One float32 sweep of the block; per query, its k-th-value partition and its
+    survivors; then one gather and one ``kernels.exact_cosines`` pass for the
+    survivors of a run of consecutive whole queries, each survivor against its
+    own query's row (a run of one query passes its one row), the run's gathered
+    reference and query rows within the block's tile unless it holds one query
+    only; then ``ordered_entries`` per query. A query whose survivors are every
+    row is scored from the matrix itself."""
+    index, refs, ref_ids = store.cosine_index, store.ref_image, store.ref_ids
+    if queries.shape[1] > 8192:
+        # numpy's einsum sums a float64 row longer than its 8192-element buffer in one piece
+        # when the row is alone and in buffer-sized pieces among other rows: such queries
+        # take their norms one at a time, as a lone query does
+        qnorms = np.concatenate([kernels.row_norms(q) for q in queries[:, None]])
+    else:
+        qnorms = kernels.row_norms(queries)
+    approx = kernels.cosine_scores(queries / qnorms[:, None], refs, index.norms)
     if index.unswept.size:
         approx[:, index.unswept] = -np.inf
     margin = kernels.survivor_margin(queries.shape[1])
-    out = []
+    # a pass gathers no more than the block's tile holds, so a pass at most doubles the sweep's memory
+    pass_rows = approx.nbytes // (queries.shape[1] * (refs.itemsize + queries.itemsize))
+    out: list[Ranking | None] = [None] * len(query_ids)
+
+    def rescore(run: list[tuple[int, np.ndarray]]) -> None:
+        if len(run) == 1:
+            (i, rows), = run
+            rowq, normq = queries[i:i + 1], qnorms[i:i + 1]
+        else:
+            rows = np.concatenate([r for _, r in run])
+            owner = np.repeat([i for i, _ in run], [r.size for _, r in run])
+            rowq, normq = queries[owner], qnorms[owner]
+        gathered = refs[rows]
+        scores = kernels.exact_cosines(gathered, rowq, normq, kernels.row_norms(gathered))
+        ids = [ref_ids[r] for r in rows.tolist()]
+        end = 0
+        for i, r in run:
+            start, end = end, end + r.size
+            out[i] = Ranking(query_id=query_ids[i], entries=ordered_entries(ids[start:end], scores[start:end], k))
+
+    run, held, all_norms = [], 0, None
     for i, qid in enumerate(query_ids):
         rows = _survivors(approx[i], k, margin, index.unswept)
-        refs = store.ref_image[rows]
-        scores = kernels.exact_cosines(refs, queries[i], qnorms[i], kernels.row_norms(refs))
-        ids = store.ref_ids if isinstance(rows, slice) else [store.ref_ids[r] for r in rows.tolist()]
-        out.append(Ranking(query_id=qid, entries=ordered_entries(ids, scores, k)))
+        if rows is None:
+            if all_norms is None:
+                all_norms = kernels.row_norms(refs)
+            scores = kernels.exact_cosines(refs, queries[i:i + 1], qnorms[i:i + 1], all_norms)
+            out[i] = Ranking(query_id=qid, entries=ordered_entries(ref_ids, scores, k))
+            continue
+        if run and held + rows.size > pass_rows:
+            rescore(run)
+            run, held = [], 0
+        run.append((i, rows))
+        held += rows.size
+    if run:
+        rescore(run)
     return out
 
 
@@ -132,7 +186,7 @@ def top_k(query_emb: np.ndarray, store: Store, k: int, query_id: str = "") -> Ra
     """The k most cosine-similar references; ties broken by ascending id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _rank_block(_check_query(query_emb, store)[None, :], store, k, [query_id])[0]
+    return _rank_block(_check_queries(np.asarray(query_emb)[None], store), store, k, [query_id])[0]
 
 
 def brute_force_rank(query_emb: np.ndarray, store: Store, query_id: str = "") -> Ranking:
@@ -141,9 +195,9 @@ def brute_force_rank(query_emb: np.ndarray, store: Store, query_id: str = "") ->
     Every row is scored with the float64 formula and the whole list ordered
     by ``kernels.top_indices``: no sweep, no selection, no cached index.
     """
-    q = _check_query(query_emb, store)
+    q = _check_queries(np.asarray(query_emb)[None], store)
     refs = store.ref_image
-    scores = kernels.exact_cosines(refs, q, kernels.row_norms(q[None, :])[0], kernels.row_norms(refs))
+    scores = kernels.exact_cosines(refs, q, kernels.row_norms(q), kernels.row_norms(refs))
     return Ranking(query_id=query_id, entries=ordered_entries(store.ref_ids, scores, len(scores)))
 
 
@@ -155,9 +209,8 @@ def rank_store_queries(store: Store, k: int) -> list[Ranking]:
     block = max(1, SCORE_TILE_BYTES // (_TILE_BYTES_PER_SCORE * max(1, len(store.ref_ids))))
     out = []
     for start in range(0, len(store.query_ids), block):
-        qids = store.query_ids[start:start + block]
-        queries = np.stack([_check_query(q, store) for q in store.query_image[start:start + block]])
-        out.extend(_rank_block(queries, store, k, qids))
+        queries = _check_queries(store.query_image[start:start + block], store)
+        out.extend(_rank_block(queries, store, k, store.query_ids[start:start + block]))
     return out
 
 

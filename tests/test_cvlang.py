@@ -2,6 +2,7 @@ import json
 import math
 import os
 import socket
+import struct
 import subprocess
 import sys
 import urllib.request
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import georank
 from georank import cvlang, kernels
@@ -274,12 +277,36 @@ def test_stability_cosine_is_phase_one_arithmetic_symmetric_and_scale_invariant(
             alpha = float(rng.uniform(0.01, 100.0))
             cos = _pair_cosine(u, v)
             q = v.astype(np.float64)
-            norms = kernels.row_norms(q[None])[0], kernels.row_norms(u[None])
-            assert cos == kernels.exact_cosines(u[None], q, *norms)[0]  # phase 1's score of the pair
+            norms = kernels.row_norms(q[None]), kernels.row_norms(u[None])
+            assert cos == kernels.exact_cosines(u[None], q[None], *norms)[0]  # phase 1's score of the pair
             assert cos == _pair_cosine(v, u)
             # scaling a float32 vector rounds it, by up to float32's unit roundoff per value
             assert _pair_cosine(alpha * u, v) == pytest.approx(cos, abs=1e-12 if dtype is np.float64 else 1e-6)
     assert -1.0 <= _pair_cosine(u, -u) <= 1.0
+
+
+def _frozen_stability_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pair cosines as ``stability_report`` computed them before it called
+    ``kernels.exact_cosines``, with ``kernels.row_norms`` inlined."""
+    dots = np.einsum("ij,ij->i", a, b, dtype=np.float64)
+    norms_a = np.sqrt(np.einsum("ij,ij->i", a, a, dtype=np.float64))
+    norms_b = np.sqrt(np.einsum("ij,ij->i", b, b, dtype=np.float64))
+    return np.clip(dots / (norms_a * norms_b), -1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 16, 64, 257, 1536, 4096, 8192, 8193, 10000]),
+       st.integers(1, 9), st.sampled_from([np.float32, np.float64]), st.sampled_from([np.float32, np.float64]))
+def test_stability_cosine_bytes_equal_a_frozen_copy_of_the_inlined_arithmetic(seed, dim, count, dtype_a, dtype_b):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, dim)) * 2.0 ** rng.integers(-20, 20, (count, 1))
+    b = rng.standard_normal((count, dim))
+    b[::2] = np.ldexp(a[::2], 3) * (-1.0) ** rng.integers(0, 2)  # parallel pairs: cosines at ±1, clipped
+    a, b = a.astype(dtype_a), b.astype(dtype_b)
+    ids = [f"i{j}" for j in range(count)]
+    report = stability_report({i: "x" for i in ids}, {i: "x" for i in ids}, dict(zip(ids, a)), dict(zip(ids, b)))
+    want = float(np.mean(_frozen_stability_cosines(a, b)))
+    assert struct.pack("<d", report.mean_cosine) == struct.pack("<d", want)
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,33 @@ def test_store_roundtrip_preserves_all_fields(tmp_path):
     assert store_digest(tmp_path / "s") == store_digest(tmp_path / "s2")
 
 
+def test_query_and_reference_records_hold_their_row_and_refuse_an_unknown_id():
+    rng = np.random.default_rng(10)
+    refs = [make_ref("r0", rng.standard_normal(4), text=rng.standard_normal(3), caption="a road",
+                     coord=GeoCoord(1.5, -2.5)),
+            make_ref("r1", rng.standard_normal(4))]
+    queries = [make_query("q0", rng.standard_normal(4), ["r1"]),
+               make_query("q1", rng.standard_normal(4), ["r0", "r1"], text=rng.standard_normal(3),
+                          coord=GeoCoord(-0.5, 3.0))]
+    store = build_store(refs, queries, image_dim=4, text_dim=3)
+    for want in refs:
+        got = store.reference(want.id)
+        assert got.id == want.id and got.caption == want.caption and got.coord == want.coord
+        assert np.array_equal(got.image_emb, want.image_emb)
+        assert (got.text_emb is None) == (want.text_emb is None)
+        assert want.text_emb is None or np.array_equal(got.text_emb, want.text_emb)
+    for want in queries:
+        got = store.query(want.id)
+        assert got.id == want.id and got.ground_truth == want.ground_truth and got.coord == want.coord
+        assert got.caption is None and np.array_equal(got.image_emb, want.image_emb)
+        assert (got.text_emb is None) == (want.text_emb is None)
+        assert want.text_emb is None or np.array_equal(got.text_emb, want.text_emb)
+    for lookup, known, kind in ((store.query, "r0", "query"), (store.reference, "q0", "reference")):
+        for unknown in (known, "nope", ""):
+            with pytest.raises(KeyError, match=re.escape(f"unknown {kind} id '{unknown}'")):
+                lookup(unknown)
+
+
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 

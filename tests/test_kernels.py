@@ -24,7 +24,7 @@ def test_cosine_scores_within_error_bound():
         approx = kernels.cosine_scores(queries / qn[:, None], refs, kernels.row_norms(refs))
         assert approx.shape == (3, 500)
         for i in range(3):
-            exact = kernels.exact_cosines(refs, queries[i], qn[i], kernels.row_norms(refs))
+            exact = kernels.exact_cosines(refs, queries[i:i + 1], qn[i:i + 1], kernels.row_norms(refs))
             assert np.max(np.abs(approx[i] - exact)) <= kernels.cosine_error_bound(dim)
     assert kernels.cosine_error_bound(1 << 24) == np.inf
 
@@ -59,10 +59,10 @@ def test_sweep_with_the_index_norms_is_within_the_bound_of_the_exact_score(case)
     index = kernels.build_cosine_index(refs)
     swept = np.setdiff1d(np.arange(refs.shape[0]), index.unswept)
     assert swept.size
-    qn = kernels.row_norms(q[None, :])[0]
+    qn = kernels.row_norms(q[None, :])
     approx = kernels.cosine_scores((q / qn)[None, :], refs, index.norms)[0]
     assert approx.dtype == np.float32
-    exact = kernels.exact_cosines(refs, q, qn, kernels.row_norms(refs))
+    exact = kernels.exact_cosines(refs, q[None, :], qn, kernels.row_norms(refs))
     assert np.max(np.abs(approx[swept] - exact[swept])) <= kernels.cosine_error_bound(refs.shape[1])
 
 
@@ -78,12 +78,45 @@ def test_survivor_margin_covers_twice_the_bound_and_the_threshold_rounding():
 def test_exact_cosines_independent_of_other_rows():
     rng = np.random.default_rng(9)
     refs = rng.standard_normal((301, 37)).astype(np.float32)
-    q = rng.standard_normal(37)
-    qn = kernels.row_norms(q[None, :])[0]
+    q = rng.standard_normal((1, 37))
+    qn = kernels.row_norms(q)
     full = kernels.exact_cosines(refs, q, qn, kernels.row_norms(refs))
     rows = rng.permutation(301)[:17]
     sub = refs[rows]
     np.testing.assert_array_equal(kernels.exact_cosines(sub, q, qn, kernels.row_norms(sub)), full[rows])
+
+
+def test_exact_cosines_clips_as_np_clip_does():
+    # one-wide rows |v| with unit query norms and reference "norms" of ±1 hand the clip v itself:
+    # ±0, NaN, ±1, ±inf, values just inside and just past ±1, and subnormals
+    one, past = 1.0, np.nextafter(1.0, 2.0)
+    values = np.array([0.0, -0.0, np.nan, one, -one, past, -past, np.nextafter(1.0, 0.0),
+                       np.nextafter(-1.0, 0.0), 1.5, -1.5, np.inf, -np.inf, 5e-324, -5e-324])
+    refs, signs = np.abs(values)[:, None], np.where(np.signbit(values), -1.0, 1.0)
+    got = kernels.exact_cosines(refs, np.ones((1, 1)), np.ones(1), signs)
+    assert got.tobytes() == np.clip(values, -1.0, 1.0).tobytes()
+    assert np.signbit(got[:2]).tolist() == [False, True]
+    assert got[5:7].tolist() == [1.0, -1.0] and got[7:9].tolist() == values[7:9].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.integers(1, 4096), st.sampled_from([8192, 8193, 10000])),
+       st.integers(1, 9), st.integers(1, 5))
+def test_exact_cosines_of_many_queries_equal_each_querys_own_pass(seed, dim, n_queries, rows_per_query):
+    """Float32 rows re-scored together, each against its own query's row, score as
+    each query's rows re-scored alone against its one row, also past numpy's
+    8192-element einsum buffer."""
+    rng = np.random.default_rng(seed)
+    queries = rng.standard_normal((n_queries, dim))
+    owner = np.repeat(np.arange(n_queries), rows_per_query)
+    refs = rng.standard_normal((owner.size, dim)).astype(np.float32)
+    refs[::2] = queries[owner[::2]]  # pairs at a cosine of about 1, where the clip acts
+    qn, rn = kernels.row_norms(queries), kernels.row_norms(refs)
+    together = kernels.exact_cosines(refs, queries[owner], qn[owner], rn)
+    for i in range(n_queries):
+        mine = owner == i
+        alone = kernels.exact_cosines(refs[mine], queries[i:i + 1], qn[i:i + 1], kernels.row_norms(refs[mine]))
+        assert alone.tobytes() == together[mine].tobytes()
 
 
 def test_cosine_index_flags_rows_the_sweep_cannot_bound():

@@ -267,6 +267,129 @@ def test_rank_store_queries_allocates_one_float32_tile_and_no_more():
     assert peak <= 4 * b * n + 64 * (n + b * d)
 
 
+def _phase_1_paths_agree(store: Store, k: int, tile_bytes: int) -> None:
+    """``rank_store_queries`` under a ``SCORE_TILE_BYTES`` of ``tile_bytes``, a lone
+    ``top_k`` of each store query and the oracle's first k give the same entries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retriever, "SCORE_TILE_BYTES", tile_bytes)
+        rankings = rank_store_queries(store, k)
+    assert [r.query_id for r in rankings] == store.query_ids
+    for qid, q, ranking in zip(store.query_ids, store.query_image, rankings):
+        assert ranking.entries == top_k(q, store, k, query_id=qid).entries
+        assert ranking.entries == brute_force_rank(q, store).entries[:k]
+        ranking.validate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.sampled_from([8192, 8193, 10000]), st.integers(1, 12), st.integers(1, 6), st.integers(1, 14))
+def test_phase_1_paths_agree_across_the_einsum_buffer_width(data, dim, n_refs, n_queries, k):
+    """Past 8192 values numpy's einsum sums a float64 row differently alone and
+    among other rows, so a block must take its query norms as a lone query does."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    store = random_store(rng, n_refs, n_queries, image_dim=dim)
+    store.query_image[0] = store.ref_image[0]  # an exact tie at the top
+    if n_refs > 2:
+        store.ref_image[1] = store.ref_image[2]  # exact duplicates
+    # query blocks of 1 or 2 queries, or one block
+    tile = data.draw(st.sampled_from([4 * n_refs, 8 * n_refs, retriever.SCORE_TILE_BYTES]))
+    _phase_1_paths_agree(store, k, tile)
+
+
+@st.composite
+def edge_stores(draw):
+    """A store with queries whose survivors are every row (every row unswept, or k
+    at least the number of rows), or with exact duplicates (and power-of-two
+    scalings) of the row at query 0's k-th place; a k; and a tile size that makes
+    several query blocks, or one block whose re-score passes hold several queries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n, n_queries = draw(st.integers(1, 12)), draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    rows = rng.standard_normal((n, dim))
+    queries = rng.standard_normal((n_queries, dim))
+    kind = draw(st.sampled_from(["all unswept", "some unswept", "k >= n", "duplicates at k"]))
+    k = draw(st.integers(n, n + 3)) if kind == "k >= n" else draw(st.integers(1, n))
+    if kind.endswith("unswept"):
+        # 2**-70 and 2**70 put a row's float32 sum of squares below 2**-64 or past FLT_MAX
+        scale = 2.0 ** rng.choice([-70.0, 70.0], n)
+        if kind == "some unswept":
+            scale[rng.random(n) < 0.5] = 1.0
+        rows *= scale[:, None]
+    elif kind == "duplicates at k":
+        q = queries[0].astype(np.float32).astype(np.float64)
+        cos = rows @ q / (np.linalg.norm(rows, axis=1) * np.linalg.norm(q))
+        at_k = rows[np.argsort(-cos, kind="stable")[k - 1]]
+        copies = [at_k] * draw(st.integers(1, 3)) + [2.0 * at_k] * draw(st.integers(0, 2))
+        rows = np.concatenate([rows, copies])
+    ids = [f"r{i:03d}" for i in rng.permutation(len(rows))]
+    store = build_store([make_ref(i, r) for i, r in zip(ids, rows)],
+                        [make_query(f"q{j}", q, [ids[0]]) for j, q in enumerate(queries)], image_dim=dim)
+    tile = draw(st.sampled_from([4 * len(rows), 8 * len(rows), retriever.SCORE_TILE_BYTES]))
+    return store, k, tile
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_stores())
+def test_phase_1_paths_agree_when_every_row_survives_or_ties_straddle_k(case):
+    _phase_1_paths_agree(*case)
+
+
+def test_a_blocks_rescore_gathers_no_more_than_a_tile():
+    # every reference a duplicate or a power-of-two scaling of one row: every row survives every
+    # query, so each query gathers all n rows, and a block of 50 queries would gather 9.6 MB at once
+    rng = np.random.default_rng(24)
+    n, b, d = 2000, 200, 8
+    base = rng.standard_normal(d).astype(np.float32)
+    image = base * np.float32(2.0) ** rng.integers(-3, 4, n).astype(np.float32)[:, None]
+    refs = Columns([f"r{i:05d}" for i in range(n)], image)
+    queries = Columns([f"q{i:03d}" for i in range(b)], rng.standard_normal((b, d)).astype(np.float32))
+    store = Store(StoreManifest(d, 4, n, b), refs, queries, {q: ("r00000",) for q in queries.ids})
+    tile = retriever._TILE_BYTES_PER_SCORE * n * 50  # 50 queries per block; 4166 gathered rows per pass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retriever, "SCORE_TILE_BYTES", tile)
+        rankings = rank_store_queries(store, 10)  # builds the store's index
+        tracemalloc.start()
+        try:
+            assert [r.entries for r in rank_store_queries(store, 10)] == [r.entries for r in rankings]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(len(r.entries) == 10 for r in rankings)
+    # the block's float32 tile; one pass's gathered reference and query rows, 12·d bytes a row,
+    # within the block's tile; per gathered row its index, its query's, norm, dot and score arrays and a
+    # Python int and id in lists (under 128 bytes); and the 10 entries of each of b rankings
+    assert peak <= 2 * tile + 128 * (tile // (12 * d)) + 256 * 10 * b + 65536
+
+
+def test_rank_store_queries_refuses_the_first_bad_query_as_a_lone_query_is_refused():
+    rng = np.random.default_rng(25)
+    store = random_store(rng, 20, 6, image_dim=4)
+    store.query_image[2] = 0.0
+    store.query_image[4, 1] = np.nan
+    for q in (store.query_image[2], store.query_image[4]):
+        with pytest.raises(ValueError) as lone:
+            top_k(q, store, 3)
+        with pytest.raises(ValueError, match=re.escape(str(lone.value))):
+            brute_force_rank(q, store)
+    with pytest.raises(ValueError, match="cosine undefined for zero-norm query"):
+        rank_store_queries(store, 3)
+    store.query_image[2] = np.inf
+    with pytest.raises(ValueError, match="query has a NaN or infinite component"):
+        rank_store_queries(store, 3)
+    store.query_image[2] = 1.0
+    store.query_image[3] = 0.0
+    with pytest.raises(ValueError, match="cosine undefined for zero-norm query"):
+        rank_store_queries(store, 3)
+
+
+@pytest.mark.parametrize("query, shape", [(np.ones(5), "(5,)"), (np.ones((2, 2)), "(2, 2)"), (np.float64(1.0), "()")])
+def test_a_query_of_the_wrong_shape_is_refused_with_its_shape(simple_store, query, shape):
+    for rank in (lambda q: top_k(q, simple_store, 1), lambda q: brute_force_rank(q, simple_store)):
+        with pytest.raises(ValueError, match=re.escape(f"query dim {shape} does not match store image_dim 2")):
+            rank(query)
+    empty = build_store([], [], image_dim=2)
+    with pytest.raises(ValueError, match="store holds no references"):
+        top_k(query, empty, 1)
+
+
 def test_duplicate_rows_tie_by_python_str_id_in_every_phase_1_path():
     # "a\x00" sorts after "a" as a Python str; a numpy "<U" array would see both as "a"
     rng = np.random.default_rng(22)
